@@ -12,14 +12,33 @@ import random
 import sys
 
 from . import carddb, reductions, scripts, tm, trace
-from .engine import Run, is_winning_state, validate_run
+from .engine import is_winning_state, validate_run
 from .engine.rules import spell_counters
-from .errors import DuelhaltError
-from .strategy import Budget, check_winning, to_tree, well_founded_to_depth, WELL_FOUNDED
+from .errors import DeckParseError, DuelhaltError, InvalidOrder, TMParseError
+from .strategy import (Budget, WELL_FOUNDED, _p2_has_channel, check_winning, drive_to_choice,
+                       nis_strategy, play_opponent_number, replay_witness, to_tree,
+                       well_founded_to_depth)
 
 
-def _seed() -> int:
-    return int(os.environ.get("DUELHALT_SEED", "0"))
+def _seed(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get("DUELHALT_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"DUELHALT_SEED must be an integer, got {raw!r}")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def cmd_cards(args) -> int:
@@ -129,11 +148,7 @@ def cmd_check_win(args) -> int:
     out = _reduction(args)
     verdict = check_winning(out.run, out.strategy, _budget(args))
     if args.witness and verdict.witness:
-        full = out.run
-        for mv in verdict.witness:
-            from .engine import apply
-            full = full.extend(apply(full.last(), mv), mv)
-        trace.write_trace(full, args.witness)
+        trace.write_trace(replay_witness(out.run, verdict.witness), args.witness)
         print(f"witness trace written to {args.witness}")
     print(f"explored under budget turns={args.max_turns} numbers<={args.max_number}")
     print(f"verdict={verdict.kind.upper()}")
@@ -179,75 +194,50 @@ def cmd_duel(args) -> int:
             transcript = [ln.strip() for ln in fh if ln.strip()]
     base = scripts.setup_run_b()
     machine = _load_machine(args)
-    from .strategy import nis_strategy
     strat = nis_strategy(machine, base.run)
     run = base.run
     print(f"second board ready; simulating phi_{machine} against your numbers")
     print("enter the LP gain in thousands each round; q resigns")
     rounds = 0
-    from .engine import apply
     while rounds < args.max_rounds:
-        # our turn(s) until it is their move
-        while run.last().priority == 0 or run.last().active == 0:
-            mv = strat.next_move(run)
-            if mv is None:
-                print("strategy undefined here; stopping")
-                return 1
-            run = run.extend(apply(run.last(), mv), mv)
-            if is_winning_state(run.last(), 0):
-                print(f"lp={run.last().lp[0]}/{run.last().lp[1]} "
-                      f"counters={spell_counters(run.last())}")
-                print("verdict=WIN")
-                return 0
+        run = drive_to_choice(run, strat)
+        if run is None:
+            print("strategy undefined here; stopping")
+            return 1
         conf = run.last()
+        if is_winning_state(conf, 0):
+            print(f"lp={conf.lp[0]}/{conf.lp[1]} counters={spell_counters(conf)}")
+            print("verdict=WIN")
+            return 0
         print(f"turn {conf.turn}: lp={conf.lp[0]}/{conf.lp[1]} "
               f"counters={spell_counters(conf)}")
-        from .strategy import _p2_has_channel
-        if not _p2_has_channel(conf):
-            # the number channel is gone; they can only pass the turn out
-            from .engine import Pass
-            while run.last().active == 1:
-                mv = strat.next_move(run) if run.last().priority == 0 else Pass(1)
-                if mv is None:
-                    print("strategy undefined here; stopping")
-                    return 1
-                run = run.extend(apply(run.last(), mv), mv)
-            rounds += 1
-            continue
-        if transcript is not None:
-            if not transcript:
-                print("transcript exhausted")
-                return 0
-            raw = transcript.pop(0)
-            print(f"Player 2 gain (x1000): {raw}")
-        else:
-            try:
-                raw = input("Player 2 gain (x1000): ")
-            except EOFError:
-                raw = "q"
-        if raw.strip().lower() == "q":
-            print("Player 2 resigns")
-            return 0
-        try:
-            k = int(raw)
-            if k < 0:
-                raise ValueError
-        except ValueError:
-            print("enter a non-negative number or q")
-            continue
-        frag = scripts.flintlock_gain(run.last(), k)
-        run = Run(run.configs + frag.run.configs[1:], run.moves + frag.run.moves)
-        # finish their turn
-        while run.last().active == 1:
-            if run.last().priority == 0:
-                mv = strat.next_move(run)
+        k = 0  # without the number channel they can only pass the turn out
+        if _p2_has_channel(conf):
+            if transcript is not None:
+                if not transcript:
+                    print("transcript exhausted")
+                    return 0
+                raw = transcript.pop(0)
+                print(f"Player 2 gain (x1000): {raw}")
             else:
-                from .engine import Pass
-                mv = Pass(1)
-            if mv is None:
-                print("strategy undefined here; stopping")
-                return 1
-            run = run.extend(apply(run.last(), mv), mv)
+                try:
+                    raw = input("Player 2 gain (x1000): ")
+                except EOFError:
+                    raw = "q"
+            if raw.strip().lower() == "q":
+                print("Player 2 resigns")
+                return 0
+            try:
+                k = int(raw)
+                if k < 0:
+                    raise ValueError
+            except ValueError:
+                print("enter a non-negative number or q")
+                continue
+        run = play_opponent_number(run, strat, k)
+        if run is None:
+            print("strategy undefined here; stopping")
+            return 1
         rounds += 1
     print("round limit reached")
     return 0
@@ -278,17 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace")
     p.set_defaults(fn=cmd_compile_tm)
 
-    def add_reduction_args(p, with_budget=True):
+    def add_reduction_args(p):
         p.add_argument("--reduce", choices=["halting", "nis", "wo"], required=True)
         p.add_argument("--machine", help="curated name or program file")
         p.add_argument("--index", type=int, default=0, help="machine index")
         p.add_argument("--order", default="omega", help="order keyword/descriptor")
         p.add_argument("--order-file")
-        if with_budget:
-            p.add_argument("--max-turns", type=int, default=100)
-            p.add_argument("--max-number", type=int, default=6)
-            p.add_argument("--exhaustive", action="store_true",
-                           help="read the number cap as the whole choice space")
+        p.add_argument("--max-turns", type=_int_at_least(1), default=100)
+        p.add_argument("--max-number", type=_int_at_least(1), default=6)
+        p.add_argument("--exhaustive", action="store_true",
+                       help="read the number cap as the whole choice space")
 
     p = sub.add_parser("check-win", help="run the budgeted winning checker")
     add_reduction_args(p)
@@ -296,17 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_win)
 
     p = sub.add_parser("reduce", help="emit a reduction's run and strategy")
-    add_reduction_args(p, with_budget=False)
-    p.add_argument("--max-turns", type=int, default=100)
-    p.add_argument("--max-number", type=int, default=6)
-    p.add_argument("--exhaustive", action="store_true")
+    add_reduction_args(p)
     p.add_argument("--trace")
     p.add_argument("--strategy-out", help="write the strategy descriptor here")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("tree", help="localize a strategy as a tree")
     add_reduction_args(p)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_int_at_least(0), default=6)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("duel", help="play Player 2's numbers interactively")
@@ -321,20 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    random.seed(_seed())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        random.seed(_seed(parser))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    from .errors import DeckParseError, InvalidOrder, TMParseError
 
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DeckParseError, InvalidOrder, TMParseError) as exc:
+    except (FileNotFoundError, DeckParseError, InvalidOrder, TMParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DuelhaltError as exc:

@@ -43,7 +43,6 @@ EXTRA = 3  # extra monster zone (one slot per player in this fragment)
 HAND = 4   # index = card id
 GY = 5     # index = position in graveyard list
 DECK = 6
-BANISHED = 7
 EXTRADECK = 8
 
 Loc = tuple[int, int, int]
@@ -215,7 +214,6 @@ def _is_monster_id(cid: int) -> bool:
 # shifted by 1 so 0 can mark an empty slot.
 
 _CODEC_VERSION = 1
-_NO_LOC = (0, 0, 0)
 
 
 def _flat_instance(inst: Optional[CardInstance]) -> list[int]:

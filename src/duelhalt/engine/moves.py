@@ -7,7 +7,7 @@ integers alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..carddb import card_name
@@ -120,10 +120,6 @@ _TAGS = [
     Pass,
 ]
 _TAG_OF = {cls: i for i, cls in enumerate(_TAGS)}
-
-
-def mover(move: Move) -> int:
-    return move.player
 
 
 def _flat_loc(loc: Loc) -> list[int]:

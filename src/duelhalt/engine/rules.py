@@ -48,7 +48,6 @@ from .config import (
 from .moves import (
     ActivateEffect,
     AdvancePhase,
-    ChainLink,
     ChangeEquipTarget,
     DeclareAttack,
     DIRECT,
@@ -1016,7 +1015,6 @@ def _chk_endymion_summon(conf, p, source, targets, extras):
     if len(extras) > 1 and extras[1] > 0:
         idx = extras[1] - 1
         gy = conf.players[p].gy
-        shift = 1 if source[1] == GY and source[2] < idx else 0
         _require(0 <= idx < len(gy), "recycle index out of range")
         _require(_is_spell_cid(gy[idx]), "Endymion recycles a spell")
 
@@ -1371,12 +1369,31 @@ def is_legal(conf: Configuration, move: Move) -> bool:
         return False
 
 
+def _locators(move: Move) -> tuple[Loc, ...]:
+    """Every locator a move names, the direct-attack sentinel aside."""
+    if isinstance(move, ActivateEffect):
+        locs = (move.source, *move.targets)
+        for link in move.chain:
+            locs += (link.source, *link.targets)
+        return locs
+    if isinstance(move, ChangeEquipTarget):
+        return (move.equip, move.new_target)
+    if isinstance(move, DeclareAttack):
+        return (move.attacker,) if move.target == DIRECT else (move.attacker, move.target)
+    if isinstance(move, FlipSummon) and move.recover is not None:
+        return (move.recover,)
+    return ()
+
+
 def check_legal(conf: Configuration, move: Move) -> None:
     if _terminal(conf):
         raise IllegalMove("game over")
     p = move.player
     if p not in (0, 1):
         raise IllegalMove("bad player")
+    for loc in _locators(move):
+        if loc[0] not in (0, 1):
+            raise IllegalMove("a locator names no player")
     if conf.priority != p:
         raise IllegalMove("not this player's priority window")
 
@@ -1889,10 +1906,14 @@ def legal_moves(conf: Configuration, p: int) -> list[Move]:
                         if is_legal(conf, mv):
                             out.append(mv)
 
-    # activations (hand, set cards, graveyard, extra deck)
+    # activations (hand, set cards, graveyard, extra deck); a continuous or
+    # equip spell played from the hand needs a free spell/trap zone to stay in
+    zone_free = None in ps.spelltraps
     sources: list[tuple[str, Loc]] = []
     for cid in sorted(set(ps.hand)):
         if cid == FILLER:
+            continue
+        if not zone_free and by_id(cid).kind in (Kind.CONTINUOUS_SPELL, Kind.EQUIP_SPELL):
             continue
         for effect in by_id(cid).effects:
             sources.append((effect, (p, HAND, cid)))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .coding import pair, seq_decode, seq_encode, unpair
-from .errors import InvalidOrder, MalformedCode
+from .coding import pair, unpair
+from .errors import InvalidOrder
 from .engine import Run
 from .scripts import ScriptResult, set_counters, setup_run_a, setup_run_b
 from .strategy import Strategy, nis_strategy, tm_strategy, wo_strategy
@@ -194,20 +194,7 @@ def reduce_wo(x: LinearOrder) -> ReductionOutput:
 # --- the appendix: f, g, and chain searches ---------------------------------------
 
 
-def appendix_f(n: int, s_code: int, z: int) -> Optional[int]:
-    """f(n, <s0..s_m-1>) = <s0..s_m-2> when n > 0 and the oracle run fails.
-
-    Returns None where f diverges.
-    """
-    try:
-        s = seq_decode(s_code)
-    except ValueError as exc:
-        raise MalformedCode(str(exc)) from None
-    if n <= 0 or not s:
-        return None
-    if tmmod.oracle_converges(z, s_code, n):
-        return None
-    return seq_encode(s[:-1])
+appendix_f = tmmod.appendix_f
 
 
 def appendix_g(n: int, z: int) -> int:

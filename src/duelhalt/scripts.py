@@ -179,6 +179,11 @@ def _to_phase(line: Line, phase: Phase) -> None:
     _pass_until(line, lambda c: c.phase == phase)
 
 
+def _end_turn(line: Line) -> None:
+    turn = line.conf.turn
+    _pass_until(line, lambda c: c.turn > turn)
+
+
 def _p1_turn(line: Line, actions, *, attack: bool = True, discard: tuple[int, ...] = (),
              stop_in_main: bool = False) -> None:
     """One Player 1 turn: draw, main actions, optional Yata attack, end."""
@@ -191,16 +196,11 @@ def _p1_turn(line: Line, actions, *, attack: bool = True, discard: tuple[int, ..
     if stop_in_main:
         return
     if attack:
-        if YATA in line.conf.players[0].hand:
-            _summon_yata(line)
-        _to_phase(line, Phase.BATTLE)
-        zone = _mzone_of(line.conf, 0, YATA, face_up=True)
-        line.do(DeclareAttack(0, (0, MZONE, zone), DIRECT))
+        _yata_attack(line)
     _to_phase(line, Phase.END)
     if discard:
         line.do(DiscardToLimit(0, discard))
-    turn = line.conf.turn
-    _pass_until(line, lambda c: c.turn > turn)
+    _end_turn(line)
 
 
 def _p2_turn(line: Line, actions=()) -> None:
@@ -213,8 +213,7 @@ def _p2_turn(line: Line, actions=()) -> None:
         _to_phase(line, Phase.MAIN1)
         for act in actions:
             act(line)
-    turn = line.conf.turn
-    _pass_until(line, lambda c: c.turn > turn)
+    _end_turn(line)
 
 
 # action helpers (each returns a callable on the line)
@@ -229,6 +228,15 @@ def _ns(cid, zone=None, face_up=True, tributes=()):
 
 def _summon_yata(line: Line) -> None:
     line.do(NormalSummon(0, YATA, _free_mzone(line.conf, 0), True))
+
+
+def _yata_attack(line: Line) -> None:
+    """Summon the spirit if it is in hand and attack directly with it."""
+    if YATA in line.conf.players[0].hand:
+        _summon_yata(line)
+    _to_phase(line, Phase.BATTLE)
+    zone = _mzone_of(line.conf, 0, YATA, face_up=True)
+    line.do(DeclareAttack(0, (0, MZONE, zone), DIRECT))
 
 
 def _set_st(cid, player=0):
@@ -349,8 +357,7 @@ def _turn1(line: Line) -> None:
     line.do(NormalSummon(0, MORPHJAR, 1, False))
     line.do(SetSpellTrap(0, SOULDRAIN, 0))
     line.do(SetSpellTrap(0, DESERTSUN, 1))
-    turn = line.conf.turn
-    _pass_until(line, lambda c: c.turn > turn)
+    _end_turn(line)
 
 
 def _turn2_wipe(line: Line) -> None:
@@ -366,8 +373,7 @@ def _turn2_wipe(line: Line) -> None:
         0, "desert_sunlight_flip_up", (0, SZONE, ds_zone),
         chain=(ChainLink("soul_drain_gy_lock", (0, SZONE, sd_zone)),),
     ))
-    turn = line.conf.turn
-    _pass_until(line, lambda c: c.turn > turn)
+    _end_turn(line)
 
 
 def _t3_lock(line: Line) -> None:
@@ -561,9 +567,30 @@ def increment_cycle(conf: Configuration) -> ScriptResult:
     """One full cycle: counters +3, loop cards back in their orbits."""
     _require_loop_ready(conf)
     line = Line(conf)
-    for mv in increment_cycle_moves(conf):
-        line.do(mv)
+    play_cycles(line, 1, 0)
     return line.result()
+
+
+def _summon_endymion(line: Line) -> int:
+    """Summon the magician from the graveyard (-6); returns its zone."""
+    conf = line.conf
+    zone = _free_mzone(conf, 0)
+    extras = [zone, 0]
+    if OFFERINGS in conf.players[0].gy:
+        extras[1] = 1 + _gy_index(conf, 0, OFFERINGS)
+    line.do(ActivateEffect(
+        0, "endymion_counter_summon", (0, GY, _gy_index(conf, 0, ENDYMION)),
+        extras=tuple(extras),
+    ))
+    return zone
+
+
+def _offer_magician(line: Line, zone: int) -> None:
+    """Offerings to the Doomed destroys the magician (+1, skips our draw)."""
+    line.do(ActivateEffect(
+        0, "offerings_destroy_skip", (0, HAND, OFFERINGS),
+        targets=((0, MZONE, zone),),
+    ))
 
 
 def decrement_cycle(conf: Configuration) -> ScriptResult:
@@ -575,19 +602,32 @@ def decrement_cycle(conf: Configuration) -> ScriptResult:
     if OFFERINGS not in p1.gy and OFFERINGS not in p1.hand:
         raise NotLoopReady("Offerings to the Doomed is out of the orbit")
     line = Line(conf)
-    zone = _free_mzone(conf, 0)
-    extras = [zone, 0]
-    if OFFERINGS in p1.gy:
-        extras[1] = 1 + _gy_index(conf, 0, OFFERINGS)
-    line.do(ActivateEffect(
-        0, "endymion_counter_summon", (0, GY, _gy_index(conf, 0, ENDYMION)),
-        extras=tuple(extras),
-    ))
-    line.do(ActivateEffect(
-        0, "offerings_destroy_skip", (0, HAND, OFFERINGS),
-        targets=((0, MZONE, zone),),
-    ))
+    _offer_magician(line, _summon_endymion(line))
     return line.result()
+
+
+def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
+    """The cycle composition (a, b) that moves the counters by delta.
+
+    a increment cycles (+3 each) and b decrement cycles (-5 each), with b
+    the least value at or above min_decrements such that b = delta (mod 3)
+    and 5b >= -delta; then a = (delta + 5b) / 3.
+    """
+    b = max(min_decrements, -(delta // 5))
+    b += (delta - b) % 3
+    if b > 10000:
+        raise NotLoopReady("no cycle composition found")
+    return (delta + 5 * b) // 3, b
+
+
+def play_cycles(line: Line, a: int, b: int) -> None:
+    """Play a increment cycles and then b decrement cycles onto the line."""
+    for _ in range(a):
+        for mv in increment_cycle_moves(line.conf):
+            line.do(mv)
+    for _ in range(b):
+        for mv in decrement_cycle(line.conf).run.moves:
+            line.do(mv)
 
 
 def set_counters(conf: Configuration, n: int) -> ScriptResult:
@@ -597,22 +637,8 @@ def set_counters(conf: Configuration, n: int) -> ScriptResult:
     if n < 0:
         raise ZeroTarget("counter targets are positive")
     _require_loop_ready(conf)
-    cur = spell_counters(conf)
-    delta = n - cur
-    b = 0
-    while (delta + 5 * b) % 3 != 0 or (delta + 5 * b) < 0:
-        b += 1
-        if b > 10000:
-            raise NotLoopReady("no cycle composition found")
-    a = (delta + 5 * b) // 3
     line = Line(conf)
-    for _ in range(a):
-        for mv in increment_cycle_moves(line.conf):
-            line.do(mv)
-    for _ in range(b):
-        frag = decrement_cycle(line.conf)
-        for mv in frag.run.moves:
-            line.do(mv)
+    play_cycles(line, *cycle_plan(n - spell_counters(conf)))
     if spell_counters(line.conf) != n:
         raise ScriptBroken(len(line.moves), "counter plan missed the target")
     return line.result()
@@ -644,17 +670,9 @@ def turn_tick(conf: Configuration) -> ScriptResult:
         _to_phase(line, Phase.MAIN1)
     _negate_protector_if_needed(line)
     _require_loop_ready(line.conf)
-    for _ in range(2):
-        for mv in increment_cycle_moves(line.conf):
-            line.do(mv)
-    for mv in decrement_cycle(line.conf).run.moves:
-        line.do(mv)
-    _summon_yata(line)
-    _to_phase(line, Phase.BATTLE)
-    zone = _mzone_of(line.conf, 0, YATA, face_up=True)
-    line.do(DeclareAttack(0, (0, MZONE, zone), DIRECT))
-    turn = line.conf.turn
-    _pass_until(line, lambda c: c.turn > turn)
+    play_cycles(line, 2, 1)
+    _yata_attack(line)
+    _end_turn(line)
     _p2_turn(line)
     if line.conf.phase == Phase.DRAW:
         _to_phase(line, Phase.MAIN1)

@@ -16,12 +16,13 @@ tests); otherwise running into the cap yields an honest Undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .coding import pair, unpair, untriple
 from .errors import (
     IllegalMove,
     InsufficientCounters,
+    MalformedCode,
     NotLoopReady,
     ScriptBroken,
     StrategyUndefinedAtRoot,
@@ -35,16 +36,14 @@ from .engine import (
     DiscardToLimit,
     DrawCard,
     Move,
-    NormalSummon,
     Pass,
     Phase,
     Run,
     apply,
     is_winning_state,
 )
-from .errors import MalformedCode
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.rules import spell_counters
+from .engine.rules import is_legal, spell_counters
 from .scripts import (
     CLARA,
     FLINT,
@@ -52,12 +51,15 @@ from .scripts import (
     Line,
     RAIGEKI,
     YATA,
-    _free_mzone,
-    _mzone_of,
+    _end_turn,
     _negate_protector_if_needed,
-    _require_loop_ready,
-    decrement_cycle,
-    increment_cycle_moves,
+    _offer_magician,
+    _summon_endymion,
+    _summon_yata,
+    _to_phase,
+    _yata_attack,
+    cycle_plan,
+    play_cycles,
 )
 from . import tm as tmmod
 
@@ -100,16 +102,6 @@ class Strategy:
 
     # -- public surface -------------------------------------------------------
 
-    def decide(self, run: Run) -> Optional[Configuration]:
-        """The next configuration after Player 1's move, or None (undefined)."""
-        move = self.next_move(run)
-        if move is None:
-            return None
-        try:
-            return apply(run.last(), move)
-        except IllegalMove:
-            return None
-
     def next_move(self, run: Run) -> Optional[Move]:
         if not isinstance(run, Run):
             raise TypeError("strategies take the whole run, not a configuration")
@@ -136,89 +128,49 @@ class Strategy:
         raise NotImplementedError
 
 
-class _PlanBuilder:
-    """Simulates a turn plan with the scripts' vocabulary."""
-
-    def __init__(self, conf: Configuration):
-        self.line = Line(conf)
-
-    @property
-    def conf(self) -> Configuration:
-        return self.line.conf
-
-    def moves(self) -> list[Move]:
-        return list(self.line.moves)
-
-    def plan(self) -> tuple[list[Move], list]:
-        return list(self.line.moves), list(self.line.configs[:-1])
-
-    def to_phase(self, phase: Phase) -> None:
-        guard = 0
-        while self.conf.phase != phase and self.conf.turn == self.line.configs[0].turn:
-            self.line.do(Pass(self.conf.priority))
-            guard += 1
-            if guard > 40:
-                raise ScriptBroken(-1, "plan walk stuck")
-
-    def end_turn(self) -> None:
-        turn = self.conf.turn
-        guard = 0
-        while self.conf.turn == turn:
-            self.line.do(Pass(self.conf.priority))
-            guard += 1
-            if guard > 40:
-                raise ScriptBroken(-1, "plan walk stuck")
-
-    def loops_to(self, target: int, min_decrements: int = 1) -> None:
-        cur = spell_counters(self.conf)
-        delta = target - cur
-        b = min_decrements
-        while (delta + 5 * b) % 3 != 0 or (delta + 5 * b) < 0:
-            b += 1
-            if b > 10000:
-                raise ScriptBroken(-1, "no cycle composition")
-        a = (delta + 5 * b) // 3
-        for _ in range(a):
-            for mv in increment_cycle_moves(self.conf):
-                self.line.do(mv)
-        for _ in range(b):
-            for mv in decrement_cycle(self.conf).run.moves:
-                self.line.do(mv)
-
-    def summon_yata(self) -> None:
-        if YATA in self.conf.players[0].hand:
-            self.line.do(NormalSummon(0, YATA, _free_mzone(self.conf, 0), True))
-
-    def battle_all(self) -> None:
-        self.to_phase(Phase.BATTLE)
-        conf = self.conf
-        attackers: list[tuple] = []
-        for i, m in enumerate(conf.players[0].monsters):
-            if m is not None and m.face_up:
-                attackers.append((0, MZONE, i))
-        if conf.players[0].extra_zone is not None and conf.players[0].extra_zone.face_up:
-            attackers.append((0, EXTRA, 0))
-        for loc in attackers:
-            if _won(self.conf):
-                return
-            mv = DeclareAttack(0, loc, DIRECT)
-            if _attack_ok(self.conf, mv):
-                self.line.do(mv)
-
-    def battle_yata(self) -> None:
-        self.to_phase(Phase.BATTLE)
-        zone = _mzone_of(self.conf, 0, YATA, face_up=True)
-        self.line.do(DeclareAttack(0, (0, MZONE, zone), DIRECT))
+_PLAN_FAILS = (ScriptBroken, NotLoopReady, InsufficientCounters, IllegalMove, MalformedCode)
 
 
-def _attack_ok(conf, mv) -> bool:
-    from .engine.rules import is_legal
+def _plan_own_turn(conf: Configuration, play: Callable[[Line], None]
+                   ) -> Optional[tuple[list[Move], list[Configuration]]]:
+    """Simulate one of our turns from conf: walk to the main phase, let play
+    fill it, and pass the turn unless the game is won.  None when the turn
+    does not start in a main phase or a step of it is not legal."""
+    line = Line(conf)
+    try:
+        if conf.phase == Phase.DRAW:
+            _to_phase(line, Phase.MAIN1)
+        if line.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
+            return None
+        play(line)
+        if not is_winning_state(line.conf, 0):
+            _end_turn(line)
+    except _PLAN_FAILS:
+        return None
+    return line.moves, line.configs[:-1]
 
-    return is_legal(conf, mv)
+
+def _counters_to(line: Line, target: int) -> None:
+    """Cycle the counters to target; the one decrement at least re-arms
+    our next draw skip."""
+    play_cycles(line, *cycle_plan(target - spell_counters(line.conf), min_decrements=1))
 
 
-def _won(conf: Configuration) -> bool:
-    return is_winning_state(conf, 0)
+def battle_all(line: Line) -> None:
+    """Attack directly with every face-up monster we control until the
+    opponent falls."""
+    _to_phase(line, Phase.BATTLE)
+    p1 = line.conf.players[0]
+    attackers = [(0, MZONE, i) for i, m in enumerate(p1.monsters)
+                 if m is not None and m.face_up]
+    if p1.extra_zone is not None and p1.extra_zone.face_up:
+        attackers.append((0, EXTRA, 0))
+    for loc in attackers:
+        if is_winning_state(line.conf, 0):
+            return
+        mv = DeclareAttack(0, loc, DIRECT)
+        if is_legal(line.conf, mv):
+            line.do(mv)
 
 
 class TMStrategy(Strategy):
@@ -233,62 +185,32 @@ class TMStrategy(Strategy):
         self.machine = m
 
     def _plan_turn(self, conf, run):
-        try:
-            b = _PlanBuilder(conf)
-            if b.conf.phase == Phase.DRAW:
-                b.to_phase(Phase.MAIN1)
-            if b.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-                return None
-            cur = spell_counters(b.conf)
-            mconf = tmmod.decode_tmconf(cur)
-            if tmmod.is_halted_any(self.machine, mconf):
-                self._attack_turn(b, cur)
-            else:
-                nxt = tmmod.plain_step(self.machine, mconf)
-                if isinstance(nxt, tmmod.Halted):
-                    nxt = nxt.config
-                b.loops_to(tmmod.encode_tmconf(nxt))
-                b.summon_yata()
-                b.battle_yata()
-            if not _won(b.conf):
-                b.end_turn()
-            return b.plan()
-        except (ScriptBroken, NotLoopReady, InsufficientCounters,
-                IllegalMove, MalformedCode):
-            return None
+        return _plan_own_turn(conf, self._play_turn)
 
-    def _attack_turn(self, b: "_PlanBuilder", cur: int) -> None:
+    def _play_turn(self, line: Line) -> None:
+        mconf = tmmod.decode_tmconf(spell_counters(line.conf))
+        if tmmod.is_halted_any(self.machine, mconf):
+            self._attack_turn(line)
+            return
+        nxt = tmmod.plain_step(self.machine, mconf)
+        if isinstance(nxt, tmmod.Halted):
+            nxt = nxt.config
+        _counters_to(line, tmmod.encode_tmconf(nxt))
+        _yata_attack(line)
+
+    def _attack_turn(self, line: Line) -> None:
         """Counters stand still while the board batters the opponent down.
 
         Five cycles and two full decrements, then the magician stays out
         to join the battle and is only offered up afterwards: +15 -10 -6 +1
         keeps the count exact and still arms our next draw skip.
         """
-        from .scripts import ENDYMION, OFFERINGS, _gy_index
-        from .engine.config import GY as GYK
-
-        for _ in range(5):
-            for mv in increment_cycle_moves(b.conf):
-                b.line.do(mv)
-        for _ in range(2):
-            for mv in decrement_cycle(b.conf).run.moves:
-                b.line.do(mv)
-        conf = b.conf
-        zone = _free_mzone(conf, 0)
-        extras = [zone, 0]
-        if OFFERINGS in conf.players[0].gy:
-            extras[1] = 1 + _gy_index(conf, 0, OFFERINGS)
-        b.line.do(ActivateEffect(
-            0, "endymion_counter_summon", (0, GYK, _gy_index(conf, 0, ENDYMION)),
-            extras=tuple(extras),
-        ))
-        b.battle_all()
-        if not _won(b.conf):
-            b.to_phase(Phase.MAIN2)
-            b.line.do(ActivateEffect(
-                0, "offerings_destroy_skip", (0, HAND, OFFERINGS),
-                targets=((0, MZONE, zone),),
-            ))
+        play_cycles(line, 5, 2)
+        zone = _summon_endymion(line)
+        battle_all(line)
+        if not is_winning_state(line.conf, 0):
+            _to_phase(line, Phase.MAIN2)
+            _offer_magician(line, zone)
 
 
 def _p2_turn_gains(run: Run, from_index: int) -> list[int]:
@@ -341,30 +263,20 @@ class _ChannelStrategy(Strategy):
     def _plan_turn(self, conf, run):
         if not self._on_base(run):
             return None
-        try:
-            b = _PlanBuilder(conf)
-            if b.conf.phase == Phase.DRAW:
-                b.to_phase(Phase.MAIN1)
-            if b.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-                return None
-            _negate_protector_if_needed(b.line)
-            mode = self._mode(run)
-            cur = spell_counters(b.conf)
-            b.loops_to(cur + 1)
-            if mode == "raigeki":
-                if RAIGEKI in b.conf.players[0].hand:
-                    b.line.do(ActivateEffect(0, "raigeki_wipe", (0, HAND, RAIGEKI)))
-                b.summon_yata()
-                b.battle_all()
-            else:
-                b.summon_yata()
-                b.battle_yata()
-            if not _won(b.conf):
-                b.end_turn()
-            return b.plan()
-        except (ScriptBroken, NotLoopReady, InsufficientCounters,
-                IllegalMove, MalformedCode):
-            return None
+        return _plan_own_turn(conf, lambda line: self._play_turn(line, run))
+
+    def _play_turn(self, line: Line, run: Run) -> None:
+        _negate_protector_if_needed(line)
+        mode = self._mode(run)
+        _counters_to(line, spell_counters(line.conf) + 1)
+        if mode == "raigeki":
+            if RAIGEKI in line.conf.players[0].hand:
+                line.do(ActivateEffect(0, "raigeki_wipe", (0, HAND, RAIGEKI)))
+            if YATA in line.conf.players[0].hand:
+                _summon_yata(line)
+            battle_all(line)
+        else:
+            _yata_attack(line)
 
 
 class NISStrategy(_ChannelStrategy):
@@ -525,6 +437,38 @@ def _terminal_kind(conf: Configuration) -> Optional[str]:
     return None
 
 
+def _drive(run: Run, s: Strategy, last_turn: Optional[int] = None,
+           max_steps: int = 200_000) -> tuple[Run, Optional[str]]:
+    """Play the strategy, and pass the opponent's windows, up to their next
+    decision point.
+
+    Returns the run reached and None there, or why the drive stopped first:
+    WIN or LOSS at a terminal state, LOSS when the strategy strands (the
+    run ends before the move it could not make), UNDETERMINED past
+    last_turn or after max_steps moves.
+    """
+    steps = 0
+    while True:
+        conf = run.last()
+        kind = _terminal_kind(conf)
+        if kind is not None:
+            return run, kind
+        if last_turn is not None and conf.turn > last_turn:
+            return run, UNDETERMINED
+        if conf.active == 1 and conf.phase == Phase.DRAW and conf.priority == 1:
+            return run, None  # the opponent's decision point
+        if steps == max_steps:
+            return run, UNDETERMINED
+        mv = s.next_move(run) if conf.priority == 0 else Pass(1)
+        if mv is None:
+            return run, LOSS
+        try:
+            run = run.extend(apply(conf, mv), mv)
+        except IllegalMove:
+            return run, LOSS
+        steps += 1
+
+
 def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     """Explore every opponent line within the budget.
 
@@ -536,39 +480,16 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     if s.next_move(run) is None and run.last().priority == 0 \
             and run.last().active == 0:
         raise StrategyUndefinedAtRoot(str(s.descriptor))
-    start_turn = run.last().turn
+    last_turn = run.last().turn + budget.max_turns
     base_len = len(run.moves)
 
     def witness(r: Run) -> tuple[Move, ...]:
         return r.moves[base_len:]
 
     def explore(r: Run) -> WinVerdict:
-        guard = 0
-        while True:
-            conf = r.last()
-            tk = _terminal_kind(conf)
-            if tk == WIN:
-                return WinVerdict(WIN, witness(r), budget)
-            if tk == LOSS:
-                return WinVerdict(LOSS, witness(r), budget)
-            if conf.turn - start_turn > budget.max_turns:
-                return WinVerdict(UNDETERMINED, witness(r), budget)
-            if conf.active == 1 and conf.phase == Phase.DRAW and conf.priority == 1:
-                break  # an opponent decision point
-            if conf.priority == 0:
-                mv = s.next_move(r)
-                if mv is None:
-                    return WinVerdict(LOSS, witness(r), budget)
-                r = r.extend(apply(conf, mv), mv)
-            else:
-                mv = Pass(1)
-                try:
-                    r = r.extend(apply(conf, mv), mv)
-                except IllegalMove:
-                    return WinVerdict(LOSS, witness(r), budget)
-            guard += 1
-            if guard > 500_000:
-                return WinVerdict(UNDETERMINED, witness(r), budget)
+        r, stop = _drive(r, s, last_turn, max_steps=500_000)
+        if stop is not None:
+            return WinVerdict(stop, witness(r), budget)
 
         # branch over the opponent's canonical turns
         choices = _p2_turn_choices(r.last(), budget)
@@ -605,23 +526,10 @@ def replay_witness(run: Run, moves: Iterable[Move]) -> Run:
 def drive_to_choice(run: Run, s: Strategy, max_steps: int = 200_000) -> Optional[Run]:
     """Play the strategy (and window passes) up to the opponent's next
     decision point or a terminal state; None when the strategy strands."""
-    for _ in range(max_steps):
-        conf = run.last()
-        if _terminal_kind(conf) is not None:
-            return run
-        if conf.active == 1 and conf.phase == Phase.DRAW and conf.priority == 1:
-            return run
-        if conf.priority == 0:
-            mv = s.next_move(run)
-            if mv is None:
-                return None
-        else:
-            mv = Pass(1)
-        try:
-            run = run.extend(apply(conf, mv), mv)
-        except IllegalMove:
-            return None
-    return None
+    run, stop = _drive(run, s, max_steps=max_steps)
+    if stop is None or _terminal_kind(run.last()) is not None:
+        return run
+    return None  # stranded, or out of steps
 
 
 def play_opponent_number(run: Run, s: Strategy, k: int, park: bool = True
@@ -656,35 +564,12 @@ def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) 
 
     budget = budget or Budget(max_turns=depth * 4 + 20, max_opponent_number=8)
 
-    def drive(r: Run) -> tuple[Run, Optional[bool]]:
-        guard = 0
-        while True:
-            conf = r.last()
-            tk = _terminal_kind(conf)
-            if tk is not None:
-                return r, tk == WIN
-            if conf.active == 1 and conf.phase == Phase.DRAW and conf.priority == 1:
-                return r, None
-            if conf.priority == 0:
-                mv = s.next_move(r)
-                if mv is None:
-                    return r, False
-            else:
-                mv = Pass(1)
-            try:
-                r = r.extend(apply(conf, mv), mv)
-            except IllegalMove:
-                return r, False
-            guard += 1
-            if guard > 200_000:
-                return r, None
-
     def build(r: Run, d: int) -> StrategyTree:
-        r2, verdict = drive(r)
+        r2, stop = _drive(r, s)
         code = encode_configuration(r2.last())
-        if verdict is not None:
-            return StrategyTree(code, verdict)
-        if d == 0:
+        if stop in (WIN, LOSS):
+            return StrategyTree(code, stop == WIN)
+        if stop is not None or d == 0:
             return StrategyTree(code, None)
         kids = []
         for choice in _p2_turn_choices(r2.last(), budget):

@@ -67,9 +67,6 @@ class TMachine:
                 raise MalformedCode("rule fields out of range")
 
 
-OracleMachine = TMachine  # an oracle machine is a TMachine with oracle=True
-
-
 @dataclass(frozen=True)
 class TMConfiguration:
     tape: tuple[tuple[int, int], ...]  # sorted (position, symbol), blanks absent
@@ -505,11 +502,15 @@ def oracle_converges(z: int, s_code: int, n: int) -> bool:
     return is_halted_any(m, conf)
 
 
-def _appendix_f_value(n: int, s_code: int, z: int) -> Optional[int]:
+def appendix_f(n: int, s_code: int, z: int) -> Optional[int]:
+    """f(n, <s0..s_m-1>) = <s0..s_m-2> when n > 0 and the oracle run fails.
+
+    Returns None where f diverges.
+    """
     try:
         s = seq_decode(s_code)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise MalformedCode(str(exc)) from None
     if n <= 0 or not s:
         return None
     if oracle_converges(z, s_code, n):
@@ -523,7 +524,7 @@ def _run_appendix(m: AppendixMachine, value: int, t: int):
     except ValueError:
         return STILL_RUNNING
     cost = len(s) + 1  # simulating the bounded oracle run, plus the trim
-    out = _appendix_f_value(m.n, value, m.z)
+    out = appendix_f(m.n, value, m.z)
     if out is None:
         return STILL_RUNNING
     return Converged(out) if t >= cost else STILL_RUNNING

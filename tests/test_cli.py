@@ -1,3 +1,5 @@
+import pytest
+
 from duelhalt.cli import main
 from duelhalt.trace import replay_trace
 
@@ -108,7 +110,17 @@ def test_duel_scripted_chain_then_mismatch(tmp_path, capsys):
         "--machine", "identity", "--max-rounds", "12",
     )
     assert code == 0
-    assert "verdict=WIN" in out
+    board = [ln for ln in out.splitlines() if "lp=" in ln]
+    assert board == [
+        "turn 76: lp=7000/2600 counters=1",
+        "turn 78: lp=7000/9400 counters=2",
+        "turn 80: lp=7000/13200 counters=3",
+        "turn 82: lp=7000/17000 counters=4",
+        "turn 84: lp=7000/11100 counters=6",
+        "turn 86: lp=7000/4200 counters=7",
+        "lp=7000/0 counters=8",
+    ]
+    assert out.splitlines()[-1] == "verdict=WIN"
 
 
 def test_setup_verify_diffs_the_documented_board(capsys):
@@ -120,3 +132,19 @@ def test_order_parse_failure_exits_2(tmp_path, capsys):
     bad = tmp_path / "order.txt"
     bad.write_text("finite 2\n1 1\n")
     assert main(["check-win", "--reduce", "wo", "--order-file", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-win", "--reduce", "halting", "--machine", "empty", "--max-turns", "0"],
+    ["check-win", "--reduce", "halting", "--machine", "empty", "--max-number", "0"],
+    ["tree", "--reduce", "halting", "--machine", "empty", "--depth", "-1"],
+])
+def test_bad_budget_or_depth_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DUELHALT_SEED", "abc")
+    assert main(["cards"]) == 2
+    assert "error: DUELHALT_SEED" in capsys.readouterr().err

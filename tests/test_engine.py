@@ -1,12 +1,20 @@
+import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from duelhalt.carddb import deck_a, filler_deck, lookup
 from duelhalt.engine import (
     ActivateEffect,
     AdvancePhase,
+    ChainLink,
+    ChangeEquipTarget,
+    DeclareAttack,
+    DIRECT,
     DrawCard,
+    FlipSummon,
     Pass,
     Phase,
     Run,
@@ -22,9 +30,10 @@ from duelhalt.engine import (
 )
 from duelhalt.engine.config import HAND, update_player
 from duelhalt.engine.moves import decode_move, encode_move
-from duelhalt.engine.rules import identity_order, is_initial
+from duelhalt.engine.rules import EFFECTS, identity_order, is_initial
 from duelhalt.errors import IllegalDeck, IllegalMove, MalformedCode
 from duelhalt.scripts import increment_cycle
+from duelhalt.trace import replay_trace, trace_lines
 
 
 def fresh():
@@ -224,3 +233,74 @@ def test_can_act_false_on_their_bare_turn():
         conf = apply(conf, Pass(conf.priority))
     assert conf.active == 1 and conf.phase == _P.DRAW
     assert not can_act(Run((conf,), ()))
+
+
+# --- the locator domain -------------------------------------------------------
+
+_LOCS = st.tuples(st.integers(-3, 10), st.integers(-2, 10), st.integers(-3, 60))
+_EXTRAS = st.lists(st.integers(-2, 12), max_size=4).map(tuple)
+
+
+def _activations(player):
+    link = st.builds(ChainLink, st.sampled_from(sorted(EFFECTS)), _LOCS,
+                     st.lists(_LOCS, max_size=3).map(tuple), _EXTRAS)
+    return st.builds(ActivateEffect, player, st.sampled_from(sorted(EFFECTS)), _LOCS,
+                     st.lists(_LOCS, max_size=3).map(tuple), _EXTRAS,
+                     st.lists(link, max_size=2).map(tuple))
+
+
+_PLAYERS = st.integers(0, 1)
+_ARBITRARY_MOVES = st.one_of(
+    _activations(_PLAYERS),
+    st.builds(ChangeEquipTarget, _PLAYERS, _LOCS, _LOCS),
+    st.builds(DeclareAttack, _PLAYERS, _LOCS, st.one_of(_LOCS, st.just(DIRECT))),
+    st.builds(FlipSummon, _PLAYERS, st.integers(-2, 6), st.one_of(st.none(), _LOCS)),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_ARBITRARY_MOVES)
+def test_apply_raises_only_illegal_move_on_arbitrary_locators(board_b, move):
+    try:
+        apply(board_b.final, move)
+    except IllegalMove:
+        pass
+
+
+def _bent_last_move(board, player):
+    """The set-up's last move (the dragon's negation, sourced from our extra
+    monster zone) with the player of its source locator changed."""
+    move = board.run.moves[-1]
+    assert move.effect == "svd_negate"
+    return dataclasses.replace(move, source=(player, *move.source[1:]))
+
+
+@pytest.mark.parametrize("player", [4, -2])
+def test_locator_outside_the_two_players_is_illegal(board_b, player):
+    conf, after = board_b.run.configs[-2], board_b.final
+    # player 4 used to index past the players, player -2 to read as player 0
+    with pytest.raises(IllegalMove):
+        apply(conf, _bent_last_move(board_b, player))
+    assert not transition_ok(conf, after, _bent_last_move(board_b, player))
+    assert transition_ok(conf, after, _bent_last_move(board_b, 0))
+
+
+def test_replay_trace_rejects_an_out_of_range_locator(board_b):
+    last = Run(board_b.run.configs[-2:], board_b.run.moves[-1:])
+    rec = json.loads(next(trace_lines(last)))
+    rec["move"] = str(encode_move(_bent_last_move(board_b, 4)))
+    with pytest.raises(MalformedCode):
+        replay_trace([json.dumps(rec)], last.configs[0])
+
+
+def test_every_offered_move_applies_along_both_setups(board_a, board_b):
+    # with every spell/trap zone full, continuous and equip spells in the
+    # hand have nowhere to go and must not be offered
+    offered = 0
+    for board in (board_a, board_b):
+        for conf in board.run.configs:
+            for p in (0, 1):
+                for move in legal_moves(conf, p):
+                    apply(conf, move)
+                    offered += 1
+    assert offered > 6000

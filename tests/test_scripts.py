@@ -1,12 +1,14 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from duelhalt.carddb import lookup
 from duelhalt.engine import Phase, validate_run
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import InsufficientCounters, NotLoopReady, ZeroTarget
 from duelhalt.scripts import (
+    cycle_plan,
     decrement_cycle,
     flintlock_gain,
     increment_cycle,
@@ -212,3 +214,17 @@ class TestFlintlock:
                          if s is not None and s.name == "Flint")
             target = res.final.instance_at(flint.equipped_to)
             assert target.name == "Clara & Rushka, the Ventriloduo"
+
+
+@given(st.integers(-3000, 3000), st.integers(0, 3))
+def test_cycle_plan_is_the_least_composition(delta, min_decrements):
+    a, b = cycle_plan(delta, min_decrements)
+    assert 3 * a - 5 * b == delta and a >= 0 and b >= min_decrements
+    # three fewer decrements would be the next composition down
+    assert b - 3 < min_decrements or a < 5
+
+
+def test_cycle_plan_bound():
+    assert cycle_plan(-50_000) == (0, 10_000)
+    with pytest.raises(NotLoopReady):
+        cycle_plan(-50_001)

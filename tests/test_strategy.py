@@ -100,6 +100,18 @@ class TestCheckWinning:
             v = check_winning(out.run, out.strategy, Budget(turns, 4))
             assert v.kind == UNDETERMINED
 
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_turn_cut(self, k):
+        # the budget's turn cut stops a line at the first configuration of
+        # turn start + k + 1
+        out = reduce_halting(CURATED["loop"])
+        start = out.run.last().turn
+        v = check_winning(out.run, out.strategy, Budget(k, 4))
+        assert v.kind == UNDETERMINED
+        full = replay_witness(out.run, v.witness)
+        assert full.last().turn == start + k + 1
+        assert full.configs[-2].turn == start + k
+
     def test_budget_monotone(self):
         out = reduce_halting(CURATED["slow"])
         kinds = []
