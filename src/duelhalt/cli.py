@@ -7,8 +7,6 @@ always go to stdout with a machine-readable `verdict=...` final line.
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
 
 from . import carddb, reductions, scripts, tm, trace
@@ -18,14 +16,6 @@ from .errors import DeckParseError, DuelhaltError, InvalidOrder, TMParseError
 from .strategy import (Budget, WELL_FOUNDED, _p2_has_channel, check_winning, drive_to_choice,
                        nis_strategy, play_opponent_number, replay_witness, to_tree,
                        well_founded_to_depth)
-
-
-def _seed(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("DUELHALT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"DUELHALT_SEED must be an integer, got {raw!r}")
 
 
 def _int_at_least(low: int):
@@ -57,16 +47,8 @@ def cmd_cards(args) -> int:
     return 0
 
 
-def _setup(deck: str):
-    if deck == "a":
-        return scripts.setup_run_a()
-    if deck == "b":
-        return scripts.setup_run_b()
-    raise DuelhaltError(f"unknown deck {deck!r}")
-
-
 def cmd_setup(args) -> int:
-    result = _setup(args.deck)
+    result = reductions.setup(args.deck)
     if args.trace:
         trace.write_trace(result.run, args.trace)
         print(f"trace written to {args.trace}")
@@ -90,7 +72,7 @@ def cmd_setup(args) -> int:
 
 
 def cmd_counters(args) -> int:
-    base = _setup(args.deck)
+    base = reductions.setup(args.deck)
     result = scripts.set_counters(base.final, args.set)
     if args.trace:
         trace.write_trace(result.run, args.trace)
@@ -99,13 +81,16 @@ def cmd_counters(args) -> int:
     return 0
 
 
+def _named_machine(name: str) -> int:
+    """The index of a curated machine or of a machine file."""
+    if name in tm.CURATED:
+        return tm.CURATED[name]
+    with open(name) as fh:
+        return tm.machine_index(tm.parse_tm(fh.read()))
+
+
 def _load_machine(args) -> int:
-    if args.machine:
-        if args.machine in tm.CURATED:
-            return tm.CURATED[args.machine]
-        with open(args.machine) as fh:
-            return tm.machine_index(tm.parse_tm(fh.read()))
-    return args.index
+    return _named_machine(args.machine) if args.machine else args.index
 
 
 def cmd_compile_tm(args) -> int:
@@ -192,8 +177,8 @@ def cmd_duel(args) -> int:
     if args.script:
         with open(args.script) as fh:
             transcript = [ln.strip() for ln in fh if ln.strip()]
-    base = scripts.setup_run_b()
-    machine = _load_machine(args)
+    base = reductions.setup("b")
+    machine = _named_machine(args.machine)
     strat = nis_strategy(machine, base.run)
     run = base.run
     print(f"second board ready; simulating phi_{machine} against your numbers")
@@ -274,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--index", type=int, default=0, help="machine index")
         p.add_argument("--order", default="omega", help="order keyword/descriptor")
         p.add_argument("--order-file")
+
+    def add_budget_args(p):
         p.add_argument("--max-turns", type=_int_at_least(1), default=100)
         p.add_argument("--max-number", type=_int_at_least(1), default=6)
         p.add_argument("--exhaustive", action="store_true",
@@ -281,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-win", help="run the budgeted winning checker")
     add_reduction_args(p)
+    add_budget_args(p)
     p.add_argument("--witness", help="write the witness trace here")
     p.set_defaults(fn=cmd_check_win)
 
@@ -292,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="localize a strategy as a tree")
     add_reduction_args(p)
+    add_budget_args(p)
     p.add_argument("--depth", type=_int_at_least(0), default=6)
     p.set_defaults(fn=cmd_tree)
 
@@ -299,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--script", help="transcript file of numbers")
     p.add_argument("--machine", default="successor")
-    p.add_argument("--index", type=int, default=2)
     p.add_argument("--max-rounds", type=int, default=50)
     p.set_defaults(fn=cmd_duel)
 
@@ -310,7 +298,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        random.seed(_seed(parser))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from ..carddb import FILLER, Kind, by_id, card_name
@@ -413,44 +414,102 @@ def _require(cond: bool, msg: str) -> None:
         raise IllegalMove(msg)
 
 
+def _no_targets(what: str) -> Callable:
+    """The check of an effect that takes no targets."""
+    msg = f"{what} takes no targets"
+
+    def check(conf, p, source, targets, extras):
+        _require(not targets, msg)
+
+    return check
+
+
+def _no_change(conf, p, source, targets, extras):
+    """The resolve of a card that only sets up a continuous effect: the
+    activation wrapper places the card and pays its cost, and the rule
+    queries read the effect off the board."""
+    return conf
+
+
+@cache
+def _send_from_gy(to: str) -> Callable:
+    """The resolve that sends the targeted graveyard cards to the bottom of
+    their owner's deck (to="deck") or banishes them (to="banished")."""
+    def resolve(conf, p, source, targets, extras):
+        for q in (0, 1):
+            idxs = sorted(t[2] for t in targets if t[0] == q)
+            if not idxs:
+                continue
+            ps = conf.players[q]
+            moved = tuple(ps.gy[i] for i in idxs)
+            gy = tuple(cid for i, cid in enumerate(ps.gy) if i not in idxs)
+            if to == "deck":
+                conf = update_player(conf, q, gy=gy, deck=ps.deck + moved)
+            else:
+                conf = update_player(conf, q, gy=gy, banished=tuple(sorted(ps.banished + moved)))
+        return conf
+
+    return resolve
+
+
+def _gy_targets(lo: int, hi: int, count_msg: str, to: str, own: bool = False,
+                offer: Optional[int] = None) -> tuple[Callable, Callable, Callable]:
+    """The (check, resolve, candidates) row of an effect that targets lo..hi
+    graveyard cards and sends them on with _send_from_gy(to).
+
+    ``own`` limits the targets to the activating player's graveyard; the
+    candidates are the target sets of lo..offer cards (offer defaults to hi).
+    """
+    where_msg = "targets must be your graveyard cards" if own else "targets must be graveyard cards"
+    sizes = range(lo, (hi if offer is None else offer) + 1)
+
+    def check(conf, p, source, targets, extras):
+        _require(lo <= len(targets) <= hi, count_msg)
+        seen = set()
+        for t in targets:
+            _require((t[0] == p or not own) and t[1] == GY, where_msg)
+            _require(0 <= t[2] < len(conf.players[t[0]].gy), "graveyard index out of range")
+            _require(t not in seen, "duplicate target")
+            seen.add(t)
+
+    def candidates(conf, p, source):
+        locs = [(q, GY, i) for q in ((p,) if own else (0, 1))
+                for i in range(len(conf.players[q].gy))]
+        combos = itertools.chain.from_iterable(itertools.combinations(locs, k) for k in sizes)
+        for combo in itertools.islice(combos, _COMBO_CAP):
+            yield combo, ()
+
+    return check, _send_from_gy(to), candidates
+
+
+def _chk_equip(count_msg: str, target_msg: str) -> Callable:
+    """The check of an equip that targets 1 face-up monster."""
+    def check(conf, p, source, targets, extras):
+        _require(len(targets) == 1, count_msg)
+        inst = conf.instance_at(targets[0])
+        _require(inst is not None and inst.face_up and targets[0][1] in (MZONE, EXTRA),
+                 target_msg)
+
+    return check
+
+
+def _res_equip(conf, p, source, targets, extras):
+    inst = conf.instance_at(source)
+    return _set_slot(conf, source, replace(inst, equipped_to=targets[0]))
+
+
+def _cand_equip(conf, p, source):
+    for loc, inst in conf.iter_monsters():
+        if inst.face_up:
+            yield (loc,), ()
+
+
 def _chk_double_summon(conf, p, source, targets, extras):
     _require(not targets and not extras, "Double Summon takes no targets")
 
 
 def _res_double_summon(conf, p, source, targets, extras):
     return replace(conf, normal_summon_allowance=conf.normal_summon_allowance + 1)
-
-
-def _chk_pob(conf, p, source, targets, extras):
-    _require(len(targets) == 2, "Pot of Benevolence returns exactly 2 cards")
-    seen = set()
-    for t in targets:
-        _require(t[1] == GY, "targets must be graveyard cards")
-        _require(0 <= t[2] < len(conf.players[t[0]].gy), "graveyard index out of range")
-        _require(t not in seen, "duplicate target")
-        seen.add(t)
-
-
-def _res_pob(conf, p, source, targets, extras):
-    by_player: dict[int, list[int]] = {0: [], 1: []}
-    for t in targets:
-        by_player[t[0]].append(t[2])
-    for q, idxs in by_player.items():
-        if not idxs:
-            continue
-        ps = conf.players[q]
-        gy = list(ps.gy)
-        cards = [gy[i] for i in sorted(idxs)]
-        for i in sorted(idxs, reverse=True):
-            del gy[i]
-        conf = update_player(conf, q, gy=tuple(gy), deck=conf.players[q].deck + tuple(cards))
-    return conf
-
-
-def _cand_pob(conf, p, source):
-    locs = _gy_locs(conf, 0, lambda c: True) + _gy_locs(conf, 1, lambda c: True)
-    for combo in itertools.islice(itertools.combinations(locs, 2), _COMBO_CAP):
-        yield combo, ()
 
 
 def _chk_gmc(conf, p, source, targets, extras):
@@ -480,49 +539,6 @@ def _cand_gmc(conf, p, source):
         yield ((p, HAND, c),), ()
     for pair_ in itertools.islice(itertools.combinations(cards, 2), _COMBO_CAP):
         yield tuple((p, HAND, c) for c in pair_), ()
-
-
-def _chk_soul_release(conf, p, source, targets, extras):
-    _require(1 <= len(targets) <= 5, "Soul Release banishes 1-5 cards")
-    seen = set()
-    for t in targets:
-        _require(t[1] == GY, "targets must be graveyard cards")
-        _require(0 <= t[2] < len(conf.players[t[0]].gy), "graveyard index out of range")
-        _require(t not in seen, "duplicate target")
-        seen.add(t)
-
-
-def _res_soul_release(conf, p, source, targets, extras):
-    by_player: dict[int, list[int]] = {0: [], 1: []}
-    for t in targets:
-        by_player[t[0]].append(t[2])
-    for q, idxs in by_player.items():
-        if not idxs:
-            continue
-        ps = conf.players[q]
-        gy = list(ps.gy)
-        cards = [gy[i] for i in sorted(idxs)]
-        for i in sorted(idxs, reverse=True):
-            del gy[i]
-        conf = update_player(
-            conf, q, gy=tuple(gy), banished=tuple(sorted(conf.players[q].banished + tuple(cards)))
-        )
-    return conf
-
-
-def _cand_soul_release(conf, p, source):
-    locs = _gy_locs(conf, 0, lambda c: True) + _gy_locs(conf, 1, lambda c: True)
-    count = 0
-    for k in (1, 2, 3, 4, 5):
-        for combo in itertools.combinations(locs, k):
-            yield combo, ()
-            count += 1
-            if count >= _COMBO_CAP:
-                return
-
-
-def _chk_rain_of_mercy(conf, p, source, targets, extras):
-    _require(not targets, "Rain of Mercy takes no targets")
 
 
 def _res_rain_of_mercy(conf, p, source, targets, extras):
@@ -614,22 +630,6 @@ def _cand_offerings(conf, p, source):
             yield (loc,), ()
 
 
-def _chk_citadel(conf, p, source, targets, extras):
-    _require(not targets, "field spell takes no targets")
-
-
-def _res_citadel(conf, p, source, targets, extras):
-    return conf  # placement handled by the activation wrapper
-
-
-def _chk_temple(conf, p, source, targets, extras):
-    _require(not targets, "Temple of the Kings takes no targets")
-
-
-def _res_temple(conf, p, source, targets, extras):
-    return conf
-
-
 def _chk_bait_doll(conf, p, source, targets, extras):
     _require(len(targets) == 1, "Bait Doll targets 1 set card")
     t = targets[0]
@@ -695,10 +695,6 @@ def _unpack_forced(flat: tuple[int, ...]) -> tuple[tuple[Loc, ...], tuple[int, .
     return tuple(targets), extras
 
 
-def _chk_boe(conf, p, source, targets, extras):
-    _require(not targets, "Book of Eclipse takes no targets")
-
-
 def _res_boe(conf, p, source, targets, extras):
     for loc, inst in list(conf.iter_monsters()):
         if not inst.face_up:
@@ -714,14 +710,6 @@ def _res_boe(conf, p, source, targets, extras):
 def _chk_soul_drain(conf, p, source, targets, extras):
     _require(not targets, "Soul Drain takes no targets")
     _require(conf.players[p].lp >= 1000, "cannot pay 1000 LP")
-
-
-def _res_soul_drain(conf, p, source, targets, extras):
-    return conf  # the cost is paid at activation
-
-
-def _chk_desert_sunlight(conf, p, source, targets, extras):
-    _require(not targets, "Desert Sunlight takes no targets")
 
 
 def _res_desert_sunlight(conf, p, source, targets, extras):
@@ -750,94 +738,8 @@ def flip_choice_extras(pairs: Iterable[tuple[int, Optional[int]]]) -> tuple[int,
     return tuple(flat)
 
 
-def _chk_tornado(conf, p, source, targets, extras):
-    _require(1 <= len(targets) <= 5, "Localized Tornado shuffles 1-5 cards")
-    seen = set()
-    for t in targets:
-        _require(t[0] == p and t[1] == GY, "targets must be your graveyard cards")
-        _require(0 <= t[2] < len(conf.players[p].gy), "graveyard index out of range")
-        _require(t not in seen, "duplicate target")
-        seen.add(t)
-
-
-def _res_tornado(conf, p, source, targets, extras):
-    ps = conf.players[p]
-    gy = list(ps.gy)
-    idxs = sorted((t[2] for t in targets), reverse=True)
-    cards = [gy[i] for i in sorted(t[2] for t in targets)]
-    for i in idxs:
-        del gy[i]
-    return update_player(conf, p, gy=tuple(gy), deck=conf.players[p].deck + tuple(cards))
-
-
-def _cand_tornado(conf, p, source):
-    locs = _gy_locs(conf, p, lambda c: True)
-    for loc in locs[:_COMBO_CAP]:
-        yield (loc,), ()
-
-
-def _chk_massivemorph(conf, p, source, targets, extras):
-    _require(len(targets) == 1, "Massivemorph targets 1 face-up monster")
-    inst = conf.instance_at(targets[0])
-    _require(inst is not None and inst.face_up and targets[0][1] in (MZONE, EXTRA),
-             "target must be a face-up monster")
-
-
-def _res_massivemorph(conf, p, source, targets, extras):
-    inst = conf.instance_at(source)
-    return _set_slot(conf, source, replace(inst, equipped_to=targets[0]))
-
-
-def _cand_massivemorph(conf, p, source):
-    for loc, inst in conf.iter_monsters():
-        if inst.face_up:
-            yield (loc,), ()
-
-
-def _chk_pole_position(conf, p, source, targets, extras):
-    _require(not targets, "Pole Position takes no targets")
-
-
-def _res_pole_position(conf, p, source, targets, extras):
-    return conf
-
-
-def _chk_gift_card(conf, p, source, targets, extras):
-    _require(not targets, "Gift Card takes no targets")
-
-
 def _res_gift_card(conf, p, source, targets, extras):
     return _adjust_lp(conf, 1 - p, 3000)
-
-
-def _chk_morale_boost(conf, p, source, targets, extras):
-    _require(not targets, "Morale Boost takes no targets")
-
-
-def _res_morale_boost(conf, p, source, targets, extras):
-    return conf
-
-
-def _chk_mist_body(conf, p, source, targets, extras):
-    _require(len(targets) == 1, "Mist Body equips 1 face-up monster")
-    inst = conf.instance_at(targets[0])
-    _require(inst is not None and inst.face_up and targets[0][1] in (MZONE, EXTRA),
-             "equip target must be a face-up monster")
-
-
-def _res_mist_body(conf, p, source, targets, extras):
-    inst = conf.instance_at(source)
-    return _set_slot(conf, source, replace(inst, equipped_to=targets[0]))
-
-
-_chk_flint = _chk_mist_body
-_res_flint = _res_mist_body
-
-
-def _cand_equip(conf, p, source):
-    for loc, inst in conf.iter_monsters():
-        if inst.face_up:
-            yield (loc,), ()
 
 
 def _chk_mse(conf, p, source, targets, extras):
@@ -867,14 +769,6 @@ def _res_mse(conf, p, source, targets, extras):
     gy = conf.players[p].gy
     conf = update_player(conf, p, gy=gy[: t[2]] + gy[t[2] + 1 :])
     return _add_hand(conf, p, cid)
-
-
-def _chk_attraffic(conf, p, source, targets, extras):
-    _require(not targets, "Attraffic Control takes no targets")
-
-
-def _res_attraffic(conf, p, source, targets, extras):
-    return conf
 
 
 def _chk_creature_swap(conf, p, source, targets, extras):
@@ -937,10 +831,6 @@ def _res_poly(conf, p, source, targets, extras):
     inst = CardInstance(SVD, face_up=True, position=ATK, summoned_turn=conf.turn,
                         face_since=conf.turn)
     return _set_slot(conf, (p, EXTRA, 0), inst)
-
-
-def _chk_raigeki(conf, p, source, targets, extras):
-    _require(not targets, "Raigeki takes no targets")
 
 
 def _res_raigeki(conf, p, source, targets, extras):
@@ -1102,35 +992,44 @@ def _cand_svd_negate(conf, p, source):
             yield (loc,), ()
 
 
+# Flint's check is Mist Body's, messages included.
+_chk_mist_body = _chk_equip("Mist Body equips 1 face-up monster",
+                            "equip target must be a face-up monster")
+
 EFFECTS: dict[str, tuple[Callable, Callable, Optional[Callable]]] = {
     "double_summon_extra": (_chk_double_summon, _res_double_summon, None),
-    "pob_return_two": (_chk_pob, _res_pob, _cand_pob),
+    "pob_return_two": _gy_targets(2, 2, "Pot of Benevolence returns exactly 2 cards",
+                                  to="deck"),
     "gmc_gift": (_chk_gmc, _res_gmc, _cand_gmc),
-    "soul_release_banish": (_chk_soul_release, _res_soul_release, _cand_soul_release),
-    "rain_of_mercy_gain": (_chk_rain_of_mercy, _res_rain_of_mercy, None),
+    "soul_release_banish": _gy_targets(1, 5, "Soul Release banishes 1-5 cards",
+                                       to="banished"),
+    "rain_of_mercy_gain": (_no_targets("Rain of Mercy"), _res_rain_of_mercy, None),
     "upstart_draw": (_chk_upstart, _res_upstart, None),
     "mst_destroy": (_chk_mst, _res_mst, _cand_mst),
     "pot_desires": (_chk_pot_desires, _res_pot_desires, None),
     "pot_duality": (_chk_pot_duality, _res_pot_duality, None),
     "offerings_destroy_skip": (_chk_offerings, _res_offerings, _cand_offerings),
-    "citadel_counters": (_chk_citadel, _res_citadel, None),
-    "temple_trap_allowance": (_chk_temple, _res_temple, None),
+    "citadel_counters": (_no_targets("field spell"), _no_change, None),
+    "temple_trap_allowance": (_no_targets("Temple of the Kings"), _no_change, None),
     "bait_doll_force": (_chk_bait_doll, _res_bait_doll, None),
-    "boe_flip_all": (_chk_boe, _res_boe, None),
-    "soul_drain_gy_lock": (_chk_soul_drain, _res_soul_drain, None),
-    "desert_sunlight_flip_up": (_chk_desert_sunlight, _res_desert_sunlight, None),
-    "tornado_recycle": (_chk_tornado, _res_tornado, _cand_tornado),
-    "massivemorph_boost": (_chk_massivemorph, _res_massivemorph, _cand_massivemorph),
-    "pole_position_immunity": (_chk_pole_position, _res_pole_position, None),
-    "gift_card_gain": (_chk_gift_card, _res_gift_card, None),
-    "morale_boost_gain": (_chk_morale_boost, _res_morale_boost, None),
-    "mist_body_shield": (_chk_mist_body, _res_mist_body, _cand_equip),
+    "boe_flip_all": (_no_targets("Book of Eclipse"), _res_boe, None),
+    "soul_drain_gy_lock": (_chk_soul_drain, _no_change, None),
+    "desert_sunlight_flip_up": (_no_targets("Desert Sunlight"), _res_desert_sunlight, None),
+    "tornado_recycle": _gy_targets(1, 5, "Localized Tornado shuffles 1-5 cards",
+                                   to="deck", own=True, offer=1),
+    "massivemorph_boost": (_chk_equip("Massivemorph targets 1 face-up monster",
+                                      "target must be a face-up monster"),
+                           _res_equip, _cand_equip),
+    "pole_position_immunity": (_no_targets("Pole Position"), _no_change, None),
+    "gift_card_gain": (_no_targets("Gift Card"), _res_gift_card, None),
+    "morale_boost_gain": (_no_targets("Morale Boost"), _no_change, None),
+    "mist_body_shield": (_chk_mist_body, _res_equip, _cand_equip),
     "mse_discard_recover": (_chk_mse, _res_mse, None),
-    "attraffic_control": (_chk_attraffic, _res_attraffic, None),
+    "attraffic_control": (_no_targets("Attraffic Control"), _no_change, None),
     "creature_swap": (_chk_creature_swap, _res_creature_swap, None),
     "polymerization_fuse": (_chk_poly, _res_poly, None),
-    "flint_lockdown": (_chk_flint, _res_flint, _cand_equip),
-    "raigeki_wipe": (_chk_raigeki, _res_raigeki, None),
+    "flint_lockdown": (_chk_mist_body, _res_equip, _cand_equip),
+    "raigeki_wipe": (_no_targets("Raigeki"), _res_raigeki, None),
     "give_and_take": (_chk_give_and_take, _res_give_and_take, _cand_gy_monster_to_opp),
     "reverse_reuse": (_chk_give_and_take, _res_reverse_reuse, _cand_gy_monster_to_opp),
     "endymion_counter_summon": (_chk_endymion_summon, _res_endymion_summon, _cand_endymion),
@@ -1329,28 +1228,41 @@ def is_winning_state(conf: Configuration, p: int) -> bool:
 # --- legality --------------------------------------------------------------
 
 
-def _quick_moves(conf: Configuration, p: int) -> list[Move]:
-    """Set-card activations available to p at a priority window."""
+def _activations(conf: Configuration, p: int,
+                 sources: Iterable[tuple[str, Loc]]) -> list[Move]:
+    """The activations p may make now from the (effect, source) pairs:
+    timing, then candidates, then check."""
     out: list[Move] = []
-    if conf.phase == Phase.DRAW and not conf.draw_done and conf.turn >= 1:
-        return out
-    for i, inst in enumerate(conf.players[p].spelltraps):
-        if inst is None or inst.face_up:
+    for effect, source in sources:
+        if effect not in EFFECTS or not _activation_timing_ok(conf, p, effect, source):
             continue
-        spec = by_id(inst.card)
-        for effect in spec.effects:
-            source = (p, SZONE, i)
-            if not _activation_timing_ok(conf, p, effect, source):
+        chk, _res, cand = EFFECTS[effect]
+        combos = cand(conf, p, source) if cand else [((), ())]
+        for targets, extras in itertools.islice(combos, _COMBO_CAP):
+            try:
+                chk(conf, p, source, tuple(targets), tuple(extras))
+            except IllegalMove:
                 continue
-            chk, _res, cand = EFFECTS[effect]
-            combos = cand(conf, p, source) if cand else [((), ())]
-            for targets, extras in combos:
-                try:
-                    chk(conf, p, source, tuple(targets), tuple(extras))
-                except IllegalMove:
-                    continue
-                out.append(ActivateEffect(p, effect, source, tuple(targets), tuple(extras)))
+            out.append(ActivateEffect(p, effect, source, tuple(targets), tuple(extras)))
     return out
+
+
+def _set_card_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
+    return [(effect, (p, SZONE, i))
+            for i, inst in enumerate(conf.players[p].spelltraps)
+            if inst is not None and not inst.face_up
+            for effect in by_id(inst.card).effects]
+
+
+def _quick_moves(conf: Configuration, p: int) -> list[Move]:
+    """Set-card activations available to p at a priority window.
+
+    Every caller asks for the player whose turn it is not, who can only
+    activate set traps and set quick-play spells; none of their candidate
+    families is longer than _COMBO_CAP."""
+    if conf.phase == Phase.DRAW and not conf.draw_done and conf.turn >= 1:
+        return []
+    return _activations(conf, p, _set_card_sources(conf, p))
 
 
 def _tribute_requirement(level: int) -> int:
@@ -1917,10 +1829,7 @@ def legal_moves(conf: Configuration, p: int) -> list[Move]:
             continue
         for effect in by_id(cid).effects:
             sources.append((effect, (p, HAND, cid)))
-    for i, inst in enumerate(ps.spelltraps):
-        if inst is not None and not inst.face_up:
-            for effect in by_id(inst.card).effects:
-                sources.append((effect, (p, SZONE, i)))
+    sources += _set_card_sources(conf, p)
     for idx, cid in enumerate(ps.gy):
         if cid == ENDYMION:
             sources.append(("endymion_counter_summon", (p, GY, idx)))
@@ -1929,20 +1838,7 @@ def legal_moves(conf: Configuration, p: int) -> list[Move]:
             sources.append((effect, (p, EXTRADECK, cid)))
     if ps.extra_zone is not None and ps.extra_zone.card == SVD:
         sources.append(("svd_negate", (p, EXTRA, 0)))
-
-    for effect, source in sources:
-        if effect not in EFFECTS:
-            continue
-        if not _activation_timing_ok(conf, p, effect, source):
-            continue
-        chk, _res, cand = EFFECTS[effect]
-        combos = cand(conf, p, source) if cand else [((), ())]
-        for targets, extras in itertools.islice(combos, _COMBO_CAP):
-            try:
-                chk(conf, p, source, tuple(targets), tuple(extras))
-            except IllegalMove:
-                continue
-            out.append(ActivateEffect(p, effect, source, tuple(targets), tuple(extras)))
+    out.extend(_activations(conf, p, sources))
 
     if conf.phase == Phase.BATTLE and conf.turn > 1 \
             and _controls_faceup(conf, 1 - p, ATTRAFFIC) is None:

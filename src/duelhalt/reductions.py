@@ -8,10 +8,11 @@ adversarial checker on one side and elementary enumerations on the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Union
 
 from .coding import pair, unpair
-from .errors import InvalidOrder
+from .errors import DuelhaltError, InvalidOrder
 from .engine import Run
 from .scripts import ScriptResult, set_counters, setup_run_a, setup_run_b
 from .strategy import Strategy, nis_strategy, tm_strategy, wo_strategy
@@ -143,22 +144,14 @@ class ReductionOutput:
     strategy: Strategy
 
 
-_SETUP_A_CACHE: Optional[ScriptResult] = None
-_SETUP_B_CACHE: Optional[ScriptResult] = None
-
-
-def _setup_a() -> ScriptResult:
-    global _SETUP_A_CACHE
-    if _SETUP_A_CACHE is None:
-        _SETUP_A_CACHE = setup_run_a()
-    return _SETUP_A_CACHE
-
-
-def _setup_b() -> ScriptResult:
-    global _SETUP_B_CACHE
-    if _SETUP_B_CACHE is None:
-        _SETUP_B_CACHE = setup_run_b()
-    return _SETUP_B_CACHE
+@cache
+def setup(deck: str) -> ScriptResult:
+    """The set-up line of deck "a" or "b", built once per process."""
+    if deck == "a":
+        return setup_run_a()
+    if deck == "b":
+        return setup_run_b()
+    raise DuelhaltError(f"unknown deck {deck!r}")
 
 
 def reduce_halting(e: int) -> ReductionOutput:
@@ -167,7 +160,7 @@ def reduce_halting(e: int) -> ReductionOutput:
     The setup line is extended so the counters encode machine e's starting
     configuration on input e; the compiled strategy simulates from there.
     """
-    base = _setup_a()
+    base = setup("a")
     m = tmmod.machine_from_index(e)
     if isinstance(m, tmmod.AppendixMachine):
         m = tmmod.EMPTY_MACHINE
@@ -181,13 +174,13 @@ def reduce_halting(e: int) -> ReductionOutput:
 
 
 def reduce_nis(e: int) -> ReductionOutput:
-    base = _setup_b()
+    base = setup("b")
     return ReductionOutput(base.run, nis_strategy(e, base.run))
 
 
 def reduce_wo(x: LinearOrder) -> ReductionOutput:
     x.validate()
-    base = _setup_b()
+    base = setup("b")
     return ReductionOutput(base.run, wo_strategy(x, base.run))
 
 

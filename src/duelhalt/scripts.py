@@ -606,6 +606,11 @@ def decrement_cycle(conf: Configuration) -> ScriptResult:
     return line.result()
 
 
+# Above every compact machine code: codes below tm's overflow base of
+# 40,000 need at most about 13,400 increment cycles.
+MAX_INCREMENT_CYCLES = 20_000
+
+
 def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
     """The cycle composition (a, b) that moves the counters by delta.
 
@@ -617,7 +622,13 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
     b += (delta - b) % 3
     if b > 10000:
         raise NotLoopReady("no cycle composition found")
-    return (delta + 5 * b) // 3, b
+    a = (delta + 5 * b) // 3
+    if a > MAX_INCREMENT_CYCLES:
+        # an increment cycle is four moves, a decrement cycle two
+        raise NotLoopReady(f"a counter plan of {a} increment and {b} decrement cycles "
+                           f"({4 * a + 2 * b} moves) is over the bound of "
+                           f"{MAX_INCREMENT_CYCLES} increment cycles")
+    return a, b
 
 
 def play_cycles(line: Line, a: int, b: int) -> None:

@@ -1,13 +1,13 @@
 import pytest
 
-from duelhalt.scripts import setup_run_a, setup_run_b
+from duelhalt.reductions import setup
 
 
 @pytest.fixture(scope="session")
 def board_a():
-    return setup_run_a()
+    return setup("a")
 
 
 @pytest.fixture(scope="session")
 def board_b():
-    return setup_run_b()
+    return setup("b")

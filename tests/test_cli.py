@@ -144,7 +144,24 @@ def test_bad_budget_or_depth_is_a_usage_error(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_seed_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("DUELHALT_SEED", "abc")
-    assert main(["cards"]) == 2
-    assert "error: DUELHALT_SEED" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--reduce", "nis", "--machine", "successor", "--max-turns", "5"],
+    ["reduce", "--reduce", "nis", "--machine", "successor", "--max-number", "5"],
+    ["reduce", "--reduce", "nis", "--machine", "successor", "--exhaustive"],
+    ["duel", "--script", "numbers.txt", "--index", "3"],
+])
+def test_flags_that_change_nothing_are_refused(capsys, argv):
+    # reduce runs no budgeted search, and duel names its machine with --machine
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_compile_tm_refuses_an_unbounded_counter_plan(tmp_path, capsys):
+    # a machine outside the curated ones starts from a code of hundreds of
+    # bits, far more increment cycles than a counter plan may take
+    prog = tmp_path / "pingpong.tm"
+    prog.write_text("start a\nblank 0\nhalt h\na 0 -> b 1 R\nb 0 -> a 1 R\na 1 -> h 1 S\n")
+    assert main(["compile-tm", str(prog)]) == 1
+    captured = capsys.readouterr()
+    assert "index=" in captured.out
+    assert captured.err.startswith("error: a counter plan of ")

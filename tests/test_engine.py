@@ -28,7 +28,7 @@ from duelhalt.engine import (
     transition_ok,
     validate_run,
 )
-from duelhalt.engine.config import HAND, update_player
+from duelhalt.engine.config import GY, HAND, MZONE, CardInstance, update_player
 from duelhalt.engine.moves import decode_move, encode_move
 from duelhalt.engine.rules import EFFECTS, identity_order, is_initial
 from duelhalt.errors import IllegalDeck, IllegalMove, MalformedCode
@@ -304,3 +304,49 @@ def test_every_offered_move_applies_along_both_setups(board_a, board_b):
                     apply(conf, move)
                     offered += 1
     assert offered > 6000
+
+
+# --- the folded effect rows ---------------------------------------------------
+
+_GY0 = (0, GY, 0)
+_FACE_DOWN = (1, MZONE, 0)
+
+# one misuse per effect row whose check or resolve is a shared handler,
+# with the exact message its check raises
+_MISUSES = [
+    ("rain_of_mercy_gain", (_GY0,), "Rain of Mercy takes no targets"),
+    ("citadel_counters", (_GY0,), "field spell takes no targets"),
+    ("temple_trap_allowance", (_GY0,), "Temple of the Kings takes no targets"),
+    ("boe_flip_all", (_GY0,), "Book of Eclipse takes no targets"),
+    ("soul_drain_gy_lock", (_GY0,), "Soul Drain takes no targets"),
+    ("desert_sunlight_flip_up", (_GY0,), "Desert Sunlight takes no targets"),
+    ("pole_position_immunity", (_GY0,), "Pole Position takes no targets"),
+    ("gift_card_gain", (_GY0,), "Gift Card takes no targets"),
+    ("morale_boost_gain", (_GY0,), "Morale Boost takes no targets"),
+    ("attraffic_control", (_GY0,), "Attraffic Control takes no targets"),
+    ("raigeki_wipe", (_GY0,), "Raigeki takes no targets"),
+    ("pob_return_two", (_GY0,), "Pot of Benevolence returns exactly 2 cards"),
+    ("pob_return_two", (_GY0, _GY0), "duplicate target"),
+    ("pob_return_two", (_GY0, _FACE_DOWN), "targets must be graveyard cards"),
+    ("soul_release_banish", (), "Soul Release banishes 1-5 cards"),
+    ("soul_release_banish", ((1, GY, 99),), "graveyard index out of range"),
+    ("tornado_recycle", (_GY0,) * 6, "Localized Tornado shuffles 1-5 cards"),
+    ("tornado_recycle", ((1, GY, 0),), "targets must be your graveyard cards"),
+    ("tornado_recycle", ((0, GY, 99),), "graveyard index out of range"),
+    ("massivemorph_boost", (_FACE_DOWN,), "target must be a face-up monster"),
+    ("mist_body_shield", (_FACE_DOWN,), "equip target must be a face-up monster"),
+    ("flint_lockdown", (), "Mist Body equips 1 face-up monster"),
+]
+
+
+@pytest.mark.parametrize("effect,targets,message", _MISUSES,
+                         ids=[f"{e}-{i}" for i, (e, _t, _m) in enumerate(_MISUSES)])
+def test_folded_effect_rows_keep_their_messages(board_a, effect, targets, message):
+    conf = board_a.final
+    assert conf.players[0].gy
+    down = CardInstance(lookup("Morphing Jar").id, face_up=False)
+    conf = update_player(conf, 1, monsters=(down,) + conf.players[1].monsters[1:])
+    check, _resolve, _candidates = EFFECTS[effect]
+    with pytest.raises(IllegalMove) as err:
+        check(conf, 0, (0, HAND, 0), targets, ())
+    assert str(err.value) == message

@@ -228,3 +228,10 @@ def test_cycle_plan_bound():
     assert cycle_plan(-50_000) == (0, 10_000)
     with pytest.raises(NotLoopReady):
         cycle_plan(-50_001)
+
+
+def test_cycle_plan_bounds_the_increment_cycles():
+    assert cycle_plan(60_000) == (20_000, 0)
+    with pytest.raises(NotLoopReady, match=r"20001 increment and 0 decrement cycles "
+                                           r"\(80004 moves\)"):
+        cycle_plan(60_003)
