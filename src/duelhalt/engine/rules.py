@@ -1028,7 +1028,9 @@ EFFECTS: dict[str, tuple[Callable, Callable, Optional[Callable]]] = {
     "attraffic_control": (_no_targets("Attraffic Control"), _no_change, None),
     "creature_swap": (_chk_creature_swap, _res_creature_swap, None),
     "polymerization_fuse": (_chk_poly, _res_poly, None),
-    "flint_lockdown": (_chk_mist_body, _res_equip, _cand_equip),
+    "flint_lockdown": (_chk_equip("Flint equips 1 face-up monster",
+                                  "equip target must be a face-up monster"),
+                       _res_equip, _cand_equip),
     "raigeki_wipe": (_no_targets("Raigeki"), _res_raigeki, None),
     "give_and_take": (_chk_give_and_take, _res_give_and_take, _cand_gy_monster_to_opp),
     "reverse_reuse": (_chk_give_and_take, _res_reverse_reuse, _cand_gy_monster_to_opp),

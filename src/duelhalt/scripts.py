@@ -609,6 +609,7 @@ def decrement_cycle(conf: Configuration) -> ScriptResult:
 # Above every compact machine code: codes below tm's overflow base of
 # 40,000 need at most about 13,400 increment cycles.
 MAX_INCREMENT_CYCLES = 20_000
+MAX_DECREMENT_CYCLES = 10_000
 
 
 def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
@@ -620,14 +621,13 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
     """
     b = max(min_decrements, -(delta // 5))
     b += (delta - b) % 3
-    if b > 10000:
-        raise NotLoopReady("no cycle composition found")
     a = (delta + 5 * b) // 3
-    if a > MAX_INCREMENT_CYCLES:
+    if a > MAX_INCREMENT_CYCLES or b > MAX_DECREMENT_CYCLES:
         # an increment cycle is four moves, a decrement cycle two
         raise NotLoopReady(f"a counter plan of {a} increment and {b} decrement cycles "
                            f"({4 * a + 2 * b} moves) is over the bound of "
-                           f"{MAX_INCREMENT_CYCLES} increment cycles")
+                           f"{MAX_INCREMENT_CYCLES} increment and "
+                           f"{MAX_DECREMENT_CYCLES} decrement cycles")
     return a, b
 
 

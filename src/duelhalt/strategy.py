@@ -16,7 +16,7 @@ tests); otherwise running into the cap yields an honest Undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .coding import pair, unpair, untriple
 from .errors import (
@@ -189,10 +189,10 @@ class TMStrategy(Strategy):
 
     def _play_turn(self, line: Line) -> None:
         mconf = tmmod.decode_tmconf(spell_counters(line.conf))
-        if tmmod.is_halted_any(self.machine, mconf):
+        if tmmod.halted(self.machine, mconf):
             self._attack_turn(line)
             return
-        nxt = tmmod.plain_step(self.machine, mconf)
+        nxt = tmmod.step(self.machine, mconf)
         if isinstance(nxt, tmmod.Halted):
             nxt = nxt.config
         _counters_to(line, tmmod.encode_tmconf(nxt))
@@ -469,6 +469,16 @@ def _drive(run: Run, s: Strategy, last_turn: Optional[int] = None,
         steps += 1
 
 
+@dataclass
+class _Branch:
+    """An opponent decision point whose choices check_winning is exploring."""
+    run: Run
+    choices: Iterator[tuple[int, bool]]
+    capped: bool  # running into the number cap leaves the branch undetermined
+    first_win: Optional[WinVerdict] = None
+    undetermined: Optional[WinVerdict] = None
+
+
 def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     """Explore every opponent line within the budget.
 
@@ -486,34 +496,41 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     def witness(r: Run) -> tuple[Move, ...]:
         return r.moves[base_len:]
 
-    def explore(r: Run) -> WinVerdict:
+    def explore(r: Run) -> WinVerdict | _Branch:
+        """Drive to the opponent's next choice: a verdict, or the branch point there."""
         r, stop = _drive(r, s, last_turn, max_steps=500_000)
         if stop is not None:
             return WinVerdict(stop, witness(r), budget)
+        last = r.last()
+        return _Branch(r, iter(_p2_turn_choices(last, budget)),
+                       _p2_has_channel(last) and not budget.cap_exhaustive)
 
-        # branch over the opponent's canonical turns
-        choices = _p2_turn_choices(r.last(), budget)
-        capped = _p2_has_channel(r.last()) and not budget.cap_exhaustive
-        first_win: Optional[WinVerdict] = None
-        undetermined: Optional[WinVerdict] = None
-        for choice in choices:
-            r2 = _play_p2_turn(r, choice, s)
-            if r2 is None:
-                return WinVerdict(LOSS, witness(r), budget)
-            sub = explore(r2)
-            if sub.kind == LOSS:
-                return sub
-            if sub.kind == UNDETERMINED:
-                undetermined = sub
-            elif first_win is None:
-                first_win = sub
-        if undetermined is not None:
-            return undetermined
-        if capped:
-            return WinVerdict(UNDETERMINED, witness(r), budget)
-        return first_win if first_win is not None else WinVerdict(UNDETERMINED, witness(r), budget)
-
-    return explore(run)
+    # open branch points live on an explicit stack, so a long game needs no
+    # deep recursion; each verdict settles into the branch point above it
+    stack: list[_Branch] = []
+    node = explore(run)
+    while True:
+        if isinstance(node, _Branch):
+            stack.append(node)
+        elif node.kind == LOSS or not stack:
+            return node
+        elif node.kind == UNDETERMINED:
+            stack[-1].undetermined = node
+        elif stack[-1].first_win is None:
+            stack[-1].first_win = node
+        top = stack[-1]
+        choice = next(top.choices, None)
+        if choice is not None:
+            r2 = _play_p2_turn(top.run, choice, s)
+            node = WinVerdict(LOSS, witness(top.run), budget) if r2 is None else explore(r2)
+            continue
+        stack.pop()
+        if top.undetermined is not None:
+            node = top.undetermined
+        elif top.capped or top.first_win is None:
+            node = WinVerdict(UNDETERMINED, witness(top.run), budget)
+        else:
+            node = top.first_win
 
 
 def replay_witness(run: Run, moves: Iterable[Move]) -> Run:

@@ -15,8 +15,10 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 from .coding import seq_decode, seq_encode
 from .errors import BadIndex, MalformedCode, TMParseError
@@ -32,15 +34,15 @@ class TMachine:
     blank: int
     start: int
     halting: frozenset[int]
-    rules: tuple[tuple[int, int, int, int, int], ...]  # (q, a) -> (q', a', move)
+    # rows (q, a, q', a', move); an oracle machine's rows are
+    # (q, a, x, q', a', move) with x the oracle cell read on that step
+    rules: tuple[tuple[int, ...], ...]
     oracle: bool = False
-    # oracle rules carry (q, a, x) -> (q', a', move) with x the oracle cell
-    oracle_rules: tuple[tuple[int, int, int, int, int, int], ...] = ()
 
-    def delta(self) -> dict:
-        if self.oracle:
-            return {(q, a, x): (q2, a2, mv) for q, a, x, q2, a2, mv in self.oracle_rules}
-        return {(q, a): (q2, a2, mv) for q, a, q2, a2, mv in self.rules}
+    @cached_property
+    def _delta(self) -> dict:
+        """(q, a), or (q, a, x) for an oracle machine, -> (q', a', head shift)."""
+        return {row[:-3]: (row[-3], row[-2], _MOVES[row[-1]]) for row in self.rules}
 
     def check(self) -> None:
         if not 0 <= self.start < self.n_states:
@@ -50,8 +52,7 @@ class TMachine:
         for h in self.halting:
             if not 0 <= h < self.n_states:
                 raise MalformedCode("halting state out of range")
-        rows = self.oracle_rules if self.oracle else self.rules
-        for row in rows:
+        for row in self.rules:
             q, a = row[0], row[1]
             q2, a2, mv = row[-3], row[-2], row[-1]
             if q in self.halting:
@@ -74,10 +75,8 @@ class TMConfiguration:
     state: int
 
     def read(self, blank: int) -> int:
-        for pos, sym in self.tape:
-            if pos == self.head:
-                return sym
-        return blank
+        i = bisect_left(self.tape, (self.head,))
+        return self.tape[i][1] if i < len(self.tape) and self.tape[i][0] == self.head else blank
 
     def value(self) -> int:
         """Tape read back as a number: sum of 2^p over cells holding 1."""
@@ -106,69 +105,51 @@ def initial_config(m: TMachine, value: int) -> TMConfiguration:
     return make_config(tape, 0, m.start, m.blank)
 
 
-def _write(conf: TMConfiguration, sym: int, blank: int) -> dict[int, int]:
-    tape = dict(conf.tape)
-    if sym == blank:
-        tape.pop(conf.head, None)
-    else:
-        tape[conf.head] = sym
-    return tape
+def step(m: TMachine, conf: TMConfiguration, oracle_bit: int = 0
+         ) -> Union[TMConfiguration, Halted]:
+    """One transition, or Halted in a halting state or where no rule applies.
 
-
-def step(m: TMachine, conf: TMConfiguration) -> Union[TMConfiguration, Halted]:
-    """One transition, or Halted when in a halting state or delta is blank."""
+    An oracle machine looks its rule up under oracle_bit as well; a plain
+    machine ignores it.
+    """
     if conf.state in m.halting:
         return Halted(conf)
-    key = (conf.state, conf.read(m.blank))
-    if m.oracle:
-        raise MalformedCode("oracle machines need oracle_step")
-    rule = m.delta().get(key)
+    tape, head = conf.tape, conf.head
+    i = bisect_left(tape, (head,))
+    here = i < len(tape) and tape[i][0] == head
+    key = (conf.state, tape[i][1] if here else m.blank)
+    rule = m._delta.get(key + (oracle_bit,) if m.oracle else key)
     if rule is None:
         return Halted(conf)
-    q2, a2, mv = rule
-    tape = _write(conf, a2, m.blank)
-    return make_config(tape, conf.head + _MOVES[mv], q2, m.blank)
+    q2, a2, shift = rule
+    cell = ((head, a2),) if a2 != m.blank else ()
+    return TMConfiguration(tape[:i] + cell + tape[i + here:], head + shift, q2)
 
 
-def oracle_step(m: TMachine, conf: TMConfiguration, oracle_sym: int) -> Union[TMConfiguration, Halted]:
-    if conf.state in m.halting:
-        return Halted(conf)
-    key = (conf.state, conf.read(m.blank), oracle_sym)
-    rule = m.delta().get(key) if m.oracle else None
-    if rule is None and not m.oracle:
-        rule = {(q, a): (q2, a2, mv) for q, a, q2, a2, mv in m.rules}.get(key[:2])
-    if rule is None:
-        return Halted(conf)
-    q2, a2, mv = rule
-    tape = _write(conf, a2, m.blank)
-    return make_config(tape, conf.head + _MOVES[mv], q2, m.blank)
-
-
-def plain_step(m: TMachine, conf: TMConfiguration) -> Union[TMConfiguration, Halted]:
-    """One step with oracle machines read against the all-blank oracle."""
-    if m.oracle:
-        return oracle_step(m, conf, 0)
-    return step(m, conf)
+def oracle_step(m: TMachine, conf: TMConfiguration, oracle_bit: int
+                ) -> Union[TMConfiguration, Halted]:
+    """`step` under an explicit oracle bit (perfbench traces this name)."""
+    return step(m, conf, oracle_bit)
 
 
 def step_n(m: TMachine, conf: TMConfiguration, n: int) -> TMConfiguration:
-    """n plain steps; a halted machine's configuration freezes."""
+    """n steps against the all-blank oracle; a halted machine's configuration freezes."""
     for _ in range(n):
-        nxt = plain_step(m, conf)
+        nxt = step(m, conf)
         if isinstance(nxt, Halted):
             return nxt.config
         conf = nxt
     return conf
 
 
-def is_halted(m: TMachine, conf: TMConfiguration) -> bool:
+def halted(m: TMachine, conf: TMConfiguration) -> bool:
+    """In a halting state, or no rule for the scanned symbol under either oracle bit."""
     if conf.state in m.halting:
         return True
+    key = (conf.state, conf.read(m.blank))
     if m.oracle:
-        return not any(
-            q == conf.state and a == conf.read(m.blank) for q, a, *_ in m.oracle_rules
-        )
-    return (conf.state, conf.read(m.blank)) not in m.delta()
+        return key + (0,) not in m._delta and key + (1,) not in m._delta
+    return key not in m._delta
 
 
 # --- configuration <-> number ---------------------------------------------
@@ -248,13 +229,8 @@ def decode_tmconf(code: int) -> TMConfiguration:
 # --- curated machines -------------------------------------------------------
 
 
-def _machine(n_states, halting, rules, n_symbols=2, start=0, blank=0):
-    return TMachine(n_states, n_symbols, blank, start, frozenset(halting), tuple(rules))
-
-
-def _oracle_machine(n_states, halting, orules, n_symbols=2, start=0, blank=0):
-    return TMachine(n_states, n_symbols, blank, start, frozenset(halting), (),
-                    oracle=True, oracle_rules=tuple(orules))
+def _machine(n_states, halting, rules, oracle=False):
+    return TMachine(n_states, 2, 0, 0, frozenset(halting), tuple(rules), oracle)
 
 
 EMPTY_MACHINE = _machine(1, {0}, [])
@@ -301,14 +277,14 @@ SLOW_MACHINE = _machine(13, {12}, [
 ])
 
 # oracle machine that halts immediately whatever the oracle says
-ORACLE_ALWAYS_MACHINE = _oracle_machine(1, {0}, [])
+ORACLE_ALWAYS_MACHINE = _machine(1, {0}, [], oracle=True)
 
 # oracle machine that halts at the step whose oracle cell reads 0
-ORACLE_SEARCHZERO_MACHINE = _oracle_machine(2, {1}, [
+ORACLE_SEARCHZERO_MACHINE = _machine(2, {1}, [
     (0, a, 1, 0, a, S) for a in (0, 1)
 ] + [
     (0, a, 0, 1, a, S) for a in (0, 1)
-])
+], oracle=True)
 
 BUILTINS: tuple[TMachine, ...] = (
     EMPTY_MACHINE,
@@ -345,9 +321,8 @@ _TAG_APPENDIX_F = 2
 def _serialize(m: TMachine) -> tuple[int, ...]:
     flat = [m.n_states, m.n_symbols, m.blank, m.start, len(m.halting)]
     flat.extend(sorted(m.halting))
-    rows = m.oracle_rules if m.oracle else m.rules
-    flat.append(len(rows))
-    for row in rows:
+    flat.append(len(m.rules))
+    for row in m.rules:
         flat.extend(row)
     return tuple(flat)
 
@@ -372,11 +347,7 @@ def _deserialize(flat: tuple[int, ...], oracle: bool) -> TMachine:
         rows.append(tuple(take() for _ in range(width)))
     if i != len(flat):
         raise MalformedCode("trailing machine data")
-    if oracle:
-        m = TMachine(n_states, n_symbols, blank, start, halting, (),
-                     oracle=True, oracle_rules=tuple(rows))
-    else:
-        m = TMachine(n_states, n_symbols, blank, start, halting, tuple(rows))
+    m = TMachine(n_states, n_symbols, blank, start, halting, tuple(rows), oracle)
     m.check()
     return m
 
@@ -444,32 +415,22 @@ def run_bounded(e: int, value: int, t: int) -> Union[Converged, StillRunning]:
     m = machine_from_index(e)
     if isinstance(m, AppendixMachine):
         return _run_appendix(m, value, t)
-    conf = initial_config(m, value)
-    for used in range(t + 1):
-        if is_halted_any(m, conf):
-            return Converged(conf.value())
-        if used == t:
-            break
-        conf = _step_any(m, conf, used)
-        if isinstance(conf, Halted):
-            return Converged(conf.config.value())
-    return STILL_RUNNING
+    end = _run(m, initial_config(m, value), t, ())
+    return STILL_RUNNING if end is None else Converged(end.value())
 
 
-def is_halted_any(m: TMachine, conf: TMConfiguration) -> bool:
-    if m.oracle:
-        if conf.state in m.halting:
-            return True
-        read = conf.read(m.blank)
-        return not any(q == conf.state and a == read for q, a, *_ in m.oracle_rules)
-    return is_halted(m, conf)
-
-
-def _step_any(m, conf, step_index, oracle=None):
-    if m.oracle:
-        osym = 0 if oracle is None else oracle(step_index)
-        return oracle_step(m, conf, osym)
-    return step(m, conf)
+def _run(m: TMachine, conf: TMConfiguration, t: int, oracle: Sequence[int]
+         ) -> Optional[TMConfiguration]:
+    """At most t steps, step i reading oracle cell i (blank 0 past the
+    prefix): the configuration the machine halts in, or None while it runs."""
+    for i in range(t):
+        if halted(m, conf):
+            return conf
+        nxt = step(m, conf, oracle[i] if i < len(oracle) else 0)
+        if isinstance(nxt, Halted):
+            return nxt.config
+        conf = nxt
+    return conf if halted(m, conf) else None
 
 
 def oracle_converges(z: int, s_code: int, n: int) -> bool:
@@ -488,18 +449,7 @@ def oracle_converges(z: int, s_code: int, n: int) -> bool:
     m = machine_from_index(z)
     if isinstance(m, AppendixMachine):
         return False  # appendix machines are plain; no oracle semantics
-    conf = initial_config(m, n)
-    for used in range(t + 1):
-        if is_halted_any(m, conf):
-            return True
-        if used == t:
-            break
-        osym = s[used] if used < len(s) else 0
-        nxt = _step_any(m, conf, used, oracle=lambda i, y=osym: y)
-        if isinstance(nxt, Halted):
-            return True
-        conf = nxt
-    return is_halted_any(m, conf)
+    return _run(m, initial_config(m, n), t, s) is not None
 
 
 def appendix_f(n: int, s_code: int, z: int) -> Optional[int]:
@@ -603,6 +553,8 @@ def parse_tm(text: str) -> TMachine:
 
 
 def format_tm(m: TMachine) -> str:
+    if m.oracle:
+        raise MalformedCode("the program text format has no oracle rules")
     lines = [f"start q{m.start}", f"blank {m.blank}"]
     if m.halting:
         lines.append("halt " + " ".join(f"q{h}" for h in sorted(m.halting)))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from duelhalt import strategy
+from duelhalt import strategy, tm
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -36,3 +36,18 @@ def test_layers_install_and_unpatch(perfbench_on_path):
     finally:
         tracer.unpatch()
     assert strategy.check_winning is original
+
+
+def test_bounded_runs_step_through_the_traced_stepper(perfbench_on_path):
+    # tm.steps_per_s counts tm.step calls inside tm.run_bounded: a bounded
+    # run that bypassed tm.step would read 0 there
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer(scopes=layers.SCOPES)
+    try:
+        layers.install(tracer)
+        assert tm.run_bounded(tm.CURATED["successor"], 7, 20) == tm.Converged(8)
+    finally:
+        tracer.unpatch()
+    assert tracer.scoped[layers.BOUNDED].get("tm.step", 0) > 0

@@ -335,7 +335,7 @@ _MISUSES = [
     ("tornado_recycle", ((0, GY, 99),), "graveyard index out of range"),
     ("massivemorph_boost", (_FACE_DOWN,), "target must be a face-up monster"),
     ("mist_body_shield", (_FACE_DOWN,), "equip target must be a face-up monster"),
-    ("flint_lockdown", (), "Mist Body equips 1 face-up monster"),
+    ("flint_lockdown", (), "Flint equips 1 face-up monster"),
 ]
 
 

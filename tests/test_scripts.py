@@ -226,7 +226,8 @@ def test_cycle_plan_is_the_least_composition(delta, min_decrements):
 
 def test_cycle_plan_bound():
     assert cycle_plan(-50_000) == (0, 10_000)
-    with pytest.raises(NotLoopReady):
+    with pytest.raises(NotLoopReady, match=r"3 increment and 10002 decrement cycles "
+                                           r"\(20016 moves\)"):
         cycle_plan(-50_001)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from duelhalt.coding import pair, triple
@@ -99,6 +101,21 @@ class TestCheckWinning:
         for turns in (50, 120):
             v = check_winning(out.run, out.strategy, Budget(turns, 4))
             assert v.kind == UNDETERMINED
+
+    def test_depth_does_not_need_recursion(self):
+        # one opponent turn per branch point: 240 turns would need far more
+        # than 100 frames if the checker recursed once per turn
+        out = reduce_halting(CURATED["loop"])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            v = check_winning(out.run, out.strategy, Budget(240, 4))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert v.kind == UNDETERMINED
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_turn_cut(self, k):

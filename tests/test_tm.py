@@ -16,13 +16,12 @@ from duelhalt.tm import (
     decode_tmconf,
     encode_tmconf,
     format_tm,
+    halted,
     initial_config,
-    is_halted_any,
     machine_from_index,
     machine_index,
     oracle_converges,
     parse_tm,
-    plain_step,
     run_bounded,
     step,
     step_n,
@@ -123,13 +122,13 @@ def test_roundtrip_behavior_random_indices():
 def _direct(m, x, t):
     conf = initial_config(m, x)
     for _ in range(t):
-        if is_halted_any(m, conf):
+        if halted(m, conf):
             return Converged(conf.value())
-        nxt = plain_step(m, conf)
+        nxt = step(m, conf)
         if isinstance(nxt, Halted):
             return Converged(nxt.config.value())
         conf = nxt
-    if is_halted_any(m, conf):
+    if halted(m, conf):
         return Converged(conf.value())
     return STILL_RUNNING
 
@@ -188,6 +187,8 @@ def test_oracle_prefix_monotone():
 def test_parse_format_roundtrip():
     text = format_tm(SUCC_MACHINE)
     assert parse_tm(text) == SUCC_MACHINE
+    with pytest.raises(MalformedCode):
+        format_tm(BUILTINS[CURATED["oracle-searchzero"]])
 
 
 def test_parse_errors():
