@@ -13,6 +13,16 @@ hands the window to the opponent when they have a usable quick effect
 (set traps or set quick-play spells); otherwise, and after the opponent
 passes, the phase advances.  ``AdvancePhase`` is accepted as an explicit
 alias for a Pass that would advance.
+
+Legality has one source.  ``check_legal`` is the only judge: a shared
+prelude (game over, player and locators, priority), the forced windows
+(opening draws, hand limit, mandatory draw), then the row of the move's
+kind in ``_KINDS``: its window, its timing and its check.  ``apply`` is
+``check_legal`` followed by the row's apply, and raises IllegalMove only
+through ``check_legal``, so ``is_legal(c, m)`` holds exactly when
+``apply(c, m)`` returns.  ``legal_moves`` only proposes: it keeps the rows'
+candidates that ``check_legal`` accepts, in row order, and makes no test of
+its own.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..carddb import FILLER, Kind, by_id, card_name
 from ..errors import IllegalDeck, IllegalMove
@@ -402,11 +412,8 @@ def _is_monster_cid(cid: int) -> bool:
     return cid == FILLER or by_id(cid).is_monster
 
 
-def _own_empty_mzone(conf: Configuration, p: int) -> Optional[int]:
-    for i, inst in enumerate(conf.players[p].monsters):
-        if inst is None:
-            return i
-    return None
+def _first_free(zones: tuple[Optional[CardInstance], ...]) -> Optional[int]:
+    return next((i for i, inst in enumerate(zones) if inst is None), None)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -682,17 +689,10 @@ def _pack_forced(targets: tuple[Loc, ...], extras: tuple[int, ...]) -> tuple[int
 def _unpack_forced(flat: tuple[int, ...]) -> tuple[tuple[Loc, ...], tuple[int, ...]]:
     if not flat:
         return (), ()
-    i = 0
-    n = flat[i]
-    i += 1
-    targets = []
-    for _ in range(n):
-        targets.append((flat[i], flat[i + 1], flat[i + 2]))
-        i += 3
-    m = flat[i]
-    i += 1
-    extras = tuple(flat[i : i + m])
-    return tuple(targets), extras
+    i = 1 + 3 * max(flat[0], 0)  # where the extras' count sits
+    _require(len(flat) > i, "malformed forced-effect choices")
+    targets = tuple(tuple(flat[j : j + 3]) for j in range(1, i, 3))
+    return targets, tuple(flat[i + 1 : i + 1 + flat[i]])
 
 
 def _res_boe(conf, p, source, targets, extras):
@@ -722,6 +722,7 @@ def _res_desert_sunlight(conf, p, source, targets, extras):
 
 def _decode_flip_choices(p: int, extras: tuple[int, ...]) -> dict[int, Optional[Loc]]:
     # extras: flat (zone, 1 + gy_index | 0) pairs
+    _require(len(extras) % 2 == 0, "flip choices come in (zone, choice) pairs")
     choices: dict[int, Optional[Loc]] = {}
     for i in range(0, len(extras), 2):
         zone, enc = extras[i], extras[i + 1]
@@ -778,20 +779,22 @@ def _chk_creature_swap(conf, p, source, targets, extras):
     _require(theirs[0] == 1 - p and theirs[1] in (MZONE, EXTRA), "second target must be theirs")
     _require(conf.instance_at(mine) is not None, "no monster at your target")
     _require(conf.instance_at(theirs) is not None, "no monster at their target")
+    # a swapped monster lands in a main zone of its new controller
+    _require(theirs[1] == MZONE or _first_free(conf.players[1 - p].monsters) is not None,
+             "opponent has no free main zone")
+    _require(mine[1] == MZONE or _first_free(conf.players[p].monsters) is not None,
+             "no free main zone")
 
 
 def _res_creature_swap(conf, p, source, targets, extras):
     mine, theirs = targets
     a = conf.instance_at(mine)
     b = conf.instance_at(theirs)
-    # Swapped monsters land in main zones of the new controller.
     conf = _set_slot(conf, mine, None)
     conf = _set_slot(conf, theirs, None)
-    za = _own_empty_mzone(conf, 1 - p)
-    _require(za is not None, "opponent has no free main zone")
+    za = _first_free(conf.players[1 - p].monsters)
     conf = _set_slot(conf, (1 - p, MZONE, za), a)
-    zb = _own_empty_mzone(conf, p)
-    _require(zb is not None, "no free main zone")
+    zb = _first_free(conf.players[p].monsters)
     conf = _set_slot(conf, (p, MZONE, zb), b)
     for old, new in ((mine, (1 - p, MZONE, za)), (theirs, (p, MZONE, zb))):
         for sloc, st in list(conf.iter_spelltraps()):
@@ -879,7 +882,7 @@ def _res_reverse_reuse(conf, p, source, targets, extras):
 
 
 def _cand_gy_monster_to_opp(conf, p, source):
-    zone = _own_empty_mzone(conf, 1 - p)
+    zone = _first_free(conf.players[1 - p].monsters)
     if zone is None:
         return
     for loc in _gy_locs(conf, p, _is_monster_cid)[:20]:
@@ -934,7 +937,7 @@ def _res_endymion_summon(conf, p, source, targets, extras):
 
 
 def _cand_endymion(conf, p, source):
-    zone = _own_empty_mzone(conf, p)
+    zone = _first_free(conf.players[p].monsters)
     if zone is None:
         return
     yield (), (zone, 0)
@@ -1141,17 +1144,12 @@ def _resolve_activation(
     placed_loc: Optional[Loc] = None
     if from_hand:
         conf = _remove_hand(conf, p, cid)
+        # check_legal made sure a lasting spell has its zone free
         if spec.kind in (Kind.CONTINUOUS_SPELL, Kind.EQUIP_SPELL):
-            zone = _first_empty_szone(conf, p)
-            if zone is None:
-                raise IllegalMove("no free spell/trap zone")
-            placed_loc = (p, SZONE, zone)
-            conf = _set_slot(conf, placed_loc, CardInstance(
-                cid, face_up=True, face_since=conf.turn))
+            placed_loc = (p, SZONE, _first_free(conf.players[p].spelltraps))
         elif spec.kind == Kind.FIELD_SPELL:
-            if conf.players[p].field_zone is not None:
-                raise IllegalMove("field zone occupied")
             placed_loc = (p, FZONE, 0)
+        if placed_loc is not None:
             conf = _set_slot(conf, placed_loc, CardInstance(
                 cid, face_up=True, face_since=conf.turn))
     else:
@@ -1182,27 +1180,6 @@ def _resolve_activation(
     return conf
 
 
-def _first_empty_szone(conf: Configuration, p: int) -> Optional[int]:
-    for i, inst in enumerate(conf.players[p].spelltraps):
-        if inst is None:
-            return i
-    return None
-
-
-def _count_spell_activations(conf: Configuration, move: ActivateEffect) -> int:
-    n = 0
-    for effect, source in [(move.effect, move.source)] + [
-        (l.effect, l.source) for l in move.chain
-    ]:
-        try:
-            cid = _effect_card(conf, move.player, effect, source)
-        except IllegalMove:
-            continue
-        if cid != FILLER and by_id(cid).is_spell:
-            n += 1
-    return n
-
-
 # --- terminality / win detection -----------------------------------------
 
 
@@ -1230,371 +1207,407 @@ def is_winning_state(conf: Configuration, p: int) -> bool:
 # --- legality --------------------------------------------------------------
 
 
-def _activations(conf: Configuration, p: int,
-                 sources: Iterable[tuple[str, Loc]]) -> list[Move]:
-    """The activations p may make now from the (effect, source) pairs:
-    timing, then candidates, then check."""
-    out: list[Move] = []
-    for effect, source in sources:
-        if effect not in EFFECTS or not _activation_timing_ok(conf, p, effect, source):
-            continue
-        chk, _res, cand = EFFECTS[effect]
-        combos = cand(conf, p, source) if cand else [((), ())]
-        for targets, extras in itertools.islice(combos, _COMBO_CAP):
-            try:
-                chk(conf, p, source, tuple(targets), tuple(extras))
-            except IllegalMove:
-                continue
-            out.append(ActivateEffect(p, effect, source, tuple(targets), tuple(extras)))
-    return out
+def _prelude(conf: Configuration, p: int, locs: tuple[Loc, ...] = ()
+             ) -> Optional[tuple[tuple[type, ...], bool, str]]:
+    """The checks every move of p passes first, then the forced window: one
+    that allows some move types only (the opening draws, the pass to turn
+    1, the hand limit and the mandatory draw).  Gives (those types, whether
+    the window alone accepts them, the message for any other type), or None
+    outside a forced window."""
+    if _terminal(conf):
+        raise IllegalMove("game over")
+    if p not in (0, 1):
+        raise IllegalMove("bad player")
+    for loc in locs:
+        if loc[0] not in (0, 1):
+            raise IllegalMove("a locator names no player")
+    if conf.priority != p:
+        raise IllegalMove("not this player's priority window")
+    if conf.turn == 0:
+        want0 = len(conf.players[0].hand) < 5
+        want1 = len(conf.players[1].hand) < 5
+        if want0 or want1:
+            return ((DrawCard,) if p == (0 if want0 else 1) else (), True,
+                    "opening hands are drawn first")
+        return ((Pass, AdvancePhase) if p == 0 else (), True, "opening complete; advance to turn 1")
+    if conf.phase == Phase.END and p == conf.active and len(conf.players[p].hand) > HAND_LIMIT:
+        return (DiscardToLimit,), False, "must discard down to the hand limit"
+    if conf.phase == Phase.DRAW and not conf.draw_done:
+        # an empty deck here has already ended the game
+        return (DrawCard,) if p == conf.active else (), True, "the draw is mandatory"
+    return None
 
 
-def _set_card_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
-    return [(effect, (p, SZONE, i))
-            for i, inst in enumerate(conf.players[p].spelltraps)
-            if inst is not None and not inst.face_up
-            for effect in by_id(inst.card).effects]
-
-
-def _quick_moves(conf: Configuration, p: int) -> list[Move]:
-    """Set-card activations available to p at a priority window.
-
-    Every caller asks for the player whose turn it is not, who can only
-    activate set traps and set quick-play spells; none of their candidate
-    families is longer than _COMBO_CAP."""
-    if conf.phase == Phase.DRAW and not conf.draw_done and conf.turn >= 1:
-        return []
-    return _activations(conf, p, _set_card_sources(conf, p))
-
-
-def _tribute_requirement(level: int) -> int:
-    if level <= 4:
-        return 0
-    if level <= 6:
-        return 1
-    return 2
-
-
-def is_legal(conf: Configuration, move: Move) -> bool:
+def _passes(check: Callable, conf: Configuration, move: Move) -> bool:
     try:
-        check_legal(conf, move)
+        check(conf, move)
         return True
     except IllegalMove:
         return False
 
 
-def _locators(move: Move) -> tuple[Loc, ...]:
-    """Every locator a move names, the direct-attack sentinel aside."""
-    if isinstance(move, ActivateEffect):
-        locs = (move.source, *move.targets)
-        for link in move.chain:
-            locs += (link.source, *link.targets)
-        return locs
-    if isinstance(move, ChangeEquipTarget):
-        return (move.equip, move.new_target)
-    if isinstance(move, DeclareAttack):
-        return (move.attacker,) if move.target == DIRECT else (move.attacker, move.target)
-    if isinstance(move, FlipSummon) and move.recover is not None:
-        return (move.recover,)
-    return ()
+# --- move kinds: the check, apply and candidates of each _KINDS row ---------
 
 
-def check_legal(conf: Configuration, move: Move) -> None:
-    if _terminal(conf):
-        raise IllegalMove("game over")
-    p = move.player
-    if p not in (0, 1):
-        raise IllegalMove("bad player")
-    for loc in _locators(move):
-        if loc[0] not in (0, 1):
-            raise IllegalMove("a locator names no player")
-    if conf.priority != p:
-        raise IllegalMove("not this player's priority window")
-
-    # pre-game opening draws
-    if conf.turn == 0:
-        want0 = len(conf.players[0].hand) < 5
-        want1 = len(conf.players[1].hand) < 5
-        if want0 or want1:
-            need = 0 if want0 else 1
-            if not (isinstance(move, DrawCard) and p == need):
-                raise IllegalMove("opening hands are drawn first")
-            return
-        if isinstance(move, (Pass, AdvancePhase)) and p == 0:
-            return
-        raise IllegalMove("opening complete; advance to turn 1")
-
-    active = conf.active
-    hand_over = (
-        conf.phase == Phase.END
-        and p == active
-        and len(conf.players[active].hand) > HAND_LIMIT
-    )
-    if hand_over and not isinstance(move, DiscardToLimit):
-        raise IllegalMove("must discard down to the hand limit")
-
-    if conf.phase == Phase.DRAW and not conf.draw_done:
-        if not (isinstance(move, DrawCard) and p == active):
-            raise IllegalMove("the draw is mandatory")
-        if len(conf.players[active].deck) == 0:
-            raise IllegalMove("cannot draw from an empty deck")
-        return
-
-    if isinstance(move, DrawCard):
-        raise IllegalMove("no draw available now")
-
-    if isinstance(move, Pass):
-        return
-
-    if isinstance(move, AdvancePhase):
-        if p != active:
-            raise IllegalMove("only the turn player advances phases")
-        if _quick_moves(conf, 1 - p):
-            raise IllegalMove("opponent has a response window; pass instead")
-        return
-
-    if isinstance(move, DiscardToLimit):
-        if not hand_over:
-            raise IllegalMove("hand is within the limit")
-        hand = list(conf.players[p].hand)
-        if len(move.cards) != len(hand) - HAND_LIMIT:
-            raise IllegalMove("discard exactly down to six")
-        for cid in move.cards:
-            if cid not in hand:
-                raise IllegalMove("discard cards must be in hand")
-            hand.remove(cid)
-        return
-
-    if isinstance(move, NormalSummon):
-        if p != active or conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-            raise IllegalMove("normal summons happen in your main phase")
-        if conf.normal_summons_used >= conf.normal_summon_allowance:
-            raise IllegalMove("no normal summons left this turn")
-        if move.card == FILLER:
-            raise IllegalMove("the opponent's proxy fillers are inert")
-        spec = by_id(move.card)
-        if not spec.is_monster or spec.kind in (Kind.LINK_MONSTER, Kind.FUSION_MONSTER):
-            raise IllegalMove("not a normal-summonable monster")
-        level = spec.stats.level
-        if move.card not in conf.players[p].hand:
-            raise IllegalMove("card not in hand")
-        need = _tribute_requirement(level)
-        if len(move.tributes) != need:
-            raise IllegalMove(f"needs exactly {need} tribute(s)")
-        if len(set(move.tributes)) != len(move.tributes):
-            raise IllegalMove("duplicate tribute zones")
-        for z in move.tributes:
-            if not (0 <= z < N_MZONES) or conf.players[p].monsters[z] is None:
-                raise IllegalMove("tribute zone is empty")
-        if not (0 <= move.zone < N_MZONES):
-            raise IllegalMove("bad summon zone")
-        if conf.players[p].monsters[move.zone] is not None and move.zone not in move.tributes:
-            raise IllegalMove("summon zone occupied")
-        return
-
-    if isinstance(move, SetSpellTrap):
-        if p != active or conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-            raise IllegalMove("sets happen in your main phase")
-        if move.card == FILLER or move.card not in conf.players[p].hand:
-            raise IllegalMove("card not in hand")
-        spec = by_id(move.card)
-        if spec.is_monster:
-            raise IllegalMove("monsters are set with NormalSummon")
-        if spec.kind == Kind.FIELD_SPELL:
-            if move.zone != -1 or conf.players[p].field_zone is not None:
-                raise IllegalMove("field zone unavailable")
-        else:
-            if not (0 <= move.zone < N_SZONES):
-                raise IllegalMove("bad spell/trap zone")
-            if conf.players[p].spelltraps[move.zone] is not None:
-                raise IllegalMove("zone occupied")
-        return
-
-    if isinstance(move, FlipSummon):
-        if p != active or conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-            raise IllegalMove("flip summons happen in your main phase")
-        inst = conf.players[p].monsters[move.zone] if 0 <= move.zone < N_MZONES else None
-        if inst is None or inst.face_up:
-            raise IllegalMove("no face-down monster there")
-        if inst.face_since >= conf.turn or inst.set_turn == conf.turn:
-            raise IllegalMove("cannot flip the turn it was set or turned face-down")
-        if move.recover is not None and inst.card not in (MOF, MOD):
-            raise IllegalMove("this monster has no recovery choice")
-        if move.recover is not None:
-            cp, kind, idx = move.recover
-            gy = conf.players[p].gy
-            if cp != p or kind != GY or not 0 <= idx < len(gy):
-                raise IllegalMove("bad recovery target")
-            if inst.card == MOF and not _is_spell_cid(gy[idx]):
-                raise IllegalMove("Magician of Faith recovers spells only")
-            if inst.card == MOD and not _is_trap_cid(gy[idx]):
-                raise IllegalMove("Mask of Darkness recovers traps only")
-        return
-
-    if isinstance(move, ChangeEquipTarget):
-        if p != active or conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-            raise IllegalMove("retargets happen in your main phase")
-        eq = conf.instance_at(move.equip)
-        if eq is None or eq.card != FLINT or not eq.face_up or move.equip[0] != p:
-            raise IllegalMove("you must control the face-up Flint")
-        if eq.equipped_to is None:
-            raise IllegalMove("Flint is not equipped")
-        tgt = conf.instance_at(move.new_target)
-        if tgt is None or not tgt.face_up or move.new_target[0] != p:
-            raise IllegalMove("new target must be your face-up monster")
-        if move.new_target == eq.equipped_to:
-            raise IllegalMove("already equipped there")
-        cur = conf.instance_at(eq.equipped_to)
-        involves_lock = tgt.card == FLINT_LOCK or (cur is not None and cur.card == FLINT_LOCK)
-        if not involves_lock:
-            raise IllegalMove("a Flint Lock must move the equip")
-        return
-
-    if isinstance(move, DeclareAttack):
-        if p != active or conf.phase != Phase.BATTLE:
-            raise IllegalMove("attacks happen in your battle phase")
-        if conf.turn == 1:
-            raise IllegalMove("the starting player cannot attack on turn 1")
-        if _controls_faceup(conf, 1 - p, ATTRAFFIC) is not None:
-            raise IllegalMove("your monsters cannot declare attacks")
-        att = conf.instance_at(move.attacker)
-        if att is None or move.attacker[0] != p or not att.face_up:
-            raise IllegalMove("attacker must be your face-up monster")
-        key = move.attacker[1] * 16 + move.attacker[2] + (256 if move.attacker[1] == EXTRA else 0)
-        if key in conf.attacked:
-            raise IllegalMove("this monster already attacked")
-        for _sloc, st in conf.iter_spelltraps():
-            if st.equipped_to == move.attacker and st.card == FLINT and st.face_up:
-                raise IllegalMove("Flint stops the equipped monster from attacking")
-        if move.target == DIRECT:
-            opp_has = conf.players[1 - p].monster_count() > 0
-            if opp_has and _controls_faceup(conf, p, ATTRAFFIC) is None:
-                raise IllegalMove("opponent controls monsters")
-            return
-        tgt = conf.instance_at(move.target)
-        if tgt is None or move.target[0] != 1 - p or move.target[1] not in (MZONE, EXTRA):
-            raise IllegalMove("attack target must be an opponent monster")
-        return
-
-    if isinstance(move, ActivateEffect):
-        if move.effect not in EFFECTS:
-            raise IllegalMove(f"unknown effect {move.effect!r}")
-        if not _activation_timing_ok(conf, p, move.effect, move.source):
-            raise IllegalMove("activation timing is wrong")
-        if move.chain:
-            effects = frozenset({move.effect} | {l.effect for l in move.chain})
-            if not any(effects <= pat for pat in _CHAIN_PATTERNS):
-                raise IllegalMove("unsupported chain construction")
-            for link in move.chain:
-                if not _activation_timing_ok(conf, p, link.effect, link.source):
-                    raise IllegalMove("chain link timing is wrong")
-                chk, _res, _cand = EFFECTS[link.effect]
-                chk(conf, p, link.source, link.targets, link.extras)
-        chk, _res, _cand = EFFECTS[move.effect]
-        chk(conf, p, move.source, move.targets, move.extras)
-        return
-
-    raise IllegalMove(f"unhandled move {move!r}")
+def _no_check(conf: Configuration, move: Move) -> None:
+    pass
 
 
-# --- apply -----------------------------------------------------------------
-
-
-def apply(conf: Configuration, move: Move) -> Configuration:
-    """The transition function: deterministic, pure; raises IllegalMove."""
-    check_legal(conf, move)
-    p = move.player
-
-    if isinstance(move, DrawCard):
-        if conf.turn == 0:
-            conf2 = _draw_cards(conf, p, 1, by_effect=False)
-            if len(conf2.players[0].hand) == 5 and len(conf2.players[1].hand) < 5:
-                conf2 = replace(conf2, priority=1)
-            elif len(conf2.players[1].hand) == 5:
-                conf2 = replace(conf2, priority=0)
-            return conf2
-        conf2 = _draw_cards(conf, p, 1, by_effect=False)
+def _apply_draw(conf: Configuration, move: DrawCard) -> Configuration:
+    conf2 = _draw_cards(conf, move.player, 1, by_effect=False)
+    if conf.turn != 0:
         return replace(conf2, draw_done=True)
-
-    if isinstance(move, Pass):
-        return _apply_pass(conf, p)
-
-    if isinstance(move, AdvancePhase):
-        return _advance_phase(conf)
-
-    if isinstance(move, DiscardToLimit):
-        conf2 = conf
-        for cid in move.cards:
-            conf2 = _remove_hand(conf2, p, cid)
-            conf2 = _add_gy(conf2, p, cid)
-        return conf2
-
-    if isinstance(move, NormalSummon):
-        conf2 = conf
-        for z in move.tributes:
-            conf2 = _leave_field(conf2, (p, MZONE, z), "gy")
-        conf2 = _remove_hand(conf2, p, move.card)
-        inst = CardInstance(
-            move.card,
-            face_up=move.face_up,
-            position=ATK if move.face_up else DEF,
-            set_turn=conf.turn if not move.face_up else -1,
-            face_since=conf.turn,
-            summoned_turn=conf.turn if move.face_up else -1,
-        )
-        conf2 = _set_slot(conf2, (p, MZONE, move.zone), inst)
-        return replace(conf2, normal_summons_used=conf2.normal_summons_used + 1)
-
-    if isinstance(move, SetSpellTrap):
-        conf2 = _remove_hand(conf, p, move.card)
-        inst = CardInstance(move.card, face_up=False, set_turn=conf.turn,
-                            face_since=conf.turn)
-        loc = (p, FZONE, 0) if move.zone == -1 else (p, SZONE, move.zone)
-        return _set_slot(conf2, loc, inst)
-
-    if isinstance(move, FlipSummon):
-        conf2 = _flip_up(conf, (p, MZONE, move.zone), ATK)
-        return _resolve_flip_trigger(conf2, (p, MZONE, move.zone), move.recover)
-
-    if isinstance(move, ChangeEquipTarget):
-        eq = conf.instance_at(move.equip)
-        tgt = conf.instance_at(move.new_target)
-        conf2 = _set_slot(conf, move.equip, replace(eq, equipped_to=move.new_target))
-        # the gain fires when a Flint Lock pulls the equip onto itself;
-        # parking it back on another monster is free
-        if tgt.card == FLINT_LOCK and _controls_faceup(conf2, p, MORALE_BOOST) is not None:
-            conf2 = _adjust_lp(conf2, p, 1000)
-        return conf2
-
-    if isinstance(move, DeclareAttack):
-        return _apply_attack(conf, move)
-
-    if isinstance(move, ActivateEffect):
-        conf2 = conf
-        # spell counters accrue per spell activation while the citadel is up
-        n_spells = _count_spell_activations(conf2, move)
-        cloc = _citadel_loc(conf2)
-        if cloc is not None and n_spells:
-            cit = conf2.instance_at(cloc)
-            conf2 = _set_slot(conf2, cloc, replace(cit, counters=cit.counters + n_spells))
-        links = list(move.chain)
-        for link in reversed(links):
-            conf2 = _resolve_activation(conf2, p, link.effect, link.source,
-                                        link.targets, link.extras)
-        conf2 = _resolve_activation(conf2, p, move.effect, move.source,
-                                    move.targets, move.extras)
-        if conf.priority != conf.active:
-            conf2 = replace(conf2, priority=conf.active)
-        return conf2
-
-    raise IllegalMove(f"unhandled move {move!r}")
+    if len(conf2.players[0].hand) == 5 and len(conf2.players[1].hand) < 5:
+        return replace(conf2, priority=1)
+    if len(conf2.players[1].hand) == 5:
+        return replace(conf2, priority=0)
+    return conf2
 
 
-def _apply_pass(conf: Configuration, p: int) -> Configuration:
+def _chk_discard(conf: Configuration, move: DiscardToLimit) -> None:
+    hand = list(conf.players[move.player].hand)
+    if len(move.cards) != len(hand) - HAND_LIMIT:
+        raise IllegalMove("discard exactly down to six")
+    for cid in move.cards:
+        if cid not in hand:
+            raise IllegalMove("discard cards must be in hand")
+        hand.remove(cid)
+
+
+def _apply_discard(conf: Configuration, move: DiscardToLimit) -> Configuration:
+    for cid in move.cards:
+        conf = _remove_hand(conf, move.player, cid)
+        conf = _add_gy(conf, move.player, cid)
+    return conf
+
+
+def _cand_discard(conf: Configuration, p: int) -> Iterable[Move]:
+    hand = sorted(conf.players[p].hand)
+    combos = itertools.combinations(hand, len(hand) - HAND_LIMIT)
+    for combo in itertools.islice(combos, _COMBO_CAP):
+        yield DiscardToLimit(p, combo)
+
+
+# the tributes each normal-summonable monster takes: none up to level 4,
+# one up to level 6, two above
+_SUMMON_TRIBUTES = {spec.id: (spec.stats.level > 4) + (spec.stats.level > 6) for spec in _ALL_CARDS
+                    if spec.is_monster and spec.kind not in (Kind.LINK_MONSTER, Kind.FUSION_MONSTER)}
+
+
+def _chk_summon(conf: Configuration, move: NormalSummon) -> None:
+    if move.card == FILLER:
+        raise IllegalMove("the opponent's proxy fillers are inert")
+    need = _SUMMON_TRIBUTES.get(move.card)
+    if need is None:
+        raise IllegalMove("not a normal-summonable monster")
+    ps = conf.players[move.player]
+    if move.card not in ps.hand:
+        raise IllegalMove("card not in hand")
+    tributes = move.tributes
+    if len(tributes) != need:
+        raise IllegalMove(f"needs exactly {need} tribute(s)")
+    if need > 1 and len(set(tributes)) != need:
+        raise IllegalMove("duplicate tribute zones")
+    for z in tributes:
+        if not (0 <= z < N_MZONES) or ps.monsters[z] is None:
+            raise IllegalMove("tribute zone is empty")
+    if not (0 <= move.zone < N_MZONES):
+        raise IllegalMove("bad summon zone")
+    if ps.monsters[move.zone] is not None and move.zone not in tributes:
+        raise IllegalMove("summon zone occupied")
+
+
+def _apply_summon(conf: Configuration, move: NormalSummon) -> Configuration:
+    p = move.player
+    conf2 = conf
+    for z in move.tributes:
+        conf2 = _leave_field(conf2, (p, MZONE, z), "gy")
+    conf2 = _remove_hand(conf2, p, move.card)
+    inst = CardInstance(
+        move.card,
+        face_up=move.face_up,
+        position=ATK if move.face_up else DEF,
+        set_turn=conf.turn if not move.face_up else -1,
+        face_since=conf.turn,
+        summoned_turn=conf.turn if move.face_up else -1,
+    )
+    conf2 = _set_slot(conf2, (p, MZONE, move.zone), inst)
+    return replace(conf2, normal_summons_used=conf2.normal_summons_used + 1)
+
+
+def _cand_summon(conf: Configuration, p: int) -> Iterable[Move]:
+    """Each summonable hand monster into each free zone, or with the
+    tributes it takes into each zone those free."""
+    ps = conf.players[p]
+    empties = [i for i, m in enumerate(ps.monsters) if m is None]
+    occupied = [i for i, m in enumerate(ps.monsters) if m is not None]
+    for cid in sorted(set(ps.hand)):
+        need = _SUMMON_TRIBUTES.get(cid)
+        if need is None:
+            continue
+        for tribs in itertools.combinations(occupied, need):
+            for z in sorted(set(empties).union(tribs)):
+                yield NormalSummon(p, cid, z, True, tribs)
+                yield NormalSummon(p, cid, z, False, tribs)
+
+
+def _chk_set(conf: Configuration, move: SetSpellTrap) -> None:
+    p = move.player
+    if move.card == FILLER or move.card not in conf.players[p].hand:
+        raise IllegalMove("card not in hand")
+    spec = by_id(move.card)
+    if spec.is_monster:
+        raise IllegalMove("monsters are set with NormalSummon")
+    if spec.kind == Kind.FIELD_SPELL:
+        if move.zone != -1 or conf.players[p].field_zone is not None:
+            raise IllegalMove("field zone unavailable")
+    else:
+        if not (0 <= move.zone < N_SZONES):
+            raise IllegalMove("bad spell/trap zone")
+        if conf.players[p].spelltraps[move.zone] is not None:
+            raise IllegalMove("zone occupied")
+
+
+def _apply_set(conf: Configuration, move: SetSpellTrap) -> Configuration:
+    p = move.player
+    conf2 = _remove_hand(conf, p, move.card)
+    inst = CardInstance(move.card, face_up=False, set_turn=conf.turn, face_since=conf.turn)
+    loc = (p, FZONE, 0) if move.zone == -1 else (p, SZONE, move.zone)
+    return _set_slot(conf2, loc, inst)
+
+
+def _cand_set(conf: Configuration, p: int) -> Iterable[Move]:
+    """Each hand spell or trap: a field spell into the field zone, the rest
+    into the first free spell/trap zone."""
+    ps = conf.players[p]
+    first_free = [i for i, s in enumerate(ps.spelltraps) if s is None][:1]
+    for cid in sorted(set(ps.hand)):
+        if _is_monster_cid(cid):
+            continue
+        for zone in ((-1,) if by_id(cid).kind == Kind.FIELD_SPELL else first_free):
+            yield SetSpellTrap(p, cid, zone)
+
+
+def _chk_flip(conf: Configuration, move: FlipSummon) -> None:
+    p = move.player
+    inst = conf.players[p].monsters[move.zone] if 0 <= move.zone < N_MZONES else None
+    if inst is None or inst.face_up:
+        raise IllegalMove("no face-down monster there")
+    if inst.face_since >= conf.turn or inst.set_turn == conf.turn:
+        raise IllegalMove("cannot flip the turn it was set or turned face-down")
+    if move.recover is not None and inst.card not in (MOF, MOD):
+        raise IllegalMove("this monster has no recovery choice")
+    if move.recover is not None:
+        cp, kind, idx = move.recover
+        gy = conf.players[p].gy
+        if cp != p or kind != GY or not 0 <= idx < len(gy):
+            raise IllegalMove("bad recovery target")
+        if inst.card == MOF and not _is_spell_cid(gy[idx]):
+            raise IllegalMove("Magician of Faith recovers spells only")
+        if inst.card == MOD and not _is_trap_cid(gy[idx]):
+            raise IllegalMove("Mask of Darkness recovers traps only")
+
+
+def _apply_flip(conf: Configuration, move: FlipSummon) -> Configuration:
+    loc = (move.player, MZONE, move.zone)
+    return _resolve_flip_trigger(_flip_up(conf, loc, ATK), loc, move.recover)
+
+
+def _cand_flip(conf: Configuration, p: int) -> Iterable[Move]:
+    """Each face-down monster, and a recovery magician with each graveyard card."""
+    ps = conf.players[p]
+    for i, inst in enumerate(ps.monsters):
+        if inst is None or inst.face_up:
+            continue
+        yield FlipSummon(p, i)
+        if inst.card in (MOF, MOD):
+            for idx in range(len(ps.gy)):
+                yield FlipSummon(p, i, (p, GY, idx))
+
+
+def _chk_retarget(conf: Configuration, move: ChangeEquipTarget) -> None:
+    p = move.player
+    eq = conf.instance_at(move.equip)
+    if eq is None or eq.card != FLINT or not eq.face_up or move.equip[0] != p:
+        raise IllegalMove("you must control the face-up Flint")
+    if eq.equipped_to is None:
+        raise IllegalMove("Flint is not equipped")
+    tgt = conf.instance_at(move.new_target)
+    if tgt is None or not tgt.face_up or move.new_target[0] != p:
+        raise IllegalMove("new target must be your face-up monster")
+    if move.new_target == eq.equipped_to:
+        raise IllegalMove("already equipped there")
+    cur = conf.instance_at(eq.equipped_to)
+    if tgt.card != FLINT_LOCK and (cur is None or cur.card != FLINT_LOCK):
+        raise IllegalMove("a Flint Lock must move the equip")
+
+
+def _apply_retarget(conf: Configuration, move: ChangeEquipTarget) -> Configuration:
+    p = move.player
+    eq = conf.instance_at(move.equip)
+    tgt = conf.instance_at(move.new_target)
+    conf2 = _set_slot(conf, move.equip, replace(eq, equipped_to=move.new_target))
+    # the gain fires when a Flint Lock pulls the equip onto itself;
+    # parking it back on another monster is free
+    if tgt.card == FLINT_LOCK and _controls_faceup(conf2, p, MORALE_BOOST) is not None:
+        conf2 = _adjust_lp(conf2, p, 1000)
+    return conf2
+
+
+def _cand_retarget(conf: Configuration, p: int) -> Iterable[Move]:
+    """Each Flint onto each of p's monsters."""
+    for sloc, st in conf.iter_spelltraps():
+        if st.card == FLINT:
+            for mloc, _m in conf.iter_monsters():
+                if mloc[0] == p:
+                    yield ChangeEquipTarget(p, sloc, mloc)
+
+
+def _attack_key(loc: Loc) -> int:
+    return loc[1] * 16 + loc[2] + (256 if loc[1] == EXTRA else 0)
+
+
+def _chk_attack(conf: Configuration, move: DeclareAttack) -> None:
+    p = move.player
+    att = conf.instance_at(move.attacker)
+    if att is None or move.attacker[0] != p or not att.face_up:
+        raise IllegalMove("attacker must be your face-up monster")
+    if _attack_key(move.attacker) in conf.attacked:
+        raise IllegalMove("this monster already attacked")
+    for _sloc, st in conf.iter_spelltraps():
+        if st.equipped_to == move.attacker and st.card == FLINT and st.face_up:
+            raise IllegalMove("Flint stops the equipped monster from attacking")
+    if move.target == DIRECT:
+        opp_has = conf.players[1 - p].monster_count() > 0
+        if opp_has and _controls_faceup(conf, p, ATTRAFFIC) is None:
+            raise IllegalMove("opponent controls monsters")
+        return
+    tgt = conf.instance_at(move.target)
+    if tgt is None or move.target[0] != 1 - p or move.target[1] not in (MZONE, EXTRA):
+        raise IllegalMove("attack target must be an opponent monster")
+
+
+def _cand_attack(conf: Configuration, p: int) -> Iterable[Move]:
+    """Each of p's monsters, directly and at each opponent monster."""
+    for mloc, _m in conf.iter_monsters():
+        if mloc[0] != p:
+            continue
+        yield DeclareAttack(p, mloc, DIRECT)
+        for tloc, _t in conf.iter_monsters():
+            if tloc[0] == 1 - p:
+                yield DeclareAttack(p, mloc, tloc)
+
+
+def _chk_timely(conf: Configuration, move: ActivateEffect) -> None:
+    if move.effect not in EFFECTS:
+        raise IllegalMove(f"unknown effect {move.effect!r}")
+    if not _activation_timing_ok(conf, move.player, move.effect, move.source):
+        raise IllegalMove("activation timing is wrong")
+
+
+def _chk_activate(conf: Configuration, move: ActivateEffect) -> Optional[Configuration]:
+    p = move.player
+    if move.chain:
+        effects = frozenset({move.effect} | {l.effect for l in move.chain})
+        if not any(effects <= pat for pat in _CHAIN_PATTERNS):
+            raise IllegalMove("unsupported chain construction")
+        for link in move.chain:
+            if not _activation_timing_ok(conf, p, link.effect, link.source):
+                raise IllegalMove("chain link timing is wrong")
+            EFFECTS[link.effect][0](conf, p, link.source, link.targets, link.extras)
+    EFFECTS[move.effect][0](conf, p, move.source, move.targets, move.extras)
+    # a continuous, equip or field spell from the hand stays on the field
+    if move.source[1] == HAND:
+        kind = by_id(move.source[2]).kind
+        if kind in (Kind.CONTINUOUS_SPELL, Kind.EQUIP_SPELL) and _first_free(conf.players[p].spelltraps) is None:
+            raise IllegalMove("no free spell/trap zone")
+        if kind == Kind.FIELD_SPELL and conf.players[p].field_zone is not None:
+            raise IllegalMove("field zone occupied")
+    if move.effect == "bait_doll_force" or (move.extras or move.chain) and any(
+            link.effect == "desert_sunlight_flip_up" and link.extras for link in (move, *move.chain)):
+        # a forced trap's check and the flip choices read the board as the
+        # chain resolves: they are checked by resolving it, and apply takes
+        # the result
+        return _apply_activate(conf, move)
+    return None
+
+
+def _apply_activate(conf: Configuration, move: ActivateEffect) -> Configuration:
+    p = move.player
+    conf2 = conf
+    # spell counters accrue per spell activation while the citadel is up
+    # (check_legal has validated every source)
+    n_spells = sum(by_id(_effect_card(conf, p, a.effect, a.source)).is_spell
+                   for a in (move, *move.chain))
+    cloc = _citadel_loc(conf2)
+    if cloc is not None and n_spells:
+        cit = conf2.instance_at(cloc)
+        conf2 = _set_slot(conf2, cloc, replace(cit, counters=cit.counters + n_spells))
+    # the chain resolves last link first
+    for a in (*reversed(move.chain), move):
+        conf2 = _resolve_activation(conf2, p, a.effect, a.source, a.targets, a.extras)
+    if conf.priority != conf.active:
+        conf2 = replace(conf2, priority=conf.active)
+    return conf2
+
+
+# the effects each card lists that have an EFFECTS row
+_ACTIVATABLE = {spec.id: tuple(e for e in spec.effects if e in EFFECTS) for spec in _ALL_CARDS}
+
+
+def _set_card_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
+    return [(effect, (p, SZONE, i)) for i, inst in enumerate(conf.players[p].spelltraps)
+            if inst is not None and not inst.face_up for effect in _ACTIVATABLE[inst.card]]
+
+
+def _activation_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
+    """(effect, source) pairs: the hand, set cards, Endymion in the
+    graveyard, the extra deck and the dragon in the extra monster zone."""
+    ps = conf.players[p]
+    sources = [(effect, (p, HAND, cid))
+               for cid in sorted(set(ps.hand)) for effect in _ACTIVATABLE.get(cid, ())]
+    sources += _set_card_sources(conf, p)
+    sources += [("endymion_counter_summon", (p, GY, idx))
+                for idx, cid in enumerate(ps.gy) if cid == ENDYMION]
+    sources += [(effect, (p, EXTRADECK, cid))
+                for cid in set(ps.extra_deck) for effect in _ACTIVATABLE[cid]]
+    if ps.extra_zone is not None and ps.extra_zone.card == SVD:
+        sources.append(("svd_negate", (p, EXTRA, 0)))
+    return sources
+
+
+def _cand_activate(conf: Configuration, p: int,
+                   sources: Optional[list[tuple[str, Loc]]] = None) -> Iterable[Move]:
+    """The effect rows' candidates from the (effect, source) pairs, all of
+    p's by default, built only for the effects whose timing is right now."""
+    for effect, source in _activation_sources(conf, p) if sources is None else sources:
+        if not _activation_timing_ok(conf, p, effect, source):
+            continue
+        cand = EFFECTS[effect][2]
+        combos = cand(conf, p, source) if cand else [((), ())]
+        for targets, extras in itertools.islice(combos, _COMBO_CAP):
+            yield ActivateEffect(p, effect, source, tuple(targets), tuple(extras))
+
+
+def _has_quick_move(conf: Configuration, p: int) -> bool:
+    """Whether p, whose turn it is not, can activate a set card now (the
+    only cards timely on the other player's turn): the window a Pass hands
+    over.  The search stops at the first activation that passes."""
+    return any(_passes(_chk_activate, conf, mv)
+               for mv in _cand_activate(conf, p, _set_card_sources(conf, p)))
+
+
+def _chk_advance(conf: Configuration, move: AdvancePhase) -> None:
+    if _has_quick_move(conf, 1 - move.player):
+        raise IllegalMove("opponent has a response window; pass instead")
+
+
+def _apply_pass(conf: Configuration, move: Pass) -> Configuration:
+    p = move.player
     if conf.turn == 0:
         return _advance_phase(conf)
     if p == conf.active:
-        if _quick_moves(conf, 1 - p):
+        if _has_quick_move(conf, 1 - p):
             return replace(conf, priority=1 - p)
         return _advance_phase(conf)
     return _advance_phase(replace(conf, priority=conf.active))
@@ -1604,8 +1617,7 @@ def _apply_attack(conf: Configuration, move: DeclareAttack) -> Configuration:
     p = move.player
     att_loc = move.attacker
     att = conf.instance_at(att_loc)
-    key = att_loc[1] * 16 + att_loc[2] + (256 if att_loc[1] == EXTRA else 0)
-    conf = replace(conf, attacked=conf.attacked | {key})
+    conf = replace(conf, attacked=conf.attacked | {_attack_key(att_loc)})
     atk = current_atk(conf, att_loc, att)
 
     if move.target == DIRECT:
@@ -1715,159 +1727,141 @@ def _end_phase_events(conf: Configuration) -> Configuration:
     return replace(conf, end_resolved=True)
 
 
-# --- enumeration ------------------------------------------------------------
+
+# --- the move table ----------------------------------------------------------
+
+
+class MoveKind(NamedTuple):
+    """A row of _KINDS.  The window, ``phases`` (the mover's own-turn
+    phases, None: any; refused with ``phase_msg``) then ``when``'s
+    (condition(conf, p), message) pairs, gates check_legal and, once per
+    kind, the candidates.  ``timely(conf, move)`` is a move's own window,
+    and ``candidates(conf, p)`` yields moves inside it only.  ``check``
+    raises IllegalMove, or returns the next configuration when it had to
+    resolve the move; ``apply`` runs on accepted moves only."""
+
+    phases: Optional[frozenset[Phase]]
+    phase_msg: str
+    check: Callable[[Configuration, Move], Optional[Configuration]]
+    apply: Callable[[Configuration, Move], Configuration]
+    candidates: Optional[Callable[[Configuration, int], Iterable[Move]]]
+    when: tuple[tuple[Callable[[Configuration, int], bool], str], ...] = ()
+    locators: Callable[[Move], tuple[Loc, ...]] = lambda move: ()
+    timely: Optional[Callable[[Configuration, Move], None]] = None
+
+
+_MAIN = frozenset({Phase.MAIN1, Phase.MAIN2})
+
+# in the order legal_moves offers them
+_KINDS: dict[type, MoveKind] = {
+    # a draw is made in a forced window only
+    DrawCard: MoveKind(frozenset(), "no draw available now",
+                       _no_check, _apply_draw, lambda conf, p: (DrawCard(p),)),
+    DiscardToLimit: MoveKind(frozenset({Phase.END}), "hand is within the limit",
+                             _chk_discard, _apply_discard, _cand_discard,
+                             ((lambda conf, p: len(conf.players[p].hand) > HAND_LIMIT,
+                               "hand is within the limit"),)),
+    NormalSummon: MoveKind(_MAIN, "normal summons happen in your main phase",
+                           _chk_summon, _apply_summon, _cand_summon,
+                           ((lambda conf, p: conf.normal_summons_used < conf.normal_summon_allowance,
+                             "no normal summons left this turn"),)),
+    SetSpellTrap: MoveKind(_MAIN, "sets happen in your main phase",
+                           _chk_set, _apply_set, _cand_set),
+    FlipSummon: MoveKind(_MAIN, "flip summons happen in your main phase",
+                         _chk_flip, _apply_flip, _cand_flip,
+                         locators=lambda mv: () if mv.recover is None else (mv.recover,)),
+    ChangeEquipTarget: MoveKind(_MAIN, "retargets happen in your main phase",
+                                _chk_retarget, _apply_retarget, _cand_retarget,
+                                locators=lambda mv: (mv.equip, mv.new_target)),
+    ActivateEffect: MoveKind(None, "", _chk_activate, _apply_activate, _cand_activate,
+                             locators=lambda mv: tuple(loc for a in (mv, *mv.chain)
+                                                       for loc in (a.source, *a.targets)),
+                             timely=_chk_timely),
+    DeclareAttack: MoveKind(frozenset({Phase.BATTLE}), "attacks happen in your battle phase",
+                            _chk_attack, _apply_attack, _cand_attack,
+                            ((lambda conf, p: conf.turn != 1,
+                              "the starting player cannot attack on turn 1"),
+                             (lambda conf, p: _controls_faceup(conf, 1 - p, ATTRAFFIC) is None,
+                              "your monsters cannot declare attacks")),
+                            locators=lambda mv: (mv.attacker,) + ((mv.target,) if mv.target != DIRECT else ())),
+    AdvancePhase: MoveKind(frozenset(Phase), "only the turn player advances phases",
+                           _chk_advance, lambda conf, move: _advance_phase(conf), None),
+    Pass: MoveKind(None, "", _no_check, _apply_pass, lambda conf, p: (Pass(p),)),
+}
+
+
+def _refusal(conf: Configuration, p: int, what: type, kind: MoveKind,
+             forced: Optional[tuple[tuple[type, ...], bool, str]]) -> Optional[str]:
+    """The message the window refuses a move of this type and kind with,
+    or None."""
+    if forced is not None:
+        allowed, decides, msg = forced
+        if what not in allowed:
+            return msg
+        if decides:
+            return None
+    if kind.phases is not None and (p != conf.active or conf.phase not in kind.phases):
+        return kind.phase_msg
+    for cond, msg in kind.when:
+        if not cond(conf, p):
+            return msg
+    return None
+
+
+def check_legal(conf: Configuration, move: Move) -> Optional[Configuration]:
+    """The only judge of legality: the prelude, the window, then the move
+    kind's timing and check.  Raises IllegalMove; returns the next
+    configuration when judging the move meant resolving it, else None."""
+    what = type(move)
+    kind = _KINDS.get(what)
+    if kind is None:
+        raise IllegalMove(f"unhandled move {move!r}")
+    p = move.player
+    forced = _prelude(conf, p, kind.locators(move))
+    msg = _refusal(conf, p, what, kind, forced)
+    if msg is not None:
+        raise IllegalMove(msg)
+    if forced is not None and forced[1]:
+        return None
+    if kind.timely is not None:
+        kind.timely(conf, move)
+    return kind.check(conf, move)
+
+
+def is_legal(conf: Configuration, move: Move) -> bool:
+    return _passes(check_legal, conf, move)
+
+
+def apply(conf: Configuration, move: Move) -> Configuration:
+    """The transition function: deterministic, pure; raises IllegalMove
+    through check_legal only."""
+    nxt = check_legal(conf, move)
+    return _KINDS[type(move)].apply(conf, move) if nxt is None else nxt
 
 
 def legal_moves(conf: Configuration, p: int) -> list[Move]:
-    """A finite, duplicate-free family of legal moves for p.
-
-    Exhaustive for every move with at most one free choice; effects with
-    subset-valued targets are enumerated through a bounded representative
-    family (the validator accepts the full space).
-    """
-    if _terminal(conf):
+    """The kinds' candidates that check_legal accepts, in table order and
+    without repeats.  The prelude and the window depend on the player and
+    the move type alone (candidates name board locators only), so they are
+    asked once per kind.  Subset-valued targets get a bounded
+    representative family."""
+    try:
+        forced = _prelude(conf, p)
+    except IllegalMove:
         return []
-    out: list[Move] = []
-    if conf.priority != p:
-        return out
-
-    if conf.turn == 0:
-        if len(conf.players[0].hand) < 5 or len(conf.players[1].hand) < 5:
-            return [DrawCard(p)]
-        return [Pass(p)]
-
-    active = conf.active
-    if conf.phase == Phase.DRAW and not conf.draw_done:
-        if p == active and len(conf.players[p].deck) > 0:
-            return [DrawCard(p)]
-        return []
-
-    hand_over = (
-        conf.phase == Phase.END and p == active
-        and len(conf.players[p].hand) > HAND_LIMIT
-    )
-    if hand_over:
-        hand = sorted(set(conf.players[p].hand))
-        n = len(conf.players[p].hand) - HAND_LIMIT
-        combos = itertools.islice(
-            itertools.combinations(sorted(conf.players[p].hand), n), _COMBO_CAP
-        )
-        seen = set()
-        for combo in combos:
-            if combo in seen:
-                continue
-            seen.add(combo)
-            out.append(DiscardToLimit(p, combo))
-        return out
-
-    if p != active:
-        out.extend(_quick_moves(conf, p))
-        out.append(Pass(p))
-        return _dedupe(out)
-
-    main = conf.phase in (Phase.MAIN1, Phase.MAIN2)
-    ps = conf.players[p]
-
-    if main and conf.normal_summons_used < conf.normal_summon_allowance:
-        empties = [i for i, m in enumerate(ps.monsters) if m is None]
-        occupied = [i for i, m in enumerate(ps.monsters) if m is not None]
-        for cid in sorted(set(ps.hand)):
-            if cid == FILLER:
-                continue
-            spec = by_id(cid)
-            if not spec.is_monster or spec.kind in (Kind.LINK_MONSTER, Kind.FUSION_MONSTER):
-                continue
-            level = spec.stats.level
-            need = _tribute_requirement(level)
-            if need == 0:
-                for z in empties:
-                    out.append(NormalSummon(p, cid, z, True))
-                    out.append(NormalSummon(p, cid, z, False))
-            else:
-                for tribs in itertools.combinations(occupied, need):
-                    zones = set(empties) | set(tribs)
-                    for z in sorted(zones):
-                        out.append(NormalSummon(p, cid, z, True, tribs))
-                        out.append(NormalSummon(p, cid, z, False, tribs))
-
-    if main:
-        st_empties = [i for i, s in enumerate(ps.spelltraps) if s is None]
-        for cid in sorted(set(ps.hand)):
-            if cid == FILLER or by_id(cid).is_monster:
-                continue
-            if by_id(cid).kind == Kind.FIELD_SPELL:
-                if ps.field_zone is None:
-                    out.append(SetSpellTrap(p, cid, -1))
-            elif st_empties:
-                out.append(SetSpellTrap(p, cid, st_empties[0]))
-        for i, inst in enumerate(ps.monsters):
-            if inst is None or inst.face_up:
-                continue
-            if inst.face_since >= conf.turn or inst.set_turn == conf.turn:
-                continue
-            out.append(FlipSummon(p, i))
-            if inst.card in (MOF, MOD):
-                want = _is_spell_cid if inst.card == MOF else _is_trap_cid
-                for idx, cid in enumerate(ps.gy):
-                    if want(cid):
-                        out.append(FlipSummon(p, i, (p, GY, idx)))
-        # Flint retargets
-        for sloc, st in conf.iter_spelltraps():
-            if st.card == FLINT and st.face_up and sloc[0] == p and st.equipped_to:
-                for mloc, m in conf.iter_monsters():
-                    if mloc[0] == p and m.face_up and mloc != st.equipped_to:
-                        mv = ChangeEquipTarget(p, sloc, mloc)
-                        if is_legal(conf, mv):
-                            out.append(mv)
-
-    # activations (hand, set cards, graveyard, extra deck); a continuous or
-    # equip spell played from the hand needs a free spell/trap zone to stay in
-    zone_free = None in ps.spelltraps
-    sources: list[tuple[str, Loc]] = []
-    for cid in sorted(set(ps.hand)):
-        if cid == FILLER:
+    accepted = forced is not None and forced[1]
+    out: dict[Move, None] = {}
+    for what, kind in _KINDS.items():
+        if kind.candidates is None or _refusal(conf, p, what, kind, forced) is not None:
             continue
-        if not zone_free and by_id(cid).kind in (Kind.CONTINUOUS_SPELL, Kind.EQUIP_SPELL):
-            continue
-        for effect in by_id(cid).effects:
-            sources.append((effect, (p, HAND, cid)))
-    sources += _set_card_sources(conf, p)
-    for idx, cid in enumerate(ps.gy):
-        if cid == ENDYMION:
-            sources.append(("endymion_counter_summon", (p, GY, idx)))
-    for cid in set(ps.extra_deck):
-        for effect in by_id(cid).effects:
-            sources.append((effect, (p, EXTRADECK, cid)))
-    if ps.extra_zone is not None and ps.extra_zone.card == SVD:
-        sources.append(("svd_negate", (p, EXTRA, 0)))
-    out.extend(_activations(conf, p, sources))
-
-    if conf.phase == Phase.BATTLE and conf.turn > 1 \
-            and _controls_faceup(conf, 1 - p, ATTRAFFIC) is None:
-        for mloc, m in conf.iter_monsters():
-            if mloc[0] != p or not m.face_up:
+        for mv in kind.candidates(conf, p):
+            try:
+                if not accepted:
+                    kind.check(conf, mv)
+            except IllegalMove:
                 continue
-            mv = DeclareAttack(p, mloc, DIRECT)
-            if is_legal(conf, mv):
-                out.append(mv)
-            for tloc, _t in conf.iter_monsters():
-                if tloc[0] == 1 - p:
-                    mv = DeclareAttack(p, mloc, tloc)
-                    if is_legal(conf, mv):
-                        out.append(mv)
-
-    out.append(Pass(p))
-    return _dedupe(out)
-
-
-def _dedupe(moves: list[Move]) -> list[Move]:
-    seen = set()
-    out = []
-    for m in moves:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
+            out[mv] = None
+    return list(out)
 
 
 # --- run validation ----------------------------------------------------------

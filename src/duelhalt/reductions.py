@@ -125,10 +125,11 @@ def parse_order(text: str) -> LinearOrder:
     if head[0] == "finite":
         if len(head) != 2:
             raise InvalidOrder("usage: finite <size>")
-        size = int(head[1])
-        rows = []
-        for ln in lines[1:]:
-            rows.append([int(tok) for tok in ln.split()])
+        try:
+            size = int(head[1])
+            rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
+        except ValueError as exc:
+            raise InvalidOrder(f"finite order: {exc}") from None
         if len(rows) != size:
             raise InvalidOrder(f"expected {size} matrix rows, got {len(rows)}")
         return finite_table(rows)

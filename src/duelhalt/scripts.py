@@ -219,13 +219,6 @@ def _p2_turn(line: Line, actions=()) -> None:
 # action helpers (each returns a callable on the line)
 
 
-def _ns(cid, zone=None, face_up=True, tributes=()):
-    def act(line: Line):
-        z = zone if zone is not None else _free_mzone(line.conf, 0)
-        line.do(NormalSummon(0, cid, z, face_up, tuple(tributes)))
-    return act
-
-
 def _summon_yata(line: Line) -> None:
     line.do(NormalSummon(0, YATA, _free_mzone(line.conf, 0), True))
 

@@ -94,6 +94,8 @@ def make_config(tape: dict[int, int], head: int, state: int, blank: int = 0) -> 
 
 
 def initial_config(m: TMachine, value: int) -> TMConfiguration:
+    if value < 0:
+        raise BadIndex(value)
     tape = {}
     pos = 0
     v = value
@@ -412,6 +414,8 @@ def run_bounded(e: int, value: int, t: int) -> Union[Converged, StillRunning]:
         raise BadIndex(e)
     if t < 0:
         raise BadIndex(t)
+    if value < 0:
+        raise BadIndex(value)
     m = machine_from_index(e)
     if isinstance(m, AppendixMachine):
         return _run_appendix(m, value, t)
@@ -441,6 +445,8 @@ def oracle_converges(z: int, s_code: int, n: int) -> bool:
     """
     if z < 0:
         raise BadIndex(z)
+    if n < 0:
+        raise BadIndex(n)
     try:
         s = seq_decode(s_code)
     except ValueError as exc:

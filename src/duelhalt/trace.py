@@ -37,9 +37,12 @@ def replay_trace(lines: Iterable[str], initial) -> Run:
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        move = decode_move(int(rec["move"]))
-        after = decode_configuration(int(rec["config"], 16))
+        try:
+            rec = json.loads(line)
+            move = decode_move(int(rec["move"]))
+            after = decode_configuration(int(rec["config"], 16))
+        except (KeyError, TypeError, ValueError, MalformedCode) as exc:
+            raise MalformedCode(f"trace line {n} is malformed: {exc}") from None
         if not transition_ok(configs[-1], after, move):
             raise MalformedCode(f"trace line {n} does not replay")
         configs.append(after)

@@ -165,3 +165,12 @@ def test_compile_tm_refuses_an_unbounded_counter_plan(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "index=" in captured.out
     assert captured.err.startswith("error: a counter plan of ")
+
+
+@pytest.mark.parametrize("order", ["finite x", "finite 2\n1 x\n0 1"],
+                         ids=["size", "entry"])
+def test_a_non_integer_order_is_an_error_line(capsys, order):
+    code = main(["check-win", "--reduce", "wo", "--order", order])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -30,9 +31,10 @@ from duelhalt.engine import (
 )
 from duelhalt.engine.config import GY, HAND, MZONE, CardInstance, update_player
 from duelhalt.engine.moves import decode_move, encode_move
-from duelhalt.engine.rules import EFFECTS, identity_order, is_initial
+from duelhalt.engine import rules
+from duelhalt.engine.rules import EFFECTS, identity_order, is_initial, is_legal
 from duelhalt.errors import IllegalDeck, IllegalMove, MalformedCode
-from duelhalt.scripts import increment_cycle
+from duelhalt.scripts import increment_cycle, set_counters
 from duelhalt.trace import replay_trace, trace_lines
 
 
@@ -293,6 +295,17 @@ def test_replay_trace_rejects_an_out_of_range_locator(board_b):
         replay_trace([json.dumps(rec)], last.configs[0])
 
 
+@pytest.mark.parametrize("bad", ['{}', '[1]', '{"move": "x"}', 'nul', '{"move": -1}',
+                                 'non-hex config'])
+def test_replay_trace_names_the_malformed_line(board_a, bad):
+    first = Run(board_a.run.configs[:2], board_a.run.moves[:1])
+    line = next(trace_lines(first))
+    if bad == 'non-hex config':
+        bad = json.dumps({**json.loads(line), "config": "zz"})
+    with pytest.raises(MalformedCode, match="trace line 2"):
+        replay_trace([line, bad], first.configs[0])
+
+
 def test_every_offered_move_applies_along_both_setups(board_a, board_b):
     # with every spell/trap zone full, continuous and equip spells in the
     # hand have nowhere to go and must not be offered
@@ -350,3 +363,85 @@ def test_folded_effect_rows_keep_their_messages(board_a, effect, targets, messag
     with pytest.raises(IllegalMove) as err:
         check(conf, 0, (0, HAND, 0), targets, ())
     assert str(err.value) == message
+
+
+# --- one source of legality ----------------------------------------------------
+
+
+def _applies(conf, move):
+    try:
+        apply(conf, move)
+    except IllegalMove:
+        return False
+    return True
+
+
+def _candidates(conf, p):
+    """Every move kind's candidates inside its window, before check_legal
+    filters them."""
+    forced = rules._prelude(conf, p)
+    for what, kind in rules._KINDS.items():
+        if kind.candidates is not None and rules._refusal(conf, p, what, kind, forced) is None:
+            yield from kind.candidates(conf, p)
+
+
+def test_is_legal_iff_apply_returns_on_every_candidate(board_a, board_b):
+    # the candidates include continuous and equip spells from the hand with
+    # every spell/trap zone full, which is_legal used to accept
+    tried = refused = 0
+    for board in (board_a, board_b):
+        for conf in board.run.configs:
+            for move in _candidates(conf, conf.priority):
+                legal = is_legal(conf, move)
+                assert legal == _applies(conf, move), move
+                tried += 1
+                refused += not legal
+    assert tried > 6000 and refused > 0
+
+
+def test_a_second_field_spell_needs_the_field_zone(board_a):
+    conf = board_a.final
+    citadel = lookup("Magical Citadel of Endymion").id
+    assert conf.players[0].field_zone.card == citadel
+    conf = update_player(conf, 0, hand=tuple(sorted(conf.players[0].hand + (citadel,))))
+    move = ActivateEffect(0, "citadel_counters", (0, HAND, citadel))
+    assert not is_legal(conf, move)
+    with pytest.raises(IllegalMove, match="field zone occupied"):
+        apply(conf, move)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_activations(_PLAYERS))
+def test_is_legal_iff_apply_returns_on_arbitrary_activations(board_b, move):
+    assert is_legal(board_b.final, move) == _applies(board_b.final, move)
+
+
+@pytest.mark.parametrize("extras", [(0,), (1, 2, 3)])
+def test_malformed_flip_choices_are_illegal(board_b, extras):
+    # Desert Sunlight chained to Soul Drain, as the set-up plays it
+    i = next(i for i, m in enumerate(board_b.run.moves)
+             if isinstance(m, ActivateEffect) and m.effect == "desert_sunlight_flip_up")
+    move = dataclasses.replace(board_b.run.moves[i], extras=extras)
+    assert not is_legal(board_b.run.configs[i], move)
+    with pytest.raises(IllegalMove, match="pairs"):
+        apply(board_b.run.configs[i], move)
+
+
+# SHA-256 over the legal-move lists (each list's repr and a newline) along
+# both set-up runs and set_counters(board_a.final, n) for n = 1..30: 1,940
+# lists, computed with the hand-written enumerator that the filter over the
+# move kinds' candidates replaced, so a reordered or changed list fails here
+_LEGAL_MOVES_SHA256 = "01350e29e12f2a8fca6ce7ce4e455ae6e66fccbaa84f1cf834007ab4e3c533f1"
+
+
+def test_legal_move_lists_are_pinned(board_a, board_b):
+    configs = list(board_a.run.configs) + list(board_b.run.configs)
+    for n in range(1, 31):
+        configs += set_counters(board_a.final, n).run.configs
+    digest = hashlib.sha256()
+    for conf in configs:
+        digest.update(repr(legal_moves(conf, conf.priority)).encode())
+        digest.update(b"\n")
+    assert len(configs) == 1940
+    assert digest.hexdigest() == _LEGAL_MOVES_SHA256

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -197,3 +199,31 @@ def test_parse_errors():
     with pytest.raises(TMParseError) as err:
         parse_tm("start a\na 1 > a 0 R\n")
     assert "line 2" in str(err.value)
+
+
+def _appendix_index():
+    return next(e for e in range(1000) if isinstance(machine_from_index(e), AppendixMachine))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_bounded(2, -1, 5),
+    lambda: run_bounded(_appendix_index(), -1, 5),
+    lambda: oracle_converges(2, seq_encode([0, 1, 1]), -1),
+    lambda: oracle_converges(_appendix_index(), seq_encode([0, 1, 1]), -1),
+    lambda: initial_config(machine_from_index(2), -3),
+], ids=["run_bounded", "run_bounded-appendix", "oracle_converges", "oracle_converges-appendix",
+        "initial_config"])
+def test_negative_input_is_a_bad_index(call):
+    # the input's binary expansion never ended on a negative value, and an
+    # appendix machine read it as a run that never converges
+    def hang(_signum, _frame):
+        raise TimeoutError("no answer within 5 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(BadIndex):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
