@@ -13,8 +13,8 @@ from . import carddb, reductions, scripts, tm, trace
 from .engine import is_winning_state, validate_run
 from .engine.rules import spell_counters
 from .errors import DeckParseError, DuelhaltError, InvalidOrder, TMParseError
-from .strategy import (Budget, WELL_FOUNDED, _p2_has_channel, check_winning, drive_to_choice,
-                       nis_strategy, play_opponent_number, replay_witness, to_tree,
+from .strategy import (Budget, NISStrategy, WELL_FOUNDED, _p2_has_channel, check_winning,
+                       drive_to_choice, play_opponent_number, replay_witness, to_tree,
                        well_founded_to_depth)
 
 
@@ -179,7 +179,7 @@ def cmd_duel(args) -> int:
             transcript = [ln.strip() for ln in fh if ln.strip()]
     base = reductions.setup("b")
     machine = _named_machine(args.machine)
-    strat = nis_strategy(machine, base.run)
+    strat = NISStrategy(machine, base.run)
     run = base.run
     print(f"second board ready; simulating phi_{machine} against your numbers")
     print("enter the LP gain in thousands each round; q resigns")
@@ -217,6 +217,10 @@ def cmd_duel(args) -> int:
                 if k < 0:
                     raise ValueError
             except ValueError:
+                if transcript is not None:
+                    print(f"error: script line {raw!r} is not a non-negative number or q",
+                          file=sys.stderr)
+                    return 2
                 print("enter a non-negative number or q")
                 continue
         run = play_opponent_number(run, strat, k)
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--script", help="transcript file of numbers")
     p.add_argument("--machine", default="successor")
-    p.add_argument("--max-rounds", type=int, default=50)
+    p.add_argument("--max-rounds", type=_int_at_least(1), default=50)
     p.set_defaults(fn=cmd_duel)
 
     return ap
@@ -303,7 +307,7 @@ def main(argv=None) -> int:
 
     try:
         return args.fn(args)
-    except (FileNotFoundError, DeckParseError, InvalidOrder, TMParseError) as exc:
+    except (OSError, UnicodeDecodeError, DeckParseError, InvalidOrder, TMParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DuelhaltError as exc:

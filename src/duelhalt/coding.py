@@ -59,44 +59,39 @@ def _nat_to_bits(n: int) -> str:
     return bin(n + 1)[3:]
 
 
-def _bits_to_nat(bits: str) -> int:
-    return int("1" + bits, 2) - 1
+# Read in base 4, a sequence code's bit pairs are its digits: 0 and 3 are an
+# element's doubled 0 and 1 bits, 1 (the pair 01) ends an element, and 2
+# (the pair 10) occurs in no code.
+_QUADS = str.maketrans({f"{i:x}": f"{i >> 2}{i & 3}" for i in range(16)})  # hex -> base 4
 
 
 def seq_encode(seq) -> int:
     """Encode a finite sequence of naturals as a natural; () -> 0."""
-    out = []
-    for v in seq:
-        b = _nat_to_bits(int(v))
-        for ch in b:
-            out.append(ch)
-            out.append(ch)
-        out.append("01")
-    return _bits_to_nat("".join(out))
+    vals = [int(v) + 1 for v in seq]
+    if not vals:
+        return 0
+    if min(vals) < 1:
+        raise ValueError("naturals only")
+    # bin(v + 1) is 0b1 and then v's bits: each element's digits, after an end mark
+    digits = "".join(map(bin, vals)).replace("1", "3").replace("0b3", "1")
+    return int("1" + digits[1:] + "1", 4) - 1
 
 
 def seq_decode(n: int) -> tuple[int, ...]:
     """Inverse of :func:`seq_encode`.
 
     Raises ValueError when the bit string is not a valid sequence code
-    (odd tail, truncated element).
+    (a pair 10, an odd tail, an element with no end mark), naming the
+    first fault reading left to right.
     """
     bits = _nat_to_bits(n)
-    vals: list[int] = []
-    cur: list[str] = []
-    i = 0
-    while i < len(bits):
-        if i + 1 >= len(bits):
-            raise ValueError("truncated sequence code")
-        a, b = bits[i], bits[i + 1]
-        i += 2
-        if a == b:
-            cur.append(a)
-        elif a == "0" and b == "1":
-            vals.append(_bits_to_nat("".join(cur)))
-            cur = []
-        else:
-            raise ValueError("invalid separator in sequence code")
-    if cur:
+    p = len(bits) // 2  # whole pairs; a leading hex 1 keeps their zeros
+    quads = format(int("0" + bits[:2 * p], 2) + 16 ** p, "x").translate(_QUADS)[p + 2:]
+    if "2" in quads:
+        raise ValueError("invalid separator in sequence code")
+    if len(bits) % 2:
+        raise ValueError("truncated sequence code")
+    *elements, rest = quads.split("1")
+    if rest:
         raise ValueError("dangling element in sequence code")
-    return tuple(vals)
+    return tuple(int("1" + e.replace("3", "1"), 2) - 1 for e in elements)

@@ -197,6 +197,8 @@ class _R:
 
 
 def decode_move(code: int) -> Move:
+    if code < 0:
+        raise MalformedCode("move codes are naturals")
     tag, rest = unpair(code)
     if not 0 <= tag < len(_TAGS):
         raise MalformedCode(f"unknown move tag {tag}")

@@ -346,24 +346,24 @@ def _resolve_flip_trigger(
     if inst.card in (MOF, MOD):
         if choice is None:
             return conf
-        cp, kind, idx = choice
-        if cp != p or kind != GY:
-            raise IllegalMove("flip recovery must target the controller's graveyard")
-        ps = conf.players[p]
-        if not 0 <= idx < len(ps.gy):
-            raise IllegalMove("flip recovery index out of range")
-        cid = ps.gy[idx]
-        spec = by_id(cid) if cid != FILLER else None
-        if spec is None:
-            raise IllegalMove("cannot recover a filler card")
-        if inst.card == MOF and not spec.is_spell:
-            raise IllegalMove("Magician of Faith recovers spells only")
-        if inst.card == MOD and not spec.is_trap:
-            raise IllegalMove("Mask of Darkness recovers traps only")
-        gy = ps.gy[:idx] + ps.gy[idx + 1 :]
-        conf = update_player(conf, p, gy=gy)
-        return _add_hand(conf, p, cid)
+        _chk_recovery(conf, p, inst.card, choice)
+        ps, idx = conf.players[p], choice[2]
+        conf = update_player(conf, p, gy=ps.gy[:idx] + ps.gy[idx + 1 :])
+        return _add_hand(conf, p, ps.gy[idx])
     return conf
+
+
+def _chk_recovery(conf: Configuration, p: int, card: int, choice: Loc) -> None:
+    """The one judge of a flip recovery, whether a flip summon or Desert
+    Sunlight's flip choices make it: Magician of Faith takes a spell,
+    Mask of Darkness a trap, from its controller's graveyard."""
+    cp, kind, idx = choice
+    gy = conf.players[p].gy
+    _require(cp == p and kind == GY and 0 <= idx < len(gy), "bad recovery target")
+    if card == MOF:
+        _require(_is_spell_cid(gy[idx]), "Magician of Faith recovers spells only")
+    else:
+        _require(_is_trap_cid(gy[idx]), "Mask of Darkness recovers traps only")
 
 
 def _flip_up_phase(conf: Configuration, p: int) -> tuple[Configuration, list[int]]:
@@ -1398,14 +1398,7 @@ def _chk_flip(conf: Configuration, move: FlipSummon) -> None:
     if move.recover is not None and inst.card not in (MOF, MOD):
         raise IllegalMove("this monster has no recovery choice")
     if move.recover is not None:
-        cp, kind, idx = move.recover
-        gy = conf.players[p].gy
-        if cp != p or kind != GY or not 0 <= idx < len(gy):
-            raise IllegalMove("bad recovery target")
-        if inst.card == MOF and not _is_spell_cid(gy[idx]):
-            raise IllegalMove("Magician of Faith recovers spells only")
-        if inst.card == MOD and not _is_trap_cid(gy[idx]):
-            raise IllegalMove("Mask of Darkness recovers traps only")
+        _chk_recovery(conf, p, inst.card, move.recover)
 
 
 def _apply_flip(conf: Configuration, move: FlipSummon) -> Configuration:

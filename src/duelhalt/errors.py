@@ -52,10 +52,6 @@ class ZeroTarget(DuelhaltError):
     """Counter value 0 is reserved and unreachable by design."""
 
 
-class BoardNotReady(DuelhaltError):
-    """Configuration is not in the expected deck-B board shape."""
-
-
 class BadIndex(DuelhaltError):
     """Index outside the machine enumeration's domain."""
 

@@ -15,7 +15,7 @@ from .coding import pair, unpair
 from .errors import DuelhaltError, InvalidOrder
 from .engine import Run
 from .scripts import ScriptResult, set_counters, setup_run_a, setup_run_b
-from .strategy import Strategy, nis_strategy, tm_strategy, wo_strategy
+from .strategy import NISStrategy, Strategy, TMStrategy, WOStrategy
 from . import tm as tmmod
 
 
@@ -171,18 +171,18 @@ def reduce_halting(e: int) -> ReductionOutput:
         base.run.configs + ext.run.configs[1:],
         base.run.moves + ext.run.moves,
     )
-    return ReductionOutput(run, tm_strategy(e))
+    return ReductionOutput(run, TMStrategy(e))
 
 
 def reduce_nis(e: int) -> ReductionOutput:
     base = setup("b")
-    return ReductionOutput(base.run, nis_strategy(e, base.run))
+    return ReductionOutput(base.run, NISStrategy(e, base.run))
 
 
 def reduce_wo(x: LinearOrder) -> ReductionOutput:
     x.validate()
     base = setup("b")
-    return ReductionOutput(base.run, wo_strategy(x, base.run))
+    return ReductionOutput(base.run, WOStrategy(x, base.run))
 
 
 # --- the appendix: f, g, and chain searches ---------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .carddb import DeckList, deck_a, deck_b, filler_deck, lookup
 from .errors import (
-    BoardNotReady,
     IllegalMove,
     InsufficientCounters,
     NotLoopReady,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .engine import (
     ActivateEffect,
-    ChangeEquipTarget,
     Configuration,
     DeclareAttack,
     DiscardToLimit,
@@ -984,37 +982,3 @@ def board_diff(conf: Configuration, deck: str) -> list[str]:
         for key in want
         if got[key] != want[key]
     ]
-
-
-def flintlock_gain(conf: Configuration, k: int) -> ScriptResult:
-    """The opponent chooses the number k: k lock pulls, then park the equip.
-
-    Expects the second construction's board on the opponent's turn; the
-    gain is 1000 per pull and the equip ends back on the ventriloquists.
-    """
-    if k < 0:
-        raise BoardNotReady("k must be non-negative")
-    if conf.active != 1:
-        raise BoardNotReady("the number channel runs on the opponent's turn")
-    line = Line(conf)
-    if line.conf.phase == Phase.DRAW:
-        _pass_until(line, lambda c: c.phase == Phase.MAIN1 or c.turn > conf.turn)
-    p2 = line.conf.players[1]
-    locks = [i for i, m in enumerate(p2.monsters)
-             if m is not None and m.card == FLINTLOCK and m.face_up]
-    clara = [i for i, m in enumerate(p2.monsters)
-             if m is not None and m.card == CLARA]
-    if len(locks) < 2 or not clara:
-        raise BoardNotReady("the two Flint Locks and the ventriloquists are needed")
-    flint_zone = None
-    for i, st in enumerate(p2.spelltraps):
-        if st is not None and st.card == FLINT and st.face_up:
-            flint_zone = i
-    if flint_zone is None:
-        raise BoardNotReady("Flint is not on the opponent's field")
-    eq = (1, SZONE, flint_zone)
-    for i in range(k):
-        line.do(ChangeEquipTarget(1, eq, (1, MZONE, locks[i % 2])))
-    if k:
-        line.do(ChangeEquipTarget(1, eq, (1, MZONE, clara[0])))
-    return line.result()

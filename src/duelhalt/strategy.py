@@ -1,22 +1,26 @@
 """Strategies, the budgeted winning checker, and strategy trees.
 
 A strategy is a partial function from runs to Player 1's next
-configuration.  The three families here plan one of their own turns at a
-time and replay the plan move by move; outside their scripted prefixes
-they are undefined, matching the localization picture.
+configuration, and a move depends only on the configuration and the
+strategy's heard state: what it made of the opponent's numbers so far.
+`observe` derives the state from a run in one walk and `hear` advances it
+per finished opponent turn, so the explorer carries (run, state) and never
+re-walks a run.  The three families plan one of their own turns at a time
+and replay the plan move by move; outside their scripted prefixes they
+are undefined, matching the localization picture.
 
-The winning checker explores every opponent line inside a budget.  The
-opponent's only real choices in these constructions are numbers spoken
-through the equip-retarget channel, so a turn of theirs is canonicalized
-to "pull the equip k times, then park it (or not)".  A budget can declare
-its number cap exhaustive (the bounded-adversary reading used by the desk
-tests); otherwise running into the cap yields an honest Undetermined.
+The winning checker and the strategy trees share one explorer of the
+opponent's choices.  Those are numbers spoken through the equip-retarget
+channel, so a turn of theirs is canonicalized to "pull the equip k times,
+then park it (or not)".  A budget can declare its number cap exhaustive
+(the bounded-adversary reading used by the desk tests); otherwise running
+into the cap yields an honest Undetermined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .coding import pair, unpair, untriple
 from .errors import (
@@ -40,6 +44,7 @@ from .engine import (
     Phase,
     Run,
     apply,
+    encode_configuration,
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
@@ -91,38 +96,50 @@ class WinVerdict:
         return self.kind == WIN
 
 
+# the channel strategies' final heard states: off the base run, a broken chain
+OFF = "off"
+BROKEN = "broken"
+
+
 class Strategy:
-    """Deterministic turn planner with per-configuration move lookup."""
+    """Deterministic turn planner: a move depends only on the configuration
+    and the heard state."""
 
-    descriptor: tuple
-
-    def __init__(self, descriptor):
+    def __init__(self, descriptor: tuple):
         self.descriptor = descriptor
-        self._plan: dict[Configuration, Move] = {}
+        self._plan: dict[tuple[Configuration, Hashable], Move] = {}
 
-    # -- public surface -------------------------------------------------------
-
-    def next_move(self, run: Run) -> Optional[Move]:
+    def observe(self, run: Run) -> Hashable:
+        """The heard state at the end of the run, from one walk of it."""
         if not isinstance(run, Run):
-            raise TypeError("strategies take the whole run, not a configuration")
-        conf = run.last()
+            raise TypeError("strategies hear the whole run, not a configuration")
+        return None
+
+    def hear(self, state: Hashable, n: int) -> Hashable:
+        """The state after an opponent turn that spoke the number n."""
+        return state
+
+    def next_move(self, conf: Configuration, state: Hashable) -> Optional[Move]:
+        """Our move at conf; None where the strategy is undefined."""
         if conf.priority != 0:
             return None
         if conf.active == 1:
             return Pass(0)  # response windows during their turn: wave through
-        if conf in self._plan:
-            return self._plan[conf]
-        planned = self._plan_turn(conf, run)
+        mode = self._reads(state)
+        if (conf, mode) in self._plan:
+            return self._plan[conf, mode]
+        planned = self._plan_turn(conf, mode)
         if not planned:
             return None
         moves, configs = planned
-        for c, mv in zip(configs, moves):
-            self._plan[c] = mv
-        return self._plan.get(conf)
+        self._plan.update(((c, mode), mv) for c, mv in zip(configs, moves))
+        return self._plan.get((conf, mode))
 
-    # -- subclass hook --------------------------------------------------------
+    def _reads(self, state: Hashable) -> Hashable:
+        """What the planner reads from the state; plans are cached on it."""
+        return None
 
-    def _plan_turn(self, conf: Configuration, run: Run
+    def _plan_turn(self, conf: Configuration, mode: Hashable
                    ) -> Optional[tuple[list[Move], list[Configuration]]]:
         """Plan the turn from conf: (moves, the configs they apply from)."""
         raise NotImplementedError
@@ -131,18 +148,19 @@ class Strategy:
 _PLAN_FAILS = (ScriptBroken, NotLoopReady, InsufficientCounters, IllegalMove, MalformedCode)
 
 
-def _plan_own_turn(conf: Configuration, play: Callable[[Line], None]
+def _plan_own_turn(conf: Configuration, play: Callable[..., None], *args
                    ) -> Optional[tuple[list[Move], list[Configuration]]]:
-    """Simulate one of our turns from conf: walk to the main phase, let play
-    fill it, and pass the turn unless the game is won.  None when the turn
-    does not start in a main phase or a step of it is not legal."""
+    """Simulate one of our turns from conf: walk to the main phase, let
+    play(line, *args) fill it, and pass the turn unless the game is won.
+    None when the turn does not start in a main phase or a step of it is
+    not legal."""
     line = Line(conf)
     try:
         if conf.phase == Phase.DRAW:
             _to_phase(line, Phase.MAIN1)
         if line.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
             return None
-        play(line)
+        play(line, *args)
         if not is_winning_state(line.conf, 0):
             _end_turn(line)
     except _PLAN_FAILS:
@@ -184,7 +202,7 @@ class TMStrategy(Strategy):
             m = tmmod.EMPTY_MACHINE  # no tape semantics; treat as immediate halt
         self.machine = m
 
-    def _plan_turn(self, conf, run):
+    def _plan_turn(self, conf, mode):
         return _plan_own_turn(conf, self._play_turn)
 
     def _play_turn(self, line: Line) -> None:
@@ -213,30 +231,10 @@ class TMStrategy(Strategy):
             _offer_magician(line, zone)
 
 
-def _p2_turn_gains(run: Run, from_index: int) -> list[int]:
-    """Numbers heard so far: +1000 steps of their LP per completed turn."""
-    configs = run.configs
-    gains: list[int] = []
-    current: Optional[int] = None  # turn number of the opponent turn in progress
-    count = 0
-    for i in range(from_index, len(configs)):
-        c = configs[i]
-        if c.active == 1:
-            if current is None or c.turn != current:
-                if current is not None:
-                    gains.append(count)
-                current = c.turn
-                count = 0
-            if i + 1 < len(configs) and configs[i + 1].turn == c.turn:
-                delta = configs[i + 1].players[1].lp - c.players[1].lp
-                if delta == 1000:
-                    count += 1
-        elif current is not None:
-            gains.append(count)
-            current = None
-            count = 0
-    # an opponent turn still in progress has not produced its number yet
-    return gains
+def _spoke(conf: Configuration, nxt: Configuration) -> int:
+    """1 when the step is one of the opponent's +1000 LP steps inside a
+    turn: a unit of the number they speak."""
+    return int(nxt.turn == conf.turn and nxt.players[1].lp - conf.players[1].lp == 1000)
 
 
 class _ChannelStrategy(Strategy):
@@ -247,27 +245,40 @@ class _ChannelStrategy(Strategy):
         self.base_run = base_run
         self.base_len = len(base_run.configs)
 
-    def _on_base(self, run: Run) -> bool:
-        if len(run.configs) < self.base_len:
-            return False
-        return run.configs[self.base_len - 1] == self.base_run.configs[-1]
+    def observe(self, run):
+        """OFF off the base run; else hear each opponent turn finished since
+        it ends (a turn in progress has not spoken its number yet)."""
+        super().observe(run)
+        configs = run.configs[self.base_len - 1:]
+        if len(run.configs) < self.base_len or configs[0] != self.base_run.configs[-1]:
+            return OFF
+        state, n = None, 0
+        for conf, nxt in zip(configs, configs[1:]):
+            if conf.active == 1:
+                if nxt.active == 0:
+                    state, n = self.hear(state, n), 0
+                else:
+                    n += _spoke(conf, nxt)
+        return state
 
-    def _mode(self, run: Run) -> str:
+    def hear(self, state, n):
+        """OFF and BROKEN are final and 0 is the failure value; otherwise
+        _extend takes the chain so far (None while empty) one number on."""
+        if state in (OFF, BROKEN):
+            return state
+        return BROKEN if n == 0 else self._extend(state, n)
+
+    def _reads(self, state):
         """'wait' while the chain holds, 'raigeki' once it breaks."""
-        numbers = _p2_turn_gains(run, self.base_len - 1)
-        return self._judge(numbers)
+        return OFF if state == OFF else "raigeki" if state == BROKEN else "wait"
 
-    def _judge(self, numbers: list[int]) -> str:
-        raise NotImplementedError
-
-    def _plan_turn(self, conf, run):
-        if not self._on_base(run):
+    def _plan_turn(self, conf, mode):
+        if mode == OFF:
             return None
-        return _plan_own_turn(conf, lambda line: self._play_turn(line, run))
+        return _plan_own_turn(conf, self._play_turn, mode)
 
-    def _play_turn(self, line: Line, run: Run) -> None:
+    def _play_turn(self, line: Line, mode: str) -> None:
         _negate_protector_if_needed(line)
-        mode = self._mode(run)
         _counters_to(line, spell_counters(line.conf) + 1)
         if mode == "raigeki":
             if RAIGEKI in line.conf.players[0].hand:
@@ -280,66 +291,37 @@ class _ChannelStrategy(Strategy):
 
 
 class NISStrategy(_ChannelStrategy):
-    """First number is a triple (a1, a2, t1), later ones pairs (a_k+1, t_k)."""
+    """First number is a triple (a1, a2, t1), later ones pairs (a_k+1, t_k).
+
+    Heard state: None before the first number, then the value the next
+    number must map onto, or BROKEN."""
 
     def __init__(self, e: int, base_run: Run):
         super().__init__(("nis", e), base_run)
         self.e = e
 
-    def _judge(self, numbers):
-        expect: Optional[int] = None
-        for i, n in enumerate(numbers):
-            if n == 0:
-                return "raigeki"
-            if i == 0:
-                a1, a2, t1 = untriple(n)
-                r = tmmod.run_bounded(self.e, a2, t1)
-                if not isinstance(r, tmmod.Converged) or r.output != a1:
-                    return "raigeki"
-                expect = a2
-            else:
-                a_next, t = unpair(n)
-                r = tmmod.run_bounded(self.e, a_next, t)
-                if not isinstance(r, tmmod.Converged) or r.output != expect:
-                    return "raigeki"
-                expect = a_next
-        return "wait"
+    def _extend(self, state, n):
+        if state is None:
+            want, a_next, t = untriple(n)
+        else:
+            want, (a_next, t) = state, unpair(n)
+        r = tmmod.run_bounded(self.e, a_next, t)
+        return a_next if isinstance(r, tmmod.Converged) and r.output == want else BROKEN
 
 
 class WOStrategy(_ChannelStrategy):
-    """Numbers spell a strictly descending chain in the given order."""
+    """Numbers spell a strictly descending chain in the given order.
+
+    Heard state: None before the first number, then the chain's last
+    element, or BROKEN."""
 
     def __init__(self, order, base_run: Run):
         super().__init__(("wo", order.name), base_run)
         self.order = order
 
-    def _judge(self, numbers):
-        prev: Optional[int] = None
-        for i, n in enumerate(numbers):
-            if n == 0:
-                return "raigeki"
-            if i == 0:
-                m, k = unpair(n)
-                if not self.order.less(m, k):
-                    return "raigeki"
-                prev = m
-            else:
-                if not self.order.less(n, prev):
-                    return "raigeki"
-                prev = n
-        return "wait"
-
-
-def tm_strategy(e: int) -> Strategy:
-    return TMStrategy(e)
-
-
-def nis_strategy(e: int, base_run: Run) -> Strategy:
-    return NISStrategy(e, base_run)
-
-
-def wo_strategy(order, base_run: Run) -> Strategy:
-    return WOStrategy(order, base_run)
+    def _extend(self, state, n):
+        m, above = unpair(n) if state is None else (n, state)
+        return m if self.order.less(m, above) else BROKEN
 
 
 # --- the budgeted winning checker ---------------------------------------------
@@ -354,79 +336,68 @@ def _p2_has_channel(conf: Configuration) -> bool:
 
 def _p2_turn_choices(conf: Configuration, budget: Budget) -> list[tuple[int, bool]]:
     """Canonical opponent turns: (pulls, parked).  Pass-only turns are (0, True)."""
-    if not _p2_has_channel(conf):
-        return [(0, True)]
-    out: list[tuple[int, bool]] = [(0, True)]
-    for k in range(1, budget.max_opponent_number + 1):
-        out.append((k, True))
-        out.append((k, False))
-    return out
+    ks = range(1, budget.max_opponent_number + 1) if _p2_has_channel(conf) else ()
+    return [(0, True)] + [(k, park) for k in ks for park in (True, False)]
 
 
-def _play_p2_turn(run: Run, choice: tuple[int, bool], s: Strategy) -> Optional[Run]:
-    """Simulate one opponent turn (k pulls, optional parking) plus our windows."""
+def _retarget(p2, pull: bool) -> Optional[Move]:
+    """Move Flint onto a face-up lock it is not on (a pull) or onto the
+    ventriloquists (parking); None when the channel cannot say it."""
+    zone = next((i for i, st in enumerate(p2.spelltraps)
+                 if st is not None and st.card == FLINT and st.face_up), None)
+    if zone is None:
+        return None
+    cur = p2.spelltraps[zone].equipped_to
+    for i, m in enumerate(p2.monsters):
+        if m is not None and ((m.card == FLINTLOCK and m.face_up and (1, MZONE, i) != cur)
+                              if pull else m.card == CLARA):
+            return ChangeEquipTarget(1, (1, SZONE, zone), (1, MZONE, i))
+    return None
+
+
+def _play_p2_turn(run: Run, state: Hashable, choice: tuple[int, bool], s: Strategy
+                  ) -> Optional[tuple[Run, Hashable]]:
+    """Simulate one opponent turn (k pulls, optional parking) plus our
+    windows; the strategy hears the turn's number once it is over."""
     k, park = choice
-    pulls = 0
-    parked = k == 0
+    said, to_say = 0, k + (park and k > 0)  # the pulls, then the parking move
     guard = 0
     limit = 400 + 3 * k
+    spoken = 0
     while True:
         conf = run.last()
-        if conf.active != 1 or _terminal_kind(conf) is not None:
-            return run
+        if _terminal_kind(conf) is not None:
+            return run, state
+        if conf.active != 1:
+            return run, s.hear(state, spoken)
         guard += 1
         if guard > limit:
             return None
         if conf.priority == 0:
-            mv = s.next_move(run)
+            mv = s.next_move(conf, state)
             if mv is None:
                 return None
-            run = run.extend(apply(conf, mv), mv)
-            continue
-        if conf.phase == Phase.DRAW and not conf.draw_done:
+        elif conf.phase == Phase.DRAW and not conf.draw_done:
             if not conf.players[1].deck:
-                return run  # they deck out at the mandatory draw
-            mv: Move = DrawCard(1)
+                return run, state  # they deck out at the mandatory draw
+            mv = DrawCard(1)
         elif conf.phase == Phase.END and len(conf.players[1].hand) > 6:
             excess = len(conf.players[1].hand) - 6
             mv = DiscardToLimit(1, conf.players[1].hand[:excess])
-        elif conf.phase in (Phase.MAIN1, Phase.MAIN2) and (pulls < k or not parked):
-            p2 = conf.players[1]
-            flint_zone = next(
-                (i for i, st in enumerate(p2.spelltraps)
-                 if st is not None and st.card == FLINT and st.face_up),
-                None,
-            )
-            if flint_zone is None:
-                pulls, parked = k, True  # the channel is gone; nothing to say
+        elif conf.phase in (Phase.MAIN1, Phase.MAIN2) and said < to_say:
+            mv = _retarget(conf.players[1], pull=said < k)
+            if mv is None:
+                said = to_say  # the channel is gone: nothing more to say
                 continue
-            eq = (1, SZONE, flint_zone)
-            cur = p2.spelltraps[flint_zone].equipped_to
-            if pulls < k:
-                locks = [i for i, m in enumerate(p2.monsters)
-                         if m is not None and m.card == FLINTLOCK and m.face_up
-                         and (1, MZONE, i) != cur]
-                if not locks:
-                    pulls, parked = k, True
-                    continue
-                mv = ChangeEquipTarget(1, eq, (1, MZONE, locks[0]))
-                pulls += 1
-                if pulls == k and not park:
-                    parked = True  # deliberately leave it on the lock
-            else:
-                clara = next((i for i, m in enumerate(p2.monsters)
-                              if m is not None and m.card == CLARA), None)
-                if clara is None:
-                    parked = True
-                    continue
-                mv = ChangeEquipTarget(1, eq, (1, MZONE, clara))
-                parked = True
+            said += 1
         else:
             mv = Pass(1)
         try:
-            run = run.extend(apply(run.last(), mv), mv)
+            nxt = apply(conf, mv)
         except IllegalMove:
             return None
+        spoken += _spoke(conf, nxt)
+        run = run.extend(nxt, mv)
 
 
 def _terminal_kind(conf: Configuration) -> Optional[str]:
@@ -437,10 +408,13 @@ def _terminal_kind(conf: Configuration) -> Optional[str]:
     return None
 
 
-def _drive(run: Run, s: Strategy, last_turn: Optional[int] = None,
+def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = None,
            max_steps: int = 200_000) -> tuple[Run, Optional[str]]:
     """Play the strategy, and pass the opponent's windows, up to their next
-    decision point.
+    decision point: the first configuration of their turn, so no opponent
+    turn ends along a drive and the heard state holds (a run that ends
+    inside an opponent's turn, past that point, has the rest of the turn
+    passed out unheard).
 
     Returns the run reached and None there, or why the drive stopped first:
     WIN or LOSS at a terminal state, LOSS when the strategy strands (the
@@ -459,7 +433,7 @@ def _drive(run: Run, s: Strategy, last_turn: Optional[int] = None,
             return run, None  # the opponent's decision point
         if steps == max_steps:
             return run, UNDETERMINED
-        mv = s.next_move(run) if conf.priority == 0 else Pass(1)
+        mv = s.next_move(conf, state) if conf.priority == 0 else Pass(1)
         if mv is None:
             return run, LOSS
         try:
@@ -469,11 +443,25 @@ def _drive(run: Run, s: Strategy, last_turn: Optional[int] = None,
         steps += 1
 
 
+def _expand(s: Strategy, run: Run, state: Hashable, budget: Budget,
+            last_turn: Optional[int] = None, max_steps: int = 200_000
+            ) -> tuple[Run, Optional[str], Iterator]:
+    """The explorer's step: drive to the opponent's next choice.  Returns
+    the run reached, why the drive stopped (None at a branch point) and,
+    lazily, each canonical opponent turn there with the (run, state) it
+    leads to, or None when it cannot be played (a LOSS leaf)."""
+    run, stop = _drive(run, state, s, last_turn, max_steps)
+    choices = _p2_turn_choices(run.last(), budget) if stop is None else []
+    return run, stop, ((c, _play_p2_turn(run, state, c, s)) for c in choices)
+
+
 @dataclass
 class _Branch:
     """An opponent decision point whose choices check_winning is exploring."""
+    key: tuple[Configuration, Hashable]  # where the line into it started,
+    met: int  # and its witness length there
     run: Run
-    choices: Iterator[tuple[int, bool]]
+    children: Iterator  # of _expand
     capped: bool  # running into the number cap leaves the branch undetermined
     first_win: Optional[WinVerdict] = None
     undetermined: Optional[WinVerdict] = None
@@ -487,28 +475,36 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     capped choice.  Loss: some branch defeats Player 1 or strands the
     strategy.  Anything cut off by the budget is Undetermined.
     """
-    if s.next_move(run) is None and run.last().priority == 0 \
-            and run.last().active == 0:
+    state, root = s.observe(run), run.last()
+    if s.next_move(root, state) is None and root.priority == 0 and root.active == 0:
         raise StrategyUndefinedAtRoot(str(s.descriptor))
-    last_turn = run.last().turn + budget.max_turns
+    last_turn = root.turn + budget.max_turns
     base_len = len(run.moves)
+    # a line's verdict depends only on the configuration and heard state it
+    # starts from, so lines that meet take the first one's verdict and moves
+    # (each kept with its witness length where the line started)
+    seen: dict[tuple[Configuration, Hashable], tuple[WinVerdict, int]] = {}
 
     def witness(r: Run) -> tuple[Move, ...]:
         return r.moves[base_len:]
 
-    def explore(r: Run) -> WinVerdict | _Branch:
-        """Drive to the opponent's next choice: a verdict, or the branch point there."""
-        r, stop = _drive(r, s, last_turn, max_steps=500_000)
+    def explore(r: Run, st: Hashable) -> WinVerdict | _Branch:
+        """A verdict, or the branch point at the opponent's next choice."""
+        key, met = (r.last(), st), len(r.moves) - base_len
+        if key in seen:
+            first, first_met = seen[key]
+            return WinVerdict(first.kind, witness(r) + first.witness[first_met:], budget)
+        r, stop, children = _expand(s, r, st, budget, last_turn, max_steps=500_000)
         if stop is not None:
-            return WinVerdict(stop, witness(r), budget)
-        last = r.last()
-        return _Branch(r, iter(_p2_turn_choices(last, budget)),
-                       _p2_has_channel(last) and not budget.cap_exhaustive)
+            seen[key] = WinVerdict(stop, witness(r), budget), met
+            return seen[key][0]
+        return _Branch(key, met, r, children,
+                       _p2_has_channel(r.last()) and not budget.cap_exhaustive)
 
     # open branch points live on an explicit stack, so a long game needs no
     # deep recursion; each verdict settles into the branch point above it
     stack: list[_Branch] = []
-    node = explore(run)
+    node = explore(run, state)
     while True:
         if isinstance(node, _Branch):
             stack.append(node)
@@ -519,10 +515,10 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
         elif stack[-1].first_win is None:
             stack[-1].first_win = node
         top = stack[-1]
-        choice = next(top.choices, None)
-        if choice is not None:
-            r2 = _play_p2_turn(top.run, choice, s)
-            node = WinVerdict(LOSS, witness(top.run), budget) if r2 is None else explore(r2)
+        step = next(top.children, None)
+        if step is not None:
+            child = step[1]
+            node = WinVerdict(LOSS, witness(top.run), budget) if child is None else explore(*child)
             continue
         stack.pop()
         if top.undetermined is not None:
@@ -531,6 +527,7 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
             node = WinVerdict(UNDETERMINED, witness(top.run), budget)
         else:
             node = top.first_win
+        seen[top.key] = node, top.met
 
 
 def replay_witness(run: Run, moves: Iterable[Move]) -> Run:
@@ -543,7 +540,7 @@ def replay_witness(run: Run, moves: Iterable[Move]) -> Run:
 def drive_to_choice(run: Run, s: Strategy, max_steps: int = 200_000) -> Optional[Run]:
     """Play the strategy (and window passes) up to the opponent's next
     decision point or a terminal state; None when the strategy strands."""
-    run, stop = _drive(run, s, max_steps=max_steps)
+    run, stop = _drive(run, s.observe(run), s, max_steps=max_steps)
     if stop is None or _terminal_kind(run.last()) is not None:
         return run
     return None  # stranded, or out of steps
@@ -552,10 +549,12 @@ def drive_to_choice(run: Run, s: Strategy, max_steps: int = 200_000) -> Optional
 def play_opponent_number(run: Run, s: Strategy, k: int, park: bool = True
                          ) -> Optional[Run]:
     """One opponent turn speaking the number k, then back to our side."""
-    run = drive_to_choice(run, s)
-    if run is None or _terminal_kind(run.last()) is not None:
-        return run
-    return _play_p2_turn(run, (k, park), s)
+    state = s.observe(run)
+    run, stop = _drive(run, state, s)
+    if stop is not None:  # terminal, or the strategy stranded
+        return run if _terminal_kind(run.last()) is not None else None
+    played = _play_p2_turn(run, state, (k, park), s)
+    return None if played is None else played[0]
 
 
 # --- strategy trees -----------------------------------------------------------
@@ -577,27 +576,20 @@ def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) 
     Nodes sit at the opponent's decision points; edges carry the coded
     number choice; leaves are marked by the win check on their segment.
     """
-    from .engine import encode_configuration
-
     budget = budget or Budget(max_turns=depth * 4 + 20, max_opponent_number=8)
 
-    def build(r: Run, d: int) -> StrategyTree:
-        r2, stop = _drive(r, s)
-        code = encode_configuration(r2.last())
+    def build(r: Run, st: Hashable, d: int) -> StrategyTree:
+        r, stop, children = _expand(s, r, st, budget)
+        code = encode_configuration(r.last())
         if stop in (WIN, LOSS):
             return StrategyTree(code, stop == WIN)
         if stop is not None or d == 0:
             return StrategyTree(code, None)
-        kids = []
-        for choice in _p2_turn_choices(r2.last(), budget):
-            r3 = _play_p2_turn(r2, choice, s)
-            if r3 is None:
-                kids.append((pair(choice[0], int(choice[1])), StrategyTree(code, False)))
-                continue
-            kids.append((pair(choice[0], int(choice[1])), build(r3, d - 1)))
-        return StrategyTree(code, None, tuple(kids))
+        return StrategyTree(code, None, tuple(
+            (pair(k, int(park)), StrategyTree(code, False) if child is None else build(*child, d - 1))
+            for (k, park), child in children))
 
-    return build(run, depth)
+    return build(run, s.observe(run), depth)
 
 
 WELL_FOUNDED = "all-branches-terminate-winning"

@@ -41,7 +41,8 @@ def replay_trace(lines: Iterable[str], initial) -> Run:
             rec = json.loads(line)
             move = decode_move(int(rec["move"]))
             after = decode_configuration(int(rec["config"], 16))
-        except (KeyError, TypeError, ValueError, MalformedCode) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+                MalformedCode) as exc:
             raise MalformedCode(f"trace line {n} is malformed: {exc}") from None
         if not transition_ok(configs[-1], after, move):
             raise MalformedCode(f"trace line {n} does not replay")

@@ -8,8 +8,6 @@ from collections import Counter
 from duelhalt.carddb import card_name, deck_a, deck_b, filler_deck
 from duelhalt.coding import pair, seq_decode, seq_encode, triple
 from duelhalt.engine import (
-    Pass,
-    Run,
     apply,
     encode_configuration,
     initial_configuration,
@@ -34,7 +32,6 @@ from duelhalt.reductions import (
 )
 from duelhalt.scripts import (
     decrement_cycle,
-    flintlock_gain,
     increment_cycle,
     set_counters,
     turn_tick,
@@ -339,25 +336,18 @@ def test_acceptance_8_appendix_machinery():
 def test_acceptance_9_flintlock_gadget():
     out = reduce_nis(CURATED["identity"])
     run = drive_to_choice(out.run, out.strategy)
-    conf = run.last()
-    base_lp = conf.players[1].lp
+    base_lp = run.last().players[1].lp
     ok = True
     for k in range(0, 21):
-        res = flintlock_gain(conf, k)
-        ok = ok and res.final.players[1].lp - base_lp == 1000 * k
-        flint = next(s for s in res.final.players[1].spelltraps
+        after = play_opponent_number(run, out.strategy, k).last()
+        ok = ok and after.players[1].lp - base_lp == 1000 * k
+        flint = next(s for s in after.players[1].spelltraps
                      if s is not None and s.name == "Flint")
-        ok = ok and res.final.instance_at(flint.equipped_to).name == \
+        ok = ok and after.instance_at(flint.equipped_to).name == \
             "Clara & Rushka, the Ventriloduo"
     # the eclipse cycles of our next turn must not destroy the parked equip
-    res = flintlock_gain(conf, 3)
-    follow = play_opponent_number(Run((conf,), ()), out.strategy, 0)  # noqa: F841
-    after = res.final
-    line = Run((after,), ())
-    while line.last().active == 1:
-        mv = out.strategy.next_move(line) if line.last().priority == 0 else Pass(1)
-        line = line.extend(apply(line.last(), mv), mv)
-    ticked = turn_tick(line.last())
+    after = play_opponent_number(run, out.strategy, 3).last()
+    ticked = turn_tick(after)
     flint_alive = any(
         s is not None and s.name == "Flint"
         for s in ticked.final.players[1].spelltraps

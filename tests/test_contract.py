@@ -1,0 +1,117 @@
+"""The input-boundary contract: every public parse and decode entry point,
+and the bounded machine runs, return or raise a DuelhaltError, within a
+time bound, on any input."""
+
+import json
+import signal
+from contextlib import contextmanager
+from itertools import islice
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from duelhalt.carddb import parse_decklist
+from duelhalt.engine import decode_configuration, encode_configuration
+from duelhalt.engine.moves import decode_move
+from duelhalt.errors import DuelhaltError
+from duelhalt.reductions import parse_order
+from duelhalt.tm import decode_tmconf, machine_from_index, oracle_converges, parse_tm, run_bounded
+from duelhalt.trace import replay_trace, trace_lines
+
+ALARM_S = 10  # whole seconds, as signal.alarm counts them
+
+
+class Overran(Exception):
+    pass
+
+
+@contextmanager
+def _alarm(seconds=ALARM_S):
+    def ring(_signum, _frame):
+        raise Overran(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def holds(fn, *args):
+    """fn(*args) returns or raises a DuelhaltError; anything else (another
+    exception, or the alarm) fails the contract."""
+    with _alarm():
+        try:
+            fn(*args)
+        except DuelhaltError:
+            pass
+
+
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+_INTS = st.one_of(st.integers(-2**70, 2**70), st.integers(-5, 300))
+_WORDS = st.sampled_from(["start", "blank", "halt", "->", "L", "R", "S", "#", "0", "1", "-1",
+                          "a", "h", "omega", "omega-reverse", "lex-pairs", "finite", "[main]", "[extra]",
+                          "3\tPot of Desires", "x", "99999999999999999999", "\t", ""])
+# free text, and lines of the formats' own keywords, numbers and separators
+_TEXT = st.one_of(st.text(max_size=80), st.lists(
+    st.lists(_WORDS, max_size=6).map(" ".join), max_size=6).map("\n".join))
+
+
+@_SETTINGS
+@given(_INTS)
+def test_decoders_on_any_integer(code):
+    for decode in (decode_configuration, decode_move, decode_tmconf, machine_from_index):
+        holds(decode, code)
+
+
+@_SETTINGS
+@given(st.data())
+def test_decode_configuration_on_bit_flips(board_b, data):
+    code = encode_configuration(board_b.final)
+    bits = data.draw(st.lists(st.integers(0, code.bit_length() + 8), min_size=1, max_size=3))
+    for bit in bits:
+        code ^= 1 << bit
+    holds(decode_configuration, code)
+
+
+@_SETTINGS
+@given(_TEXT)
+def test_text_parsers_on_any_text(text):
+    for parse in (parse_tm, parse_decklist, parse_order):
+        holds(parse, text)
+
+
+_FIELDS = st.one_of(st.none(), st.booleans(), _INTS, st.floats(), st.text(max_size=12),
+                    st.lists(st.integers(), max_size=2))
+
+
+@_SETTINGS
+@given(st.lists(st.one_of(
+    st.text(max_size=40),
+    st.dictionaries(st.sampled_from(["move", "config", "turn"]), _FIELDS).map(json.dumps),
+    st.sampled_from(["[" * 5000, "{}", "[1]", "nul", '{"move": 1e999, "config": "1"}']),
+), max_size=3))
+def test_replay_trace_on_any_lines(board_b, lines):
+    good = list(islice(trace_lines(board_b.run), 2))  # two lines that replay
+    holds(replay_trace, good + lines, board_b.run.configs[0])
+
+
+@_SETTINGS
+@given(_INTS, st.integers(-5, 10**6), st.integers(-5, 2000))
+def test_run_bounded_on_any_integers(e, value, t):
+    holds(run_bounded, e, value, t)
+
+
+@_SETTINGS
+@given(_INTS, st.one_of(st.integers(-5, 2**64), st.integers(-5, 300)), st.integers(-5, 10**6))
+def test_oracle_converges_on_any_integers(z, s_code, n):
+    holds(oracle_converges, z, s_code, n)
+
+
+def test_the_alarm_rings():
+    with pytest.raises(Overran), _alarm(1):
+        while True:
+            pass

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from duelhalt.carddb import deck_a, filler_deck, lookup
+from duelhalt.carddb import FILLER, deck_a, filler_deck, lookup
 from duelhalt.engine import (
     ActivateEffect,
     AdvancePhase,
@@ -29,7 +29,7 @@ from duelhalt.engine import (
     transition_ok,
     validate_run,
 )
-from duelhalt.engine.config import GY, HAND, MZONE, CardInstance, update_player
+from duelhalt.engine.config import GY, HAND, MZONE, SZONE, CardInstance, update_player
 from duelhalt.engine.moves import decode_move, encode_move
 from duelhalt.engine import rules
 from duelhalt.engine.rules import EFFECTS, identity_order, is_initial, is_legal
@@ -426,6 +426,32 @@ def test_malformed_flip_choices_are_illegal(board_b, extras):
     assert not is_legal(board_b.run.configs[i], move)
     with pytest.raises(IllegalMove, match="pairs"):
         apply(board_b.run.configs[i], move)
+
+
+@pytest.mark.parametrize("idx, message", [
+    (999, "bad recovery target"),  # past the end of the graveyard
+    (10, "Magician of Faith recovers spells only"),  # a filler card
+    (1, "Magician of Faith recovers spells only"),  # a trap
+])
+def test_flip_recovery_is_judged_once(board_a, idx, message):
+    # a face-down Magician of Faith flip-summoned with a recovery choice,
+    # and the same choice made through a set Desert Sunlight's flip choices
+    conf, flip = board_a.run.configs[117], board_a.run.moves[117]
+    assert flip.recover is not None
+    sts = list(conf.players[0].spelltraps)
+    zone = sts.index(None)
+    sts[zone] = CardInstance(lookup("Desert Sunlight").id, face_up=False,
+                             set_turn=conf.turn - 2, face_since=conf.turn - 2)
+    gy = conf.players[0].gy
+    assert len(gy) == 10
+    conf = update_player(conf, 0, spelltraps=tuple(sts), gy=gy + (FILLER,))
+    sunlight = ActivateEffect(0, "desert_sunlight_flip_up", (0, SZONE, zone), (),
+                              rules.flip_choice_extras([(flip.zone, idx)]))
+    for move in (dataclasses.replace(flip, recover=(0, GY, idx)), sunlight):
+        assert not is_legal(conf, move)
+        with pytest.raises(IllegalMove) as err:
+            apply(conf, move)
+        assert str(err.value) == message
 
 
 # SHA-256 over the legal-move lists (each list's repr and a newline) along

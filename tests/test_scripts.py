@@ -10,7 +10,6 @@ from duelhalt.errors import InsufficientCounters, NotLoopReady, ZeroTarget
 from duelhalt.scripts import (
     cycle_plan,
     decrement_cycle,
-    flintlock_gain,
     increment_cycle,
     set_counters,
     turn_tick,
@@ -194,25 +193,21 @@ class TestTurnTick:
 
 
 class TestFlintlock:
-    def _their_turn(self, board_b):
-        from duelhalt.strategy import drive_to_choice
+    def test_gain_exact(self):
         from duelhalt.reductions import reduce_nis
+        from duelhalt.strategy import drive_to_choice, play_opponent_number
         from duelhalt.tm import CURATED
 
         out = reduce_nis(CURATED["identity"])
         run = drive_to_choice(out.run, out.strategy)
         assert run is not None
-        return run.last()
-
-    def test_gain_exact(self, board_b):
-        conf = self._their_turn(board_b)
-        base_lp = conf.players[1].lp
+        base_lp = run.last().players[1].lp
         for k in (0, 1, 3, 7):
-            res = flintlock_gain(conf, k)
-            assert res.final.players[1].lp - base_lp == 1000 * k
-            flint = next(s for s in res.final.players[1].spelltraps
+            after = play_opponent_number(run, out.strategy, k).last()
+            assert after.players[1].lp - base_lp == 1000 * k
+            flint = next(s for s in after.players[1].spelltraps
                          if s is not None and s.name == "Flint")
-            target = res.final.instance_at(flint.equipped_to)
+            target = after.instance_at(flint.equipped_to)
             assert target.name == "Clara & Rushka, the Ventriloduo"
 
 

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from duelhalt.coding import pair, triple
-from duelhalt.engine import Run, validate_run
+from duelhalt.engine import ActivateEffect, Run, validate_run
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import StrategyUndefinedAtRoot
 from duelhalt.reductions import (
@@ -18,6 +18,7 @@ from duelhalt.strategy import (
     Budget,
     LOSS,
     OpenBranch,
+    TMStrategy,
     UNDETERMINED,
     WELL_FOUNDED,
     WIN,
@@ -26,7 +27,6 @@ from duelhalt.strategy import (
     play_opponent_number,
     replay_witness,
     to_tree,
-    tm_strategy,
     well_founded_to_depth,
 )
 from duelhalt.tm import (
@@ -82,9 +82,10 @@ class TestTMStrategy:
         assert run.last().players[1].lp == 0
 
     def test_partiality_off_script(self, board_b):
-        s = tm_strategy(CURATED["empty"])
+        s = TMStrategy(CURATED["empty"])
         # a run the strategy does not recognize: the second construction
-        assert s.next_move(Run((board_b.final,), ())) is None
+        run = Run((board_b.final,), ())
+        assert s.next_move(run.last(), s.observe(run)) is None
 
 
 class TestCheckWinning:
@@ -142,7 +143,7 @@ class TestCheckWinning:
             seen_win = seen_win or k == WIN
 
     def test_undefined_at_root(self, board_b):
-        s = tm_strategy(CURATED["empty"])
+        s = TMStrategy(CURATED["empty"])
         with pytest.raises(StrategyUndefinedAtRoot):
             check_winning(Run((board_b.final,), ()), s, Budget(10, 2))
 
@@ -155,11 +156,11 @@ class TestCheckWinning:
                 super().__init__(inner.e)
                 self.calls = 0
 
-            def next_move(self, run):
+            def next_move(self, conf, state):
                 self.calls += 1
                 if self.calls > 1:
                     return None
-                return super().next_move(run)
+                return super().next_move(conf, state)
 
         v = check_winning(out.run, OneMove(out.strategy), Budget(50, 2))
         assert v.kind == LOSS
@@ -217,7 +218,45 @@ def test_channel_strategy_needs_the_run_history(board_b):
     from duelhalt.tm import CURATED as _C
 
     out = reduce_nis(_C["identity"])
+    s = out.strategy
     final_only = Run((out.run.configs[-1],), ())
-    assert out.strategy.next_move(final_only) is None
+    assert s.next_move(final_only.last(), s.observe(final_only)) is None
     with pytest.raises(TypeError):
-        out.strategy.next_move(out.run.configs[-1])
+        s.observe(out.run.configs[-1])
+
+
+def _casts_raigeki(out, numbers):
+    """Speak the numbers from the reduction's run, then let the strategy
+    take its turn: the board the numbers reach, and whether it cast Raigeki."""
+    run = out.run
+    for n in numbers:
+        run = play_opponent_number(run, out.strategy, n)
+    board = run.last()
+    run = drive_to_choice(run, out.strategy)
+    return board, any(isinstance(m, ActivateEffect) and m.effect == "raigeki_wipe"
+                      for m in run.moves[len(out.run.moves):])
+
+
+@pytest.mark.parametrize("reduce, holds, breaks", [
+    (lambda: reduce_nis(CURATED["identity"]), (5, 5, 5), (5, 2, 8)),
+    (lambda: reduce_wo(standard_omega()), (72, 3), (61, 14)),
+], ids=["nis-identity", "wo-omega"])
+def test_one_strategy_answers_each_history(reduce, holds, breaks):
+    # equal LP totals: both sequences reach the same board, but only the
+    # first keeps the chain, so only the second must be answered by Raigeki
+    out = reduce()
+    board, cast = _casts_raigeki(out, holds)
+    assert not cast
+    board2, cast2 = _casts_raigeki(out, breaks)
+    assert board2 == board and cast2
+
+
+def test_verdicts_do_not_depend_on_what_the_plan_cache_holds():
+    # one strategy object that has already planned a tree and a probe line
+    budget = Budget(16, 3)
+    fresh = reduce_wo(reverse_omega())
+    want = check_winning(fresh.run, fresh.strategy, budget)
+    out = reduce_wo(reverse_omega())
+    to_tree(out.strategy, out.run, 5, budget)
+    _casts_raigeki(out, (pair(1, 0), 2, 1))
+    assert check_winning(out.run, out.strategy, budget) == want
