@@ -1407,13 +1407,15 @@ def _apply_flip(conf: Configuration, move: FlipSummon) -> Configuration:
 
 
 def _cand_flip(conf: Configuration, p: int) -> Iterable[Move]:
-    """Each face-down monster, and a recovery magician with each graveyard card."""
+    """Each face-down monster, and a recovery magician with each graveyard
+    card when it may flip at all (a refused plain flip refuses them all)."""
     ps = conf.players[p]
     for i, inst in enumerate(ps.monsters):
         if inst is None or inst.face_up:
             continue
-        yield FlipSummon(p, i)
-        if inst.card in (MOF, MOD):
+        plain = FlipSummon(p, i)
+        yield plain
+        if inst.card in (MOF, MOD) and _passes(_chk_flip, conf, plain):
             for idx in range(len(ps.gy)):
                 yield FlipSummon(p, i, (p, GY, idx))
 

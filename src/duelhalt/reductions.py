@@ -130,6 +130,8 @@ def parse_order(text: str) -> LinearOrder:
             rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
         except ValueError as exc:
             raise InvalidOrder(f"finite order: {exc}") from None
+        if size < 0:
+            raise InvalidOrder(f"finite order size {size} is negative")
         if len(rows) != size:
             raise InvalidOrder(f"expected {size} matrix rows, got {len(rows)}")
         return finite_table(rows)

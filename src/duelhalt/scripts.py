@@ -12,6 +12,7 @@ Player 2, tagged only by their position in the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .carddb import DeckList, deck_a, deck_b, filler_deck, lookup
 from .errors import (
@@ -119,6 +120,13 @@ class Line:
             raise ScriptBroken(len(self.moves), f"{move!r}: {exc}") from exc
         self.configs.append(nxt)
         self.moves.append(move)
+
+    def take(self, steps: Iterable[tuple[Move, Configuration]]) -> None:
+        """Append (move, next configuration) pairs whose configurations
+        apply already produced from this line's end, one after another."""
+        for move, nxt in steps:
+            self.configs.append(nxt)
+            self.moves.append(move)
 
     def result(self) -> ScriptResult:
         return ScriptResult(Run(tuple(self.configs), tuple(self.moves)), self.conf)
@@ -506,13 +514,20 @@ def _require_loop_ready(conf: Configuration, need_counters: int = 0) -> None:
             raise NotLoopReady("flip monsters are not face-up on the field")
 
 
-def increment_cycle_moves(conf: Configuration) -> list[Move]:
-    """The four-activation cycle worth +3 counters, as explicit moves."""
-    moves: list[Move] = [ActivateEffect(0, "boe_flip_all", (0, HAND, BOE))]
+def increment_cycle_moves(conf: Configuration) -> list[tuple[Move, Configuration]]:
+    """The four-activation cycle worth +3 counters, as explicit moves, each
+    with the configuration apply took it to."""
+    steps: list[tuple[Move, Configuration]] = []
+
+    def do(move: Move) -> Configuration:
+        nxt = apply(steps[-1][1] if steps else conf, move)
+        steps.append((move, nxt))
+        return nxt
+
     # after Book of Eclipse the flip monsters are face down; Desert
     # Sunlight (forced by Bait Doll) turns them back up and their flip
     # effects restock the hand from the graveyard
-    sim = apply(conf, moves[0])
+    sim = do(ActivateEffect(0, "boe_flip_all", (0, HAND, BOE)))
     ds_zone = None
     for i, inst in enumerate(sim.players[0].spelltraps):
         if inst is None:
@@ -520,8 +535,7 @@ def increment_cycle_moves(conf: Configuration) -> list[Move]:
             break
     if ds_zone is None:
         raise NotLoopReady("no free spell/trap zone for Desert Sunlight")
-    moves.append(SetSpellTrap(0, DESERTSUN, ds_zone))
-    sim = apply(sim, moves[1])
+    sim = do(SetSpellTrap(0, DESERTSUN, ds_zone))
 
     # plan the flip recoveries against the graveyard as it will stand when
     # the triggers resolve: Book of Eclipse and Bait Doll have been spent,
@@ -548,10 +562,9 @@ def increment_cycle_moves(conf: Configuration) -> list[Move]:
         pairs.append((z, idx))
         del future_gy[idx]
     extras = flip_choice_extras(pairs)
-    moves.append(make_bait_doll_move(0, (0, HAND, BAITDOLL), (0, SZONE, ds_zone), extras))
-    sim = apply(sim, moves[2])
-    moves.append(ActivateEffect(0, "upstart_draw", (0, HAND, UPSTART)))
-    return moves
+    do(make_bait_doll_move(0, (0, HAND, BAITDOLL), (0, SZONE, ds_zone), extras))
+    do(ActivateEffect(0, "upstart_draw", (0, HAND, UPSTART)))
+    return steps
 
 
 def increment_cycle(conf: Configuration) -> ScriptResult:
@@ -623,13 +636,13 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
 
 
 def play_cycles(line: Line, a: int, b: int) -> None:
-    """Play a increment cycles and then b decrement cycles onto the line."""
+    """Play a increment cycles and then b decrement cycles onto the line,
+    each move applied once, by the cycle that plans it."""
     for _ in range(a):
-        for mv in increment_cycle_moves(line.conf):
-            line.do(mv)
+        line.take(increment_cycle_moves(line.conf))
     for _ in range(b):
-        for mv in decrement_cycle(line.conf).run.moves:
-            line.do(mv)
+        run = decrement_cycle(line.conf).run
+        line.take(zip(run.moves, run.configs[1:]))
 
 
 def set_counters(conf: Configuration, n: int) -> ScriptResult:

@@ -9,6 +9,14 @@ re-walks a run.  The three families plan one of their own turns at a time
 and replay the plan move by move; outside their scripted prefixes they
 are undefined, matching the localization picture.
 
+`next_move` answers with a (move, next configuration) pair, and the next
+configuration is the one `apply` produced when the plan was simulated.
+Plans are cached on (configuration, mode) and configurations compare by
+value, so a cached pair from an equal configuration still equals what
+`apply` gives.  The drivers extend the run with that configuration and
+do not apply the move again: each of our moves is applied once, by the
+planner, and each opponent move once, by the driver.
+
 The winning checker and the strategy trees share one explorer of the
 opponent's choices.  Those are numbers spoken through the equip-retarget
 channel, so a turn of theirs is canonicalized to "pull the equip k times,
@@ -96,6 +104,18 @@ class WinVerdict:
         return self.kind == WIN
 
 
+# a move and the configuration it leads to
+Step = tuple[Move, Configuration]
+
+
+def _applied(conf: Configuration, move: Move) -> Optional[Step]:
+    """The move and the configuration it leads to; None when it is illegal."""
+    try:
+        return move, apply(conf, move)
+    except IllegalMove:
+        return None
+
+
 # the channel strategies' final heard states: off the base run, a broken chain
 OFF = "off"
 BROKEN = "broken"
@@ -107,7 +127,7 @@ class Strategy:
 
     def __init__(self, descriptor: tuple):
         self.descriptor = descriptor
-        self._plan: dict[tuple[Configuration, Hashable], Move] = {}
+        self._plan: dict[tuple[Configuration, Hashable], Step] = {}
 
     def observe(self, run: Run) -> Hashable:
         """The heard state at the end of the run, from one walk of it."""
@@ -119,29 +139,29 @@ class Strategy:
         """The state after an opponent turn that spoke the number n."""
         return state
 
-    def next_move(self, conf: Configuration, state: Hashable) -> Optional[Move]:
-        """Our move at conf; None where the strategy is undefined."""
+    def next_move(self, conf: Configuration, state: Hashable) -> Optional[Step]:
+        """Our move at conf and the configuration it leads to; None where
+        the strategy is undefined."""
         if conf.priority != 0:
             return None
         if conf.active == 1:
-            return Pass(0)  # response windows during their turn: wave through
+            return _applied(conf, Pass(0))  # response windows during their turn: wave through
         mode = self._reads(state)
         if (conf, mode) in self._plan:
             return self._plan[conf, mode]
-        planned = self._plan_turn(conf, mode)
-        if not planned:
+        line = self._plan_turn(conf, mode)
+        if line is None:
             return None
-        moves, configs = planned
-        self._plan.update(((c, mode), mv) for c, mv in zip(configs, moves))
+        c = line.configs
+        self._plan.update(((c[i], mode), (mv, c[i + 1])) for i, mv in enumerate(line.moves))
         return self._plan.get((conf, mode))
 
     def _reads(self, state: Hashable) -> Hashable:
         """What the planner reads from the state; plans are cached on it."""
         return None
 
-    def _plan_turn(self, conf: Configuration, mode: Hashable
-                   ) -> Optional[tuple[list[Move], list[Configuration]]]:
-        """Plan the turn from conf: (moves, the configs they apply from)."""
+    def _plan_turn(self, conf: Configuration, mode: Hashable) -> Optional[Line]:
+        """Plan the turn from conf: the simulated line of our moves."""
         raise NotImplementedError
 
 
@@ -149,7 +169,7 @@ _PLAN_FAILS = (ScriptBroken, NotLoopReady, InsufficientCounters, IllegalMove, Ma
 
 
 def _plan_own_turn(conf: Configuration, play: Callable[..., None], *args
-                   ) -> Optional[tuple[list[Move], list[Configuration]]]:
+                   ) -> Optional[Line]:
     """Simulate one of our turns from conf: walk to the main phase, let
     play(line, *args) fill it, and pass the turn unless the game is won.
     None when the turn does not start in a main phase or a step of it is
@@ -165,7 +185,7 @@ def _plan_own_turn(conf: Configuration, play: Callable[..., None], *args
             _end_turn(line)
     except _PLAN_FAILS:
         return None
-    return line.moves, line.configs[:-1]
+    return line
 
 
 def _counters_to(line: Line, target: int) -> None:
@@ -374,28 +394,26 @@ def _play_p2_turn(run: Run, state: Hashable, choice: tuple[int, bool], s: Strate
         if guard > limit:
             return None
         if conf.priority == 0:
-            mv = s.next_move(conf, state)
-            if mv is None:
-                return None
+            step = s.next_move(conf, state)
         elif conf.phase == Phase.DRAW and not conf.draw_done:
             if not conf.players[1].deck:
                 return run, state  # they deck out at the mandatory draw
-            mv = DrawCard(1)
+            step = _applied(conf, DrawCard(1))
         elif conf.phase == Phase.END and len(conf.players[1].hand) > 6:
             excess = len(conf.players[1].hand) - 6
-            mv = DiscardToLimit(1, conf.players[1].hand[:excess])
+            step = _applied(conf, DiscardToLimit(1, conf.players[1].hand[:excess]))
         elif conf.phase in (Phase.MAIN1, Phase.MAIN2) and said < to_say:
             mv = _retarget(conf.players[1], pull=said < k)
             if mv is None:
                 said = to_say  # the channel is gone: nothing more to say
                 continue
             said += 1
+            step = _applied(conf, mv)
         else:
-            mv = Pass(1)
-        try:
-            nxt = apply(conf, mv)
-        except IllegalMove:
+            step = _applied(conf, Pass(1))
+        if step is None:
             return None
+        mv, nxt = step
         spoken += _spoke(conf, nxt)
         run = run.extend(nxt, mv)
 
@@ -433,13 +451,11 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
             return run, None  # the opponent's decision point
         if steps == max_steps:
             return run, UNDETERMINED
-        mv = s.next_move(conf, state) if conf.priority == 0 else Pass(1)
-        if mv is None:
+        step = s.next_move(conf, state) if conf.priority == 0 else _applied(conf, Pass(1))
+        if step is None:
             return run, LOSS
-        try:
-            run = run.extend(apply(conf, mv), mv)
-        except IllegalMove:
-            return run, LOSS
+        mv, nxt = step
+        run = run.extend(nxt, mv)
         steps += 1
 
 

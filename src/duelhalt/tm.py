@@ -95,7 +95,7 @@ def make_config(tape: dict[int, int], head: int, state: int, blank: int = 0) -> 
 
 def initial_config(m: TMachine, value: int) -> TMConfiguration:
     if value < 0:
-        raise BadIndex(value)
+        raise BadIndex(f"input value {value} is negative")
     tape = {}
     pos = 0
     v = value
@@ -364,7 +364,7 @@ class AppendixMachine:
 def machine_from_index(e: int):
     """Total: every natural is some machine (junk codes give the empty one)."""
     if e < 0:
-        raise BadIndex(e)
+        raise BadIndex(f"machine index {e} is negative")
     if e < _RAW_OFFSET:
         return BUILTINS[e]
     try:
@@ -411,11 +411,11 @@ STILL_RUNNING = StillRunning()
 def run_bounded(e: int, value: int, t: int) -> Union[Converged, StillRunning]:
     """phi_e(value) within t steps; deterministic and monotone in t."""
     if e < 0:
-        raise BadIndex(e)
+        raise BadIndex(f"machine index {e} is negative")
     if t < 0:
-        raise BadIndex(t)
+        raise BadIndex(f"step budget {t} is negative")
     if value < 0:
-        raise BadIndex(value)
+        raise BadIndex(f"input value {value} is negative")
     m = machine_from_index(e)
     if isinstance(m, AppendixMachine):
         return _run_appendix(m, value, t)
@@ -444,9 +444,9 @@ def oracle_converges(z: int, s_code: int, n: int) -> bool:
     where a string of length t+1 buys t steps of computation.
     """
     if z < 0:
-        raise BadIndex(z)
+        raise BadIndex(f"machine index {z} is negative")
     if n < 0:
-        raise BadIndex(n)
+        raise BadIndex(f"input value {n} is negative")
     try:
         s = seq_decode(s_code)
     except ValueError as exc:

@@ -51,3 +51,29 @@ def test_bounded_runs_step_through_the_traced_stepper(perfbench_on_path):
     finally:
         tracer.unpatch()
     assert tracer.scoped[layers.BOUNDED].get("tm.step", 0) > 0
+
+
+def test_each_transition_is_applied_once(perfbench_on_path, board_a):
+    # strategy.applies_per_transition is engine applies over Run.extend calls
+    # inside check_winning: the planners apply each move of ours, the driver
+    # each of the opponent's, and the driver reuses the planned configuration
+    import layers
+    from tracer import Tracer
+
+    from duelhalt import reductions, scripts
+
+    out = reductions.reduce_halting(tm.CURATED["identity"])
+    tracer = Tracer(scopes=layers.SCOPES)
+    try:
+        layers.install(tracer)
+        verdict = strategy.check_winning(out.run, out.strategy, strategy.Budget(200, 4))
+        scripts.set_counters(board_a.final, 17)
+    finally:
+        tracer.unpatch()
+    assert verdict.is_win
+    inside = tracer.scoped[layers.CHECKER]
+    assert inside["engine.run_extend"] == len(verdict.witness)
+    assert inside["engine.apply"] == inside["engine.run_extend"]
+    # the counter planner still plans each increment cycle through the
+    # traced function, so that layer does not read 0
+    assert tracer.stats["scripts.increment_cycle_moves"].calls > 0

@@ -183,35 +183,37 @@ _HALTING = ["check-win", "--reduce", "halting", "--machine"]
 _DUEL = ["duel", "--machine", "identity", "--script"]
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(_WO + ["--order", "finite x"], id="order-word"),
-    pytest.param(_WO + ["--order", ""], id="order-empty"),
-    pytest.param(_WO + ["--order", "finite -3"], id="order-negative"),
-    pytest.param(_WO + ["--order", "bogus"], id="order-keyword"),
-    pytest.param(_WO + ["--order-file", "{dir}/order.txt"], id="order-file-rows"),
-    pytest.param(_WO + ["--order-file", "{dir}/missing.txt"], id="order-file-missing"),
-    pytest.param(_WO + ["--order-file", "{dir}/binary.bin"], id="order-file-binary"),
-    pytest.param(_WO + ["--order-file", "{dir}"], id="order-file-directory"),
-    pytest.param(["compile-tm", "{dir}/bad.tm"], id="machine-rule"),
-    pytest.param(["compile-tm", "{dir}/missing.tm"], id="machine-missing"),
-    pytest.param(["compile-tm", "{dir}/binary.bin"], id="machine-binary"),
-    pytest.param(["compile-tm", "{dir}"], id="machine-directory"),
-    pytest.param(_HALTING + ["{dir}/binary.bin"], id="machine-option-binary"),
-    pytest.param(_HALTING + ["{dir}"], id="machine-option-directory"),
-    pytest.param(["check-win", "--reduce", "halting", "--index", "-1"], id="machine-index"),
-    pytest.param(_DUEL + ["{dir}/word.txt"], id="script-word"),
-    pytest.param(_DUEL + ["{dir}/negative.txt"], id="script-negative"),
-    pytest.param(_DUEL + ["{dir}/missing.txt"], id="script-missing"),
-    pytest.param(_DUEL + ["{dir}/binary.bin"], id="script-binary"),
-    pytest.param(_DUEL + ["{dir}"], id="script-directory"),
-    pytest.param(_HALTING + ["empty", "--max-turns", "0"], id="budget-turns"),
-    pytest.param(_HALTING + ["empty", "--max-number", "x"], id="budget-number"),
-    pytest.param(["tree", "--reduce", "halting", "--depth", "-1"], id="budget-depth"),
-    pytest.param(["duel", "--max-rounds", "-1"], id="budget-rounds"),
-    pytest.param(["counters", "--set", "0"], id="budget-counters-zero"),
-    pytest.param(["counters", "--set", "-4"], id="budget-counters-negative"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(_WO + ["--order", "finite x"], None, id="order-word"),
+    pytest.param(_WO + ["--order", ""], None, id="order-empty"),
+    pytest.param(_WO + ["--order", "finite -3"], "error: finite order size -3 is negative",
+                 id="order-negative"),
+    pytest.param(_WO + ["--order", "bogus"], None, id="order-keyword"),
+    pytest.param(_WO + ["--order-file", "{dir}/order.txt"], None, id="order-file-rows"),
+    pytest.param(_WO + ["--order-file", "{dir}/missing.txt"], None, id="order-file-missing"),
+    pytest.param(_WO + ["--order-file", "{dir}/binary.bin"], None, id="order-file-binary"),
+    pytest.param(_WO + ["--order-file", "{dir}"], None, id="order-file-directory"),
+    pytest.param(["compile-tm", "{dir}/bad.tm"], None, id="machine-rule"),
+    pytest.param(["compile-tm", "{dir}/missing.tm"], None, id="machine-missing"),
+    pytest.param(["compile-tm", "{dir}/binary.bin"], None, id="machine-binary"),
+    pytest.param(["compile-tm", "{dir}"], None, id="machine-directory"),
+    pytest.param(_HALTING + ["{dir}/binary.bin"], None, id="machine-option-binary"),
+    pytest.param(_HALTING + ["{dir}"], None, id="machine-option-directory"),
+    pytest.param(["check-win", "--reduce", "halting", "--index", "-1"],
+                 "error: machine index -1 is negative", id="machine-index"),
+    pytest.param(_DUEL + ["{dir}/word.txt"], None, id="script-word"),
+    pytest.param(_DUEL + ["{dir}/negative.txt"], None, id="script-negative"),
+    pytest.param(_DUEL + ["{dir}/missing.txt"], None, id="script-missing"),
+    pytest.param(_DUEL + ["{dir}/binary.bin"], None, id="script-binary"),
+    pytest.param(_DUEL + ["{dir}"], None, id="script-directory"),
+    pytest.param(_HALTING + ["empty", "--max-turns", "0"], None, id="budget-turns"),
+    pytest.param(_HALTING + ["empty", "--max-number", "x"], None, id="budget-number"),
+    pytest.param(["tree", "--reduce", "halting", "--depth", "-1"], None, id="budget-depth"),
+    pytest.param(["duel", "--max-rounds", "-1"], None, id="budget-rounds"),
+    pytest.param(["counters", "--set", "0"], None, id="budget-counters-zero"),
+    pytest.param(["counters", "--set", "-4"], None, id="budget-counters-negative"),
 ])
-def test_malformed_input_is_an_error_line(tmp_path, capsys, argv):
+def test_malformed_input_is_an_error_line(tmp_path, capsys, argv, message):
     for name, body in _INPUTS.items():
         path = tmp_path / name
         path.write_bytes(body) if isinstance(body, bytes) else path.write_text(body)
@@ -219,3 +221,5 @@ def test_malformed_input_is_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code in (1, 2)
     assert err.strip() and "Traceback" not in err
+    if message is not None:  # the error line names the argument and its rule
+        assert err.strip() == message

@@ -1,9 +1,10 @@
+import hashlib
 import sys
 
 import pytest
 
 from duelhalt.coding import pair, triple
-from duelhalt.engine import ActivateEffect, Run, validate_run
+from duelhalt.engine import ActivateEffect, Run, apply, validate_run
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import StrategyUndefinedAtRoot
 from duelhalt.reductions import (
@@ -260,3 +261,68 @@ def test_verdicts_do_not_depend_on_what_the_plan_cache_holds():
     to_tree(out.strategy, out.run, 5, budget)
     _casts_raigeki(out, (pair(1, 0), 2, 1))
     assert check_winning(out.run, out.strategy, budget) == want
+
+
+@pytest.mark.parametrize("reduce, budget", [
+    (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4)),
+    (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True)),
+], ids=["halting-identity", "nis-successor"])
+def test_planned_steps_are_what_apply_gives(reduce, budget):
+    # the drivers extend the run with the planned configuration and do not
+    # apply our moves again, so each planned pair must be apply's own
+    out = reduce()
+    s, steps = out.strategy, []
+    planned = s.next_move
+
+    def next_move(conf, state):
+        step = planned(conf, state)
+        if step is not None:
+            steps.append((conf, step))
+        return step
+
+    s.next_move = next_move
+    check_winning(out.run, s, budget)
+    assert len(steps) > 100
+    for conf, (mv, nxt) in steps:
+        assert apply(conf, mv) == nxt
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _tree_codes(tree):
+    return tree.code, tree.winning, tuple((c, _tree_codes(t)) for c, t in tree.children)
+
+
+# witnesses, verdicts and tree codes computed before the drivers reused the
+# planned configurations, when every move of ours was applied twice
+@pytest.mark.parametrize("reduce, budget, kind, length, sha", [
+    (lambda: reduce_halting(CURATED["empty"]), Budget(200, 4), WIN, 178,
+     "23ff5f7eb306af24274beaf6ce0cfa6b14dc7f3ece7ad9c3361363bc2f03c270"),
+    (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4), WIN, 921,
+     "1ad660674b2363b40e071cd1d4aa2109cfcbe7f0f187f761ef4f90d9df2daa7c"),
+    (lambda: reduce_halting(CURATED["decrement"]), Budget(200, 4), WIN, 2039,
+     "264cf48df45fcd5ca54e80878d3a24fec5ee1c2960c6a27a5cd1d07352d7d1f4"),
+    (lambda: reduce_halting(CURATED["loop"]), Budget(20, 4), UNDETERMINED, 492,
+     "5f210dc302586335a96638d1d5f5134bc8b6e52bd193f7e23319558b565cd6cb"),
+    (lambda: reduce_nis(CURATED["identity"]), Budget(10, 8, cap_exhaustive=True),
+     UNDETERMINED, 205, "23c6958b5dfc648cb2ede4799cfb4bb550eb1990efb86fa508145f61c8c67102"),
+    (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True), WIN, 50,
+     "47fe65eb8ed68132b49cb3eb84d77aef96a0d456b9ba30ae448e612e6669fcaf"),
+], ids=["halting-empty", "halting-identity", "halting-decrement", "halting-loop",
+        "nis-identity", "nis-successor"])
+def test_witnesses_are_pinned(reduce, budget, kind, length, sha):
+    out = reduce()
+    v = check_winning(out.run, out.strategy, budget)
+    assert (v.kind, len(v.witness), _digest(v.witness)) == (kind, length, sha)
+
+
+@pytest.mark.parametrize("machine, size, sha", [
+    ("identity", 198, "3cbd15a094949cdcf7c2cacf6c12fb9d897fec57749ced5328fa13efe5379447"),
+    ("successor", 74, "f6f082f0ce01a2c821bfdc4092ab07e6528433b59e3dbe68349c05fec835cc92"),
+])
+def test_nis_trees_are_pinned(machine, size, sha):
+    out = reduce_nis(CURATED[machine])
+    tree = to_tree(out.strategy, out.run, 4)
+    assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
