@@ -185,6 +185,63 @@ def card_name(card_id: int) -> str:
     return by_id(card_id).name
 
 
+# kind predicates on ids; the filler is a vanilla monster
+def is_monster_id(card_id: int) -> bool:
+    return card_id == FILLER or by_id(card_id).is_monster
+
+
+def is_spell_id(card_id: int) -> bool:
+    return card_id != FILLER and by_id(card_id).is_spell
+
+
+def is_trap_id(card_id: int) -> bool:
+    return card_id != FILLER and by_id(card_id).is_trap
+
+
+# the card ids, for the engine, the scripts and the strategies to name
+PROTECTOR = _BY_NAME["Protector of the Sanctuary"].id
+MORPHING_JAR = _BY_NAME["Morphing Jar"].id
+YATA = _BY_NAME["Yata-Garasu"].id
+VANITY = _BY_NAME["Vanity's Ruler"].id
+ENDYMION = _BY_NAME["Endymion, the Master Magician"].id
+MOF = _BY_NAME["Magician of Faith"].id
+MOD = _BY_NAME["Mask of Darkness"].id
+DBLSUM = _BY_NAME["Double Summon"].id
+POB = _BY_NAME["Pot of Benevolence"].id
+GMC = _BY_NAME["Gold Moon Coin"].id
+SOULREL = _BY_NAME["Soul Release"].id
+RAINMERCY = _BY_NAME["Rain of Mercy"].id
+UPSTART = _BY_NAME["Upstart Goblin"].id
+MST = _BY_NAME["Mystical Space Typhoon"].id
+POD = _BY_NAME["Pot of Desires"].id
+POTDUAL = _BY_NAME["Pot of Duality"].id
+OFFERINGS = _BY_NAME["Offerings to the Doomed"].id
+CITADEL = _BY_NAME["Magical Citadel of Endymion"].id
+TEMPLE = _BY_NAME["Temple of the Kings"].id
+BAIT_DOLL = _BY_NAME["Bait Doll"].id
+BOE = _BY_NAME["Book of Eclipse"].id
+SOUL_DRAIN = _BY_NAME["Soul Drain"].id
+DESERT_SUNLIGHT = _BY_NAME["Desert Sunlight"].id
+TORNADO = _BY_NAME["Localized Tornado"].id
+MASSIVEMORPH = _BY_NAME["Massivemorph"].id
+POLE_POSITION = _BY_NAME["Pole Position"].id
+GIFTCARD = _BY_NAME["Gift Card"].id
+FLINT_LOCK = _BY_NAME["Flint Lock"].id
+ODD_EYES = _BY_NAME["Odd-Eyes Pendulum Dragon"].id
+CLARA = _BY_NAME["Clara & Rushka, the Ventriloduo"].id
+SVD = _BY_NAME["Starving Venemy Dragon"].id
+MORALE_BOOST = _BY_NAME["Morale Boost"].id
+MIST_BODY = _BY_NAME["Mist Body"].id
+MSE = _BY_NAME["Magical Stone Excavation"].id
+ATTRAFFIC = _BY_NAME["Attraffic Control"].id
+CREATSWAP = _BY_NAME["Creature Swap"].id
+POLY = _BY_NAME["Polymerization"].id
+FLINT = _BY_NAME["Flint"].id
+RAIGEKI = _BY_NAME["Raigeki"].id
+GAT = _BY_NAME["Give and Take"].id
+REVREUSE = _BY_NAME["Reverse Reuse"].id
+
+
 @dataclass(frozen=True)
 class DeckList:
     main: tuple[int, ...]

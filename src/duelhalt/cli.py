@@ -18,6 +18,11 @@ from .strategy import (Budget, NISStrategy, WELL_FOUNDED, _p2_has_channel, check
                        well_founded_to_depth)
 
 
+# duel plays a spoken number k as k equip pulls, so the bound keeps a round
+# to seconds of play
+MAX_DUEL_NUMBER = 10_000
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than low."""
     def parse(text: str) -> int:
@@ -214,14 +219,14 @@ def cmd_duel(args) -> int:
                 return 0
             try:
                 k = int(raw)
-                if k < 0:
-                    raise ValueError
             except ValueError:
+                k = -1
+            if not 0 <= k <= MAX_DUEL_NUMBER:
                 if transcript is not None:
-                    print(f"error: script line {raw!r} is not a non-negative number or q",
-                          file=sys.stderr)
+                    print(f"error: script line {raw!r} is not a number from 0 to "
+                          f"{MAX_DUEL_NUMBER} or q", file=sys.stderr)
                     return 2
-                print("enter a non-negative number or q")
+                print(f"enter a number from 0 to {MAX_DUEL_NUMBER} or q")
                 continue
         run = play_opponent_number(run, strat, k)
         if run is None:
@@ -289,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("duel", help="play Player 2's numbers interactively")
-    p.add_argument("--interactive", action="store_true")
     p.add_argument("--script", help="transcript file of numbers")
     p.add_argument("--machine", default="successor")
     p.add_argument("--max-rounds", type=_int_at_least(1), default=50)

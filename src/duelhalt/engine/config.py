@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..carddb import CARDS, FILLER, by_id, card_name
+from ..carddb import CARDS, FILLER, by_id, card_name, is_monster_id
 from ..coding import seq_decode, seq_encode
 from ..errors import MalformedCode
 
@@ -190,21 +190,15 @@ class Configuration:
             if len(ps.monsters) != N_MZONES or len(ps.spelltraps) != N_SZONES:
                 raise MalformedCode("bad zone widths")
             for inst in ps.monsters + (ps.extra_zone,):
-                if inst is not None and not _is_monster_id(inst.card):
+                if inst is not None and not is_monster_id(inst.card):
                     raise MalformedCode("non-monster in a monster zone")
             for inst in ps.spelltraps:
-                if inst is not None and _is_monster_id(inst.card):
+                if inst is not None and is_monster_id(inst.card):
                     raise MalformedCode("monster in a spell/trap zone")
             if ps.field_zone is not None:
                 spec = by_id(ps.field_zone.card)
                 if spec.kind.value != "field spell":
                     raise MalformedCode("non-field card in the field zone")
-
-
-def _is_monster_id(cid: int) -> bool:
-    if cid == FILLER:
-        return True
-    return by_id(cid).is_monster
 
 
 # --- integer codec -------------------------------------------------------

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ..carddb import FILLER, Kind, by_id, card_name
+from ..carddb import (
+    ATTRAFFIC, BAIT_DOLL, CARDS, CITADEL, CLARA, ENDYMION, FILLER, FLINT, FLINT_LOCK,
+    MASSIVEMORPH, MIST_BODY, MOD, MOF, MORALE_BOOST, MORPHING_JAR, ODD_EYES, POLE_POSITION,
+    PROTECTOR, SOUL_DRAIN, SVD, TEMPLE, VANITY, YATA, Kind, by_id, card_name, is_monster_id,
+    is_spell_id, is_trap_id,
+)
 from ..errors import IllegalDeck, IllegalMove
 from .config import fast_replace as replace
 from .config import (
@@ -72,35 +77,6 @@ from .moves import (
 )
 
 _COMBO_CAP = 200  # enumeration cap for multi-target effects
-
-from ..carddb import CARDS as _ALL_CARDS
-
-_CID = {spec.name: spec.id for spec in _ALL_CARDS}
-
-YATA = _CID["Yata-Garasu"]
-PROTECTOR = _CID["Protector of the Sanctuary"]
-MORPHING_JAR = _CID["Morphing Jar"]
-VANITY = _CID["Vanity's Ruler"]
-ENDYMION = _CID["Endymion, the Master Magician"]
-MOF = _CID["Magician of Faith"]
-MOD = _CID["Mask of Darkness"]
-CITADEL = _CID["Magical Citadel of Endymion"]
-TEMPLE = _CID["Temple of the Kings"]
-BAIT_DOLL = _CID["Bait Doll"]
-SOUL_DRAIN = _CID["Soul Drain"]
-DESERT_SUNLIGHT = _CID["Desert Sunlight"]
-MASSIVEMORPH = _CID["Massivemorph"]
-POLE_POSITION = _CID["Pole Position"]
-FLINT = _CID["Flint"]
-FLINT_LOCK = _CID["Flint Lock"]
-MIST_BODY = _CID["Mist Body"]
-MORALE_BOOST = _CID["Morale Boost"]
-ATTRAFFIC = _CID["Attraffic Control"]
-CLARA = _CID["Clara & Rushka, the Ventriloduo"]
-SVD = _CID["Starving Venemy Dragon"]
-ODD_EYES = _CID["Odd-Eyes Pendulum Dragon"]
-POLY = _CID["Polymerization"]
-RAIGEKI = _CID["Raigeki"]
 
 
 @dataclass(frozen=True)
@@ -361,9 +337,9 @@ def _chk_recovery(conf: Configuration, p: int, card: int, choice: Loc) -> None:
     gy = conf.players[p].gy
     _require(cp == p and kind == GY and 0 <= idx < len(gy), "bad recovery target")
     if card == MOF:
-        _require(_is_spell_cid(gy[idx]), "Magician of Faith recovers spells only")
+        _require(is_spell_id(gy[idx]), "Magician of Faith recovers spells only")
     else:
-        _require(_is_trap_cid(gy[idx]), "Mask of Darkness recovers traps only")
+        _require(is_trap_id(gy[idx]), "Mask of Darkness recovers traps only")
 
 
 def _flip_up_phase(conf: Configuration, p: int) -> tuple[Configuration, list[int]]:
@@ -398,18 +374,6 @@ def _gy_locs(conf: Configuration, p: int, pred) -> list[Loc]:
         if pred(cid):
             out.append((p, GY, idx))
     return out
-
-
-def _is_spell_cid(cid: int) -> bool:
-    return cid != FILLER and by_id(cid).is_spell
-
-
-def _is_trap_cid(cid: int) -> bool:
-    return cid != FILLER and by_id(cid).is_trap
-
-
-def _is_monster_cid(cid: int) -> bool:
-    return cid == FILLER or by_id(cid).is_monster
 
 
 def _first_free(zones: tuple[Optional[CardInstance], ...]) -> Optional[int]:
@@ -651,26 +615,12 @@ def _chk_bait_doll(conf, p, source, targets, extras):
 def _res_bait_doll(conf, p, source, targets, extras):
     t = targets[0]
     inst = conf.instance_at(t)
-    if inst is not None and not inst.face_up:
-        spec = by_id(inst.card)
-        if spec.is_trap:
-            conf = _set_slot(conf, t, replace(inst, face_up=True, face_since=conf.turn))
-            eff = spec.effects[0]
-            inner_targets, inner_extras = _unpack_forced(extras)
-            if eff == "desert_sunlight_flip_up":
-                # flips happen, the trap hits the graveyard, then triggers
-                conf, zones = _flip_up_phase(conf, t[0])
-                conf = _set_slot(conf, t, None)
-                conf = _add_gy(conf, t[0], inst.card)
-                choices = _decode_flip_choices(t[0], inner_extras)
-                conf = _run_flip_triggers(conf, t[0], zones, choices)
-            else:
-                chk, res, _cand = EFFECTS[eff]
-                chk(conf, t[0], t, inner_targets, inner_extras)
-                conf = res(conf, t[0], t, inner_targets, inner_extras)
-                if spec.kind == Kind.NORMAL_TRAP:
-                    conf = _set_slot(conf, t, None)
-                    conf = _add_gy(conf, t[0], inst.card)
+    if inst is not None and not inst.face_up and is_trap_id(inst.card):
+        # the forced trap resolves as if its controller had activated it
+        eff = by_id(inst.card).effects[0]
+        inner_targets, inner_extras = _unpack_forced(extras)
+        EFFECTS[eff][0](conf, t[0], t, inner_targets, inner_extras)
+        conf = _resolve_activation(conf, t[0], eff, t, inner_targets, inner_extras)
     # Bait Doll shuffles itself into its owner's deck after resolving.
     ps = conf.players[p]
     conf = update_player(conf, p, deck=ps.deck + (BAIT_DOLL,))
@@ -748,7 +698,7 @@ def _chk_mse(conf, p, source, targets, extras):
     t = targets[0]
     _require(t[0] == p and t[1] == GY, "recover from your graveyard")
     gy = conf.players[p].gy
-    _require(0 <= t[2] < len(gy) and _is_spell_cid(gy[t[2]]), "target must be a spell")
+    _require(0 <= t[2] < len(gy) and is_spell_id(gy[t[2]]), "target must be a spell")
     _require(len(extras) == 2, "discard exactly 2 cards")
     hand = list(conf.players[p].hand)
     src_cid = source[2] if source[1] == HAND else None
@@ -852,7 +802,7 @@ def _chk_give_and_take(conf, p, source, targets, extras):
     t = targets[0]
     _require(t[0] == p and t[1] == GY, "target must be in your graveyard")
     gy = conf.players[p].gy
-    _require(0 <= t[2] < len(gy) and _is_monster_cid(gy[t[2]]), "target must be a monster")
+    _require(0 <= t[2] < len(gy) and is_monster_id(gy[t[2]]), "target must be a monster")
     _require(len(extras) == 1 and 0 <= extras[0] < N_MZONES, "pick an opponent zone")
     _require(conf.players[1 - p].monsters[extras[0]] is None, "opponent zone occupied")
     _require(not _special_summon_blocked(conf, p), "special summons are blocked")
@@ -885,7 +835,7 @@ def _cand_gy_monster_to_opp(conf, p, source):
     zone = _first_free(conf.players[1 - p].monsters)
     if zone is None:
         return
-    for loc in _gy_locs(conf, p, _is_monster_cid)[:20]:
+    for loc in _gy_locs(conf, p, is_monster_id)[:20]:
         yield (loc,), (zone,)
 
 
@@ -909,7 +859,7 @@ def _chk_endymion_summon(conf, p, source, targets, extras):
         idx = extras[1] - 1
         gy = conf.players[p].gy
         _require(0 <= idx < len(gy), "recycle index out of range")
-        _require(_is_spell_cid(gy[idx]), "Endymion recycles a spell")
+        _require(is_spell_id(gy[idx]), "Endymion recycles a spell")
 
 
 def _res_endymion_summon(conf, p, source, targets, extras):
@@ -929,7 +879,7 @@ def _res_endymion_summon(conf, p, source, targets, extras):
         if source[1] == GY and source[2] < idx:
             idx -= 1
         gy = conf.players[p].gy
-        if 0 <= idx < len(gy) and _is_spell_cid(gy[idx]):
+        if 0 <= idx < len(gy) and is_spell_id(gy[idx]):
             cid = gy[idx]
             conf = update_player(conf, p, gy=gy[:idx] + gy[idx + 1 :])
             conf = _add_hand(conf, p, cid)
@@ -942,7 +892,7 @@ def _cand_endymion(conf, p, source):
         return
     yield (), (zone, 0)
     for idx, cid in enumerate(conf.players[p].gy):
-        if _is_spell_cid(cid):
+        if is_spell_id(cid):
             yield (), (zone, idx + 1)
             break
 
@@ -1290,7 +1240,7 @@ def _cand_discard(conf: Configuration, p: int) -> Iterable[Move]:
 
 # the tributes each normal-summonable monster takes: none up to level 4,
 # one up to level 6, two above
-_SUMMON_TRIBUTES = {spec.id: (spec.stats.level > 4) + (spec.stats.level > 6) for spec in _ALL_CARDS
+_SUMMON_TRIBUTES = {spec.id: (spec.stats.level > 4) + (spec.stats.level > 6) for spec in CARDS
                     if spec.is_monster and spec.kind not in (Kind.LINK_MONSTER, Kind.FUSION_MONSTER)}
 
 
@@ -1382,7 +1332,7 @@ def _cand_set(conf: Configuration, p: int) -> Iterable[Move]:
     ps = conf.players[p]
     first_free = [i for i, s in enumerate(ps.spelltraps) if s is None][:1]
     for cid in sorted(set(ps.hand)):
-        if _is_monster_cid(cid):
+        if is_monster_id(cid):
             continue
         for zone in ((-1,) if by_id(cid).kind == Kind.FIELD_SPELL else first_free):
             yield SetSpellTrap(p, cid, zone)
@@ -1547,7 +1497,7 @@ def _apply_activate(conf: Configuration, move: ActivateEffect) -> Configuration:
 
 
 # the effects each card lists that have an EFFECTS row
-_ACTIVATABLE = {spec.id: tuple(e for e in spec.effects if e in EFFECTS) for spec in _ALL_CARDS}
+_ACTIVATABLE = {spec.id: tuple(e for e in spec.effects if e in EFFECTS) for spec in CARDS}
 
 
 def _set_card_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:

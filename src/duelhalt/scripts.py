@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .carddb import DeckList, deck_a, deck_b, filler_deck, lookup
+from .carddb import (
+    ATTRAFFIC, BAIT_DOLL, BOE, CITADEL, CLARA, CREATSWAP, DBLSUM, DESERT_SUNLIGHT, ENDYMION,
+    FLINT, FLINT_LOCK, GAT, GIFTCARD, GMC, MASSIVEMORPH, MIST_BODY, MOD, MOF, MORALE_BOOST,
+    MORPHING_JAR, MSE, MST, ODD_EYES, OFFERINGS, POB, POD, POLE_POSITION, POLY, POTDUAL,
+    PROTECTOR, RAIGEKI, RAINMERCY, REVREUSE, SOULREL, SOUL_DRAIN, SVD, TEMPLE, TORNADO,
+    UPSTART, VANITY, YATA, DeckList, by_id, card_name, deck_a, deck_b, filler_deck,
+)
 from .errors import (
     IllegalMove,
     InsufficientCounters,
@@ -39,7 +45,7 @@ from .engine import (
     apply,
     initial_configuration,
 )
-from .engine.config import EXTRA, FZONE, GY, HAND, MZONE, SZONE
+from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
 from .engine.moves import ChainLink
 from .engine.rules import (
     flip_choice_extras,
@@ -47,53 +53,6 @@ from .engine.rules import (
     make_bait_doll_move,
     spell_counters,
 )
-
-
-def _cid(name: str) -> int:
-    return lookup(name).id
-
-
-DBLSUM = _cid("Double Summon")
-PROTECTOR = _cid("Protector of the Sanctuary")
-MORPHJAR = _cid("Morphing Jar")
-SOULDRAIN = _cid("Soul Drain")
-DESERTSUN = _cid("Desert Sunlight")
-YATA = _cid("Yata-Garasu")
-VANITY = _cid("Vanity's Ruler")
-POB = _cid("Pot of Benevolence")
-OFFERINGS = _cid("Offerings to the Doomed")
-MOF = _cid("Magician of Faith")
-MOD = _cid("Mask of Darkness")
-MASSIVEMORPH = _cid("Massivemorph")
-POLEPOS = _cid("Pole Position")
-GMC = _cid("Gold Moon Coin")
-ENDYMION = _cid("Endymion, the Master Magician")
-BOE = _cid("Book of Eclipse")
-MST = _cid("Mystical Space Typhoon")
-SOULREL = _cid("Soul Release")
-POD = _cid("Pot of Desires")
-POTDUAL = _cid("Pot of Duality")
-RAINMERCY = _cid("Rain of Mercy")
-MCOE = _cid("Magical Citadel of Endymion")
-TOTK = _cid("Temple of the Kings")
-UPSTART = _cid("Upstart Goblin")
-BAITDOLL = _cid("Bait Doll")
-GIFTCARD = _cid("Gift Card")
-TORNADO = _cid("Localized Tornado")
-FLINTLOCK = _cid("Flint Lock")
-ODDEYES = _cid("Odd-Eyes Pendulum Dragon")
-MSE = _cid("Magical Stone Excavation")
-MORALE = _cid("Morale Boost")
-MISTBODY = _cid("Mist Body")
-ATTRAFFIC = _cid("Attraffic Control")
-CREATSWAP = _cid("Creature Swap")
-POLY = _cid("Polymerization")
-FLINT = _cid("Flint")
-RAIGEKI = _cid("Raigeki")
-GAT = _cid("Give and Take")
-REVREUSE = _cid("Reverse Reuse")
-CLARA = _cid("Clara & Rushka, the Ventriloduo")
-SVD = _cid("Starving Venemy Dragon")
 
 
 @dataclass(frozen=True)
@@ -210,7 +169,8 @@ def _p1_turn(line: Line, actions, *, attack: bool = True, discard: tuple[int, ..
 
 
 def _p2_turn(line: Line, actions=()) -> None:
-    """The opponent's turn: scripted actions in their main phase, else passes."""
+    """The rest of the opponent's turn: scripted actions in their main
+    phase, else passes, and at the end their first excess cards discarded."""
     conf = line.conf
     assert conf.active == 1, "not the opponent's turn"
     if conf.phase == Phase.DRAW and not conf.draw_done and conf.players[1].deck:
@@ -219,6 +179,10 @@ def _p2_turn(line: Line, actions=()) -> None:
         _to_phase(line, Phase.MAIN1)
         for act in actions:
             act(line)
+    _to_phase(line, Phase.END)
+    excess = len(line.conf.players[1].hand) - HAND_LIMIT
+    if excess > 0:
+        line.do(DiscardToLimit(1, line.conf.players[1].hand[:excess]))
     _end_turn(line)
 
 
@@ -240,7 +204,6 @@ def _yata_attack(line: Line) -> None:
 
 def _set_st(cid, player=0):
     def act(line: Line):
-        from .carddb import by_id
         zone = -1 if by_id(cid).kind.value == "field spell" else _free_szone(line.conf, player)
         line.do(SetSpellTrap(player, cid, zone))
     return act
@@ -248,7 +211,6 @@ def _set_st(cid, player=0):
 
 def _activate_hand(cid, targets=(), extras=(), player=0, effect=None):
     def act(line: Line):
-        from .carddb import by_id
         eff = effect or by_id(cid).effects[0]
         tg = targets(line.conf) if callable(targets) else targets
         ex = extras(line.conf) if callable(extras) else extras
@@ -258,7 +220,6 @@ def _activate_hand(cid, targets=(), extras=(), player=0, effect=None):
 
 def _activate_set(cid, targets=(), extras=(), player=0, effect=None):
     def act(line: Line):
-        from .carddb import by_id
         eff = effect or by_id(cid).effects[0]
         zone = _szone_of(line.conf, player, cid)
         tg = targets(line.conf) if callable(targets) else targets
@@ -288,7 +249,7 @@ def deck_a_order() -> tuple[int, ...]:
     """Frozen permutation of deck_a's main pile for the scripted line."""
     want = [
         # opening hand
-        DBLSUM, PROTECTOR, MORPHJAR, SOULDRAIN, DESERTSUN,
+        DBLSUM, PROTECTOR, MORPHING_JAR, SOUL_DRAIN, DESERT_SUNLIGHT,
         # Morphing Jar draw
         YATA, VANITY, DBLSUM, POB, POB,
         # singles
@@ -299,7 +260,7 @@ def deck_a_order() -> tuple[int, ...]:
         MOF,        # t13
         MOD,        # t15
         MASSIVEMORPH,  # t17
-        POLEPOS,    # t19
+        POLE_POSITION,  # t19
         GMC,        # t21
         ENDYMION,   # t23
         BOE,        # t25
@@ -310,13 +271,13 @@ def deck_a_order() -> tuple[int, ...]:
         MOF, SOULREL, SOULREL, RAINMERCY, RAINMERCY, RAINMERCY,
         POTDUAL, TORNADO, TORNADO, GIFTCARD,
         # Pot of Desires' two draws
-        MCOE, TOTK,
+        CITADEL, TEMPLE,
         # tail
         UPSTART,    # t33
         UPSTART,    # drawn by the first Upstart Goblin
         UPSTART,    # t35
-        BAITDOLL,   # drawn by the second Upstart Goblin
-        DESERTSUN,  # t37, held
+        BAIT_DOLL,  # drawn by the second Upstart Goblin
+        DESERT_SUNLIGHT,  # t37, held
         GIFTCARD,   # t39, held through the hand-limit discard
         TORNADO,    # t41 (the last card)
     ]
@@ -353,9 +314,9 @@ def _turn1(line: Line) -> None:
     _to_phase(line, Phase.MAIN1)
     line.do(NormalSummon(0, PROTECTOR, 0, False))
     _double_summon_from_hand(line)
-    line.do(NormalSummon(0, MORPHJAR, 1, False))
-    line.do(SetSpellTrap(0, SOULDRAIN, 0))
-    line.do(SetSpellTrap(0, DESERTSUN, 1))
+    line.do(NormalSummon(0, MORPHING_JAR, 1, False))
+    line.do(SetSpellTrap(0, SOUL_DRAIN, 0))
+    line.do(SetSpellTrap(0, DESERT_SUNLIGHT, 1))
     _end_turn(line)
 
 
@@ -366,8 +327,8 @@ def _turn2_wipe(line: Line) -> None:
     line.do(Pass(1))     # draw-phase window offered to us
     line.do(Pass(0))     # decline; standby begins
     line.do(Pass(1))     # opponent passes standby; our window
-    ds_zone = _szone_of(line.conf, 0, DESERTSUN)
-    sd_zone = _szone_of(line.conf, 0, SOULDRAIN)
+    ds_zone = _szone_of(line.conf, 0, DESERT_SUNLIGHT)
+    sd_zone = _szone_of(line.conf, 0, SOUL_DRAIN)
     line.do(ActivateEffect(
         0, "desert_sunlight_flip_up", (0, SZONE, ds_zone),
         chain=(ChainLink("soul_drain_gy_lock", (0, SZONE, sd_zone)),),
@@ -397,7 +358,7 @@ def setup_run_a() -> ScriptResult:
     _p1_turn(line, [_t3_lock])                       # t3
     _p2_turn(line)
     _p1_turn(line, [_activate_hand(OFFERINGS, targets=lambda c: (
-        (0, MZONE, _mzone_of(c, 0, MORPHJAR)),))])   # t5; skips our t7 draw
+        (0, MZONE, _mzone_of(c, 0, MORPHING_JAR)),))])   # t5; skips our t7 draw
     _p2_turn(line)
     _p1_turn(line, [_summon_yata], attack=True)      # t7 (no draw)
     _p2_turn(line)
@@ -435,25 +396,25 @@ def setup_run_a() -> ScriptResult:
     _p1_turn(line, [_summon_yata])                   # t19: hold Pole Position
     _p2_turn(line)
     _p1_turn(line, [_activate_hand(GMC, targets=(
-        (0, HAND, MASSIVEMORPH), (0, HAND, POLEPOS))), _summon_yata])  # t21
-    _p2_turn(line, actions=[_set_st(MASSIVEMORPH, player=1), _set_st(POLEPOS, player=1)])
+        (0, HAND, MASSIVEMORPH), (0, HAND, POLE_POSITION))), _summon_yata])  # t21
+    _p2_turn(line, actions=[_set_st(MASSIVEMORPH, player=1), _set_st(POLE_POSITION, player=1)])
     _p1_turn(line, [_summon_yata])                   # t23: hold Endymion
     _p2_turn(line, actions=[
         _activate_set(MASSIVEMORPH, player=1,
                       targets=lambda c: ((0, MZONE, _mzone_of(c, 0, VANITY)),)),
-        _activate_set(POLEPOS, player=1),
+        _activate_set(POLE_POSITION, player=1),
     ])
     _p1_turn(line, [_summon_yata])                   # t25: hold Book of Eclipse
     _p2_turn(line)
     _p1_turn(line, [_activate_hand(MST, targets=lambda c: (
-        (0, SZONE, _szone_of(c, 0, SOULDRAIN)),)), _summon_yata])  # t27
+        (0, SZONE, _szone_of(c, 0, SOUL_DRAIN)),)), _summon_yata])  # t27
     _p2_turn(line)
 
     def soul_release(line: Line) -> None:
         conf = line.conf
         targets = tuple(
             (0, GY, _gy_index(conf, 0, cid))
-            for cid in (PROTECTOR, MORPHJAR, SOULDRAIN, DESERTSUN, MST)
+            for cid in (PROTECTOR, MORPHING_JAR, SOUL_DRAIN, DESERT_SUNLIGHT, MST)
         )
         line.do(ActivateEffect(0, "soul_release_banish", (0, HAND, SOULREL),
                                targets=targets))
@@ -463,8 +424,8 @@ def setup_run_a() -> ScriptResult:
 
     def pot_of_desires(line: Line) -> None:
         line.do(ActivateEffect(0, "pot_desires", (0, HAND, POD)))
-        line.do(SetSpellTrap(0, MCOE, -1))
-        line.do(SetSpellTrap(0, TOTK, _free_szone(line.conf, 0)))
+        line.do(SetSpellTrap(0, CITADEL, -1))
+        line.do(SetSpellTrap(0, TEMPLE, _free_szone(line.conf, 0)))
 
     _p1_turn(line, [pot_of_desires, _summon_yata])   # t31
     _p2_turn(line)
@@ -480,7 +441,7 @@ def setup_run_a() -> ScriptResult:
     def finale(line: Line) -> None:
         # the temple lets the freshly set Gift Card fire right away
         line.do(ActivateEffect(0, "temple_trap_allowance",
-                               (0, SZONE, _szone_of(line.conf, 0, TOTK))))
+                               (0, SZONE, _szone_of(line.conf, 0, TEMPLE))))
         gc_zone = _free_szone(line.conf, 0)
         line.do(SetSpellTrap(0, GIFTCARD, gc_zone))
         line.do(ActivateEffect(0, "gift_card_gain", (0, SZONE, gc_zone)))
@@ -499,12 +460,12 @@ def _require_loop_ready(conf: Configuration, need_counters: int = 0) -> None:
     if conf.active != 0 or conf.priority != 0 or conf.phase not in (Phase.MAIN1, Phase.MAIN2):
         raise NotLoopReady("needs Player 1's main phase")
     fz = p1.field_zone
-    if fz is None or fz.card != MCOE or not fz.face_up:
+    if fz is None or fz.card != CITADEL or not fz.face_up:
         raise NotLoopReady("Magical Citadel is not active")
     if need_counters and fz.counters < need_counters:
         raise InsufficientCounters(f"needs {need_counters} counters, have {fz.counters}")
     if need_counters == 0:
-        for cid in (BOE, BAITDOLL, DESERTSUN):
+        for cid in (BOE, BAIT_DOLL, DESERT_SUNLIGHT):
             if cid not in p1.hand:
                 raise NotLoopReady(f"loop card {cid} not in hand")
         if UPSTART not in p1.hand and UPSTART not in p1.gy:
@@ -535,13 +496,13 @@ def increment_cycle_moves(conf: Configuration) -> list[tuple[Move, Configuration
             break
     if ds_zone is None:
         raise NotLoopReady("no free spell/trap zone for Desert Sunlight")
-    sim = do(SetSpellTrap(0, DESERTSUN, ds_zone))
+    sim = do(SetSpellTrap(0, DESERT_SUNLIGHT, ds_zone))
 
     # plan the flip recoveries against the graveyard as it will stand when
     # the triggers resolve: Book of Eclipse and Bait Doll have been spent,
     # and Desert Sunlight reaches the graveyard before the triggers fire
     future_gy = list(sim.players[0].gy)
-    future_gy.append(DESERTSUN)  # the spent trap lands before the triggers
+    future_gy.append(DESERT_SUNLIGHT)  # the spent trap lands before the triggers
     pairs = []
     zones = sorted(
         i for i, inst in enumerate(sim.players[0].monsters)
@@ -554,7 +515,7 @@ def increment_cycle_moves(conf: Configuration) -> list[tuple[Move, Configuration
             want = BOE if mof_seen == 0 else (UPSTART if UPSTART in future_gy else None)
             mof_seen += 1
         else:
-            want = DESERTSUN
+            want = DESERT_SUNLIGHT
         if want is None or want not in future_gy:
             pairs.append((z, None))
             continue
@@ -562,7 +523,7 @@ def increment_cycle_moves(conf: Configuration) -> list[tuple[Move, Configuration
         pairs.append((z, idx))
         del future_gy[idx]
     extras = flip_choice_extras(pairs)
-    do(make_bait_doll_move(0, (0, HAND, BAITDOLL), (0, SZONE, ds_zone), extras))
+    do(make_bait_doll_move(0, (0, HAND, BAIT_DOLL), (0, SZONE, ds_zone), extras))
     do(ActivateEffect(0, "upstart_draw", (0, HAND, UPSTART)))
     return steps
 
@@ -699,18 +660,18 @@ def turn_tick(conf: Configuration) -> ScriptResult:
 
 def deck_b_order() -> tuple[int, ...]:
     want = [
-        DBLSUM, PROTECTOR, MORPHJAR, SOULDRAIN, DESERTSUN,
+        DBLSUM, PROTECTOR, MORPHING_JAR, SOUL_DRAIN, DESERT_SUNLIGHT,
         YATA, VANITY, DBLSUM, POB, POB,
         POB,        # t3
         OFFERINGS,  # t5 (skips t7)
-        FLINTLOCK,  # t9
-        FLINTLOCK,  # t11
+        FLINT_LOCK,  # t9
+        FLINT_LOCK,  # t11
         MST,        # t13: Soul Drain goes early to free its zone
         MSE,        # t15
         MOF,        # t17
         MASSIVEMORPH,  # t19
-        MORALE,     # t21
-        MISTBODY,   # t23
+        MORALE_BOOST,  # t21
+        MIST_BODY,  # t23
         GAT,        # t25
         GAT,        # t27
         GAT,        # t29
@@ -719,21 +680,21 @@ def deck_b_order() -> tuple[int, ...]:
         CREATSWAP,  # t35
         GMC,        # t37
         ENDYMION,   # t39
-        ODDEYES,    # t41
+        ODD_EYES,   # t41
         POLY,       # t43
         MASSIVEMORPH,  # t45
         FLINT,      # t47
         GMC,        # t49
-        POLEPOS,    # t51
+        POLE_POSITION,  # t51
         GMC,        # t53
         RAIGEKI,    # t55
-        MCOE,       # t57
-        TOTK,       # t59
+        CITADEL,    # t57
+        TEMPLE,     # t59
         MOF,        # t61
         MOD,        # t63
         UPSTART,    # t65
         BOE,        # t67
-        BAITDOLL,   # t69
+        BAIT_DOLL,  # t69
         TORNADO,    # t71
         TORNADO,    # t73
         TORNADO,    # t75 (the last card)
@@ -753,7 +714,7 @@ def setup_run_b() -> ScriptResult:
     _p1_turn(line, [_t3_lock])                        # t3
     _p2_turn(line)
     _p1_turn(line, [_activate_hand(OFFERINGS, targets=lambda c: (
-        (0, MZONE, _mzone_of(c, 0, MORPHJAR)),))])    # t5
+        (0, MZONE, _mzone_of(c, 0, MORPHING_JAR)),))])    # t5
     _p2_turn(line)
     _p1_turn(line, [_summon_yata], attack=True)       # t7 (no draw)
     _p2_turn(line)
@@ -762,14 +723,14 @@ def setup_run_b() -> ScriptResult:
     _p1_turn(line, [_summon_yata])                    # t11: hold Flint Lock
     _p2_turn(line)
     _p1_turn(line, [_activate_hand(MST, targets=lambda c: (
-        (0, SZONE, _szone_of(c, 0, SOULDRAIN)),)), _summon_yata])  # t13
+        (0, SZONE, _szone_of(c, 0, SOUL_DRAIN)),)), _summon_yata])  # t13
     _p2_turn(line)
 
     def mse(line: Line) -> None:
         line.do(ActivateEffect(
             0, "mse_discard_recover", (0, HAND, MSE),
             targets=((0, GY, _gy_index(line.conf, 0, DBLSUM)),),
-            extras=(FLINTLOCK, FLINTLOCK),
+            extras=(FLINT_LOCK, FLINT_LOCK),
         ))
 
     _p1_turn(line, [mse, _summon_yata])               # t15
@@ -827,7 +788,7 @@ def setup_run_b() -> ScriptResult:
         conf = line.conf
         gy = conf.players[0].gy
         monsters = sorted(
-            (i for i, c in enumerate(gy) if c in (PROTECTOR, FLINTLOCK)),
+            (i for i, c in enumerate(gy) if c in (PROTECTOR, FLINT_LOCK)),
         )
         base, l1, l2 = monsters[0], monsters[1], monsters[2]
         z1, z2, z3 = [i for i in range(5) if conf.players[1].monsters[i] is None][:3]
@@ -852,14 +813,14 @@ def setup_run_b() -> ScriptResult:
 
     def gmc_morale_mist(line: Line) -> None:
         line.do(ActivateEffect(0, "gmc_gift", (0, HAND, GMC),
-                               targets=((0, HAND, MORALE), (0, HAND, MISTBODY))))
+                               targets=((0, HAND, MORALE_BOOST), (0, HAND, MIST_BODY))))
         _flip(MOF, None)(line)   # the swapped-back Magician turns face-up
         _summon_yata(line)
 
     _p1_turn(line, [gmc_morale_mist])                 # t37
     _p2_turn(line, actions=[
-        _activate_hand(MORALE, player=1),
-        _activate_hand(MISTBODY, player=1, targets=lambda c: (
+        _activate_hand(MORALE_BOOST, player=1),
+        _activate_hand(MIST_BODY, player=1, targets=lambda c: (
             (1, MZONE, _mzone_of(c, 1, CLARA)),)),
     ])
     _p1_turn(line, [_summon_yata])                    # t39: hold Endymion
@@ -870,7 +831,7 @@ def setup_run_b() -> ScriptResult:
     def fuse(line: Line) -> None:
         line.do(ActivateEffect(
             0, "polymerization_fuse", (0, HAND, POLY),
-            targets=((0, HAND, ODDEYES), (0, HAND, ENDYMION)),
+            targets=((0, HAND, ODD_EYES), (0, HAND, ENDYMION)),
         ))
         _summon_yata(line)
 
@@ -891,14 +852,14 @@ def setup_run_b() -> ScriptResult:
     _p2_turn(line, actions=[
         _activate_set(MASSIVEMORPH, player=1, targets=lambda c: ((0, EXTRA, 0),)),
     ])
-    _p1_turn(line, [_activate_hand(GMC, targets=((0, HAND, POLEPOS),)),
+    _p1_turn(line, [_activate_hand(GMC, targets=((0, HAND, POLE_POSITION),)),
                     _summon_yata])                    # t53
-    _p2_turn(line, actions=[_set_st(POLEPOS, player=1)])
+    _p2_turn(line, actions=[_set_st(POLE_POSITION, player=1)])
     _p1_turn(line, [_summon_yata])                    # t55: hold Raigeki
-    _p2_turn(line, actions=[_activate_set(POLEPOS, player=1)])
-    _p1_turn(line, [lambda l: l.do(SetSpellTrap(0, MCOE, -1)), _summon_yata])
+    _p2_turn(line, actions=[_activate_set(POLE_POSITION, player=1)])
+    _p1_turn(line, [lambda l: l.do(SetSpellTrap(0, CITADEL, -1)), _summon_yata])
     _p2_turn(line)
-    _p1_turn(line, [lambda l: l.do(SetSpellTrap(0, TOTK, _free_szone(l.conf, 0))),
+    _p1_turn(line, [lambda l: l.do(SetSpellTrap(0, TEMPLE, _free_szone(l.conf, 0))),
                     _summon_yata])
     _p2_turn(line)
     _p1_turn(line, [dbl_set_mof])                     # second Magician
@@ -910,7 +871,7 @@ def setup_run_b() -> ScriptResult:
         l.do(NormalSummon(0, MOD, _free_mzone(l.conf, 0), False)),
     ) and None)])                                     # Mask of Darkness
     _p2_turn(line)
-    _p1_turn(line, [lambda l: _flip(MOD, DESERTSUN)(l), _summon_yata])  # recover DS
+    _p1_turn(line, [lambda l: _flip(MOD, DESERT_SUNLIGHT)(l), _summon_yata])  # recover DS
     _p2_turn(line)
     _p1_turn(line, [_summon_yata])                    # hold Book of Eclipse
     _p2_turn(line)
@@ -924,7 +885,7 @@ def setup_run_b() -> ScriptResult:
     def finale_b(line: Line) -> None:
         line.do(SetSpellTrap(0, TORNADO, _free_szone(line.conf, 0)))
         line.do(ActivateEffect(0, "temple_trap_allowance",
-                               (0, SZONE, _szone_of(line.conf, 0, TOTK))))
+                               (0, SZONE, _szone_of(line.conf, 0, TEMPLE))))
         line.do(ActivateEffect(0, "citadel_counters", (0, FZONE, 0)))
         prot = _mzone_of(line.conf, 1, PROTECTOR, face_up=True)
         line.do(ActivateEffect(0, "svd_negate", (0, EXTRA, 0),
@@ -973,8 +934,6 @@ def documented_final_board(deck: str) -> dict:
 
 def board_diff(conf: Configuration, deck: str) -> list[str]:
     """Differences between a configuration and the documented target."""
-    from .carddb import card_name
-
     want = documented_final_board(deck)
     p1, p2 = conf.players
     got = {

@@ -13,9 +13,11 @@ are undefined, matching the localization picture.
 configuration is the one `apply` produced when the plan was simulated.
 Plans are cached on (configuration, mode) and configurations compare by
 value, so a cached pair from an equal configuration still equals what
-`apply` gives.  The drivers extend the run with that configuration and
-do not apply the move again: each of our moves is applied once, by the
-planner, and each opponent move once, by the driver.
+`apply` gives.  Both players' turns are planned lines built by `apply`:
+ours by the strategy, the opponent's canonical turn by `_play_p2_turn`.
+`_drive` and `_play_p2_turn` extend the run with the planned
+configurations and choose or apply no move of their own, so each
+transition is applied once, by the line that plans it.
 
 The winning checker and the strategy trees share one explorer of the
 opponent's choices.  Those are numbers spoken through the equip-retarget
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
+from .carddb import CLARA, FLINT, FLINT_LOCK, RAIGEKI, YATA
 from .coding import pair, unpair, untriple
 from .errors import (
     IllegalMove,
@@ -45,10 +48,7 @@ from .engine import (
     Configuration,
     DeclareAttack,
     DIRECT,
-    DiscardToLimit,
-    DrawCard,
     Move,
-    Pass,
     Phase,
     Run,
     apply,
@@ -58,15 +58,11 @@ from .engine import (
 from .engine.config import EXTRA, HAND, MZONE, SZONE
 from .engine.rules import is_legal, spell_counters
 from .scripts import (
-    CLARA,
-    FLINT,
-    FLINTLOCK,
     Line,
-    RAIGEKI,
-    YATA,
     _end_turn,
     _negate_protector_if_needed,
     _offer_magician,
+    _p2_turn,
     _summon_endymion,
     _summon_yata,
     _to_phase,
@@ -107,13 +103,9 @@ class WinVerdict:
 # a move and the configuration it leads to
 Step = tuple[Move, Configuration]
 
-
-def _applied(conf: Configuration, move: Move) -> Optional[Step]:
-    """The move and the configuration it leads to; None when it is illegal."""
-    try:
-        return move, apply(conf, move)
-    except IllegalMove:
-        return None
+# A drive covers one of our turns, and a counter plan is capped at
+# 20,000 x 4 + 10,000 x 2 = 100,000 moves.
+MAX_STEPS = 200_000
 
 
 # the channel strategies' final heard states: off the base run, a broken chain
@@ -141,11 +133,8 @@ class Strategy:
 
     def next_move(self, conf: Configuration, state: Hashable) -> Optional[Step]:
         """Our move at conf and the configuration it leads to; None where
-        the strategy is undefined."""
-        if conf.priority != 0:
-            return None
-        if conf.active == 1:
-            return _applied(conf, Pass(0))  # response windows during their turn: wave through
+        the strategy is undefined.  Plans cover our whole turn, the
+        opponent's passes in it included."""
         mode = self._reads(state)
         if (conf, mode) in self._plan:
             return self._plan[conf, mode]
@@ -168,24 +157,27 @@ class Strategy:
 _PLAN_FAILS = (ScriptBroken, NotLoopReady, InsufficientCounters, IllegalMove, MalformedCode)
 
 
-def _plan_own_turn(conf: Configuration, play: Callable[..., None], *args
-                   ) -> Optional[Line]:
-    """Simulate one of our turns from conf: walk to the main phase, let
-    play(line, *args) fill it, and pass the turn unless the game is won.
-    None when the turn does not start in a main phase or a step of it is
-    not legal."""
+def _planned(conf: Configuration, fill: Callable[..., None], *args) -> Optional[Line]:
+    """The line fill(line, *args) simulates from conf; None when a step of
+    it is not legal."""
     line = Line(conf)
     try:
-        if conf.phase == Phase.DRAW:
-            _to_phase(line, Phase.MAIN1)
-        if line.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-            return None
-        play(line, *args)
-        if not is_winning_state(line.conf, 0):
-            _end_turn(line)
+        fill(line, *args)
     except _PLAN_FAILS:
         return None
     return line
+
+
+def _own_turn(line: Line, play: Callable[..., None], *args) -> None:
+    """One of our turns: walk to the main phase, let play(line, *args) fill
+    it, and pass the turn unless the game is won."""
+    if line.conf.phase == Phase.DRAW:
+        _to_phase(line, Phase.MAIN1)
+    if line.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
+        raise ScriptBroken(len(line.moves), "our turn does not reach a main phase")
+    play(line, *args)
+    if not is_winning_state(line.conf, 0):
+        _end_turn(line)
 
 
 def _counters_to(line: Line, target: int) -> None:
@@ -223,7 +215,7 @@ class TMStrategy(Strategy):
         self.machine = m
 
     def _plan_turn(self, conf, mode):
-        return _plan_own_turn(conf, self._play_turn)
+        return _planned(conf, _own_turn, self._play_turn)
 
     def _play_turn(self, line: Line) -> None:
         mconf = tmmod.decode_tmconf(spell_counters(line.conf))
@@ -293,9 +285,7 @@ class _ChannelStrategy(Strategy):
         return OFF if state == OFF else "raigeki" if state == BROKEN else "wait"
 
     def _plan_turn(self, conf, mode):
-        if mode == OFF:
-            return None
-        return _plan_own_turn(conf, self._play_turn, mode)
+        return None if mode == OFF else _planned(conf, _own_turn, self._play_turn, mode)
 
     def _play_turn(self, line: Line, mode: str) -> None:
         _negate_protector_if_needed(line)
@@ -350,7 +340,7 @@ class WOStrategy(_ChannelStrategy):
 def _p2_has_channel(conf: Configuration) -> bool:
     p2 = conf.players[1]
     flint = any(st is not None and st.card == FLINT and st.face_up for st in p2.spelltraps)
-    locks = sum(1 for m in p2.monsters if m is not None and m.card == FLINTLOCK and m.face_up)
+    locks = sum(1 for m in p2.monsters if m is not None and m.card == FLINT_LOCK and m.face_up)
     return flint and locks >= 1
 
 
@@ -369,75 +359,58 @@ def _retarget(p2, pull: bool) -> Optional[Move]:
         return None
     cur = p2.spelltraps[zone].equipped_to
     for i, m in enumerate(p2.monsters):
-        if m is not None and ((m.card == FLINTLOCK and m.face_up and (1, MZONE, i) != cur)
+        if m is not None and ((m.card == FLINT_LOCK and m.face_up and (1, MZONE, i) != cur)
                               if pull else m.card == CLARA):
             return ChangeEquipTarget(1, (1, SZONE, zone), (1, MZONE, i))
     return None
 
 
+def _their_turn(run: Run, actions=()) -> Optional[tuple[Run, int]]:
+    """The rest of the opponent's turn from run's end, planned as a line
+    (the actions in their main phase, our windows passed): the run it
+    extends to and the number it spoke, or None when a step is not legal."""
+    line = _planned(run.last(), _p2_turn, actions)
+    if line is None:
+        return None
+    c = line.configs
+    for mv, nxt in zip(line.moves, c[1:]):
+        run = run.extend(nxt, mv)
+    return run, sum(map(_spoke, c, c[1:]))
+
+
 def _play_p2_turn(run: Run, state: Hashable, choice: tuple[int, bool], s: Strategy
                   ) -> Optional[tuple[Run, Hashable]]:
-    """Simulate one opponent turn (k pulls, optional parking) plus our
-    windows; the strategy hears the turn's number once it is over."""
+    """Play one canonical opponent turn (k pulls, then parking or not) from
+    their decision point; the strategy hears the turn's number once it is
+    over.  None when the turn cannot be played."""
     k, park = choice
-    said, to_say = 0, k + (park and k > 0)  # the pulls, then the parking move
-    guard = 0
-    limit = 400 + 3 * k
-    spoken = 0
-    while True:
-        conf = run.last()
-        if _terminal_kind(conf) is not None:
-            return run, state
-        if conf.active != 1:
-            return run, s.hear(state, spoken)
-        guard += 1
-        if guard > limit:
-            return None
-        if conf.priority == 0:
-            step = s.next_move(conf, state)
-        elif conf.phase == Phase.DRAW and not conf.draw_done:
-            if not conf.players[1].deck:
-                return run, state  # they deck out at the mandatory draw
-            step = _applied(conf, DrawCard(1))
-        elif conf.phase == Phase.END and len(conf.players[1].hand) > 6:
-            excess = len(conf.players[1].hand) - 6
-            step = _applied(conf, DiscardToLimit(1, conf.players[1].hand[:excess]))
-        elif conf.phase in (Phase.MAIN1, Phase.MAIN2) and said < to_say:
-            mv = _retarget(conf.players[1], pull=said < k)
+
+    def speak(line: Line) -> None:
+        for pull in [True] * k + [False] * (park and k > 0):
+            mv = _retarget(line.conf.players[1], pull)
             if mv is None:
-                said = to_say  # the channel is gone: nothing more to say
-                continue
-            said += 1
-            step = _applied(conf, mv)
-        else:
-            step = _applied(conf, Pass(1))
-        if step is None:
-            return None
-        mv, nxt = step
-        spoken += _spoke(conf, nxt)
-        run = run.extend(nxt, mv)
+                return  # the channel is gone: nothing more to say
+            line.do(mv)
+
+    played = _their_turn(run, [speak])
+    return None if played is None else (played[0], s.hear(state, played[1]))
 
 
 def _terminal_kind(conf: Configuration) -> Optional[str]:
-    if is_winning_state(conf, 0):
-        return WIN
-    if is_winning_state(conf, 1):
-        return LOSS
-    return None
+    return WIN if is_winning_state(conf, 0) else LOSS if is_winning_state(conf, 1) else None
 
 
-def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = None,
-           max_steps: int = 200_000) -> tuple[Run, Optional[str]]:
-    """Play the strategy, and pass the opponent's windows, up to their next
-    decision point: the first configuration of their turn, so no opponent
-    turn ends along a drive and the heard state holds (a run that ends
-    inside an opponent's turn, past that point, has the rest of the turn
-    passed out unheard).
+def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = None
+           ) -> tuple[Run, Optional[str]]:
+    """Follow the strategy's plans up to the opponent's next decision point:
+    the first configuration of their turn, so no opponent turn ends along a
+    drive and the heard state holds (a run that ends inside an opponent's
+    turn, past that point, has the rest of the turn passed out unheard).
 
     Returns the run reached and None there, or why the drive stopped first:
     WIN or LOSS at a terminal state, LOSS when the strategy strands (the
     run ends before the move it could not make), UNDETERMINED past
-    last_turn or after max_steps moves.
+    last_turn or after MAX_STEPS moves.
     """
     steps = 0
     while True:
@@ -447,11 +420,17 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
             return run, kind
         if last_turn is not None and conf.turn > last_turn:
             return run, UNDETERMINED
-        if conf.active == 1 and conf.phase == Phase.DRAW and conf.priority == 1:
-            return run, None  # the opponent's decision point
-        if steps == max_steps:
+        if conf.active == 1:
+            if conf.phase == Phase.DRAW and conf.priority == 1:
+                return run, None  # the opponent's decision point
+            played = _their_turn(run)
+            if played is None:
+                return run, LOSS
+            run = played[0]
+            continue
+        if steps == MAX_STEPS:
             return run, UNDETERMINED
-        step = s.next_move(conf, state) if conf.priority == 0 else _applied(conf, Pass(1))
+        step = s.next_move(conf, state)
         if step is None:
             return run, LOSS
         mv, nxt = step
@@ -460,13 +439,12 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
 
 
 def _expand(s: Strategy, run: Run, state: Hashable, budget: Budget,
-            last_turn: Optional[int] = None, max_steps: int = 200_000
-            ) -> tuple[Run, Optional[str], Iterator]:
+            last_turn: Optional[int] = None) -> tuple[Run, Optional[str], Iterator]:
     """The explorer's step: drive to the opponent's next choice.  Returns
     the run reached, why the drive stopped (None at a branch point) and,
     lazily, each canonical opponent turn there with the (run, state) it
     leads to, or None when it cannot be played (a LOSS leaf)."""
-    run, stop = _drive(run, state, s, last_turn, max_steps)
+    run, stop = _drive(run, state, s, last_turn)
     choices = _p2_turn_choices(run.last(), budget) if stop is None else []
     return run, stop, ((c, _play_p2_turn(run, state, c, s)) for c in choices)
 
@@ -492,7 +470,7 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     strategy.  Anything cut off by the budget is Undetermined.
     """
     state, root = s.observe(run), run.last()
-    if s.next_move(root, state) is None and root.priority == 0 and root.active == 0:
+    if root.active == 0 and root.priority == 0 and s.next_move(root, state) is None:
         raise StrategyUndefinedAtRoot(str(s.descriptor))
     last_turn = root.turn + budget.max_turns
     base_len = len(run.moves)
@@ -510,7 +488,7 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
         if key in seen:
             first, first_met = seen[key]
             return WinVerdict(first.kind, witness(r) + first.witness[first_met:], budget)
-        r, stop, children = _expand(s, r, st, budget, last_turn, max_steps=500_000)
+        r, stop, children = _expand(s, r, st, budget, last_turn)
         if stop is not None:
             seen[key] = WinVerdict(stop, witness(r), budget), met
             return seen[key][0]
@@ -547,29 +525,25 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
 
 
 def replay_witness(run: Run, moves: Iterable[Move]) -> Run:
-    r = run
     for mv in moves:
-        r = r.extend(apply(r.last(), mv), mv)
-    return r
+        run = run.extend(apply(run.last(), mv), mv)
+    return run
 
 
-def drive_to_choice(run: Run, s: Strategy, max_steps: int = 200_000) -> Optional[Run]:
-    """Play the strategy (and window passes) up to the opponent's next
-    decision point or a terminal state; None when the strategy strands."""
-    run, stop = _drive(run, s.observe(run), s, max_steps=max_steps)
-    if stop is None or _terminal_kind(run.last()) is not None:
-        return run
-    return None  # stranded, or out of steps
+def drive_to_choice(run: Run, s: Strategy) -> Optional[Run]:
+    """Play the strategy up to the opponent's next decision point or a
+    terminal state; None when the strategy strands or runs out of steps."""
+    run, stop = _drive(run, s.observe(run), s)
+    return run if stop is None or _terminal_kind(run.last()) is not None else None
 
 
-def play_opponent_number(run: Run, s: Strategy, k: int, park: bool = True
-                         ) -> Optional[Run]:
+def play_opponent_number(run: Run, s: Strategy, k: int) -> Optional[Run]:
     """One opponent turn speaking the number k, then back to our side."""
     state = s.observe(run)
     run, stop = _drive(run, state, s)
     if stop is not None:  # terminal, or the strategy stranded
         return run if _terminal_kind(run.last()) is not None else None
-    played = _play_p2_turn(run, state, (k, park), s)
+    played = _play_p2_turn(run, state, (k, True), s)
     return None if played is None else played[0]
 
 
@@ -583,7 +557,21 @@ class StrategyTree:
     children: tuple[tuple[int, "StrategyTree"], ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(child.size() for _c, child in self.children)
+        n, todo = 0, [self]
+        while todo:
+            n += 1
+            todo.extend(child for _c, child in todo.pop().children)
+        return n
+
+
+@dataclass
+class _Open:
+    """A tree node whose children to_tree is still building."""
+    label: Optional[int]  # the coded choice on the edge into it
+    code: int
+    depth: int  # levels left below it
+    children: Iterator  # of _expand
+    edges: list[tuple[int, StrategyTree]]
 
 
 def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) -> StrategyTree:
@@ -593,19 +581,36 @@ def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) 
     number choice; leaves are marked by the win check on their segment.
     """
     budget = budget or Budget(max_turns=depth * 4 + 20, max_opponent_number=8)
+    # open nodes live on an explicit stack, so a deep tree needs no deep
+    # recursion; the bottom one only holds the root
+    stack = [_Open(None, 0, depth + 1, iter(()), [])]
 
-    def build(r: Run, st: Hashable, d: int) -> StrategyTree:
+    def visit(label: Optional[int], r: Run, st: Hashable, d: int) -> None:
+        """Add the node reached from r under the top node: a leaf, or an
+        open node pushed onto the stack."""
         r, stop, children = _expand(s, r, st, budget)
         code = encode_configuration(r.last())
-        if stop in (WIN, LOSS):
-            return StrategyTree(code, stop == WIN)
-        if stop is not None or d == 0:
-            return StrategyTree(code, None)
-        return StrategyTree(code, None, tuple(
-            (pair(k, int(park)), StrategyTree(code, False) if child is None else build(*child, d - 1))
-            for (k, park), child in children))
+        if stop is None and d > 0:
+            stack.append(_Open(label, code, d, children, []))
+        else:
+            leaf = StrategyTree(code, stop == WIN if stop in (WIN, LOSS) else None)
+            stack[-1].edges.append((label, leaf))
 
-    return build(run, s.observe(run), depth)
+    visit(None, run, s.observe(run), depth)
+    while len(stack) > 1:
+        top = stack[-1]
+        step = next(top.children, None)
+        if step is None:
+            stack.pop()
+            stack[-1].edges.append((top.label, StrategyTree(top.code, None, tuple(top.edges))))
+            continue
+        (k, park), child = step
+        label = pair(k, int(park))
+        if child is None:
+            top.edges.append((label, StrategyTree(top.code, False)))
+        else:
+            visit(label, *child, top.depth - 1)
+    return stack[0].edges[0][1]
 
 
 WELL_FOUNDED = "all-branches-terminate-winning"
@@ -618,19 +623,13 @@ class OpenBranch:
 
 def well_founded_to_depth(tree: StrategyTree, depth: int):
     """Every maximal branch within depth must end at a Winning leaf."""
-
-    def walk(node: StrategyTree, path: tuple[int, ...], d: int):
+    todo = [(tree, (), depth)]
+    while todo:
+        node, path, d = todo.pop()
         if node.winning is True:
-            return None
-        if node.winning is False:
+            continue
+        if node.winning is False or not node.children or d == 0:
+            # a losing leaf, or an unresolved frontier: not yet well-founded
             return OpenBranch(path)
-        if not node.children or d == 0:
-            return OpenBranch(path)  # unresolved frontier: not yet well-founded
-        for code, child in node.children:
-            bad = walk(child, path + (code,), d - 1)
-            if bad is not None:
-                return bad
-        return None
-
-    bad = walk(tree, (), depth)
-    return WELL_FOUNDED if bad is None else bad
+        todo.extend((child, path + (code,), d - 1) for code, child in reversed(node.children))
+    return WELL_FOUNDED

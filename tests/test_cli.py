@@ -1,6 +1,8 @@
+import signal
+
 import pytest
 
-from duelhalt.cli import main
+from duelhalt.cli import MAX_DUEL_NUMBER, main
 from duelhalt.trace import replay_trace
 
 
@@ -94,7 +96,7 @@ def test_duel_scripted_resign(tmp_path, capsys):
     script = tmp_path / "numbers.txt"
     script.write_text("q\n")
     code, out = run_cli(
-        capsys, "duel", "--interactive", "--script", str(script),
+        capsys, "duel", "--script", str(script),
         "--machine", "identity",
     )
     assert code == 0 and "resigns" in out
@@ -106,7 +108,7 @@ def test_duel_scripted_chain_then_mismatch(tmp_path, capsys):
     script = tmp_path / "numbers.txt"
     script.write_text("5\n2\n2\n1\n0\n0\n0\n0\n")
     code, out = run_cli(
-        capsys, "duel", "--interactive", "--script", str(script),
+        capsys, "duel", "--script", str(script),
         "--machine", "identity", "--max-rounds", "12",
     )
     assert code == 0
@@ -144,14 +146,49 @@ def test_bad_budget_or_depth_is_a_usage_error(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def _out_of_time(_signum, _frame):
+    raise TimeoutError("the duel did not answer within 10 s")
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["script", "typed"])
+def test_duel_refuses_numbers_over_the_bound(tmp_path, capsys, monkeypatch, typed):
+    # a number is played as that many equip pulls, so 10**9 would run for
+    # days: a script line over the bound is an error, a typed one is asked
+    # for again
+    script = tmp_path / "numbers.txt"
+    script.write_text(f"{MAX_DUEL_NUMBER + 1}\n")
+    argv = ["duel", "--machine", "identity"]
+    if typed:
+        answers = iter([str(10**9), "q"])
+        monkeypatch.setattr("builtins.input", lambda _prompt: next(answers))
+    else:
+        argv += ["--script", str(script)]
+    old = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(10)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    captured = capsys.readouterr()
+    if typed:
+        assert code == 0 and "resigns" in captured.out
+        assert f"enter a number from 0 to {MAX_DUEL_NUMBER} or q" in captured.out
+    else:
+        assert code == 2
+        assert captured.err.startswith(f"error: script line '{MAX_DUEL_NUMBER + 1}'")
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--reduce", "nis", "--machine", "successor", "--max-turns", "5"],
     ["reduce", "--reduce", "nis", "--machine", "successor", "--max-number", "5"],
     ["reduce", "--reduce", "nis", "--machine", "successor", "--exhaustive"],
     ["duel", "--script", "numbers.txt", "--index", "3"],
+    ["duel", "--interactive", "--script", "numbers.txt"],
 ])
 def test_flags_that_change_nothing_are_refused(capsys, argv):
-    # reduce runs no budgeted search, and duel names its machine with --machine
+    # reduce runs no budgeted search, duel names its machine with --machine,
+    # and it reads typed numbers whenever no --script is given
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -471,3 +471,20 @@ def test_legal_move_lists_are_pinned(board_a, board_b):
         digest.update(b"\n")
     assert len(configs) == 1940
     assert digest.hexdigest() == _LEGAL_MOVES_SHA256
+
+
+def test_a_trap_bait_doll_forces_resolves_as_its_own_activation(board_a):
+    # a set Soul Drain on set-up A's final board, activated directly and
+    # forced by Bait Doll: both pay its 1000 LP and leave it face-up
+    conf = board_a.final
+    soul_drain, bait_doll = lookup("Soul Drain").id, lookup("Bait Doll").id
+    sts = list(conf.players[0].spelltraps)
+    zone = sts.index(None)
+    sts[zone] = CardInstance(soul_drain, face_up=False, set_turn=conf.turn - 1)
+    conf = update_player(conf, 0, spelltraps=tuple(sts))
+    direct = apply(conf, ActivateEffect(0, "soul_drain_gy_lock", (0, SZONE, zone)))
+    forced = apply(conf, rules.make_bait_doll_move(0, (0, HAND, bait_doll), (0, SZONE, zone), ()))
+    assert conf.lp == (7000, 9200)
+    assert direct.lp == forced.lp == (6000, 9200)
+    assert direct.players[0].spelltraps[zone] == forced.players[0].spelltraps[zone]
+    assert forced.players[0].spelltraps[zone].face_up

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+from duelhalt import strategy
 from duelhalt.coding import pair, triple
-from duelhalt.engine import ActivateEffect, Run, apply, validate_run
+from duelhalt.engine import ActivateEffect, Pass, Phase, Run, apply, validate_run
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import StrategyUndefinedAtRoot
 from duelhalt.reductions import (
@@ -287,6 +288,29 @@ def test_planned_steps_are_what_apply_gives(reduce, budget):
         assert apply(conf, mv) == nxt
 
 
+def test_play_applies_no_move_outside_the_plans(monkeypatch):
+    # both players' turns are planned lines, so with the strategy module's
+    # apply refused the checker, the trees and the play functions still run
+    # and answer as before
+    budget = Budget(10, 8, cap_exhaustive=True)
+
+    def answers():
+        out = reduce_nis(CURATED["successor"])
+        run = out.run
+        for n in (5, 2, 0):
+            run = drive_to_choice(play_opponent_number(run, out.strategy, n), out.strategy)
+        return (check_winning(out.run, out.strategy, budget),
+                _tree_codes(to_tree(out.strategy, out.run, 3, budget)), run.moves)
+
+    want = answers()
+
+    def refuse(conf, move):
+        raise AssertionError(f"{move!r} was applied outside a planned line")
+
+    monkeypatch.setattr(strategy, "apply", refuse)
+    assert answers() == want
+
+
 def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
@@ -310,19 +334,69 @@ def _tree_codes(tree):
      UNDETERMINED, 205, "23c6958b5dfc648cb2ede4799cfb4bb550eb1990efb86fa508145f61c8c67102"),
     (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True), WIN, 50,
      "47fe65eb8ed68132b49cb3eb84d77aef96a0d456b9ba30ae448e612e6669fcaf"),
+    # the channel's turns played through the opponent's turn planner
+    (lambda: reduce_wo(reverse_omega()), Budget(16, 3), UNDETERMINED, 86,
+     "cce4aa2c38072e149481cdf39b6f8aecfc98eb4166f12e5926fc92cded5a63ae"),
 ], ids=["halting-empty", "halting-identity", "halting-decrement", "halting-loop",
-        "nis-identity", "nis-successor"])
+        "nis-identity", "nis-successor", "wo-reverse-omega"])
 def test_witnesses_are_pinned(reduce, budget, kind, length, sha):
     out = reduce()
     v = check_winning(out.run, out.strategy, budget)
     assert (v.kind, len(v.witness), _digest(v.witness)) == (kind, length, sha)
 
 
+# each tree's reduction, depth, budget (None: to_tree's default) and the
+# well_founded_to_depth answer
+_TREES = {
+    "identity": (lambda: reduce_nis(CURATED["identity"]), 4, None, OpenBranch((22, 7, 4, 2))),
+    "successor": (lambda: reduce_nis(CURATED["successor"]), 4, None, WELL_FOUNDED),
+    "wo-reverse-omega": (lambda: reduce_wo(reverse_omega()), 5, Budget(16, 3),
+                         OpenBranch((4, 7, 11, 2, 2))),
+}
+
+
 @pytest.mark.parametrize("machine, size, sha", [
     ("identity", 198, "3cbd15a094949cdcf7c2cacf6c12fb9d897fec57749ced5328fa13efe5379447"),
     ("successor", 74, "f6f082f0ce01a2c821bfdc4092ab07e6528433b59e3dbe68349c05fec835cc92"),
+    ("wo-reverse-omega", 96, "1fdf76c36d3d41f46239c61aa7f2d8fb99190eb6c95e46e65d7b2377ff79cb03"),
 ])
 def test_nis_trees_are_pinned(machine, size, sha):
-    out = reduce_nis(CURATED[machine])
-    tree = to_tree(out.strategy, out.run, 4)
+    reduce, depth, budget, answer = _TREES[machine]
+    out = reduce()
+    tree = to_tree(out.strategy, out.run, depth, budget)
     assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
+    assert well_founded_to_depth(tree, depth) == answer
+
+
+def test_a_drive_inside_their_turn_passes_it_out_unheard():
+    # past the opponent's decision point, with one pull already made, the
+    # drive passes the rest of their turn out and plays ours; pinned before
+    # the opponent's turns became planned lines
+    out = reduce_nis(CURATED["successor"])
+    run = drive_to_choice(out.run, out.strategy)
+    while run.last().phase != Phase.MAIN1:
+        mv = Pass(run.last().priority)
+        run = run.extend(apply(run.last(), mv), mv)
+    mv = strategy._retarget(run.last().players[1], pull=True)
+    run = run.extend(apply(run.last(), mv), mv)
+    driven = drive_to_choice(run, out.strategy)
+    moves = driven.moves[len(run.moves):]
+    assert (len(moves), driven.last().turn, driven.last().lp) == (27, 78, (7000, 5400))
+    assert _digest(moves) == "5fef52b928847d97066142c19c4ff24f75e10dce392fd1eae69833cd1759dbee"
+
+
+def test_deep_trees_do_not_need_recursion():
+    # one opponent turn per level: 60 levels would need far more than 100
+    # frames if to_tree, size or well_founded_to_depth recursed per level
+    out = reduce_halting(CURATED["loop"])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        tree = to_tree(out.strategy, out.run, 60, Budget(400, 4))
+        size, answer = tree.size(), well_founded_to_depth(tree, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert size == 61 and answer == OpenBranch((2,) * 60)
