@@ -42,7 +42,6 @@ FZONE = 2
 EXTRA = 3  # extra monster zone (one slot per player in this fragment)
 HAND = 4   # index = card id
 GY = 5     # index = position in graveyard list
-DECK = 6
 EXTRADECK = 8
 
 Loc = tuple[int, int, int]

@@ -28,9 +28,8 @@ its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..carddb import (
     ATTRAFFIC, BAIT_DOLL, CARDS, CITADEL, CLARA, ENDYMION, FILLER, FLINT, FLINT_LOCK,
@@ -79,16 +78,74 @@ from .moves import (
 _COMBO_CAP = 200  # enumeration cap for multi-target effects
 
 
-@dataclass(frozen=True)
 class Run:
-    configs: tuple[Configuration, ...]
-    moves: tuple[Move, ...]
+    """A line of play c_0 m_1 c_1 ... m_n c_n of length n, as a persistent
+    parent-pointer node (Driscoll, Sarnak, Sleator and Tarjan, "Making Data
+    Structures Persistent", 1989): extending is O(1) and shares the prefix.
+    The tuples are built on first read and cached on the node read."""
+
+    __slots__ = ("_parent", "_move", "_conf", "_len", "_configs", "_moves")
+
+    def __init__(self, configs: Iterable[Configuration], moves: Iterable[Move]):
+        configs, moves = tuple(configs), tuple(moves)
+        n = len(moves)
+        if len(configs) != n + 1:
+            raise ValueError(f"a run of {n} moves has {n + 1} configurations, not {len(configs)}")
+        parent = Run(configs[:1], ()) if n else None
+        for k in range(1, n):
+            parent = _link(parent, configs[k], moves[k - 1])
+        self._parent, self._move, self._conf = parent, moves[-1] if n else None, configs[-1]
+        self._len, self._configs, self._moves = n, configs, moves
+
+    def __len__(self) -> int:
+        return self._len
 
     def last(self) -> Configuration:
-        return self.configs[-1]
+        return self._conf
 
     def extend(self, conf: Configuration, move: Move) -> "Run":
-        return Run(self.configs + (conf,), self.moves + (move,))
+        """The run one transition on: the explorer's step, once per transition."""
+        return _link(self, conf, move)
+
+    @property
+    def configs(self) -> tuple[Configuration, ...]:
+        if self._configs is None:
+            self._configs = tuple(self.since(0))
+        return self._configs
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        if self._moves is None:
+            self._moves = tuple(move for _c, move, _n in self.steps())
+        return self._moves
+
+    def _from(self, n: int) -> list["Run"]:
+        """The nodes of c_n ... c_len, walking back only to c_n."""
+        if n < 0:
+            raise ValueError(f"a run has no configuration c_{n}")
+        node, nodes = self, []
+        while node is not None and node._len >= n:
+            nodes.append(node)
+            node = node._parent
+        return nodes[::-1]
+
+    def since(self, n: int) -> list[Configuration]:
+        """The configurations c_n ... c_len; none when the run is shorter."""
+        return [node._conf for node in self._from(n)]
+
+    def steps(self, n: int = 0) -> Iterator[tuple[Configuration, Move, Configuration]]:
+        """The transitions after c_n, in order, as (before, move, after)."""
+        nodes = self._from(n)
+        return ((a._conf, b._move, b._conf) for a, b in zip(nodes, nodes[1:]))
+
+
+def _link(parent: Run, conf: Configuration, move: Move) -> Run:
+    """The node one transition after parent.  Lines and trace replays link
+    here, so ``Run.extend`` counts only the explorer's transitions."""
+    run = object.__new__(Run)
+    run._parent, run._move, run._conf, run._len = parent, move, conf, parent._len + 1
+    run._configs = run._moves = None
+    return run
 
 
 # --- construction -------------------------------------------------------
@@ -1835,16 +1892,9 @@ def is_initial(conf: Configuration) -> bool:
 
 
 def validate_run(run: Run) -> bool:
-    if not run.configs:
-        return False
-    if len(run.moves) != len(run.configs) - 1:
-        return False
     if not is_initial(run.configs[0]):
         return False
-    for i, move in enumerate(run.moves):
-        if not transition_ok(run.configs[i], run.configs[i + 1], move):
-            return False
-    return True
+    return all(transition_ok(conf, nxt, move) for conf, move, nxt in run.steps())
 
 
 def can_act(run: Run) -> bool:

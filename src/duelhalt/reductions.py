@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .coding import pair, unpair
 from .errors import DuelhaltError, InvalidOrder
@@ -227,20 +227,8 @@ def nis_membership_bounded(e: int, depth: int, bound: int, steps: int
         if isinstance(r, tmmod.Converged) and r.output <= bound:
             succ.setdefault(r.output, []).append(a)
 
-    def extend(chain: list[int]) -> Optional[list[int]]:
-        if len(chain) == depth + 1:
-            return chain
-        for nxt in succ.get(chain[-1], ()):
-            got = extend(chain + [nxt])
-            if got is not None:
-                return got
-        return None
-
-    for a0 in range(bound + 1):
-        got = extend([a0])
-        if got is not None:
-            return ChainWitness(tuple(got))
-    return NO_CHAIN
+    got = _first_path(range(bound + 1), lambda a: succ.get(a, ()), depth + 1)
+    return NO_CHAIN if got is None else ChainWitness(got)
 
 
 def descending_chains(x: LinearOrder, first_max: int, length: int,
@@ -252,19 +240,26 @@ def descending_chains(x: LinearOrder, first_max: int, length: int,
     the bound.
     """
     bound = bound if bound is not None else max(first_max, length) * 2 + 4
+    return _first_path(range(first_max + 1),
+                       lambda a: (b for b in range(bound + 1) if x.less(b, a)), length)
 
-    def extend(chain: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if len(chain) == length:
-            return chain
-        for nxt in range(bound + 1):
-            if x.less(nxt, chain[-1]):
-                got = extend(chain + (nxt,))
-                if got is not None:
-                    return got
-        return None
 
-    for a0 in range(first_max + 1):
-        got = extend((a0,))
-        if got is not None:
-            return got
+def _first_path(starts: Iterable[int], succ: Callable[[int], Iterable[int]],
+                length: int) -> Optional[tuple[int, ...]]:
+    """The first path of the given number of elements that a depth-first
+    search from each start in turn finds along succ; None when there is
+    none.  The open successors live on an explicit stack, so a long path
+    needs no deep recursion."""
+    for a0 in starts:
+        path, todo = [a0], [iter(succ(a0))]
+        while todo:
+            if len(path) == length:
+                return tuple(path)
+            nxt = next(todo[-1], None)
+            if nxt is None:
+                todo.pop()
+                path.pop()
+            else:
+                path.append(nxt)
+                todo.append(iter(succ(nxt)))
     return None

@@ -12,7 +12,6 @@ Player 2, tagged only by their position in the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .carddb import (
     ATTRAFFIC, BAIT_DOLL, BOE, CITADEL, CLARA, CREATSWAP, DBLSUM, DESERT_SUNLIGHT, ENDYMION,
@@ -48,6 +47,7 @@ from .engine import (
 from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
 from .engine.moves import ChainLink
 from .engine.rules import (
+    _link,
     flip_choice_extras,
     identity_order,
     make_bait_doll_move,
@@ -62,33 +62,25 @@ class ScriptResult:
 
 
 class Line:
-    """Accumulates a validated move sequence from a start configuration."""
+    """A cursor over a run from a start configuration: each move is
+    validated by the engine and links one node onto the run."""
 
     def __init__(self, conf: Configuration):
-        self.configs: list[Configuration] = [conf]
-        self.moves: list[Move] = []
+        self.run = Run((conf,), ())
 
     @property
     def conf(self) -> Configuration:
-        return self.configs[-1]
+        return self.run.last()
 
     def do(self, move: Move) -> None:
         try:
             nxt = apply(self.conf, move)
         except IllegalMove as exc:
-            raise ScriptBroken(len(self.moves), f"{move!r}: {exc}") from exc
-        self.configs.append(nxt)
-        self.moves.append(move)
-
-    def take(self, steps: Iterable[tuple[Move, Configuration]]) -> None:
-        """Append (move, next configuration) pairs whose configurations
-        apply already produced from this line's end, one after another."""
-        for move, nxt in steps:
-            self.configs.append(nxt)
-            self.moves.append(move)
+            raise ScriptBroken(len(self.run), f"{move!r}: {exc}") from exc
+        self.run = _link(self.run, nxt, move)
 
     def result(self) -> ScriptResult:
-        return ScriptResult(Run(tuple(self.configs), tuple(self.moves)), self.conf)
+        return ScriptResult(self.run, self.conf)
 
 
 # --- small locators ---------------------------------------------------------
@@ -137,7 +129,7 @@ def _pass_until(line: Line, pred) -> None:
         line.do(Pass(line.conf.priority))
         guard += 1
         if guard > 60:
-            raise ScriptBroken(len(line.moves), "phase walk did not converge")
+            raise ScriptBroken(len(line.run), "phase walk did not converge")
 
 
 def _to_phase(line: Line, phase: Phase) -> None:
@@ -209,22 +201,14 @@ def _set_st(cid, player=0):
     return act
 
 
-def _activate_hand(cid, targets=(), extras=(), player=0, effect=None):
+def _activate(cid, targets=(), extras=(), player=0, effect=None, zone=HAND):
+    """Activate the card from the hand, or from its spell/trap zone."""
     def act(line: Line):
         eff = effect or by_id(cid).effects[0]
+        idx = cid if zone == HAND else _szone_of(line.conf, player, cid)
         tg = targets(line.conf) if callable(targets) else targets
         ex = extras(line.conf) if callable(extras) else extras
-        line.do(ActivateEffect(player, eff, (player, HAND, cid), tuple(tg), tuple(ex)))
-    return act
-
-
-def _activate_set(cid, targets=(), extras=(), player=0, effect=None):
-    def act(line: Line):
-        eff = effect or by_id(cid).effects[0]
-        zone = _szone_of(line.conf, player, cid)
-        tg = targets(line.conf) if callable(targets) else targets
-        ex = extras(line.conf) if callable(extras) else extras
-        line.do(ActivateEffect(player, eff, (player, SZONE, zone), tuple(tg), tuple(ex)))
+        line.do(ActivateEffect(player, eff, (player, zone, idx), tuple(tg), tuple(ex)))
     return act
 
 
@@ -346,67 +330,68 @@ def _t3_lock(line: Line) -> None:
                                targets=((1, GY, 0), (1, GY, 1))))
 
 
-def setup_run_a() -> ScriptResult:
-    """Replay of the first construction's whole setup line."""
-    conf = initial_configuration(
-        deck_a(), filler_deck(), deck_a_order(), identity_order(filler_deck())
-    )
-    line = Line(conf)
+def _double_then_set(cid: int, flip=()):
+    """Flip (monster, recovery) first when given, then activate Double
+    Summon, summon the spirit and set cid."""
+    def act(line: Line):
+        if flip:
+            _flip(*flip)(line)
+        _double_summon_from_hand(line)
+        _summon_yata(line)
+        line.do(NormalSummon(0, cid, _free_mzone(line.conf, 0), False))
+    return act
+
+
+def _opening_turns(deck: DeckList, order: tuple[int, ...]) -> Line:
+    """Turns 1 to 8, which both setups share: the opening, the hand wipe,
+    the draw lock and the skipped draw."""
+    line = Line(initial_configuration(deck, filler_deck(), order, identity_order(filler_deck())))
     _opening(line)
     _turn1(line)
     _turn2_wipe(line)
     _p1_turn(line, [_t3_lock])                       # t3
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(OFFERINGS, targets=lambda c: (
+    _p1_turn(line, [_activate(OFFERINGS, targets=lambda c: (
         (0, MZONE, _mzone_of(c, 0, MORPHING_JAR)),))])   # t5; skips our t7 draw
     _p2_turn(line)
     _p1_turn(line, [_summon_yata], attack=True)      # t7 (no draw)
     _p2_turn(line)
+    return line
+
+
+def setup_run_a() -> ScriptResult:
+    """Replay of the first construction's whole setup line."""
+    line = _opening_turns(deck_a(), deck_a_order())
 
     def hold(_line):
         pass
-
-    def dbl_then(cid):
-        def act(line: Line):
-            _double_summon_from_hand(line)
-            _summon_yata(line)
-            line.do(NormalSummon(0, cid, _free_mzone(line.conf, 0), False))
-        return act
-
-    def flip_then(flip_cid, recover_cid, set_cid):
-        def act(line: Line):
-            _flip(flip_cid, recover_cid)(line)
-            _double_summon_from_hand(line)
-            _summon_yata(line)
-            line.do(NormalSummon(0, set_cid, _free_mzone(line.conf, 0), False))
-        return act
 
     # t9..t15: bank a Double Summon, then roll out the flip monsters,
     # recycling the same Double Summon through each Magician of Faith
     _p1_turn(line, [hold, _summon_yata])             # t9: hold Double Summon
     _p2_turn(line)
-    _p1_turn(line, [dbl_then(MOF)], attack=True)     # t11
+    _p1_turn(line, [_double_then_set(MOF)], attack=True)  # t11
     _p2_turn(line)
-    _p1_turn(line, [flip_then(MOF, DBLSUM, MOF)])    # t13
+    _p1_turn(line, [_double_then_set(MOF, flip=(MOF, DBLSUM))])  # t13
     _p2_turn(line)
-    _p1_turn(line, [flip_then(MOF, DBLSUM, MOD)])    # t15
+    _p1_turn(line, [_double_then_set(MOD, flip=(MOF, DBLSUM))])  # t15
     _p2_turn(line)
     _p1_turn(line, [lambda l: _flip(MOD, None)(l), _summon_yata])  # t17: hold Massivemorph
     _p2_turn(line)
     _p1_turn(line, [_summon_yata])                   # t19: hold Pole Position
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(GMC, targets=(
+    _p1_turn(line, [_activate(GMC, targets=(
         (0, HAND, MASSIVEMORPH), (0, HAND, POLE_POSITION))), _summon_yata])  # t21
     _p2_turn(line, actions=[_set_st(MASSIVEMORPH, player=1), _set_st(POLE_POSITION, player=1)])
     _p1_turn(line, [_summon_yata])                   # t23: hold Endymion
     _p2_turn(line, actions=[
-        _activate_set(MASSIVEMORPH, player=1,
-                      targets=lambda c: ((0, MZONE, _mzone_of(c, 0, VANITY)),)),
-        _activate_set(POLE_POSITION, player=1),
+        _activate(MASSIVEMORPH, zone=SZONE, player=1,
+                  targets=lambda c: ((0, MZONE, _mzone_of(c, 0, VANITY)),)),
+        _activate(POLE_POSITION, zone=SZONE, player=1),
     ])
     _p1_turn(line, [_summon_yata])                   # t25: hold Book of Eclipse
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(MST, targets=lambda c: (
+    _p1_turn(line, [_activate(MST, targets=lambda c: (
         (0, SZONE, _szone_of(c, 0, SOUL_DRAIN)),)), _summon_yata])  # t27
     _p2_turn(line)
 
@@ -429,9 +414,9 @@ def setup_run_a() -> ScriptResult:
 
     _p1_turn(line, [pot_of_desires, _summon_yata])   # t31
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(UPSTART), _summon_yata])  # t33: draws Upstart #1
+    _p1_turn(line, [_activate(UPSTART), _summon_yata])  # t33: draws Upstart #1
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(UPSTART), _summon_yata])  # t35: draws Bait Doll
+    _p1_turn(line, [_activate(UPSTART), _summon_yata])  # t35: draws Bait Doll
     _p2_turn(line)
     _p1_turn(line, [_summon_yata])                   # t37: hold Desert Sunlight
     _p2_turn(line)
@@ -475,42 +460,32 @@ def _require_loop_ready(conf: Configuration, need_counters: int = 0) -> None:
             raise NotLoopReady("flip monsters are not face-up on the field")
 
 
-def increment_cycle_moves(conf: Configuration) -> list[tuple[Move, Configuration]]:
-    """The four-activation cycle worth +3 counters, as explicit moves, each
-    with the configuration apply took it to."""
-    steps: list[tuple[Move, Configuration]] = []
-
-    def do(move: Move) -> Configuration:
-        nxt = apply(steps[-1][1] if steps else conf, move)
-        steps.append((move, nxt))
-        return nxt
-
+def increment_cycle_moves(line: Line) -> None:
+    """Play the four-activation cycle worth +3 counters onto the line."""
     # after Book of Eclipse the flip monsters are face down; Desert
     # Sunlight (forced by Bait Doll) turns them back up and their flip
     # effects restock the hand from the graveyard
-    sim = do(ActivateEffect(0, "boe_flip_all", (0, HAND, BOE)))
-    ds_zone = None
-    for i, inst in enumerate(sim.players[0].spelltraps):
-        if inst is None:
-            ds_zone = i
-            break
+    line.do(ActivateEffect(0, "boe_flip_all", (0, HAND, BOE)))
+    ds_zone = next((i for i, inst in enumerate(line.conf.players[0].spelltraps)
+                    if inst is None), None)
     if ds_zone is None:
         raise NotLoopReady("no free spell/trap zone for Desert Sunlight")
-    sim = do(SetSpellTrap(0, DESERT_SUNLIGHT, ds_zone))
+    line.do(SetSpellTrap(0, DESERT_SUNLIGHT, ds_zone))
+    p1 = line.conf.players[0]
 
     # plan the flip recoveries against the graveyard as it will stand when
     # the triggers resolve: Book of Eclipse and Bait Doll have been spent,
     # and Desert Sunlight reaches the graveyard before the triggers fire
-    future_gy = list(sim.players[0].gy)
+    future_gy = list(p1.gy)
     future_gy.append(DESERT_SUNLIGHT)  # the spent trap lands before the triggers
     pairs = []
     zones = sorted(
-        i for i, inst in enumerate(sim.players[0].monsters)
+        i for i, inst in enumerate(p1.monsters)
         if inst is not None and not inst.face_up and inst.card in (MOF, MOD)
     )
     mof_seen = 0
     for z in zones:
-        inst = sim.players[0].monsters[z]
+        inst = p1.monsters[z]
         if inst.card == MOF:
             want = BOE if mof_seen == 0 else (UPSTART if UPSTART in future_gy else None)
             mof_seen += 1
@@ -523,9 +498,8 @@ def increment_cycle_moves(conf: Configuration) -> list[tuple[Move, Configuration
         pairs.append((z, idx))
         del future_gy[idx]
     extras = flip_choice_extras(pairs)
-    do(make_bait_doll_move(0, (0, HAND, BAIT_DOLL), (0, SZONE, ds_zone), extras))
-    do(ActivateEffect(0, "upstart_draw", (0, HAND, UPSTART)))
-    return steps
+    line.do(make_bait_doll_move(0, (0, HAND, BAIT_DOLL), (0, SZONE, ds_zone), extras))
+    line.do(ActivateEffect(0, "upstart_draw", (0, HAND, UPSTART)))
 
 
 def increment_cycle(conf: Configuration) -> ScriptResult:
@@ -560,14 +534,8 @@ def _offer_magician(line: Line, zone: int) -> None:
 
 def decrement_cycle(conf: Configuration) -> ScriptResult:
     """Summon the magician from the graveyard (-6), destroy it (+1)."""
-    _require_loop_ready(conf, need_counters=6)
-    p1 = conf.players[0]
-    if ENDYMION not in p1.gy:
-        raise NotLoopReady("Endymion is not parked in the graveyard")
-    if OFFERINGS not in p1.gy and OFFERINGS not in p1.hand:
-        raise NotLoopReady("Offerings to the Doomed is out of the orbit")
     line = Line(conf)
-    _offer_magician(line, _summon_endymion(line))
+    play_cycles(line, 0, 1)
     return line.result()
 
 
@@ -597,13 +565,17 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
 
 
 def play_cycles(line: Line, a: int, b: int) -> None:
-    """Play a increment cycles and then b decrement cycles onto the line,
-    each move applied once, by the cycle that plans it."""
+    """Play a increment cycles and then b decrement cycles onto the line."""
     for _ in range(a):
-        line.take(increment_cycle_moves(line.conf))
+        increment_cycle_moves(line)
     for _ in range(b):
-        run = decrement_cycle(line.conf).run
-        line.take(zip(run.moves, run.configs[1:]))
+        _require_loop_ready(line.conf, need_counters=6)
+        p1 = line.conf.players[0]
+        if ENDYMION not in p1.gy:
+            raise NotLoopReady("Endymion is not parked in the graveyard")
+        if OFFERINGS not in p1.gy and OFFERINGS not in p1.hand:
+            raise NotLoopReady("Offerings to the Doomed is out of the orbit")
+        _offer_magician(line, _summon_endymion(line))
 
 
 def set_counters(conf: Configuration, n: int) -> ScriptResult:
@@ -616,7 +588,7 @@ def set_counters(conf: Configuration, n: int) -> ScriptResult:
     line = Line(conf)
     play_cycles(line, *cycle_plan(n - spell_counters(conf)))
     if spell_counters(line.conf) != n:
-        raise ScriptBroken(len(line.moves), "counter plan missed the target")
+        raise ScriptBroken(len(line.run), "counter plan missed the target")
     return line.result()
 
 
@@ -704,25 +676,12 @@ def deck_b_order() -> tuple[int, ...]:
 
 def setup_run_b() -> ScriptResult:
     """Replay of the second construction's whole setup line."""
-    conf = initial_configuration(
-        deck_b(), filler_deck(), deck_b_order(), identity_order(filler_deck())
-    )
-    line = Line(conf)
-    _opening(line)
-    _turn1(line)
-    _turn2_wipe(line)
-    _p1_turn(line, [_t3_lock])                        # t3
-    _p2_turn(line)
-    _p1_turn(line, [_activate_hand(OFFERINGS, targets=lambda c: (
-        (0, MZONE, _mzone_of(c, 0, MORPHING_JAR)),))])    # t5
-    _p2_turn(line)
-    _p1_turn(line, [_summon_yata], attack=True)       # t7 (no draw)
-    _p2_turn(line)
+    line = _opening_turns(deck_b(), deck_b_order())
     _p1_turn(line, [_summon_yata])                    # t9: hold Flint Lock
     _p2_turn(line)
     _p1_turn(line, [_summon_yata])                    # t11: hold Flint Lock
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(MST, targets=lambda c: (
+    _p1_turn(line, [_activate(MST, targets=lambda c: (
         (0, SZONE, _szone_of(c, 0, SOUL_DRAIN)),)), _summon_yata])  # t13
     _p2_turn(line)
 
@@ -736,17 +695,12 @@ def setup_run_b() -> ScriptResult:
     _p1_turn(line, [mse, _summon_yata])               # t15
     _p2_turn(line)
 
-    def dbl_set_mof(line: Line) -> None:
-        _double_summon_from_hand(line)
-        _summon_yata(line)
-        line.do(NormalSummon(0, MOF, _free_mzone(line.conf, 0), False))
-
-    _p1_turn(line, [dbl_set_mof])                     # t17
+    _p1_turn(line, [_double_then_set(MOF)])           # t17
     _p2_turn(line)
     _p1_turn(line, [_set_st(MASSIVEMORPH), lambda l: _flip(MOF, DBLSUM)(l),
                     _summon_yata])                    # t19
     _p2_turn(line)
-    _p1_turn(line, [_activate_set(MASSIVEMORPH, targets=lambda c: (
+    _p1_turn(line, [_activate(MASSIVEMORPH, zone=SZONE, targets=lambda c: (
         (0, MZONE, _mzone_of(c, 0, MOF, face_up=True)),)), _summon_yata])  # t21
     _p2_turn(line)
     _p1_turn(line, [_summon_yata])                    # t23: hold Mist Body
@@ -819,8 +773,8 @@ def setup_run_b() -> ScriptResult:
 
     _p1_turn(line, [gmc_morale_mist])                 # t37
     _p2_turn(line, actions=[
-        _activate_hand(MORALE_BOOST, player=1),
-        _activate_hand(MIST_BODY, player=1, targets=lambda c: (
+        _activate(MORALE_BOOST, player=1),
+        _activate(MIST_BODY, player=1, targets=lambda c: (
             (1, MZONE, _mzone_of(c, 1, CLARA)),)),
     ])
     _p1_turn(line, [_summon_yata])                    # t39: hold Endymion
@@ -841,35 +795,30 @@ def setup_run_b() -> ScriptResult:
     _p2_turn(line)
     _p1_turn(line, [_summon_yata])                    # t47: hold Flint
     _p2_turn(line)
-    _p1_turn(line, [_activate_hand(GMC, targets=(
+    _p1_turn(line, [_activate(GMC, targets=(
         (0, HAND, MASSIVEMORPH), (0, HAND, FLINT))), _summon_yata])  # t49
     _p2_turn(line, actions=[
-        _activate_hand(FLINT, player=1, targets=lambda c: (
+        _activate(FLINT, player=1, targets=lambda c: (
             (1, MZONE, _mzone_of(c, 1, CLARA)),)),
         _set_st(MASSIVEMORPH, player=1),
     ])
     _p1_turn(line, [_summon_yata])                    # t51: hold Pole Position
     _p2_turn(line, actions=[
-        _activate_set(MASSIVEMORPH, player=1, targets=lambda c: ((0, EXTRA, 0),)),
+        _activate(MASSIVEMORPH, zone=SZONE, player=1, targets=lambda c: ((0, EXTRA, 0),)),
     ])
-    _p1_turn(line, [_activate_hand(GMC, targets=((0, HAND, POLE_POSITION),)),
+    _p1_turn(line, [_activate(GMC, targets=((0, HAND, POLE_POSITION),)),
                     _summon_yata])                    # t53
     _p2_turn(line, actions=[_set_st(POLE_POSITION, player=1)])
     _p1_turn(line, [_summon_yata])                    # t55: hold Raigeki
-    _p2_turn(line, actions=[_activate_set(POLE_POSITION, player=1)])
+    _p2_turn(line, actions=[_activate(POLE_POSITION, zone=SZONE, player=1)])
     _p1_turn(line, [lambda l: l.do(SetSpellTrap(0, CITADEL, -1)), _summon_yata])
     _p2_turn(line)
     _p1_turn(line, [lambda l: l.do(SetSpellTrap(0, TEMPLE, _free_szone(l.conf, 0))),
                     _summon_yata])
     _p2_turn(line)
-    _p1_turn(line, [dbl_set_mof])                     # second Magician
+    _p1_turn(line, [_double_then_set(MOF)])           # second Magician
     _p2_turn(line)
-    _p1_turn(line, [flip_then_mod := (lambda l: (
-        _flip(MOF, DBLSUM)(l),
-        _double_summon_from_hand(l),
-        _summon_yata(l),
-        l.do(NormalSummon(0, MOD, _free_mzone(l.conf, 0), False)),
-    ) and None)])                                     # Mask of Darkness
+    _p1_turn(line, [_double_then_set(MOD, flip=(MOF, DBLSUM))])  # Mask of Darkness
     _p2_turn(line)
     _p1_turn(line, [lambda l: _flip(MOD, DESERT_SUNLIGHT)(l), _summon_yata])  # recover DS
     _p2_turn(line)

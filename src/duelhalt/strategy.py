@@ -15,7 +15,7 @@ Plans are cached on (configuration, mode) and configurations compare by
 value, so a cached pair from an equal configuration still equals what
 `apply` gives.  Both players' turns are planned lines built by `apply`:
 ours by the strategy, the opponent's canonical turn by `_play_p2_turn`.
-`_drive` and `_play_p2_turn` extend the run with the planned
+`_drive` and `_their_turn` extend the run with the planned
 configurations and choose or apply no move of their own, so each
 transition is applied once, by the line that plans it.
 
@@ -30,6 +30,7 @@ into the cap yields an honest Undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .carddb import CLARA, FLINT, FLINT_LOCK, RAIGEKI, YATA
@@ -141,8 +142,7 @@ class Strategy:
         line = self._plan_turn(conf, mode)
         if line is None:
             return None
-        c = line.configs
-        self._plan.update(((c[i], mode), (mv, c[i + 1])) for i, mv in enumerate(line.moves))
+        self._plan.update(((c, mode), (mv, nxt)) for c, mv, nxt in line.run.steps())
         return self._plan.get((conf, mode))
 
     def _reads(self, state: Hashable) -> Hashable:
@@ -174,7 +174,7 @@ def _own_turn(line: Line, play: Callable[..., None], *args) -> None:
     if line.conf.phase == Phase.DRAW:
         _to_phase(line, Phase.MAIN1)
     if line.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
-        raise ScriptBroken(len(line.moves), "our turn does not reach a main phase")
+        raise ScriptBroken(len(line.run), "our turn does not reach a main phase")
     play(line, *args)
     if not is_winning_state(line.conf, 0):
         _end_turn(line)
@@ -255,17 +255,16 @@ class _ChannelStrategy(Strategy):
     def __init__(self, descriptor, base_run: Run):
         super().__init__(descriptor)
         self.base_run = base_run
-        self.base_len = len(base_run.configs)
 
     def observe(self, run):
         """OFF off the base run; else hear each opponent turn finished since
         it ends (a turn in progress has not spoken its number yet)."""
         super().observe(run)
-        configs = run.configs[self.base_len - 1:]
-        if len(run.configs) < self.base_len or configs[0] != self.base_run.configs[-1]:
+        configs = run.since(len(self.base_run))
+        if not configs or configs[0] != self.base_run.last():
             return OFF
         state, n = None, 0
-        for conf, nxt in zip(configs, configs[1:]):
+        for conf, nxt in pairwise(configs):
             if conf.active == 1:
                 if nxt.active == 0:
                     state, n = self.hear(state, n), 0
@@ -372,10 +371,11 @@ def _their_turn(run: Run, actions=()) -> Optional[tuple[Run, int]]:
     line = _planned(run.last(), _p2_turn, actions)
     if line is None:
         return None
-    c = line.configs
-    for mv, nxt in zip(line.moves, c[1:]):
+    spoken = 0
+    for conf, mv, nxt in line.run.steps():
         run = run.extend(nxt, mv)
-    return run, sum(map(_spoke, c, c[1:]))
+        spoken += _spoke(conf, nxt)
+    return run, spoken
 
 
 def _play_p2_turn(run: Run, state: Hashable, choice: tuple[int, bool], s: Strategy
@@ -473,18 +473,18 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     if root.active == 0 and root.priority == 0 and s.next_move(root, state) is None:
         raise StrategyUndefinedAtRoot(str(s.descriptor))
     last_turn = root.turn + budget.max_turns
-    base_len = len(run.moves)
+    base_len = len(run)
     # a line's verdict depends only on the configuration and heard state it
     # starts from, so lines that meet take the first one's verdict and moves
     # (each kept with its witness length where the line started)
     seen: dict[tuple[Configuration, Hashable], tuple[WinVerdict, int]] = {}
 
     def witness(r: Run) -> tuple[Move, ...]:
-        return r.moves[base_len:]
+        return tuple(mv for _c, mv, _n in r.steps(base_len))
 
     def explore(r: Run, st: Hashable) -> WinVerdict | _Branch:
         """A verdict, or the branch point at the opponent's next choice."""
-        key, met = (r.last(), st), len(r.moves) - base_len
+        key, met = (r.last(), st), len(r) - base_len
         if key in seen:
             first, first_met = seen[key]
             return WinVerdict(first.kind, witness(r) + first.witness[first_met:], budget)
@@ -550,11 +550,45 @@ def play_opponent_number(run: Run, s: Strategy, k: int) -> Optional[Run]:
 # --- strategy trees -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class StrategyTree:
+    """A node and the (coded choice, subtree) edges below it.  Equality,
+    hashing and repr are the dataclass's, made by walks that need no
+    recursion, so a tree of any depth can be compared and printed."""
     code: int
     winning: Optional[bool]
     children: tuple[tuple[int, "StrategyTree"], ...] = ()
+
+    def _preorder(self) -> tuple:
+        """(code, winning, edge label, child count) per node, in preorder."""
+        out, todo = [], [(None, self)]
+        while todo:
+            label, node = todo.pop()
+            out.append((node.code, node.winning, label, len(node.children)))
+            todo.extend(reversed(node.children))
+        return tuple(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"StrategyTree(code={item.code!r}, winning={item.winning!r}, children=(")
+            todo.append(",))" if len(item.children) == 1 else "))")
+            for i in reversed(range(len(item.children))):
+                label, child = item.children[i]
+                todo += [")", child, f"{', ' if i else ''}({label!r}, "]
+        return "".join(out)
 
     def size(self) -> int:
         n, todo = 0, [self]

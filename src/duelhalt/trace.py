@@ -7,13 +7,12 @@ from typing import Iterable, Iterator
 
 from .engine import Run, decode_configuration, encode_configuration, transition_ok
 from .engine.moves import decode_move, encode_move, render_move
+from .engine.rules import _link
 from .errors import MalformedCode
 
 
 def trace_lines(run: Run) -> Iterator[str]:
-    for i, move in enumerate(run.moves):
-        before = run.configs[i]
-        after = run.configs[i + 1]
+    for before, move, after in run.steps():
         yield json.dumps({
             "turn": before.turn,
             "phase": before.phase.name.lower(),
@@ -31,8 +30,7 @@ def write_trace(run: Run, path: str) -> None:
 
 def replay_trace(lines: Iterable[str], initial) -> Run:
     """Rebuild and validate a run from its trace against the start config."""
-    configs = [initial]
-    moves = []
+    run = Run((initial,), ())
     for n, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -44,8 +42,7 @@ def replay_trace(lines: Iterable[str], initial) -> Run:
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
                 MalformedCode) as exc:
             raise MalformedCode(f"trace line {n} is malformed: {exc}") from None
-        if not transition_ok(configs[-1], after, move):
+        if not transition_ok(run.last(), after, move):
             raise MalformedCode(f"trace line {n} does not replay")
-        configs.append(after)
-        moves.append(move)
-    return Run(tuple(configs), tuple(moves))
+        run = _link(run, after, move)
+    return run

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from duelhalt.reductions import setup
@@ -11,3 +13,16 @@ def board_a():
 @pytest.fixture(scope="session")
 def board_b():
     return setup("b")
+
+
+@pytest.fixture
+def shallow_recursion():
+    """Python's recursion limit at the current stack depth + 100 for the
+    test, so any walk that recurses once per level of a deep input fails."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    yield
+    sys.setrecursionlimit(limit)

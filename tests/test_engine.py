@@ -124,6 +124,31 @@ def test_validate_run_detects_swap(board_a):
     assert not validate_run(Run(tuple(configs), board_a.run.moves))
 
 
+@given(base=st.integers(0, 4),
+       grow=st.lists(st.tuples(st.integers(0, 60), st.booleans()), max_size=40))
+def test_runs_agree_with_tuple_reference(base, grow):
+    # a branching family of runs grown by extend from a tuple-built base,
+    # each checked against the plain tuples built alongside it; reading a
+    # run's tuples before extending it must not leak into its extensions
+    cs, ms = tuple(f"c{i}" for i in range(base + 1)), tuple(f"m{i}" for i in range(base))
+    family = [(Run(cs, ms), cs, ms)]
+    for k, (pick, read) in enumerate(grow):
+        run, cs, ms = family[pick % len(family)]
+        if read:
+            assert (run.configs, run.moves) == (cs, ms)
+        family.append((run.extend(f"c{k}'", f"m{k}'"), cs + (f"c{k}'",), ms + (f"m{k}'",)))
+    for run, cs, ms in family:
+        assert (len(run), run.last()) == (len(ms), cs[-1])
+        for n in range(len(ms) + 2):
+            assert run.since(n) == list(cs[n:])
+            assert list(run.steps(n)) == list(zip(cs[n:], ms[n:], cs[n + 1:]))
+        assert (run.configs, run.moves) == (cs, ms)
+        with pytest.raises(ValueError):
+            Run(cs, ms + ("m",))
+        with pytest.raises(ValueError):
+            run.since(-1)
+
+
 def test_is_winning_state_lp():
     conf = fresh()
     conf = update_player(conf, 1, lp=0)

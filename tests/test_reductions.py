@@ -195,3 +195,8 @@ class TestChainEnumerator:
         x = standard_omega()
         assert descending_chains(x, 10, 11) is not None
         assert descending_chains(x, 10, 12) is None
+
+
+def test_long_chain_searches_need_no_recursion(shallow_recursion):
+    assert descending_chains(reverse_omega(), 0, 1500) == tuple(range(1500))
+    assert nis_membership_bounded(CURATED["identity"], 1500, 1, 20) == ChainWitness((0,) * 1501)

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 
 import pytest
 
@@ -20,6 +19,7 @@ from duelhalt.strategy import (
     Budget,
     LOSS,
     OpenBranch,
+    StrategyTree,
     TMStrategy,
     UNDETERMINED,
     WELL_FOUNDED,
@@ -105,20 +105,11 @@ class TestCheckWinning:
             v = check_winning(out.run, out.strategy, Budget(turns, 4))
             assert v.kind == UNDETERMINED
 
-    def test_depth_does_not_need_recursion(self):
+    def test_depth_does_not_need_recursion(self, shallow_recursion):
         # one opponent turn per branch point: 240 turns would need far more
         # than 100 frames if the checker recursed once per turn
         out = reduce_halting(CURATED["loop"])
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
-            v = check_winning(out.run, out.strategy, Budget(240, 4))
-        finally:
-            sys.setrecursionlimit(limit)
-        assert v.kind == UNDETERMINED
+        assert check_winning(out.run, out.strategy, Budget(240, 4)).kind == UNDETERMINED
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_turn_cut(self, k):
@@ -385,18 +376,29 @@ def test_a_drive_inside_their_turn_passes_it_out_unheard():
     assert _digest(moves) == "5fef52b928847d97066142c19c4ff24f75e10dce392fd1eae69833cd1759dbee"
 
 
-def test_deep_trees_do_not_need_recursion():
+def test_deep_trees_do_not_need_recursion(shallow_recursion):
     # one opponent turn per level: 60 levels would need far more than 100
     # frames if to_tree, size or well_founded_to_depth recursed per level
     out = reduce_halting(CURATED["loop"])
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 100)
-    try:
-        tree = to_tree(out.strategy, out.run, 60, Budget(400, 4))
-        size, answer = tree.size(), well_founded_to_depth(tree, 60)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert size == 61 and answer == OpenBranch((2,) * 60)
+    tree = to_tree(out.strategy, out.run, 60, Budget(400, 4))
+    assert tree.size() == 61 and well_founded_to_depth(tree, 60) == OpenBranch((2,) * 60)
+
+
+def test_deep_trees_compare_hash_and_print_without_recursion(shallow_recursion):
+    def chain(levels, leaf=True):
+        tree = StrategyTree(0, leaf)
+        for i in range(levels):
+            tree = StrategyTree(i + 1, None, ((pair(i, 1), tree),))
+        return tree
+
+    a, b = chain(1500), chain(1500)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != chain(1500, leaf=False) and a != chain(1499)
+    assert repr(a).count("StrategyTree(") == 1501
+    # the dataclass's own format
+    small = StrategyTree(1, None, ((3, StrategyTree(2, True)), (4, StrategyTree(5, False))))
+    assert repr(small) == ("StrategyTree(code=1, winning=None, children=((3, StrategyTree("
+                           "code=2, winning=True, children=())), (4, StrategyTree(code=5, "
+                           "winning=False, children=()))))")
+    assert repr(chain(1)) == ("StrategyTree(code=1, winning=None, children=((2, StrategyTree("
+                              "code=0, winning=True, children=())),))")
