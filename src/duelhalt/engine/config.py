@@ -47,6 +47,30 @@ EXTRADECK = 8
 Loc = tuple[int, int, int]
 
 
+def _memo_hash(cls):
+    """The dataclass-made hash of cls, memoized in the instance dict.
+
+    Records are immutable and the win checker, the plan cache and the
+    transposition table hash them over and over, so each record hashes its
+    fields once.  A new configuration shares the players and cards it did
+    not change, so hashing it reuses their memos.  ``fast_replace`` builds
+    every changed record without the memo, so a memo never outlives a copy.
+    Equality stays the dataclass-made field comparison.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_memo_hash
 @dataclass(frozen=True)
 class CardInstance:
     card: int
@@ -64,6 +88,7 @@ class CardInstance:
         return card_name(self.card)
 
 
+@_memo_hash
 @dataclass(frozen=True)
 class PlayerState:
     deck: tuple[int, ...] = ()
@@ -82,7 +107,8 @@ class PlayerState:
         return n + (1 if self.extra_zone is not None else 0)
 
 
-@dataclass(frozen=True, eq=False)
+@_memo_hash
+@dataclass(frozen=True)
 class Configuration:
     players: tuple[PlayerState, PlayerState]
     turn: int = 0
@@ -98,30 +124,6 @@ class Configuration:
     attacked: frozenset[int] = frozenset()       # attacker monster-zone keys
     opt_used: frozenset[str] = frozenset()       # once-per-turn effect markers
     end_resolved: bool = False                   # end-phase auto events done
-
-    # equality/hash over the field tuple, with the hash memoized: the win
-    # checker keys plan caches by configuration and hashes dominate otherwise
-    def _key(self):
-        return (
-            self.players, self.turn, self.active, self.phase, self.priority,
-            self.normal_summons_used, self.normal_summon_allowance,
-            self.skip_draw, self.draw_done, self.temple_used,
-            self.boe_pending, self.attacked, self.opt_used, self.end_resolved,
-        )
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def lp(self) -> tuple[int, int]:

@@ -172,44 +172,74 @@ def identity_order(deck) -> tuple[int, ...]:
 
 
 # --- continuous-effect queries ------------------------------------------
+#
+# Each query reads the configuration as it stands, in one pass over the zones
+# it needs: nothing is cached on a configuration, since runs, plan caches and
+# transposition tables keep configurations alive.
 
 
 def _controls_faceup(conf: Configuration, p: int, cid: int) -> Optional[Loc]:
-    for loc, inst in conf.iter_spelltraps():
-        if loc[0] == p and inst.card == cid and inst.face_up and not inst.negated:
-            return loc
-    for loc, inst in conf.iter_monsters():
-        if loc[0] == p and inst.card == cid and inst.face_up and not inst.negated:
-            return loc
+    """The first of p's zones holding a face-up, unnegated cid."""
+    ps = conf.players[p]
+    for kind, zones in ((SZONE, ps.spelltraps), (FZONE, (ps.field_zone,)),
+                        (MZONE, ps.monsters), (EXTRA, (ps.extra_zone,))):
+        for i, inst in enumerate(zones):
+            if inst is not None and inst.card == cid and inst.face_up and not inst.negated:
+                return (p, kind, i)
     return None
 
 
+_BASE_ATK = {spec.id: spec.stats.atk if spec.stats else 0 for spec in CARDS}
+_EQUIP_ATK = {MASSIVEMORPH: 2000, FLINT: -300}
+
+
+def _equip_scan(conf: Configuration) -> tuple[dict[Loc, int], bool]:
+    """One scan of both players' spell/trap zones: the ATK the face-up
+    equips add to each monster they are on, and whether a face-up Pole
+    Position is in force."""
+    mods: dict[Loc, int] = {}
+    pole = False
+    for ps in conf.players:
+        for st in ps.spelltraps:
+            if st is None or not st.face_up:
+                continue
+            if st.card in _EQUIP_ATK and st.equipped_to is not None:
+                mods[st.equipped_to] = mods.get(st.equipped_to, 0) + _EQUIP_ATK[st.card]
+            elif st.card == POLE_POSITION and not st.negated:
+                pole = True
+    return mods, pole
+
+
 def current_atk(conf: Configuration, loc: Loc, inst: CardInstance) -> int:
-    spec = by_id(inst.card) if inst.card != FILLER else None
-    atk = spec.stats.atk if spec is not None and spec.stats else 0
-    for sloc, st in conf.iter_spelltraps():
-        if st.equipped_to == loc and st.face_up:
-            if st.card == MASSIVEMORPH:
-                atk += 2000
-            elif st.card == FLINT:
-                atk -= 300
-    return max(atk, 0)
+    return max(_BASE_ATK.get(inst.card, 0) + _equip_scan(conf)[0].get(loc, 0), 0)
+
+
+def _pole_shielded(conf: Configuration) -> list[Loc]:
+    """The face-up monsters of the top ATK while Pole Position is up: the
+    ones spells cannot touch.  O(S + M) for S spell/traps and M monsters."""
+    mods, pole = _equip_scan(conf)
+    if not pole:
+        return []
+    top, shielded = -1, []
+    for loc, m in conf.iter_monsters():
+        if m.face_up:
+            atk = max(_BASE_ATK.get(m.card, 0) + mods.get(loc, 0), 0)
+            if atk > top:
+                top, shielded = atk, [loc]
+            elif atk == top:
+                shielded.append(loc)
+    return shielded
 
 
 def _pole_protected(conf: Configuration, loc: Loc, inst: CardInstance) -> bool:
     """Spell immunity for the highest-ATK face-up monsters under Pole Position."""
-    if not inst.face_up:
-        return False
-    if not any(
-        st.card == POLE_POSITION and st.face_up and not st.negated
-        for _, st in conf.iter_spelltraps()
-    ):
-        return False
-    best = max(
-        (current_atk(conf, m_loc, m) for m_loc, m in conf.iter_monsters() if m.face_up),
-        default=-1,
-    )
-    return current_atk(conf, loc, inst) == best
+    return inst.face_up and loc in _pole_shielded(conf)
+
+
+def _equipped(conf: Configuration, loc: Loc, cid: int) -> bool:
+    """Whether a face-up cid is equipped to the monster at loc."""
+    return any(st is not None and st.equipped_to == loc and st.card == cid and st.face_up
+               for ps in conf.players for st in ps.spelltraps)
 
 
 def _effect_draw_blocked(conf: Configuration, p: int) -> bool:
@@ -227,10 +257,8 @@ def _special_summon_blocked(conf: Configuration, p: int) -> bool:
 
 
 def _soul_drain_up(conf: Configuration) -> bool:
-    return any(
-        st.card == SOUL_DRAIN and st.face_up and not st.negated
-        for _, st in conf.iter_spelltraps()
-    )
+    return any(st is not None and st.card == SOUL_DRAIN and st.face_up and not st.negated
+               for ps in conf.players for st in ps.spelltraps)
 
 
 def _citadel_loc(conf: Configuration) -> Optional[Loc]:
@@ -255,43 +283,61 @@ def _temple_available(conf: Configuration, p: int) -> bool:
 
 
 # --- zone plumbing -------------------------------------------------------
+#
+# A helper that changes one player takes that player's other changes as
+# keywords, so that a move rewriting a player twice copies it, and the
+# configuration, once.
 
 
-def _set_slot(conf: Configuration, loc: Loc, inst: Optional[CardInstance]) -> Configuration:
+def _set_slot(conf: Configuration, loc: Loc, inst: Optional[CardInstance],
+              **more) -> Configuration:
     p, kind, idx = loc
     ps = conf.players[p]
     if kind == MZONE:
         zones = list(ps.monsters)
         zones[idx] = inst
-        return update_player(conf, p, monsters=tuple(zones))
+        return update_player(conf, p, monsters=tuple(zones), **more)
     if kind == SZONE:
         zones = list(ps.spelltraps)
         zones[idx] = inst
-        return update_player(conf, p, spelltraps=tuple(zones))
+        return update_player(conf, p, spelltraps=tuple(zones), **more)
     if kind == FZONE:
-        return update_player(conf, p, field_zone=inst)
+        return update_player(conf, p, field_zone=inst, **more)
     if kind == EXTRA:
-        return update_player(conf, p, extra_zone=inst)
+        return update_player(conf, p, extra_zone=inst, **more)
     raise IllegalMove(f"bad zone in locator {loc}")
 
 
-def _add_gy(conf: Configuration, p: int, cid: int) -> Configuration:
-    ps = conf.players[p]
-    return update_player(conf, p, gy=ps.gy + (cid,))
+def _to_gy(conf: Configuration, loc: Loc) -> Configuration:
+    """The card at loc sent to its controller's graveyard."""
+    ps = conf.players[loc[0]]
+    return _set_slot(conf, loc, None, gy=ps.gy + (conf.instance_at(loc).card,))
 
 
-def _remove_hand(conf: Configuration, p: int, cid: int) -> Configuration:
-    ps = conf.players[p]
+def _hand_without(ps: PlayerState, cid: int) -> tuple[int, ...]:
     hand = list(ps.hand)
     if cid not in hand:
         raise IllegalMove(f"{card_name(cid)} is not in hand")
     hand.remove(cid)
-    return update_player(conf, p, hand=tuple(hand))
+    return tuple(hand)
 
 
-def _add_hand(conf: Configuration, p: int, cid: int) -> Configuration:
+def _remove_hand(conf: Configuration, p: int, cid: int, **more) -> Configuration:
+    return update_player(conf, p, hand=_hand_without(conf.players[p], cid), **more)
+
+
+def _discard(conf: Configuration, p: int, cid: int) -> Configuration:
+    return _remove_hand(conf, p, cid, gy=conf.players[p].gy + (cid,))
+
+
+def _add_hand(conf: Configuration, p: int, cid: int, **more) -> Configuration:
     ps = conf.players[p]
-    return update_player(conf, p, hand=tuple(sorted(ps.hand + (cid,))))
+    return update_player(conf, p, hand=tuple(sorted(ps.hand + (cid,))), **more)
+
+
+def _gy_to_hand(conf: Configuration, p: int, idx: int) -> Configuration:
+    gy = conf.players[p].gy
+    return _add_hand(conf, p, gy[idx], gy=gy[:idx] + gy[idx + 1:])
 
 
 def _adjust_lp(conf: Configuration, p: int, delta: int) -> Configuration:
@@ -300,53 +346,50 @@ def _adjust_lp(conf: Configuration, p: int, delta: int) -> Configuration:
 
 
 def _cleanup_dependents(conf: Configuration, gone: Loc) -> Configuration:
-    """Destroy equips and targeted continuous traps watching a zone."""
-    for sloc, st in list(conf.iter_spelltraps()):
-        if st.equipped_to == gone:
-            conf = _set_slot(conf, sloc, None)
-            conf = _add_gy(conf, sloc[0], st.card)
+    """Destroy the cards equipped to a zone: one copy of each player that
+    controls any."""
+    for p, ps in enumerate(conf.players):
+        zones = ps.spelltraps + (ps.field_zone,)
+        hit = [i for i, st in enumerate(zones) if st is not None and st.equipped_to == gone]
+        if hit:
+            kept = [None if i in hit else st for i, st in enumerate(zones)]
+            conf = update_player(conf, p, spelltraps=tuple(kept[:N_SZONES]),
+                                 field_zone=kept[N_SZONES],
+                                 gy=ps.gy + tuple(zones[i].card for i in hit))
     return conf
 
 
 def _leave_field(conf: Configuration, loc: Loc, to: str) -> Configuration:
-    """Move a monster off the field to its controller's gy/hand/deck."""
-    inst = conf.instance_at(loc)
-    conf = _set_slot(conf, loc, None)
+    """Move a monster off the field to its controller's gy or hand, after
+    its equips."""
+    card = conf.instance_at(loc).card
     conf = _cleanup_dependents(conf, loc)
-    p = loc[0]
-    if to == "gy":
-        conf = _add_gy(conf, p, inst.card)
-    elif to == "hand":
-        conf = _add_hand(conf, p, inst.card)
-    elif to == "deck":
-        ps = conf.players[p]
-        conf = update_player(conf, p, deck=ps.deck + (inst.card,))
+    ps = conf.players[loc[0]]
+    if to == "hand":
+        return _set_slot(conf, loc, None, hand=tuple(sorted(ps.hand + (card,))))
+    return _set_slot(conf, loc, None, gy=ps.gy + (card,))
+
+
+def _set_monsters(conf: Configuration,
+                  placed: list[tuple[Loc, Optional[CardInstance]]]) -> Configuration:
+    """conf with each (loc, inst) of placed in its monster zone: one copy of
+    each player placed to."""
+    for p in sorted({loc[0] for loc, _inst in placed}):
+        zones = list(conf.players[p].monsters) + [conf.players[p].extra_zone]
+        for (q, kind, i), inst in placed:
+            if q == p:
+                zones[N_MZONES if kind == EXTRA else i] = inst
+        conf = update_player(conf, p, monsters=tuple(zones[:N_MZONES]),
+                             extra_zone=zones[N_MZONES])
     return conf
 
 
-def _flip_down(conf: Configuration, loc: Loc) -> Configuration:
-    inst = conf.instance_at(loc)
-    conf = _cleanup_dependents(conf, loc)
-    return _set_slot(
-        conf,
-        loc,
-        replace(inst, face_up=False, position=DEF, negated=False, face_since=conf.turn),
-    )
+def _face_up(inst: CardInstance, position: int, turn: int) -> CardInstance:
+    return replace(inst, face_up=True, position=position, face_since=turn, summoned_turn=turn)
 
 
 def _flip_up(conf: Configuration, loc: Loc, position: int) -> Configuration:
-    inst = conf.instance_at(loc)
-    return _set_slot(
-        conf,
-        loc,
-        replace(
-            inst,
-            face_up=True,
-            position=position,
-            face_since=conf.turn,
-            summoned_turn=conf.turn,
-        ),
-    )
+    return _set_slot(conf, loc, _face_up(conf.instance_at(loc), position, conf.turn))
 
 
 def _draw_cards(conf: Configuration, p: int, n: int, by_effect: bool) -> Configuration:
@@ -380,9 +423,7 @@ def _resolve_flip_trigger(
         if choice is None:
             return conf
         _chk_recovery(conf, p, inst.card, choice)
-        ps, idx = conf.players[p], choice[2]
-        conf = update_player(conf, p, gy=ps.gy[:idx] + ps.gy[idx + 1 :])
-        return _add_hand(conf, p, ps.gy[idx])
+        return _gy_to_hand(conf, p, choice[2])
     return conf
 
 
@@ -400,13 +441,12 @@ def _chk_recovery(conf: Configuration, p: int, card: int, choice: Loc) -> None:
 
 
 def _flip_up_phase(conf: Configuration, p: int) -> tuple[Configuration, list[int]]:
-    """Flip all of p's face-down monsters face-up in defense; no triggers yet."""
-    flipped = []
-    for i, inst in enumerate(conf.players[p].monsters):
-        if inst is not None and not inst.face_up:
-            conf = _flip_up(conf, (p, MZONE, i), DEF)
-            flipped.append(i)
-    return conf, flipped
+    """Flip all of p's face-down monsters face-up in defense, in one copy of
+    p; no triggers yet."""
+    monsters = conf.players[p].monsters
+    flipped = [i for i, inst in enumerate(monsters) if inst is not None and not inst.face_up]
+    return _set_monsters(conf, [((p, MZONE, i), _face_up(monsters[i], DEF, conf.turn))
+                                for i in flipped]), flipped
 
 
 def _run_flip_triggers(
@@ -597,8 +637,7 @@ def _res_mst(conf, p, source, targets, extras):
     inst = conf.instance_at(t)
     if inst is None:
         return conf
-    conf = _set_slot(conf, t, None)
-    return _add_gy(conf, t[0], inst.card)
+    return _to_gy(conf, t)
 
 
 def _cand_mst(conf, p, source):
@@ -630,8 +669,7 @@ def _res_pot_duality(conf, p, source, targets, extras):
     ps = conf.players[p]
     top, rest = list(ps.deck[:3]), ps.deck[3:]
     chosen = top.pop(extras[0])
-    conf = update_player(conf, p, deck=rest + tuple(top))
-    return _add_hand(conf, p, chosen)
+    return _add_hand(conf, p, chosen, deck=rest + tuple(top))
 
 
 def _chk_offerings(conf, p, source, targets, extras):
@@ -653,8 +691,9 @@ def _res_offerings(conf, p, source, targets, extras):
 
 
 def _cand_offerings(conf, p, source):
+    shielded = _pole_shielded(conf)
     for loc, inst in conf.iter_monsters():
-        if inst.face_up and not _pole_protected(conf, loc, inst):
+        if inst.face_up and loc not in shielded:
             yield (loc,), ()
 
 
@@ -703,15 +742,26 @@ def _unpack_forced(flat: tuple[int, ...]) -> tuple[tuple[Loc, ...], tuple[int, .
 
 
 def _res_boe(conf, p, source, targets, extras):
+    # Pole Position is judged against the board as it stands at each flip.
+    # A flip takes a monster below the top ATK out of the running, so the
+    # shield can move only when cards watching its zone leave for the
+    # graveyard; until then the flips are written together.
+    shielded = _pole_shielded(conf)
+    turned = []
     for loc, inst in list(conf.iter_monsters()):
         if not inst.face_up:
             continue
         if inst.card != FILLER and by_id(inst.card).kind == Kind.LINK_MONSTER:
             continue
-        if _pole_protected(conf, loc, inst):
+        if loc in shielded:
             continue
-        conf = _flip_down(conf, loc)
-    return replace(conf, boe_pending=True)
+        turned.append((loc, replace(inst, face_up=False, position=DEF, negated=False,
+                                    face_since=conf.turn)))
+        cleaned = _cleanup_dependents(conf, loc)
+        if cleaned is not conf:
+            conf, turned = _set_monsters(cleaned, turned), []
+            shielded = _pole_shielded(conf)
+    return replace(_set_monsters(conf, turned), boe_pending=True)
 
 
 def _chk_soul_drain(conf, p, source, targets, extras):
@@ -768,15 +818,10 @@ def _chk_mse(conf, p, source, targets, extras):
 
 def _res_mse(conf, p, source, targets, extras):
     for cid in extras:
-        conf = _remove_hand(conf, p, cid)
-        conf = _add_gy(conf, p, cid)
+        conf = _discard(conf, p, cid)
     # indices shift after the discards: the target index refers to the
     # graveyard as it was at activation, before this card's own discards.
-    t = targets[0]
-    cid = conf.players[p].gy[t[2]]
-    gy = conf.players[p].gy
-    conf = update_player(conf, p, gy=gy[: t[2]] + gy[t[2] + 1 :])
-    return _add_hand(conf, p, cid)
+    return _gy_to_hand(conf, p, targets[0][2])
 
 
 def _chk_creature_swap(conf, p, source, targets, extras):
@@ -831,8 +876,7 @@ def _chk_poly(conf, p, source, targets, extras):
 def _res_poly(conf, p, source, targets, extras):
     for t in sorted(targets, key=lambda t: (t[1] != HAND, t)):
         if t[1] == HAND:
-            conf = _remove_hand(conf, p, t[2])
-            conf = _add_gy(conf, p, t[2])
+            conf = _discard(conf, p, t[2])
         else:
             conf = _leave_field(conf, t, "gy")
     ed = list(conf.players[p].extra_deck)
@@ -844,13 +888,15 @@ def _res_poly(conf, p, source, targets, extras):
 
 
 def _res_raigeki(conf, p, source, targets, extras):
-    opp = 1 - p
-    for loc, inst in list(conf.iter_monsters()):
-        if loc[0] != opp:
-            continue
-        if _pole_protected(conf, loc, inst):
-            continue
-        conf = _leave_field(conf, loc, "gy")
+    # Pole Position is judged against the board as it stands at each
+    # destruction, as Book of Eclipse judges it at each flip
+    shielded = _pole_shielded(conf)
+    for loc, _inst in list(conf.iter_monsters()):
+        if loc[0] == 1 - p and loc not in shielded:
+            cleaned = _cleanup_dependents(conf, loc)
+            watched, conf = cleaned is not conf, _leave_field(cleaned, loc, "gy")
+            if watched:
+                shielded = _pole_shielded(conf)
     return conf
 
 
@@ -937,9 +983,7 @@ def _res_endymion_summon(conf, p, source, targets, extras):
             idx -= 1
         gy = conf.players[p].gy
         if 0 <= idx < len(gy) and is_spell_id(gy[idx]):
-            cid = gy[idx]
-            conf = update_player(conf, p, gy=gy[:idx] + gy[idx + 1 :])
-            conf = _add_hand(conf, p, cid)
+            conf = _gy_to_hand(conf, p, idx)
     return conf
 
 
@@ -1145,32 +1189,39 @@ def _resolve_activation(
         return res(conf, p, source, targets, extras)
     from_hand = source[1] == HAND
 
-    # costs and placement at activation
+    # costs and placement at activation; a spell activation adds a counter
+    # to a face-up Magical Citadel, in the copy of p that takes the card
+    # from p's hand when the citadel is p's
     if effect == "soul_drain_gy_lock":
         conf = _adjust_lp(conf, p, -1000)
-    placed_loc: Optional[Loc] = None
+    more = {}
+    cloc = _citadel_loc(conf) if spec.is_spell else None
+    if cloc is not None:
+        cit = conf.instance_at(cloc)
+        cit = replace(cit, counters=cit.counters + 1)
+        if from_hand and cloc[0] == p:
+            more["field_zone"] = cit
+        else:
+            conf = _set_slot(conf, cloc, cit)
+    src = source
     if from_hand:
-        conf = _remove_hand(conf, p, cid)
         # check_legal made sure a lasting spell has its zone free
         if spec.kind in (Kind.CONTINUOUS_SPELL, Kind.EQUIP_SPELL):
-            placed_loc = (p, SZONE, _first_free(conf.players[p].spelltraps))
+            src = (p, SZONE, _first_free(conf.players[p].spelltraps))
         elif spec.kind == Kind.FIELD_SPELL:
-            placed_loc = (p, FZONE, 0)
-        if placed_loc is not None:
-            conf = _set_slot(conf, placed_loc, CardInstance(
-                cid, face_up=True, face_since=conf.turn))
+            src = (p, FZONE, 0)
+        if src is source:
+            conf = _remove_hand(conf, p, cid, **more)
+        else:
+            conf = _set_slot(conf, src, CardInstance(cid, face_up=True, face_since=conf.turn),
+                             hand=_hand_without(conf.players[p], cid), **more)
+    elif effect == "desert_sunlight_flip_up":
+        # the spent trap reaches the graveyard before its flip triggers
+        return res(_to_gy(conf, source), p, source, targets, extras)
     else:
         inst = conf.instance_at(source)
         if inst is not None and not inst.face_up:
             conf = _set_slot(conf, source, replace(inst, face_up=True, face_since=conf.turn))
-            placed_loc = source
-
-    src = placed_loc if placed_loc is not None else source
-    if effect == "desert_sunlight_flip_up" and not from_hand:
-        # the spent trap reaches the graveyard before its flip triggers
-        conf = _set_slot(conf, src, None)
-        conf = _add_gy(conf, src[0], cid)
-        return res(conf, p, src, targets, extras)
     conf = res(conf, p, src, targets, extras)
 
     # normal/quick-play cards go to the graveyard after resolving
@@ -1178,12 +1229,11 @@ def _resolve_activation(
         if effect == "bait_doll_force":
             pass  # shuffles itself into the deck instead
         elif from_hand:
-            conf = _add_gy(conf, p, cid)
+            conf = update_player(conf, p, gy=conf.players[p].gy + (cid,))
         else:
             inst = conf.instance_at(src)
             if inst is not None and inst.card == cid:
-                conf = _set_slot(conf, src, None)
-                conf = _add_gy(conf, src[0], cid)
+                conf = _to_gy(conf, src)
     return conf
 
 
@@ -1283,8 +1333,7 @@ def _chk_discard(conf: Configuration, move: DiscardToLimit) -> None:
 
 def _apply_discard(conf: Configuration, move: DiscardToLimit) -> Configuration:
     for cid in move.cards:
-        conf = _remove_hand(conf, move.player, cid)
-        conf = _add_gy(conf, move.player, cid)
+        conf = _discard(conf, move.player, cid)
     return conf
 
 
@@ -1329,7 +1378,6 @@ def _apply_summon(conf: Configuration, move: NormalSummon) -> Configuration:
     conf2 = conf
     for z in move.tributes:
         conf2 = _leave_field(conf2, (p, MZONE, z), "gy")
-    conf2 = _remove_hand(conf2, p, move.card)
     inst = CardInstance(
         move.card,
         face_up=move.face_up,
@@ -1338,7 +1386,8 @@ def _apply_summon(conf: Configuration, move: NormalSummon) -> Configuration:
         face_since=conf.turn,
         summoned_turn=conf.turn if move.face_up else -1,
     )
-    conf2 = _set_slot(conf2, (p, MZONE, move.zone), inst)
+    conf2 = _set_slot(conf2, (p, MZONE, move.zone), inst,
+                      hand=_hand_without(conf2.players[p], move.card))
     return replace(conf2, normal_summons_used=conf2.normal_summons_used + 1)
 
 
@@ -1377,10 +1426,9 @@ def _chk_set(conf: Configuration, move: SetSpellTrap) -> None:
 
 def _apply_set(conf: Configuration, move: SetSpellTrap) -> Configuration:
     p = move.player
-    conf2 = _remove_hand(conf, p, move.card)
     inst = CardInstance(move.card, face_up=False, set_turn=conf.turn, face_since=conf.turn)
     loc = (p, FZONE, 0) if move.zone == -1 else (p, SZONE, move.zone)
-    return _set_slot(conf2, loc, inst)
+    return _set_slot(conf, loc, inst, hand=_hand_without(conf.players[p], move.card))
 
 
 def _cand_set(conf: Configuration, p: int) -> Iterable[Move]:
@@ -1476,9 +1524,8 @@ def _chk_attack(conf: Configuration, move: DeclareAttack) -> None:
         raise IllegalMove("attacker must be your face-up monster")
     if _attack_key(move.attacker) in conf.attacked:
         raise IllegalMove("this monster already attacked")
-    for _sloc, st in conf.iter_spelltraps():
-        if st.equipped_to == move.attacker and st.card == FLINT and st.face_up:
-            raise IllegalMove("Flint stops the equipped monster from attacking")
+    if _equipped(conf, move.attacker, FLINT):
+        raise IllegalMove("Flint stops the equipped monster from attacking")
     if move.target == DIRECT:
         opp_has = conf.players[1 - p].monster_count() > 0
         if opp_has and _controls_faceup(conf, p, ATTRAFFIC) is None:
@@ -1535,19 +1582,10 @@ def _chk_activate(conf: Configuration, move: ActivateEffect) -> Optional[Configu
 
 
 def _apply_activate(conf: Configuration, move: ActivateEffect) -> Configuration:
-    p = move.player
     conf2 = conf
-    # spell counters accrue per spell activation while the citadel is up
-    # (check_legal has validated every source)
-    n_spells = sum(by_id(_effect_card(conf, p, a.effect, a.source)).is_spell
-                   for a in (move, *move.chain))
-    cloc = _citadel_loc(conf2)
-    if cloc is not None and n_spells:
-        cit = conf2.instance_at(cloc)
-        conf2 = _set_slot(conf2, cloc, replace(cit, counters=cit.counters + n_spells))
     # the chain resolves last link first
     for a in (*reversed(move.chain), move):
-        conf2 = _resolve_activation(conf2, p, a.effect, a.source, a.targets, a.extras)
+        conf2 = _resolve_activation(conf2, move.player, a.effect, a.source, a.targets, a.extras)
     if conf.priority != conf.active:
         conf2 = replace(conf2, priority=conf.active)
     return conf2
@@ -1606,13 +1644,10 @@ def _chk_advance(conf: Configuration, move: AdvancePhase) -> None:
 
 def _apply_pass(conf: Configuration, move: Pass) -> Configuration:
     p = move.player
-    if conf.turn == 0:
-        return _advance_phase(conf)
-    if p == conf.active:
-        if _has_quick_move(conf, 1 - p):
-            return replace(conf, priority=1 - p)
-        return _advance_phase(conf)
-    return _advance_phase(replace(conf, priority=conf.active))
+    if conf.turn != 0 and p == conf.active and _has_quick_move(conf, 1 - p):
+        return replace(conf, priority=1 - p)
+    # advancing hands priority back to the turn player
+    return _advance_phase(conf)
 
 
 def _apply_attack(conf: Configuration, move: DeclareAttack) -> Configuration:
@@ -1640,10 +1675,7 @@ def _apply_attack(conf: Configuration, move: DeclareAttack) -> Configuration:
             return conf
 
     def_spec = by_id(tgt.card) if tgt.card != FILLER else None
-    mist = any(
-        st.equipped_to == tgt_loc and st.card == MIST_BODY and st.face_up
-        for _l, st in conf.iter_spelltraps()
-    )
+    mist = _equipped(conf, tgt_loc, MIST_BODY)
     if tgt.position == ATK:
         tval = current_atk(conf, tgt_loc, tgt)
         if atk > tval:
@@ -1685,7 +1717,12 @@ def _advance_phase(conf: Configuration) -> Configuration:
 
 def _start_turn(conf: Configuration, turn: int) -> Configuration:
     active = (turn + 1) % 2  # player 0 takes odd turns
-    conf = replace(
+    # the starting player skips the first draw; a skipped draw is used up
+    skip = conf.skip_draw
+    skipped = turn != 1 and skip[active]
+    if skipped:
+        skip = (False, skip[1]) if active == 0 else (skip[0], False)
+    return replace(
         conf,
         turn=turn,
         active=active,
@@ -1693,20 +1730,14 @@ def _start_turn(conf: Configuration, turn: int) -> Configuration:
         priority=active,
         normal_summons_used=0,
         normal_summon_allowance=1,
-        draw_done=False,
+        skip_draw=skip,
+        draw_done=turn == 1 or skipped,
         temple_used=False,
         boe_pending=False,
         attacked=frozenset(),
         opt_used=frozenset(),
         end_resolved=False,
     )
-    if turn == 1:
-        return replace(conf, draw_done=True)  # the starting player skips the first draw
-    if conf.skip_draw[active]:
-        skip = list(conf.skip_draw)
-        skip[active] = False
-        return replace(conf, skip_draw=tuple(skip), draw_done=True)
-    return conf
 
 
 def _end_phase_events(conf: Configuration) -> Configuration:
@@ -1721,13 +1752,11 @@ def _end_phase_events(conf: Configuration) -> Configuration:
                 flipped += 1
         if flipped:
             conf = _draw_cards(conf, opp, flipped, by_effect=True)
-        conf = replace(conf, boe_pending=False)
     # spirit bounce: Yata returns to hand if summoned or flipped up this turn
     for loc, inst in list(conf.iter_monsters()):
         if inst.card == YATA and inst.face_up and inst.summoned_turn == conf.turn:
             conf = _leave_field(conf, loc, "hand")
-    return replace(conf, end_resolved=True)
-
+    return replace(conf, boe_pending=False, end_resolved=True)
 
 
 # --- the move table ----------------------------------------------------------

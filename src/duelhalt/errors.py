@@ -53,7 +53,7 @@ class ZeroTarget(DuelhaltError):
 
 
 class BadIndex(DuelhaltError):
-    """Index outside the machine enumeration's domain."""
+    """An index, value or search parameter outside its domain."""
 
 
 class InvalidOrder(DuelhaltError):

@@ -12,7 +12,7 @@ from functools import cache
 from typing import Callable, Iterable, Optional, Union
 
 from .coding import pair, unpair
-from .errors import DuelhaltError, InvalidOrder
+from .errors import BadIndex, DuelhaltError, InvalidOrder
 from .engine import Run
 from .scripts import ScriptResult, set_counters, setup_run_a, setup_run_b
 from .strategy import NISStrategy, Strategy, TMStrategy, WOStrategy
@@ -219,8 +219,9 @@ def nis_membership_bounded(e: int, depth: int, bound: int, steps: int
     budget; a witness certifies the chains extend to the asked depth,
     while NoChainFound is desk-scale evidence only.
     """
-    if depth <= 0 or bound <= 0 or steps <= 0:
-        raise ValueError("search parameters must be positive")
+    for name, value in (("chain depth", depth), ("value bound", bound), ("step budget", steps)):
+        if value <= 0:
+            raise BadIndex(f"{name} {value} is not positive")
     succ: dict[int, list[int]] = {}
     for a in range(bound + 1):
         r = tmmod.run_bounded(e, a, steps)
@@ -237,8 +238,15 @@ def descending_chains(x: LinearOrder, first_max: int, length: int,
 
     Used to cross-check the well-order reduction; returns one chain whose
     first element is at most first_max, or None when none exists within
-    the bound.
+    the bound.  A chain has at least one element: a non-positive length, or
+    a negative first_max or bound, is refused before any search.
     """
+    if length <= 0:
+        raise BadIndex(f"chain length {length} is not positive")
+    if first_max < 0:
+        raise BadIndex(f"first element bound {first_max} is negative")
+    if bound is not None and bound < 0:
+        raise BadIndex(f"value bound {bound} is negative")
     bound = bound if bound is not None else max(first_max, length) * 2 + 4
     return _first_path(range(first_max + 1),
                        lambda a: (b for b in range(bound + 1) if x.less(b, a)), length)

@@ -1,6 +1,7 @@
 """The input-boundary contract: every public parse and decode entry point,
-and the bounded machine runs, return or raise a DuelhaltError, within a
-time bound, on any input."""
+the bounded machine runs and the bounded chain searches return or raise a
+DuelhaltError, within a time bound, on any input (on small sizes, for the
+searches, whose time grows exponentially with them)."""
 
 import json
 import signal
@@ -14,7 +15,8 @@ from duelhalt.carddb import parse_decklist
 from duelhalt.engine import decode_configuration, encode_configuration
 from duelhalt.engine.moves import decode_move
 from duelhalt.errors import DuelhaltError
-from duelhalt.reductions import parse_order
+from duelhalt.reductions import (descending_chains, nis_membership_bounded, parse_order,
+                                 reverse_omega, standard_omega)
 from duelhalt.tm import decode_tmconf, machine_from_index, oracle_converges, parse_tm, run_bounded
 from duelhalt.trace import replay_trace, trace_lines
 
@@ -109,6 +111,22 @@ def test_run_bounded_on_any_integers(e, value, t):
 @given(_INTS, st.one_of(st.integers(-5, 2**64), st.integers(-5, 300)), st.integers(-5, 10**6))
 def test_oracle_converges_on_any_integers(z, s_code, n):
     holds(oracle_converges, z, s_code, n)
+
+
+_SMALL = st.integers(-5, 12)
+
+
+@_SETTINGS
+@given(st.sampled_from([standard_omega(), reverse_omega()]), _SMALL, st.integers(-5, 6),
+       st.one_of(st.none(), _SMALL))
+def test_descending_chains_on_any_small_integers(x, first_max, length, bound):
+    holds(descending_chains, x, first_max, length, bound)
+
+
+@_SETTINGS
+@given(st.integers(-5, 300), st.integers(-5, 6), st.integers(-5, 6), st.integers(-5, 60))
+def test_nis_membership_bounded_on_any_small_integers(e, depth, bound, steps):
+    holds(nis_membership_bounded, e, depth, bound, steps)
 
 
 def test_the_alarm_rings():

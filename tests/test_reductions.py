@@ -2,7 +2,7 @@ import pytest
 
 from duelhalt.coding import seq_decode, seq_encode
 from duelhalt.engine import validate_run
-from duelhalt.errors import InvalidOrder
+from duelhalt.errors import BadIndex, InvalidOrder
 from duelhalt.reductions import (
     ChainWitness,
     NO_CHAIN,
@@ -178,6 +178,15 @@ class TestNISMembership:
     def test_loop_machine_no_pairs(self):
         assert nis_membership_bounded(CURATED["loop"], 1, 10, 100) == NO_CHAIN
 
+    @pytest.mark.parametrize("depth,bound,steps,message", [
+        (0, 5, 50, "chain depth 0 is not positive"),
+        (3, -1, 50, "value bound -1 is not positive"),
+        (3, 5, 0, "step budget 0 is not positive"),
+    ])
+    def test_bad_parameters_are_typed_errors(self, depth, bound, steps, message):
+        with pytest.raises(BadIndex, match=message):
+            nis_membership_bounded(CURATED["identity"], depth, bound, steps)
+
 
 class TestChainEnumerator:
     def test_finite_orders_cap_descents(self):
@@ -195,6 +204,18 @@ class TestChainEnumerator:
         x = standard_omega()
         assert descending_chains(x, 10, 11) is not None
         assert descending_chains(x, 10, 12) is None
+
+    @pytest.mark.parametrize("first_max,length,bound,message", [
+        (18, 0, None, "chain length 0 is not positive"),
+        (18, -3, None, "chain length -3 is not positive"),
+        (-1, 4, None, "first element bound -1 is negative"),
+        (3, 4, -2, "value bound -2 is negative"),
+    ])
+    def test_bad_parameters_are_refused_before_any_search(self, first_max, length, bound,
+                                                          message):
+        # a zero length once ran the whole search from 18 (about 5 s) for None
+        with pytest.raises(BadIndex, match=message):
+            descending_chains(standard_omega(), first_max, length, bound)
 
 
 def test_long_chain_searches_need_no_recursion(shallow_recursion):
