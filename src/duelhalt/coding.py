@@ -11,9 +11,22 @@ Two primitives are fixed once and shared by every module:
   sequences go through a self-delimiting binary code instead (each element's
   bits are doubled, elements are terminated by ``01``, and the resulting
   bit string is read back as a natural through the usual string bijection).
+
+Every record the package codes as a number -- configurations, their cards
+and players, moves -- is a flat list of naturals under ``seq_encode``.  Its
+layout is declared once, as (attribute, field) pairs built from the field
+kinds below, and the one layout both writes and reads the list.  Reading is
+strict: a list is accepted only in the form that writing produces, so a
+decoded record re-encodes to the code it came from.  Faults are ValueErrors,
+and MalformedCode at ``Field.decode``.
 """
 
 from __future__ import annotations
+
+from math import isqrt
+from operator import attrgetter, itemgetter
+
+from .errors import MalformedCode
 
 
 def pair(x: int, y: int) -> int:
@@ -28,14 +41,9 @@ def unpair(n: int) -> tuple[int, int]:
     """Inverse of :func:`pair`."""
     if n < 0:
         raise ValueError("unpair is defined on naturals")
-    # Largest s with s(s+1)/2 <= n, found exactly via isqrt.
-    from math import isqrt
-
-    s = (isqrt(8 * n + 1) - 1) // 2
-    base = s * (s + 1) // 2
-    y = n - base
-    x = s - y
-    return x, y
+    s = (isqrt(8 * n + 1) - 1) // 2  # the largest s with s(s+1)/2 <= n, exactly
+    y = n - s * (s + 1) // 2
+    return s - y, y
 
 
 def triple(x: int, y: int, z: int) -> int:
@@ -95,3 +103,187 @@ def seq_decode(n: int) -> tuple[int, ...]:
     if rest:
         raise ValueError("dangling element in sequence code")
     return tuple(int("1" + e.replace("3", "1"), 2) - 1 for e in elements)
+
+
+# --- flat record layouts ----------------------------------------------------
+
+
+class Reader:
+    """A strict cursor over a flat code: reading past its end, or stopping
+    short of it, is a ValueError."""
+
+    __slots__ = ("vals", "i")
+
+    def __init__(self, vals):
+        self.vals, self.i = vals, 0
+
+    def take(self) -> int:
+        i = self.i
+        if i >= len(self.vals):
+            raise ValueError("truncated code")
+        self.i = i + 1
+        return self.vals[i]
+
+    def take_many(self, n: int) -> tuple[int, ...]:
+        i = self.i
+        if not 0 <= n <= len(self.vals) - i:
+            raise ValueError("truncated code")
+        self.i = i + n
+        return tuple(self.vals[i:i + n])
+
+    def done(self) -> None:
+        if self.i != len(self.vals):
+            raise ValueError("trailing data in code")
+
+
+class Field:
+    """A field kind: ``put(out, value)`` writes a value onto a flat list,
+    and ``get(reader)`` reads back exactly what ``put`` writes."""
+
+    def put_many(self, out: list, values) -> None:
+        for v in values:
+            self.put(out, v)
+
+    def get_many(self, r: Reader, n: int) -> tuple:
+        return tuple([self.get(r) for _ in range(n)])
+
+    def flat(self, value) -> list[int]:
+        out: list[int] = []
+        self.put(out, value)
+        return out
+
+    def read(self, vals):
+        """The value whose flat list is all of vals."""
+        r = Reader(vals)
+        value = self.get(r)
+        r.done()
+        return value
+
+    def encode(self, value) -> int:
+        return seq_encode(self.flat(value))
+
+    def decode(self, code: int):
+        """The value whose flat list code is; a MalformedCode names any fault."""
+        try:
+            return self.read(seq_decode(code))
+        except ValueError as exc:
+            raise MalformedCode(str(exc)) from None
+
+
+class Int(Field):
+    """An integer in [lo, hi] (no upper bound when hi is None), written as
+    value + shift so that the least value the field holds can be -shift,
+    and read back through make when one is given (flags and enums)."""
+
+    def __init__(self, shift: int = 0, lo: int | None = None, hi: int | None = None, make=None):
+        self.shift, self.lo, self.hi, self.make = shift, -shift if lo is None else lo, hi, make
+
+    def put(self, out, value):
+        out.append(value + self.shift)
+
+    def get(self, r):
+        v = r.take() - self.shift
+        if v < self.lo or (self.hi is not None and v > self.hi):
+            raise ValueError(f"value {v} out of range")
+        return v if self.make is None else self.make(v)
+
+    def put_many(self, out, values):
+        out.extend([v + self.shift for v in values] if self.shift else values)
+
+    def get_many(self, r, n):  # piles of cards, in bulk
+        vals = r.take_many(n)
+        if self.shift:
+            vals = tuple([v - self.shift for v in vals])
+        if vals and (min(vals) < self.lo or (self.hi is not None and max(vals) > self.hi)):
+            raise ValueError(f"value out of range {self.lo}..{self.hi}")
+        return vals if self.make is None else tuple(map(self.make, vals))
+
+
+class Text(Field):
+    """An ASCII string: its length, then its bytes."""
+
+    def put(self, out, value):
+        out.extend((len(value), *value.encode("ascii")))
+
+    def get(self, r):
+        return bytes(r.take_many(r.take())).decode("ascii")
+
+
+class Seq(Field):
+    """A tuple of any length: the length, then each value."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def put(self, out, value):
+        out.append(len(value))
+        self.field.put_many(out, value)
+
+    def get(self, r):
+        return self.field.get_many(r, r.take())
+
+
+class Set(Seq):
+    """A frozenset, written as a sequence in increasing order."""
+
+    def put(self, out, value):
+        super().put(out, sorted(value))
+
+    def get(self, r):
+        vals = super().get(r)
+        if any(a >= b for a, b in zip(vals, vals[1:])):
+            raise ValueError("set not in increasing order")
+        return frozenset(vals)
+
+
+class Maybe(Field):
+    """None as 0, or 1 and then the value."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def put(self, out, value):
+        out.append(0 if value is None else 1)
+        if value is not None:
+            self.field.put(out, value)
+
+    def get(self, r):
+        return self.field.get(r) if FLAG.get(r) else None
+
+
+class Fixed(Field):
+    """A tuple with one value of each field, in order."""
+
+    def __init__(self, *fields: Field):
+        self.fields, self._puts = fields, [(itemgetter(i), f.put) for i, f in enumerate(fields)]
+
+    def put(self, out, value):
+        for values, put in self._puts:
+            put(out, values(value))
+
+    def get(self, r):
+        return tuple([f.get(r) for f in self.fields])
+
+
+class Record(Fixed):
+    """An instance of cls, after its layout's version number if it has one.
+    The layout names every field of cls, so reading fills them directly."""
+
+    def __init__(self, cls, layout: list[tuple[str, Field]], version: int | None = None):
+        self.cls, self.version, (self.attrs, self.fields) = cls, version, zip(*layout)
+        self._puts = [(attrgetter(attr), f.put) for attr, f in layout]
+        if version is not None:
+            self._puts.insert(0, (lambda _record: version, list.append))  # version first
+
+    def get(self, r):
+        if self.version is not None and r.take() != self.version:
+            raise ValueError("unknown codec version")
+        new = object.__new__(self.cls)
+        new.__dict__.update(zip(self.attrs, super().get(r)))
+        return new
+
+
+NAT = Int()
+FLAG = Int(hi=1, make=bool)
+TEXT = Text()
+LOC = Fixed(NAT, NAT, NAT)  # (player, zone kind, index)

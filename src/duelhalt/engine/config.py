@@ -3,8 +3,10 @@
 A Configuration is one immutable snapshot of everything the referee needs
 to adjudicate transitions.  The opponent's deck is a column of indistinct
 filler placeholders, so the snapshot coincides with Player 1's knowledge
-of the game and the integer codec below is canonical: equal configurations
-yield equal codes and ``decode(encode(c)) == c``.
+of the game.  Its integer code follows the layouts declared once below,
+one per record, through ``coding``'s field kinds: equal configurations
+yield equal codes, ``decode(encode(c)) == c``, and a code is accepted only
+in the form ``encode`` writes, so ``encode(decode(n)) == n`` too.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..carddb import CARDS, FILLER, by_id, card_name, is_monster_id
-from ..coding import seq_decode, seq_encode
+from ..carddb import FILLER, by_id, card_name, is_monster_id
+from ..coding import FLAG, LOC, NAT, TEXT, Fixed, Int, Maybe, Record, Seq, Set
 from ..errors import MalformedCode
 
 START_LP = 8000
@@ -184,12 +186,8 @@ class Configuration:
         return census
 
     def validate(self) -> None:
-        for p in (0, 1):
-            ps = self.players[p]
-            if ps.lp < 0:
-                raise MalformedCode("negative life points")
-            if len(ps.monsters) != N_MZONES or len(ps.spelltraps) != N_SZONES:
-                raise MalformedCode("bad zone widths")
+        """What the code's layout does not state: which cards each zone holds."""
+        for ps in self.players:
             for inst in ps.monsters + (ps.extra_zone,):
                 if inst is not None and not is_monster_id(inst.card):
                     raise MalformedCode("non-monster in a monster zone")
@@ -202,214 +200,34 @@ class Configuration:
                     raise MalformedCode("non-field card in the field zone")
 
 
-# --- integer codec -------------------------------------------------------
-#
-# A configuration flattens to a list of naturals with explicit length
-# prefixes, then goes through the shared sequence code.  Card ids are
-# shifted by 1 so 0 can mark an empty slot.
+# --- integer codec: each record's layout, in code order.  Card ids are
+# shifted by 1, and so are the turn stamps, whose "never" is -1.
 
-_CODEC_VERSION = 1
-
-
-def _flat_instance(inst: Optional[CardInstance]) -> list[int]:
-    if inst is None:
-        return [0]
-    eq = inst.equipped_to if inst.equipped_to is not None else None
-    out = [
-        1,
-        inst.card + 1,
-        1 if inst.face_up else 0,
-        inst.position,
-        1 if inst.negated else 0,
-        inst.counters,
-        inst.set_turn + 1,
-        inst.face_since + 1,
-        inst.summoned_turn + 1,
-    ]
-    if eq is None:
-        out.append(0)
-    else:
-        out.extend([1, eq[0], eq[1], eq[2]])
-    return out
-
-
-class _Cursor:
-    def __init__(self, vals: tuple[int, ...]):
-        self.vals = vals
-        self.i = 0
-
-    def take(self) -> int:
-        if self.i >= len(self.vals):
-            raise MalformedCode("truncated configuration code")
-        v = self.vals[self.i]
-        self.i += 1
-        return v
-
-    def take_list(self) -> list[int]:
-        n = self.take()
-        return [self.take() for _ in range(n)]
-
-    def done(self) -> bool:
-        return self.i == len(self.vals)
-
-
-def _read_instance(cur: _Cursor) -> Optional[CardInstance]:
-    present = cur.take()
-    if present == 0:
-        return None
-    if present != 1:
-        raise MalformedCode("bad instance marker")
-    card = cur.take() - 1
-    face_up = cur.take() == 1
-    position = cur.take()
-    negated = cur.take() == 1
-    counters = cur.take()
-    set_turn = cur.take() - 1
-    face_since = cur.take() - 1
-    summoned_turn = cur.take() - 1
-    eq_flag = cur.take()
-    equipped_to = None
-    if eq_flag == 1:
-        equipped_to = (cur.take(), cur.take(), cur.take())
-    elif eq_flag != 0:
-        raise MalformedCode("bad equip marker")
-    if card != FILLER and not (0 <= card < len(CARDS)):
-        raise MalformedCode("unknown card id")
-    if position not in (ATK, DEF):
-        raise MalformedCode("bad battle position")
-    if counters < 0:
-        raise MalformedCode("negative counters")
-    return CardInstance(
-        card=card,
-        face_up=face_up,
-        position=position,
-        equipped_to=equipped_to,
-        negated=negated,
-        counters=counters,
-        set_turn=set_turn,
-        face_since=face_since,
-        summoned_turn=summoned_turn,
-    )
+_CARD = Int(shift=1, lo=0, hi=FILLER)
+_TURN = Int(shift=1)
+_SLOT = Maybe(Record(CardInstance, [
+    ("card", _CARD), ("face_up", FLAG), ("position", Int(hi=DEF)), ("negated", FLAG),
+    ("counters", NAT), ("set_turn", _TURN), ("face_since", _TURN), ("summoned_turn", _TURN),
+    ("equipped_to", Maybe(LOC))]))
+_PILE = Seq(_CARD)
+_PLAYER = Record(PlayerState, [
+    ("lp", NAT), ("deck", _PILE), ("hand", _PILE), ("gy", _PILE), ("banished", _PILE),
+    ("extra_deck", _PILE), ("monsters", Fixed(*[_SLOT] * N_MZONES)), ("extra_zone", _SLOT),
+    ("spelltraps", Fixed(*[_SLOT] * N_SZONES)), ("field_zone", _SLOT)])
+_CONFIGURATION = Record(Configuration, [
+    ("turn", NAT), ("active", Int(hi=1)), ("phase", Int(hi=Phase.END, make=Phase)),
+    ("priority", Int(hi=1)), ("normal_summons_used", NAT), ("normal_summon_allowance", NAT),
+    ("skip_draw", Fixed(FLAG, FLAG)), ("draw_done", FLAG), ("temple_used", FLAG),
+    ("boe_pending", FLAG), ("end_resolved", FLAG), ("attacked", Set(NAT)),
+    ("opt_used", Set(TEXT)), ("players", Fixed(_PLAYER, _PLAYER))], version=1)
 
 
 def encode_configuration(conf: Configuration) -> int:
-    flat: list[int] = [
-        _CODEC_VERSION,
-        conf.turn,
-        conf.active,
-        int(conf.phase),
-        conf.priority,
-        conf.normal_summons_used,
-        conf.normal_summon_allowance,
-        1 if conf.skip_draw[0] else 0,
-        1 if conf.skip_draw[1] else 0,
-        1 if conf.draw_done else 0,
-        1 if conf.temple_used else 0,
-        1 if conf.boe_pending else 0,
-        1 if conf.end_resolved else 0,
-    ]
-    att = sorted(conf.attacked)
-    flat.append(len(att))
-    flat.extend(att)
-    opt = sorted(conf.opt_used)
-    flat.append(len(opt))
-    for marker in opt:
-        bs = marker.encode("ascii")
-        flat.append(len(bs))
-        flat.extend(bs)
-    for p in (0, 1):
-        ps = conf.players[p]
-        flat.append(ps.lp)
-        for col in (ps.deck, ps.hand, ps.gy, ps.banished, ps.extra_deck):
-            flat.append(len(col))
-            flat.extend(c + 1 for c in col)
-        for inst in ps.monsters:
-            flat.extend(_flat_instance(inst))
-        flat.extend(_flat_instance(ps.extra_zone))
-        for inst in ps.spelltraps:
-            flat.extend(_flat_instance(inst))
-        flat.extend(_flat_instance(ps.field_zone))
-    return seq_encode(flat)
+    return _CONFIGURATION.encode(conf)
 
 
 def decode_configuration(code: int) -> Configuration:
-    try:
-        vals = seq_decode(code)
-    except ValueError as exc:
-        raise MalformedCode(str(exc)) from None
-    cur = _Cursor(vals)
-    if cur.take() != _CODEC_VERSION:
-        raise MalformedCode("unknown codec version")
-    turn = cur.take()
-    active = cur.take()
-    phase_v = cur.take()
-    priority = cur.take()
-    nsu = cur.take()
-    allowance = cur.take()
-    skip0 = cur.take() == 1
-    skip1 = cur.take() == 1
-    draw_done = cur.take() == 1
-    temple_used = cur.take() == 1
-    boe_pending = cur.take() == 1
-    end_resolved = cur.take() == 1
-    if active not in (0, 1) or priority not in (0, 1) or phase_v > 5:
-        raise MalformedCode("bad header fields")
-    attacked = frozenset(cur.take_list())
-    n_opt = cur.take()
-    opt: list[str] = []
-    for _ in range(n_opt):
-        n = cur.take()
-        try:
-            opt.append(bytes(cur.take() for _ in range(n)).decode("ascii"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise MalformedCode(str(exc)) from None
-    players = []
-    for _p in (0, 1):
-        lp = cur.take()
-        cols = []
-        for _ in range(5):
-            cols.append(tuple(c - 1 for c in cur.take_list()))
-        deck, hand, gy, banished, extra_deck = cols
-        monsters = tuple(_read_instance(cur) for _ in range(N_MZONES))
-        extra_zone = _read_instance(cur)
-        spelltraps = tuple(_read_instance(cur) for _ in range(N_SZONES))
-        field_zone = _read_instance(cur)
-        for col in cols:
-            for c in col:
-                if c != FILLER and not (0 <= c < len(CARDS)):
-                    raise MalformedCode("unknown card id in a pile")
-        players.append(
-            PlayerState(
-                deck=deck,
-                hand=hand,
-                monsters=monsters,
-                extra_zone=extra_zone,
-                spelltraps=spelltraps,
-                field_zone=field_zone,
-                gy=gy,
-                banished=banished,
-                extra_deck=extra_deck,
-                lp=lp,
-            )
-        )
-    if not cur.done():
-        raise MalformedCode("trailing data in configuration code")
-    conf = Configuration(
-        players=(players[0], players[1]),
-        turn=turn,
-        active=active,
-        phase=Phase(phase_v),
-        priority=priority,
-        normal_summons_used=nsu,
-        normal_summon_allowance=allowance,
-        skip_draw=(skip0, skip1),
-        draw_done=draw_done,
-        temple_used=temple_used,
-        boe_pending=boe_pending,
-        attacked=attacked,
-        opt_used=frozenset(opt),
-        end_resolved=end_resolved,
-    )
+    conf = _CONFIGURATION.decode(code)
     conf.validate()
     return conf
 

@@ -37,6 +37,7 @@ from ..carddb import (
     PROTECTOR, SOUL_DRAIN, SVD, TEMPLE, VANITY, YATA, Kind, by_id, card_name, is_monster_id,
     is_spell_id, is_trap_id,
 )
+from ..coding import LOC, NAT, Fixed, Seq
 from ..errors import IllegalDeck, IllegalMove
 from .config import fast_replace as replace
 from .config import (
@@ -723,22 +724,21 @@ def _res_bait_doll(conf, p, source, targets, extras):
     return conf
 
 
+# A forced trap's own targets and extras ride in Bait Doll's extras.
+_FORCED = Fixed(Seq(LOC), Seq(NAT))
+
+
 def _pack_forced(targets: tuple[Loc, ...], extras: tuple[int, ...]) -> tuple[int, ...]:
-    flat = [len(targets)]
-    for t in targets:
-        flat.extend(t)
-    flat.append(len(extras))
-    flat.extend(extras)
-    return tuple(flat)
+    return tuple(_FORCED.flat((targets, extras)))
 
 
 def _unpack_forced(flat: tuple[int, ...]) -> tuple[tuple[Loc, ...], tuple[int, ...]]:
     if not flat:
         return (), ()
-    i = 1 + 3 * max(flat[0], 0)  # where the extras' count sits
-    _require(len(flat) > i, "malformed forced-effect choices")
-    targets = tuple(tuple(flat[j : j + 3]) for j in range(1, i, 3))
-    return targets, tuple(flat[i + 1 : i + 1 + flat[i]])
+    try:
+        return _FORCED.read(flat)
+    except ValueError:
+        raise IllegalMove("malformed forced-effect choices") from None
 
 
 def _res_boe(conf, p, source, targets, extras):
@@ -848,10 +848,11 @@ def _res_creature_swap(conf, p, source, targets, extras):
     conf = _set_slot(conf, (1 - p, MZONE, za), a)
     zb = _first_free(conf.players[p].monsters)
     conf = _set_slot(conf, (p, MZONE, zb), b)
-    for old, new in ((mine, (1 - p, MZONE, za)), (theirs, (p, MZONE, zb))):
-        for sloc, st in list(conf.iter_spelltraps()):
-            if st.equipped_to == old:
-                conf = _set_slot(conf, sloc, replace(st, equipped_to=new))
+    # each equip follows the monster it was on, all moved in one pass
+    moved = {mine: (1 - p, MZONE, za), theirs: (p, MZONE, zb)}
+    for sloc, st in list(conf.iter_spelltraps()):
+        if st.equipped_to in moved:
+            conf = _set_slot(conf, sloc, replace(st, equipped_to=moved[st.equipped_to]))
     return conf
 
 

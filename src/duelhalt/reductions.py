@@ -168,12 +168,7 @@ def reduce_halting(e: int) -> ReductionOutput:
     if isinstance(m, tmmod.AppendixMachine):
         m = tmmod.EMPTY_MACHINE
     code = tmmod.encode_tmconf(tmmod.initial_config(m, e))
-    ext = set_counters(base.final, code)
-    run = Run(
-        base.run.configs + ext.run.configs[1:],
-        base.run.moves + ext.run.moves,
-    )
-    return ReductionOutput(run, TMStrategy(e))
+    return ReductionOutput(set_counters(base.run, code).run, TMStrategy(e))
 
 
 def reduce_nis(e: int) -> ReductionOutput:

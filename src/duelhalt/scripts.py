@@ -12,6 +12,7 @@ Player 2, tagged only by their position in the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from .carddb import (
     ATTRAFFIC, BAIT_DOLL, BOE, CITADEL, CLARA, CREATSWAP, DBLSUM, DESERT_SUNLIGHT, ENDYMION,
@@ -62,11 +63,12 @@ class ScriptResult:
 
 
 class Line:
-    """A cursor over a run from a start configuration: each move is
-    validated by the engine and links one node onto the run."""
+    """A cursor over a run from a start configuration, or at the end of a
+    run it extends: each move is validated by the engine and links one
+    node onto the run."""
 
-    def __init__(self, conf: Configuration):
-        self.run = Run((conf,), ())
+    def __init__(self, start: Union[Configuration, Run]):
+        self.run = start if isinstance(start, Run) else Run((start,), ())
 
     @property
     def conf(self) -> Configuration:
@@ -578,15 +580,16 @@ def play_cycles(line: Line, a: int, b: int) -> None:
         _offer_magician(line, _summon_endymion(line))
 
 
-def set_counters(conf: Configuration, n: int) -> ScriptResult:
-    """Reach exactly n counters via increment/decrement compositions."""
+def set_counters(start: Union[Configuration, Run], n: int) -> ScriptResult:
+    """Reach exactly n counters via increment/decrement compositions, from
+    a configuration or at the end of a run that the result's run extends."""
     if n == 0:
         raise ZeroTarget("counter value 0 is reserved for the empty string")
     if n < 0:
         raise ZeroTarget("counter targets are positive")
-    _require_loop_ready(conf)
-    line = Line(conf)
-    play_cycles(line, *cycle_plan(n - spell_counters(conf)))
+    line = Line(start)
+    _require_loop_ready(line.conf)
+    play_cycles(line, *cycle_plan(n - spell_counters(line.conf)))
     if spell_counters(line.conf) != n:
         raise ScriptBroken(len(line.run), "counter plan missed the target")
     return line.result()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .coding import seq_decode, seq_encode
+from .coding import NAT, Fixed, Reader, Seq, seq_decode, seq_encode
 from .errors import BadIndex, MalformedCode, TMParseError
 
 L, R, S = 0, 1, 2
@@ -318,6 +318,8 @@ _RAW_OFFSET = len(BUILTINS)
 _TAG_PLAIN = 0
 _TAG_ORACLE = 1
 _TAG_APPENDIX_F = 2
+_NATS = Seq(NAT)
+_ROWS = {oracle: Seq(Fixed(*[NAT] * (6 if oracle else 5))) for oracle in (False, True)}
 
 
 def _serialize(m: TMachine) -> tuple[int, ...]:
@@ -330,26 +332,13 @@ def _serialize(m: TMachine) -> tuple[int, ...]:
 
 
 def _deserialize(flat: tuple[int, ...], oracle: bool) -> TMachine:
-    i = 0
-
-    def take():
-        nonlocal i
-        if i >= len(flat):
-            raise MalformedCode("truncated machine code")
-        v = flat[i]
-        i += 1
-        return v
-
-    n_states, n_symbols, blank, start, n_halt = (take() for _ in range(5))
-    halting = frozenset(take() for _ in range(n_halt))
-    n_rules = take()
-    width = 6 if oracle else 5
-    rows = []
-    for _ in range(n_rules):
-        rows.append(tuple(take() for _ in range(width)))
-    if i != len(flat):
-        raise MalformedCode("trailing machine data")
-    m = TMachine(n_states, n_symbols, blank, start, halting, tuple(rows), oracle)
+    r = Reader(flat)
+    n_states, n_symbols, blank, start = r.take_many(4)
+    # in any order: an index names a machine, and need not be the one machine_index gives
+    halting = frozenset(_NATS.get(r))
+    rows = _ROWS[oracle].get(r)
+    r.done()
+    m = TMachine(n_states, n_symbols, blank, start, halting, rows, oracle)
     m.check()
     return m
 

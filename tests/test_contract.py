@@ -9,12 +9,13 @@ from contextlib import contextmanager
 from itertools import islice
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from duelhalt.carddb import parse_decklist
+from duelhalt.coding import pair, seq_decode, seq_encode
 from duelhalt.engine import decode_configuration, encode_configuration
-from duelhalt.engine.moves import decode_move
-from duelhalt.errors import DuelhaltError
+from duelhalt.engine.moves import decode_move, encode_move
+from duelhalt.errors import DuelhaltError, MalformedCode
 from duelhalt.reductions import (descending_chains, nis_membership_bounded, parse_order,
                                  reverse_omega, standard_omega)
 from duelhalt.tm import decode_tmconf, machine_from_index, oracle_converges, parse_tm, run_bounded
@@ -62,21 +63,68 @@ _TEXT = st.one_of(st.text(max_size=80), st.lists(
     st.lists(_WORDS, max_size=6).map(" ".join), max_size=6).map("\n".join))
 
 
+def inverts(decode, encode, code):
+    """holds(decode, code), and a code that decodes is the one its value
+    encodes to: a decoder accepts a code only in the form the program writes."""
+    with _alarm():
+        try:
+            value = decode(code)
+        except DuelhaltError:
+            return
+    assert encode(value) == code
+
+
+_RECORD_CODECS = ((decode_configuration, encode_configuration), (decode_move, encode_move))
+
+
 @_SETTINGS
 @given(_INTS)
 def test_decoders_on_any_integer(code):
-    for decode in (decode_configuration, decode_move, decode_tmconf, machine_from_index):
+    for decode in (decode_tmconf, machine_from_index):
         holds(decode, code)
+    for decode, encode in _RECORD_CODECS:
+        inverts(decode, encode, code)
+
+
+def _give_and_take_chain(run):
+    return next(m for m in run.moves if getattr(m, "effect", None) == "give_and_take" and m.chain)
 
 
 @_SETTINGS
-@given(st.data())
-def test_decode_configuration_on_bit_flips(board_b, data):
-    code = encode_configuration(board_b.final)
-    bits = data.draw(st.lists(st.integers(0, code.bit_length() + 8), min_size=1, max_size=3))
+@given(st.sampled_from(_RECORD_CODECS), st.lists(st.integers(0, 2**13), min_size=1, max_size=3))
+@example(_RECORD_CODECS[0], [2014, 2015])  # draw_done's digit 0 -> 3: the flag reads 2
+def test_decode_configuration_on_bit_flips(board_b, codec, bits):
+    """Flip bits of set-up B's final configuration code, or of its chained
+    Give and Take's move code."""
+    decode, encode = codec
+    code = encode(board_b.final if encode is encode_configuration
+                  else _give_and_take_chain(board_b.run))
     for bit in bits:
-        code ^= 1 << bit
-    holds(decode_configuration, code)
+        code ^= 1 << (bit % (code.bit_length() + 9))
+    inverts(decode, encode, code)
+
+
+def _with_attacked(board, attacked):
+    flat = list(seq_decode(encode_configuration(board.final)))
+    assert flat[13] == 0  # no attacker recorded yet
+    return seq_encode(flat[:13] + [len(attacked), *attacked] + flat[14:])
+
+
+_PROBES = {  # name -> board -> (decoder, a code no encoder writes)
+    # FlipSummon(0, 2) and two values after its last field
+    "trailing data": lambda board: (decode_move, pair(4, seq_encode([0, 2, 0, 7, 7]))),
+    # a NormalSummon whose face-up flag is 5
+    "flag 5": lambda board: (decode_move, pair(1, seq_encode([0, 3, 0, 5, 0]))),
+    "duplicated set": lambda board: (decode_configuration, _with_attacked(board, [1, 1])),
+    "unsorted set": lambda board: (decode_configuration, _with_attacked(board, [2, 1])),
+}
+
+
+@pytest.mark.parametrize("probe", list(_PROBES))
+def test_non_canonical_codes_are_malformed(board_a, probe):
+    decode, code = _PROBES[probe](board_a)
+    with pytest.raises(MalformedCode):
+        decode(code)
 
 
 @_SETTINGS

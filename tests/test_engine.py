@@ -498,6 +498,23 @@ def test_legal_move_lists_are_pinned(board_a, board_b):
     assert digest.hexdigest() == _LEGAL_MOVES_SHA256
 
 
+def test_configuration_and_move_codes_are_pinned(board_a, board_b):
+    # SHA-256 over every configuration code (hex) and then every move code
+    # (decimal), a newline after each, along both set-up runs and
+    # set_counters(board_a.final, 57), computed before the codec was
+    # rewritten as declared layouts: the codes the program writes never change
+    runs = [board_a.run, board_b.run, set_counters(board_a.final, 57).run]
+    digest = hashlib.sha256()
+    for run in runs:
+        for conf in run.configs:
+            digest.update(b"%x\n" % encode_configuration(conf))
+        for mv in run.moves:
+            digest.update(b"%d\n" % encode_move(mv))
+    assert [len(run.moves) for run in runs] == [len(run.configs) - 1 for run in runs]
+    assert sum(len(run.configs) for run in runs) == 1107
+    assert digest.hexdigest() == "4e76cae88e54912dba3b51462c8f59f0375dc0e826ea2e12d0fa5cbc482c8d9e"
+
+
 def test_a_trap_bait_doll_forces_resolves_as_its_own_activation(board_a):
     # a set Soul Drain on set-up A's final board, activated directly and
     # forced by Bait Doll: both pay its 1000 LP and leave it face-up
@@ -513,3 +530,25 @@ def test_a_trap_bait_doll_forces_resolves_as_its_own_activation(board_a):
     assert direct.lp == forced.lp == (6000, 9200)
     assert direct.players[0].spelltraps[zone] == forced.players[0].spelltraps[zone]
     assert forced.players[0].spelltraps[zone].face_up
+
+
+def test_creature_swap_moves_each_equip_with_its_monster(board_b):
+    # set-up B's last board with their Massivemorph re-pointed at our Vanity's
+    # Ruler; Creature Swap trades it for their Clara, which wears their Mist
+    # Body and Flint: each equip follows its own monster, none follows twice
+    conf = board_b.final
+    ours, theirs = conf.players
+    assert ours.monsters[0].name == "Vanity's Ruler"
+    assert theirs.monsters[0].name == "Clara & Rushka, the Ventriloduo"
+    assert [st.name for st in theirs.spelltraps[1:4]] == ["Mist Body", "Flint", "Massivemorph"]
+    sts = list(theirs.spelltraps)
+    sts[3] = dataclasses.replace(sts[3], equipped_to=(0, MZONE, 0))
+    conf = update_player(conf, 1, spelltraps=tuple(sts))
+    swap = lookup("Creature Swap").id
+    conf = update_player(conf, 0, hand=conf.players[0].hand + (swap,))
+    after = apply(conf, ActivateEffect(0, "creature_swap", (0, HAND, swap),
+                                       targets=((0, MZONE, 0), (1, MZONE, 0))))
+    assert after.players[1].monsters[0].name == "Vanity's Ruler"
+    assert after.players[0].monsters[0].name == "Clara & Rushka, the Ventriloduo"
+    equips = [inst.equipped_to for inst in after.players[1].spelltraps[1:4]]
+    assert equips == [(0, MZONE, 0), (0, MZONE, 0), (1, MZONE, 0)]
