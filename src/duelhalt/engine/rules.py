@@ -277,6 +277,31 @@ def spell_counters(conf: Configuration) -> int:
     return conf.instance_at(loc).counters
 
 
+def shift_counters(conf: Configuration, dc: int, dl: int) -> Configuration:
+    """conf with dc more counters on the face-up Magical Citadel that
+    ``spell_counters`` reads, and dl more LP for its controller's opponent.
+
+    The increment cycle rests on this shift.  Lemma: for each of the
+    cycle's four moves m (Book of Eclipse, setting Desert Sunlight, Bait
+    Doll, Upstart Goblin) and all dc, dl >= 0,
+    ``apply(shift_counters(c, dc, dl), m) == shift_counters(apply(c, m), dc, dl)``
+    whenever the opponent's LP in c is positive.  It holds because, of the
+    engine's reads of counters and LP, only the thresholds can tell c from
+    its shift: Endymion's 6-counter check, Soul Drain's 1000-LP payment and
+    the zero-LP terminal tests.  None of the four moves is an Endymion
+    summon or a Soul Drain activation, and a positive LP stays positive as
+    it grows.  The other reads only add to the value: a spell activation's
+    +1 counter and Upstart Goblin's +1000 LP for the opponent commute with
+    the shift.  So once a cycle ends at its own start shifted by (dc, dl), each
+    later cycle is the one before it shifted by (dc, dl) again.
+    """
+    p = _citadel_loc(conf)[0]
+    me, opp = conf.players[p], conf.players[1 - p]
+    me = replace(me, field_zone=replace(me.field_zone, counters=me.field_zone.counters + dc))
+    opp = replace(opp, lp=opp.lp + dl)
+    return replace(conf, players=(me, opp) if p == 0 else (opp, me))
+
+
 def _temple_available(conf: Configuration, p: int) -> bool:
     # while the temple is up, traps may fire the turn they were set; the
     # counter loop leans on this several times per turn

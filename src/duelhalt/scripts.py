@@ -2,11 +2,19 @@
 
 The deck orders are frozen constants.  Every step is validated by the
 engine as it is recorded, so a ScriptBroken here always means an effect
-encoding changed underneath the line, never a silent divergence.
+encoding changed underneath the line, never a silent divergence.  The
+exception is a repeated increment cycle, below.
 
 All scripts speak from Player 1's side; the opponent's forced plays
 (cards handed over mid-line) are recorded as ordinary legal moves for
 Player 2, tagged only by their position in the line.
+
+``play_cycles`` applies a batch's increment cycles until one ends at its
+own start shifted by its counter and opponent-LP gains, and links each
+later cycle as that cycle shifted by the engine's ``shift_counters``,
+whose docstring states and argues the lemma this rests on
+(``tests/test_scripts.py`` checks it by property and against the applied
+cycles).
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .engine.rules import (
     flip_choice_extras,
     identity_order,
     make_bait_doll_move,
+    shift_counters,
     spell_counters,
 )
 
@@ -567,9 +576,28 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
 
 
 def play_cycles(line: Line, a: int, b: int) -> None:
-    """Play a increment cycles and then b decrement cycles onto the line."""
-    for _ in range(a):
+    """Play a increment cycles and then b decrement cycles onto the line.
+
+    Increment cycles go through the engine until one ends at its own start
+    shifted by its counter and opponent-LP gains.  By the lemma of
+    ``shift_counters``, each later cycle is then that cycle shifted k times,
+    so its configurations are linked as shifts, with the same four moves.
+    """
+    for played in range(1, a + 1):
+        start = line.run
         increment_cycle_moves(line)
+        if played == a:
+            break
+        s, e = start.last(), line.conf
+        dc, dl = spell_counters(e) - spell_counters(s), e.players[1].lp - s.players[1].lp
+        if dc >= 0 and dl >= 0 and e == shift_counters(s, dc, dl):
+            cycle = [(move, nxt) for _c, move, nxt in line.run.steps(len(start))]
+            run = line.run
+            for k in range(1, a - played + 1):
+                for move, nxt in cycle:
+                    run = _link(run, shift_counters(nxt, k * dc, k * dl), move)
+            line.run = run
+            break
     for _ in range(b):
         _require_loop_ready(line.conf, need_counters=6)
         p1 = line.conf.players[0]

@@ -225,7 +225,10 @@ def decode_tmconf(code: int) -> TMConfiguration:
         raise MalformedCode("cells not canonical")
     if any(s == 0 for _, s in cells):
         raise MalformedCode("blank cell stored")
-    return TMConfiguration(tuple(cells), _unzig(headz), state)
+    conf = TMConfiguration(tuple(cells), _unzig(headz), state)
+    if encode_tmconf(conf) < _OVERFLOW:
+        raise MalformedCode("a configuration with a compact code, in overflow form")
+    return conf
 
 
 # --- curated machines -------------------------------------------------------

@@ -56,7 +56,10 @@ def test_bounded_runs_step_through_the_traced_stepper(perfbench_on_path):
 def test_each_transition_is_applied_once(perfbench_on_path, board_a):
     # strategy.applies_per_transition is engine applies over Run.extend calls
     # inside check_winning: the planners apply each move of ours, the driver
-    # each of the opponent's, and the driver reuses the planned configuration
+    # each of the opponent's, and the driver reuses the planned configuration.
+    # The one exception is the shifted increment cycles, whose four
+    # configurations are linked as shifts of an applied cycle: every cycle
+    # on the witness that the traced cycle planner did not play is one
     import layers
     from tracer import Tracer
 
@@ -73,7 +76,10 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a):
     assert verdict.is_win
     inside = tracer.scoped[layers.CHECKER]
     assert inside["engine.run_extend"] == len(verdict.witness)
-    assert inside["engine.apply"] == inside["engine.run_extend"]
+    cycles = sum(getattr(m, "effect", None) == "boe_flip_all" for m in verdict.witness)
+    shifted = cycles - inside["scripts.increment_cycle_moves"]
+    assert shifted > 0
+    assert inside["engine.apply"] + 4 * shifted == inside["engine.run_extend"]
     # the counter planner still plans each increment cycle through the
     # traced function, so that layer does not read 0
     assert tracer.stats["scripts.increment_cycle_moves"].calls > 0

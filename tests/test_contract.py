@@ -18,7 +18,8 @@ from duelhalt.engine.moves import decode_move, encode_move
 from duelhalt.errors import DuelhaltError, MalformedCode
 from duelhalt.reductions import (descending_chains, nis_membership_bounded, parse_order,
                                  reverse_omega, standard_omega)
-from duelhalt.tm import decode_tmconf, machine_from_index, oracle_converges, parse_tm, run_bounded
+from duelhalt.tm import (decode_tmconf, encode_tmconf, machine_from_index, oracle_converges,
+                         parse_tm, run_bounded)
 from duelhalt.trace import replay_trace, trace_lines
 
 ALARM_S = 10  # whole seconds, as signal.alarm counts them
@@ -79,10 +80,10 @@ _RECORD_CODECS = ((decode_configuration, encode_configuration), (decode_move, en
 
 @_SETTINGS
 @given(_INTS)
+@example(40_000 + seq_encode([0, 0, 0]))  # the blank machine configuration, overflow form
 def test_decoders_on_any_integer(code):
-    for decode in (decode_tmconf, machine_from_index):
-        holds(decode, code)
-    for decode, encode in _RECORD_CODECS:
+    holds(machine_from_index, code)
+    for decode, encode in _RECORD_CODECS + ((decode_tmconf, encode_tmconf),):
         inverts(decode, encode, code)
 
 

@@ -1,19 +1,26 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from duelhalt.carddb import lookup
-from duelhalt.engine import Phase, validate_run
-from duelhalt.engine.rules import spell_counters
-from duelhalt.errors import InsufficientCounters, NotLoopReady, ZeroTarget
+from duelhalt.engine import ActivateEffect, Phase, apply, validate_run
+from duelhalt.engine.config import GY
+from duelhalt.engine.rules import is_legal, shift_counters, spell_counters
+from duelhalt.errors import IllegalMove, InsufficientCounters, NotLoopReady, ZeroTarget
+from duelhalt.reductions import reduce_halting
 from duelhalt.scripts import (
+    Line,
     cycle_plan,
     decrement_cycle,
     increment_cycle,
+    increment_cycle_moves,
+    play_cycles,
     set_counters,
     turn_tick,
 )
+from duelhalt.strategy import Budget, check_winning
+from duelhalt.tm import CURATED
 
 
 def _cid(name):
@@ -231,3 +238,88 @@ def test_cycle_plan_bounds_the_increment_cycles():
     with pytest.raises(NotLoopReady, match=r"20001 increment and 0 decrement cycles "
                                            r"\(80004 moves\)"):
         cycle_plan(60_003)
+
+
+# --- the shift lemma and the shifted increment cycles --------------------------
+
+
+def _applied_cycles(start, n):
+    """n increment cycles from start, each move through apply: the reference
+    the shifted cycles are compared with."""
+    line = Line(start)
+    for _ in range(n):
+        increment_cycle_moves(line)
+    return line.run
+
+
+@pytest.fixture(scope="module")
+def first_six_cycles(board_a):
+    """The steps of the first six increment cycles from set-up A's final
+    board and from 40 counters, four to a cycle."""
+    cycles = []
+    for start in (board_a.final, set_counters(board_a.final, 40).final):
+        steps = list(_applied_cycles(start, 6).steps())
+        cycles += [steps[i:i + 4] for i in range(0, 24, 4)]
+    return cycles
+
+
+def _outcome(conf, move):
+    try:
+        return apply(conf, move)
+    except IllegalMove:
+        return None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(0, 10**9))
+def test_apply_commutes_with_the_counter_shift(first_six_cycles, dc, dl):
+    """The lemma of shift_counters on every configuration of the cycles: each
+    of its cycle's four moves is legal at c exactly when it is legal at the
+    shifted c, and then leads to the shifted result."""
+    for cycle in first_six_cycles:
+        moves = [move for _c, move, _n in cycle]
+        for conf, _m, _n in cycle:
+            shifted = shift_counters(conf, dc, dl)
+            assert spell_counters(shifted) == spell_counters(conf) + dc
+            assert shifted.players[1].lp == conf.players[1].lp + dl
+            for move in moves:
+                after = _outcome(conf, move)
+                want = None if after is None else shift_counters(after, dc, dl)
+                assert _outcome(shifted, move) == want
+
+
+def test_the_shift_lemma_is_only_for_the_cycle_moves(board_a):
+    # Endymion's summon reads a threshold: shifting 5 counters up by 3
+    # makes it legal, so it does not commute with the shift
+    five = set_counters(board_a.final, 5).final
+    gy = five.players[0].gy
+    summon = ActivateEffect(0, "endymion_counter_summon",
+                            (0, GY, gy.index(_cid("Endymion, the Master Magician"))),
+                            extras=(five.players[0].monsters.index(None), 0))
+    assert not is_legal(five, summon)
+    assert is_legal(shift_counters(five, 3, 0), summon)
+
+
+@pytest.mark.parametrize("start", ["final", "tick"])
+def test_shifted_cycles_equal_the_applied_cycles(board_a, start):
+    board = board_a.final if start == "final" else turn_tick(board_a.final).final
+    applied = _applied_cycles(board, 12)
+    for a in range(1, 13):
+        line = Line(board)
+        play_cycles(line, a, 0)
+        assert line.run.configs == applied.configs[:4 * a + 1]
+        assert line.run.moves == applied.moves[:4 * a]
+
+
+@pytest.mark.parametrize("name", sorted(CURATED))
+def test_halting_runs_validate(name):
+    assert validate_run(reduce_halting(CURATED[name]).run)
+
+
+def test_planned_steps_are_applied_steps():
+    out = reduce_halting(CURATED["identity"])
+    assert check_winning(out.run, out.strategy, Budget(200, 4)).is_win
+    plan = out.strategy._plan
+    assert plan
+    for (conf, _mode), (move, nxt) in plan.items():
+        assert apply(conf, move) == nxt

@@ -141,6 +141,18 @@ def test_tmconf_codes_reserved_zero():
     assert encode_tmconf(initial_config(EMPTY_MACHINE, 0)) >= 1
 
 
+def test_tmconf_overflow_form_of_a_compact_configuration_is_malformed():
+    # 40,000 + seq_encode([0, 0, 0]) spells the blank tape, head 0, state 0,
+    # whose code is 1; an overflow code of a configuration that has no
+    # compact code still decodes
+    blank = TMConfiguration((), 0, 0)
+    assert encode_tmconf(blank) == 1
+    with pytest.raises(MalformedCode):
+        decode_tmconf(40_000 + seq_encode([0, 0, 0]))
+    wide = TMConfiguration(((9, 1),), 0, 0)
+    assert decode_tmconf(encode_tmconf(wide)) == wide and encode_tmconf(wide) > 40_000
+
+
 @given(st.lists(st.tuples(st.integers(-6, 12), st.integers(1, 3)),
                 unique_by=lambda t: t[0], max_size=6),
        st.integers(-5, 11), st.integers(0, 40))
