@@ -9,18 +9,20 @@ All scripts speak from Player 1's side; the opponent's forced plays
 (cards handed over mid-line) are recorded as ordinary legal moves for
 Player 2, tagged only by their position in the line.
 
-``play_cycles`` applies a batch's increment cycles until one ends at its
-own start shifted by its counter and opponent-LP gains, and links each
-later cycle as that cycle shifted by the engine's ``shift_counters``,
-whose docstring states and argues the lemma this rests on
-(``tests/test_scripts.py`` checks it by property and against the applied
-cycles).
+``play_cycles`` links an increment cycle as a recorded applied cycle
+shifted by the engine's ``shift_counters`` when the line's cycle table
+holds one whose start shifts onto this cycle's start, and otherwise
+applies the cycle and records it.  The table belongs to whoever makes the
+line: a strategy passes its own to the lines it plans, and any other line
+gets a fresh one.  ``shift_counters``' docstring states and argues the
+lemma this rests on (``tests/test_scripts.py`` checks it by property and
+against the applied cycles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .carddb import (
     ATTRAFFIC, BAIT_DOLL, BOE, CITADEL, CLARA, CREATSWAP, DBLSUM, DESERT_SUNLIGHT, ENDYMION,
@@ -74,10 +76,12 @@ class ScriptResult:
 class Line:
     """A cursor over a run from a start configuration, or at the end of a
     run it extends: each move is validated by the engine and links one
-    node onto the run."""
+    node onto the run.  The increment cycles it plays are looked up in, and
+    recorded into, the cycle table it is given (a fresh one by default)."""
 
-    def __init__(self, start: Union[Configuration, Run]):
+    def __init__(self, start: Union[Configuration, Run], cycles: Optional[CycleTable] = None):
         self.run = start if isinstance(start, Run) else Run((start,), ())
+        self.cycles = {} if cycles is None else cycles
 
     @property
     def conf(self) -> Configuration:
@@ -174,14 +178,25 @@ def _p1_turn(line: Line, actions, *, attack: bool = True, discard: tuple[int, ..
 def _p2_turn(line: Line, actions=()) -> None:
     """The rest of the opponent's turn: scripted actions in their main
     phase, else passes, and at the end their first excess cards discarded."""
-    conf = line.conf
-    assert conf.active == 1, "not the opponent's turn"
-    if conf.phase == Phase.DRAW and not conf.draw_done and conf.players[1].deck:
-        line.do(DrawCard(1))
+    _p2_draw(line)
     if actions:
         _to_phase(line, Phase.MAIN1)
         for act in actions:
             act(line)
+    _p2_end(line)
+
+
+def _p2_draw(line: Line) -> None:
+    """The opponent's draw, when their turn is at a draw still to be made."""
+    conf = line.conf
+    assert conf.active == 1, "not the opponent's turn"
+    if conf.phase == Phase.DRAW and not conf.draw_done and conf.players[1].deck:
+        line.do(DrawCard(1))
+
+
+def _p2_end(line: Line) -> None:
+    """The opponent's passes to the end of their turn, their first excess
+    cards discarded at the end."""
     _to_phase(line, Phase.END)
     excess = len(line.conf.players[1].hand) - HAND_LIMIT
     if excess > 0:
@@ -575,29 +590,78 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
     return a, b
 
 
+def _gauge(conf: Configuration) -> Optional[tuple[int, int]]:
+    """The two values ``shift_counters`` moves, read where it moves them:
+    the counters on Player 1's face-up Magical Citadel and the opponent's
+    LP; None without that Citadel."""
+    fz = conf.players[0].field_zone
+    if fz is None or fz.card != CITADEL or not fz.face_up:
+        return None
+    return fz.counters, conf.players[1].lp
+
+
+def _shift_onto(start: Configuration, conf: Configuration) -> Optional[tuple[int, int]]:
+    """The shift (x, y) >= 0 that takes start to conf, if one does."""
+    gauge, to = _gauge(start), _gauge(conf)
+    if gauge is None or to is None:
+        return None
+    x, y = to[0] - gauge[0], to[1] - gauge[1]
+    if x >= 0 and y >= 0 and shift_counters(start, x, y) == conf:
+        return x, y
+    return None
+
+
+# recorded increment cycles, each as (c0, m1, c1, ..., m4, c4) under the hash
+# of its start c0 with the counters and the opponent's LP taken out (starts
+# that share a hash are told apart by _shift_onto)
+CycleTable = dict[int, tuple]
+
+
 def play_cycles(line: Line, a: int, b: int) -> None:
     """Play a increment cycles and then b decrement cycles onto the line.
 
-    Increment cycles go through the engine until one ends at its own start
-    shifted by its counter and opponent-LP gains.  By the lemma of
-    ``shift_counters``, each later cycle is then that cycle shifted k times,
-    so its configurations are linked as shifts, with the same four moves.
+    Each increment cycle's start is looked up in the line's cycle table,
+    keyed by the hash of the start with its counters and the opponent's LP
+    taken out.  When a recorded cycle's start shifts by some (x, y) >= 0
+    onto this one, the cycle is linked as the recorded steps shifted by
+    (x, y), with the same four moves: by the lemma of ``shift_counters``,
+    that is what applying them gives.  Otherwise the cycle goes through
+    ``increment_cycle_moves``, so through the engine, and is recorded.  A
+    recorded cycle that ends at its own start shifted by its gains (g, h)
+    repeats itself: once such a cycle is hit, the rest of the batch is
+    linked as its steps shifted by (x + k g, y + k h), with no more lookups.
     """
-    for played in range(1, a + 1):
-        start = line.run
-        increment_cycle_moves(line)
-        if played == a:
-            break
-        s, e = start.last(), line.conf
-        dc, dl = spell_counters(e) - spell_counters(s), e.players[1].lp - s.players[1].lp
-        if dc >= 0 and dl >= 0 and e == shift_counters(s, dc, dl):
-            cycle = [(move, nxt) for _c, move, nxt in line.run.steps(len(start))]
-            run = line.run
-            for k in range(1, a - played + 1):
-                for move, nxt in cycle:
-                    run = _link(run, shift_counters(nxt, k * dc, k * dl), move)
-            line.run = run
-            break
+    left = a
+    while left:
+        conf = line.conf
+        gauge = _gauge(conf)
+        key = None if gauge is None else hash(shift_counters(conf, -gauge[0], -gauge[1]))
+        cycle = None if key is None else line.cycles.get(key)
+        shift = None if cycle is None else _shift_onto(cycle[0], conf)
+        if shift is None:
+            start = len(line.run)
+            increment_cycle_moves(line)
+            left -= 1
+            cycle = (conf,)
+            for _c, move, nxt in line.run.steps(start):
+                cycle += (move, nxt)
+            # the lemma needs the opponent's LP positive before each move
+            if key is not None and all(c.players[1].lp > 0 for c in cycle[:-1:2]):
+                line.cycles[key] = cycle
+            continue
+        # the cycle repeats when it ends at its own start shifted by its
+        # gains; a hit at its own end shows that without a comparison
+        repeats = None
+        if left > 1:
+            repeats = shift if conf is cycle[-1] else _shift_onto(cycle[0], cycle[-1])
+        (x, y), (g, h) = shift, repeats or (0, 0)
+        times = left if repeats else 1
+        run = line.run
+        for k in range(times):
+            for i in range(1, len(cycle), 2):
+                run = _link(run, shift_counters(cycle[i + 1], x + k * g, y + k * h), cycle[i])
+        line.run = run
+        left -= times
     for _ in range(b):
         _require_loop_ready(line.conf, need_counters=6)
         p1 = line.conf.players[0]

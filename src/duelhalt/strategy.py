@@ -10,21 +10,26 @@ and replay the plan move by move; outside their scripted prefixes they
 are undefined, matching the localization picture.
 
 `next_move` answers with a (move, next configuration) pair, and the next
-configuration is the one `apply` produced when the plan was simulated.
-Plans are cached on (configuration, mode) and configurations compare by
-value, so a cached pair from an equal configuration still equals what
-`apply` gives.  Both players' turns are planned lines built by `apply`:
-ours by the strategy, the opponent's canonical turn by `_play_p2_turn`.
-`_drive` and `_their_turn` extend the run with the planned
+configuration is the one the planned line reached: the one `apply`
+produced when the plan was simulated, or, for an increment cycle linked
+from the strategy's cycle table, a recorded applied cycle shifted by
+`rules.shift_counters`, which the lemma stated there equates with what
+`apply` gives.  Plans are cached on (configuration, mode) and
+configurations compare by value, so a cached pair from an equal
+configuration still equals what `apply` gives.  Both players' turns are
+planned lines: ours by the strategy, the opponent's canonical turns by
+`_p2_turns`.  `_drive` and the explorer extend the run with the planned
 configurations and choose or apply no move of their own, so each
-transition is applied once, by the line that plans it.
+transition is applied at most once, by the line that plans it.
 
 The winning checker and the strategy trees share one explorer of the
 opponent's choices.  Those are numbers spoken through the equip-retarget
 channel, so a turn of theirs is canonicalized to "pull the equip k times,
-then park it (or not)".  A budget can declare its number cap exhaustive
-(the bounded-adversary reading used by the desk tests); otherwise running
-into the cap yields an honest Undetermined.
+then park it (or not)", and the turns at one decision point share their
+prefix: the draw, the walk to the main phase and each pull are made once.
+A budget can declare its number cap exhaustive (the bounded-adversary
+reading used by the desk tests); otherwise running into the cap yields an
+honest Undetermined.
 """
 
 from __future__ import annotations
@@ -57,12 +62,15 @@ from .engine import (
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.rules import is_legal, spell_counters
+from .engine.rules import spell_counters
 from .scripts import (
+    CycleTable,
     Line,
     _end_turn,
     _negate_protector_if_needed,
     _offer_magician,
+    _p2_draw,
+    _p2_end,
     _p2_turn,
     _summon_endymion,
     _summon_yata,
@@ -121,6 +129,8 @@ class Strategy:
     def __init__(self, descriptor: tuple):
         self.descriptor = descriptor
         self._plan: dict[tuple[Configuration, Hashable], Step] = {}
+        # the increment cycles its planned lines played, for the lines after
+        self._cycles: CycleTable = {}
 
     def observe(self, run: Run) -> Hashable:
         """The heard state at the end of the run, from one walk of it."""
@@ -157,10 +167,9 @@ class Strategy:
 _PLAN_FAILS = (ScriptBroken, NotLoopReady, InsufficientCounters, IllegalMove, MalformedCode)
 
 
-def _planned(conf: Configuration, fill: Callable[..., None], *args) -> Optional[Line]:
-    """The line fill(line, *args) simulates from conf; None when a step of
-    it is not legal."""
-    line = Line(conf)
+def _planned(line: Line, fill: Callable[..., None], *args) -> Optional[Line]:
+    """The line after fill(line, *args) simulates on it; None when a step
+    of it is not legal."""
     try:
         fill(line, *args)
     except _PLAN_FAILS:
@@ -198,9 +207,10 @@ def battle_all(line: Line) -> None:
     for loc in attackers:
         if is_winning_state(line.conf, 0):
             return
-        mv = DeclareAttack(0, loc, DIRECT)
-        if is_legal(line.conf, mv):
-            line.do(mv)
+        try:
+            line.do(DeclareAttack(0, loc, DIRECT))
+        except ScriptBroken:
+            pass  # this monster cannot attack: the engine refused the move
 
 
 class TMStrategy(Strategy):
@@ -215,7 +225,7 @@ class TMStrategy(Strategy):
         self.machine = m
 
     def _plan_turn(self, conf, mode):
-        return _planned(conf, _own_turn, self._play_turn)
+        return _planned(Line(conf, self._cycles), _own_turn, self._play_turn)
 
     def _play_turn(self, line: Line) -> None:
         mconf = tmmod.decode_tmconf(spell_counters(line.conf))
@@ -284,7 +294,9 @@ class _ChannelStrategy(Strategy):
         return OFF if state == OFF else "raigeki" if state == BROKEN else "wait"
 
     def _plan_turn(self, conf, mode):
-        return None if mode == OFF else _planned(conf, _own_turn, self._play_turn, mode)
+        if mode == OFF:
+            return None
+        return _planned(Line(conf, self._cycles), _own_turn, self._play_turn, mode)
 
     def _play_turn(self, line: Line, mode: str) -> None:
         _negate_protector_if_needed(line)
@@ -364,36 +376,62 @@ def _retarget(p2, pull: bool) -> Optional[Move]:
     return None
 
 
-def _their_turn(run: Run, actions=()) -> Optional[tuple[Run, int]]:
-    """The rest of the opponent's turn from run's end, planned as a line
-    (the actions in their main phase, our windows passed): the run it
-    extends to and the number it spoke, or None when a step is not legal."""
-    line = _planned(run.last(), _p2_turn, actions)
+def _their_steps(run: Run, spoken: int, fill: Callable[..., None], *args
+                 ) -> Optional[tuple[Run, int]]:
+    """The opponent's steps that fill(line, *args) plans from run's end:
+    the run they extend it to, one ``Run.extend`` per step, and spoken plus
+    the number they speak; None when a step is not legal."""
+    line = _planned(Line(run.last()), fill, *args)
     if line is None:
         return None
-    spoken = 0
     for conf, mv, nxt in line.run.steps():
         run = run.extend(nxt, mv)
         spoken += _spoke(conf, nxt)
     return run, spoken
 
 
-def _play_p2_turn(run: Run, state: Hashable, choice: tuple[int, bool], s: Strategy
-                  ) -> Optional[tuple[Run, Hashable]]:
-    """Play one canonical opponent turn (k pulls, then parking or not) from
-    their decision point; the strategy hears the turn's number once it is
-    over.  None when the turn cannot be played."""
-    k, park = choice
+def _their_main(line: Line) -> None:
+    """The opponent's turn from their decision point to their main phase."""
+    _p2_draw(line)
+    _to_phase(line, Phase.MAIN1)
 
-    def speak(line: Line) -> None:
-        for pull in [True] * k + [False] * (park and k > 0):
-            mv = _retarget(line.conf.players[1], pull)
-            if mv is None:
-                return  # the channel is gone: nothing more to say
-            line.do(mv)
 
-    played = _their_turn(run, [speak])
-    return None if played is None else (played[0], s.hear(state, played[1]))
+def _p2_turns(run: Run, state: Hashable, choices: Iterable[tuple[int, bool]], s: Strategy
+              ) -> Iterator[tuple[tuple[int, bool], Optional[tuple[Run, Hashable]]]]:
+    """Each canonical opponent turn (k pulls, then parking or not) from
+    their decision point, lazily: the (run, state) it leads to, the
+    strategy having heard its number, or None when it cannot be played.
+
+    The turns share their prefixes, each step made once: the draw and the
+    walk to the main phase, then one chain of pulls where pull j + 1
+    extends pull j, and per choice only the park and the walk to the end of
+    the turn.  A step that fails fails the choices that go through it, and
+    when the channel goes silent after j pulls, every longer speech ends
+    there, unparked.
+    """
+    pulled: list[Optional[tuple[Run, int]]] = []  # (run, spoken) after j pulls
+    silent = False  # the channel can say no further pull
+    ends: dict[tuple[int, bool], Optional[tuple[Run, Hashable]]] = {}  # (pulls, parked)
+    for k, park in choices:
+        if not pulled:
+            pulled.append(_their_steps(run, 0, _their_main))
+        while len(pulled) <= k and pulled[-1] is not None and not silent:
+            r, spoken = pulled[-1]
+            mv = _retarget(r.last().players[1], pull=True)
+            silent = mv is None
+            if not silent:
+                pulled.append(_their_steps(r, spoken, Line.do, mv))
+        j = min(k, len(pulled) - 1)  # below k past a silence or a failed pull
+        node, parking = pulled[j], None
+        if node is not None and park and 0 < k == j:
+            parking = _retarget(node[0].last().players[1], pull=False)
+        key = (j, parking is not None)
+        if key not in ends:
+            if parking is not None:
+                node = _their_steps(*node, Line.do, parking)
+            end = None if node is None else _their_steps(*node, _p2_end)
+            ends[key] = end and (end[0], s.hear(state, end[1]))
+        yield (k, park), ends[key]
 
 
 def _terminal_kind(conf: Configuration) -> Optional[str]:
@@ -423,7 +461,7 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
         if conf.active == 1:
             if conf.phase == Phase.DRAW and conf.priority == 1:
                 return run, None  # the opponent's decision point
-            played = _their_turn(run)
+            played = _their_steps(run, 0, _p2_turn)
             if played is None:
                 return run, LOSS
             run = played[0]
@@ -446,7 +484,7 @@ def _expand(s: Strategy, run: Run, state: Hashable, budget: Budget,
     leads to, or None when it cannot be played (a LOSS leaf)."""
     run, stop = _drive(run, state, s, last_turn)
     choices = _p2_turn_choices(run.last(), budget) if stop is None else []
-    return run, stop, ((c, _play_p2_turn(run, state, c, s)) for c in choices)
+    return run, stop, _p2_turns(run, state, choices, s)
 
 
 @dataclass
@@ -543,7 +581,7 @@ def play_opponent_number(run: Run, s: Strategy, k: int) -> Optional[Run]:
     run, stop = _drive(run, state, s)
     if stop is not None:  # terminal, or the strategy stranded
         return run if _terminal_kind(run.last()) is not None else None
-    played = _play_p2_turn(run, state, (k, True), s)
+    _choice, played = next(_p2_turns(run, state, [(k, True)], s))
     return None if played is None else played[0]
 
 

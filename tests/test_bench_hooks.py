@@ -53,33 +53,79 @@ def test_bounded_runs_step_through_the_traced_stepper(perfbench_on_path):
     assert tracer.scoped[layers.BOUNDED].get("tm.step", 0) > 0
 
 
-def test_each_transition_is_applied_once(perfbench_on_path, board_a):
+def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch):
     # strategy.applies_per_transition is engine applies over Run.extend calls
-    # inside check_winning: the planners apply each move of ours, the driver
-    # each of the opponent's, and the driver reuses the planned configuration.
-    # The one exception is the shifted increment cycles, whose four
-    # configurations are linked as shifts of an applied cycle: every cycle
-    # on the witness that the traced cycle planner did not play is one
+    # inside check_winning.  Counted independently here:
+    # - our transitions: the drive's next_move calls, less the root's check;
+    # - the planned lines: each planned step is applied once, except the
+    #   increment cycles linked from the cycle table as shifts of a recorded
+    #   cycle (every planned cycle the traced cycle planner did not play);
+    # - the opponent's transitions: the distinct run nodes of every turn the
+    #   shared walk yields, since turns share their prefixes and each node is
+    #   made by one apply and one Run.extend.
     import layers
     from tracer import Tracer
 
     from duelhalt import reductions, scripts
 
-    out = reductions.reduce_halting(tm.CURATED["identity"])
+    cases = [(reductions.reduce_halting(tm.CURATED["identity"]), strategy.Budget(200, 4)),
+             (reductions.reduce_nis(tm.CURATED["successor"]),
+              strategy.Budget(10, 8, cap_exhaustive=True))]
+    for out, budget in cases:
+        s = out.strategy
+        planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
+        plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
+        planned, turns = [], []
+
+        def counted_plan(self, conf, mode):
+            line = plan_turn(self, conf, mode)
+            if line is not None:
+                planned.append(line.run.moves)
+            return line
+
+        def counted_turns(run, state, choices, strat):
+            for choice, played in p2_turns(run, state, choices, strat):
+                if played is not None:
+                    turns.append((run, played[0]))
+                yield choice, played
+
+        monkeypatch.setattr(planner, "_plan_turn", counted_plan)
+        monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
+        tracer = Tracer(scopes=layers.SCOPES)
+        try:
+            layers.install(tracer)
+            verdict = strategy.check_winning(out.run, s, budget)
+        finally:
+            tracer.unpatch()
+        monkeypatch.undo()
+        assert verdict.is_win
+        inside = tracer.scoped[layers.CHECKER]
+        ours = inside["strategy.next_move"] - 1
+        cycles = sum(getattr(m, "effect", None) == "boe_flip_all" for moves in planned
+                     for m in moves)
+        linked = cycles - inside["scripts.increment_cycle_moves"]
+        theirs = set()
+        for base, node in turns:
+            while node is not base:
+                theirs.add(id(node))
+                node = node._parent
+        assert linked > 0
+        assert inside["engine.run_extend"] == ours + len(theirs)
+        assert inside["engine.apply"] + 4 * linked == sum(map(len, planned)) + len(theirs)
+        if out.strategy.descriptor[0] == "tm":
+            # one line, with no opponent choice: the witness
+            assert cycles == sum(getattr(m, "effect", None) == "boe_flip_all"
+                                 for m in verdict.witness)
+            assert inside["engine.apply"] + 4 * linked == inside["engine.run_extend"] \
+                == len(verdict.witness)
+        else:
+            assert len(theirs) < sum(len(node) - len(base) for base, node in turns)
+    # the counter planner still plans each increment cycle through the
+    # traced function, so that layer does not read 0
     tracer = Tracer(scopes=layers.SCOPES)
     try:
         layers.install(tracer)
-        verdict = strategy.check_winning(out.run, out.strategy, strategy.Budget(200, 4))
         scripts.set_counters(board_a.final, 17)
     finally:
         tracer.unpatch()
-    assert verdict.is_win
-    inside = tracer.scoped[layers.CHECKER]
-    assert inside["engine.run_extend"] == len(verdict.witness)
-    cycles = sum(getattr(m, "effect", None) == "boe_flip_all" for m in verdict.witness)
-    shifted = cycles - inside["scripts.increment_cycle_moves"]
-    assert shifted > 0
-    assert inside["engine.apply"] + 4 * shifted == inside["engine.run_extend"]
-    # the counter planner still plans each increment cycle through the
-    # traced function, so that layer does not read 0
     assert tracer.stats["scripts.increment_cycle_moves"].calls > 0

@@ -331,6 +331,47 @@ def test_replay_trace_names_the_malformed_line(board_a, bad):
         replay_trace([line, bad], first.configs[0])
 
 
+# each changes one field of set-up A's second trace line (the second draw,
+# move code 14) into a form trace_lines never writes, which replay used to
+# read as the written one
+_UNWRITTEN_FORMS = {
+    "move as a number": ("move", lambda move: float(move) + 0.7),
+    "move padded and signed": ("move", lambda move: f" +{move} "),
+    "config with 0x": ("config", lambda config: "0x" + config),
+    "config upper-case": ("config", str.upper),
+    "config with _": ("config", lambda config: config[:2] + "_" + config[2:]),
+    "another turn": ("turn", lambda turn: turn + 1),
+    "another phase": ("phase", lambda phase: "main1"),
+    "another text": ("text", lambda text: text + "!"),
+}
+
+
+@pytest.mark.parametrize("form", list(_UNWRITTEN_FORMS))
+def test_replay_trace_takes_only_the_written_form(board_a, form):
+    two = Run(board_a.run.configs[:3], board_a.run.moves[:2])
+    first, second = trace_lines(two)
+    assert replay_trace([first, second], two.configs[0]).configs == two.configs
+    field, bend = _UNWRITTEN_FORMS[form]
+    rec = json.loads(second)
+    assert rec["move"] == "14" and rec["config"] != rec["config"].upper()
+    rec[field] = bend(rec[field])
+    bent = json.dumps(rec, separators=(",", ":"))
+    with pytest.raises(MalformedCode, match="trace line 2 is malformed"):
+        replay_trace([first, bent], two.configs[0])
+
+
+@pytest.mark.parametrize("bend", [lambda line: f" {line} ", lambda line: "",
+                                  lambda line: line + "\n\n"],
+                         ids=["padded", "blank", "two newlines"])
+def test_replay_trace_takes_only_written_lines(board_a, bend):
+    # a line is taken as written, less the newline that ends it in a file
+    two = Run(board_a.run.configs[:3], board_a.run.moves[:2])
+    first, second = trace_lines(two)
+    assert replay_trace([first + "\n", second + "\n"], two.configs[0]).configs == two.configs
+    with pytest.raises(MalformedCode, match="trace line 2 is malformed"):
+        replay_trace([first, bend(second)], two.configs[0])
+
+
 def test_every_offered_move_applies_along_both_setups(board_a, board_b):
     # with every spell/trap zone full, continuous and equip spells in the
     # hand have nowhere to go and must not be offered

@@ -8,7 +8,15 @@ from duelhalt.engine import ActivateEffect, Phase, apply, validate_run
 from duelhalt.engine.config import GY
 from duelhalt.engine.rules import is_legal, shift_counters, spell_counters
 from duelhalt.errors import IllegalMove, InsufficientCounters, NotLoopReady, ZeroTarget
-from duelhalt.reductions import reduce_halting
+from duelhalt import scripts
+from duelhalt.reductions import (
+    reduce_halting,
+    reduce_nis,
+    reduce_wo,
+    reverse_omega,
+    standard_finite,
+    standard_omega,
+)
 from duelhalt.scripts import (
     Line,
     cycle_plan,
@@ -19,7 +27,7 @@ from duelhalt.scripts import (
     set_counters,
     turn_tick,
 )
-from duelhalt.strategy import Budget, check_winning
+from duelhalt.strategy import UNDETERMINED, WIN, Budget, check_winning
 from duelhalt.tm import CURATED
 
 
@@ -253,13 +261,16 @@ def _applied_cycles(start, n):
 
 
 @pytest.fixture(scope="module")
-def first_six_cycles(board_a):
+def first_six_cycles(board_a, board_b):
     """The steps of the first six increment cycles from set-up A's final
-    board and from 40 counters, four to a cycle."""
+    board, from 40 counters, and from set-up B's board after one sustaining
+    turn, four to a cycle."""
     cycles = []
-    for start in (board_a.final, set_counters(board_a.final, 40).final):
+    for start in (board_a.final, set_counters(board_a.final, 40).final,
+                  turn_tick(board_b.final).final):
         steps = list(_applied_cycles(start, 6).steps())
         cycles += [steps[i:i + 4] for i in range(0, 24, 4)]
+    assert len(cycles) == 18
     return cycles
 
 
@@ -316,10 +327,90 @@ def test_halting_runs_validate(name):
     assert validate_run(reduce_halting(CURATED[name]).run)
 
 
+# each reduction with a budget it is explored at and the verdict there:
+# halting at Budget(200, 4), and the channel reductions at the benchmark's
+# budgets
+_EXPLORED = {
+    "halting-identity": (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4), WIN),
+    "nis-successor": (lambda: reduce_nis(CURATED["successor"]),
+                      Budget(150, 8, cap_exhaustive=True), WIN),
+    "nis-identity": (lambda: reduce_nis(CURATED["identity"]),
+                     Budget(10, 8, cap_exhaustive=True), UNDETERMINED),
+    "wo-finite-5": (lambda: reduce_wo(standard_finite(5)),
+                    Budget(60, 8, cap_exhaustive=True), WIN),
+    "wo-omega": (lambda: reduce_wo(standard_omega()), Budget(80, 10, cap_exhaustive=True), WIN),
+    "wo-omega-reverse": (lambda: reduce_wo(reverse_omega()), Budget(16, 3), UNDETERMINED),
+}
+
+
 def test_planned_steps_are_applied_steps():
-    out = reduce_halting(CURATED["identity"])
-    assert check_winning(out.run, out.strategy, Budget(200, 4)).is_win
+    # cycles linked from the strategy's cycle table included: every
+    # plan-cache entry is what apply gives
+    for name, (reduce, budget, kind) in _EXPLORED.items():
+        out = reduce()
+        assert check_winning(out.run, out.strategy, budget).kind == kind, name
+        plan = out.strategy._plan
+        assert plan, name
+        for (conf, _mode), (move, nxt) in plan.items():
+            assert apply(conf, move) == nxt, name
+
+
+def _cycle_from(plan, conf, mode):
+    """The four planned steps from a cycle's start, (move, configuration)."""
+    steps = []
+    for _ in range(4):
+        move, conf = plan[conf, mode]
+        steps.append((move, conf))
+    return steps
+
+
+@pytest.mark.parametrize("name", ["nis-successor", "wo-omega-reverse"])
+def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
+    # every planned increment cycle, linked from the table or not, has the
+    # moves increment_cycle_moves picks at its start and the configurations
+    # they lead to
+    reduce, budget, _kind = _EXPLORED[name]
+    out = reduce()
+    played = []
+    engine_cycle = scripts.increment_cycle_moves
+
+    def counted(line):
+        played.append(line.conf)
+        engine_cycle(line)
+
+    monkeypatch.setattr(scripts, "increment_cycle_moves", counted)
+    check_winning(out.run, out.strategy, budget)
+    monkeypatch.undo()
     plan = out.strategy._plan
-    assert plan
-    for (conf, _mode), (move, nxt) in plan.items():
-        assert apply(conf, move) == nxt
+    starts = [key for key, (move, _n) in plan.items()
+              if getattr(move, "effect", None) == "boe_flip_all"]
+    linked = [key for key in starts if key[0] not in played]
+    assert len(linked) > len(starts) // 2
+    for conf, mode in linked:
+        line = Line(conf)
+        increment_cycle_moves(line)
+        assert _cycle_from(plan, conf, mode) == [(m, n) for _c, m, n in line.run.steps()]
+
+
+def test_the_cycle_table_links_only_upward_shifts(board_b, monkeypatch):
+    # a recorded cycle is linked from a start it shifts onto by (x, y) >= 0
+    # (counters, opponent LP); from a start below it in either, the cycle
+    # goes through the engine, and either way the line is the applied one
+    start = turn_tick(board_b.final).final
+    table = {}
+    play_cycles(Line(start, table), 1, 0)
+    assert len(table) == 1
+    played = []
+    engine_cycle = scripts.increment_cycle_moves
+    monkeypatch.setattr(scripts, "increment_cycle_moves",
+                        lambda line: (played.append(line.conf), engine_cycle(line)))
+    for dc, dl, linked in [(0, 0, True), (3, 0, True), (0, 1000, True), (30, 7000, True),
+                           (-1, 0, False), (0, -1000, False), (-1, 1000, False),
+                           (3, -1000, False)]:
+        shifted = shift_counters(start, dc, dl)
+        line = Line(shifted, dict(table))
+        played.clear()
+        play_cycles(line, 1, 0)
+        assert played == ([] if linked else [shifted]), (dc, dl)
+        want = _applied_cycles(shifted, 1)
+        assert (line.run.configs, line.run.moves) == (want.configs, want.moves), (dc, dl)

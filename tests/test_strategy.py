@@ -3,10 +3,12 @@ import hashlib
 import pytest
 
 from duelhalt import strategy
+from duelhalt.carddb import FLINT, FLINT_LOCK
 from duelhalt.coding import pair, triple
 from duelhalt.engine import ActivateEffect, Pass, Phase, Run, apply, validate_run
+from duelhalt.engine.config import MZONE, update_player
 from duelhalt.engine.rules import spell_counters
-from duelhalt.errors import StrategyUndefinedAtRoot
+from duelhalt.errors import ScriptBroken, StrategyUndefinedAtRoot
 from duelhalt.reductions import (
     reduce_halting,
     reduce_nis,
@@ -253,6 +255,119 @@ def test_verdicts_do_not_depend_on_what_the_plan_cache_holds():
     to_tree(out.strategy, out.run, 5, budget)
     _casts_raigeki(out, (pair(1, 0), 2, 1))
     assert check_winning(out.run, out.strategy, budget) == want
+
+
+@pytest.mark.parametrize("reduce, budget", [
+    (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4)),
+    (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True)),
+    (lambda: reduce_wo(reverse_omega()), Budget(16, 3)),
+], ids=["halting-identity", "nis-successor", "wo-reverse-omega"])
+def test_a_warm_strategy_checks_as_a_fresh_one(reduce, budget):
+    # the second check runs on the plans and the cycle table the first one
+    # left, and answers with the fresh strategy's verdict and witness
+    fresh = reduce()
+    want = check_winning(fresh.run, fresh.strategy, budget)
+    out = reduce()
+    first = check_winning(out.run, out.strategy, budget)
+    assert out.strategy._plan and out.strategy._cycles
+    assert first == want and check_winning(out.run, out.strategy, budget) == want
+
+
+def _turn_alone(run, state, choice, s):
+    """The canonical opponent turn as one line of its own, speaking its
+    number in their main phase: the reference for the shared turns."""
+    k, park = choice
+
+    def speak(line):
+        for pull in [True] * k + [False] * (park and k > 0):
+            mv = strategy._retarget(line.conf.players[1], pull)
+            if mv is None:
+                return
+            line.do(mv)
+
+    line = strategy.Line(run.last())
+    try:
+        strategy._p2_turn(line, [speak])
+    except ScriptBroken:
+        return None
+    spoken = sum(strategy._spoke(c, nxt) for c, _m, nxt in line.run.steps())
+    return list(line.run.steps()), s.hear(state, spoken)
+
+
+def _shared_turns(run, state, budget, s):
+    """Each canonical turn of the shared walk, as the steps past run and the
+    heard state, and the number of transitions the walk made."""
+    choices = strategy._p2_turn_choices(run.last(), budget)
+    turns, nodes = [], set()
+    for choice, played in strategy._p2_turns(run, state, choices, s):
+        assert choice == choices[len(turns)]
+        if played is None:
+            turns.append(None)
+            continue
+        node = played[0]
+        while node is not run:
+            nodes.add(id(node))
+            node = node._parent
+        turns.append((list(played[0].steps(len(run))), played[1]))
+    return choices, turns, len(nodes)
+
+
+def _head(steps):
+    """How many of a turn's steps reach the opponent's main phase."""
+    return 1 + next(i for i, (_c, _m, nxt) in enumerate(steps) if nxt.phase == Phase.MAIN1)
+
+
+def _decision_points():
+    """Opponent decision points of the channel reductions, the first and
+    those after a few spoken numbers, with the strategy."""
+    # each number keeps the chain: 2 = succ(1) within 2 steps, then 1 =
+    # succ(0); and 2 below 3, then 1
+    for out, numbers in ((reduce_nis(CURATED["successor"]), (triple(2, 1, 2), pair(0, 1))),
+                         (reduce_wo(standard_omega()), (pair(2, 3), 1))):
+        run = drive_to_choice(out.run, out.strategy)
+        yield run, out.strategy
+        for n in numbers:
+            run = drive_to_choice(play_opponent_number(run, out.strategy, n), out.strategy)
+            yield run, out.strategy
+
+
+def test_opponent_turns_share_their_prefixes():
+    budget, points = Budget(10, 8), 0
+    for run, s in _decision_points():
+        points += 1
+        state = s.observe(run)
+        choices, turns, made = _shared_turns(run, state, budget, s)
+        assert len(choices) == 17
+        assert turns == [_turn_alone(run, state, c, s) for c in choices]
+        # the draw and walk to the main phase once, each pull once, and per
+        # choice only the park and the rest of the turn
+        head = _head(turns[0][0])
+        own = [len(steps) - head - k for (k, _park), (steps, _state) in zip(choices, turns)]
+        assert made == head + 8 + sum(own)
+        assert made < sum(len(steps) for steps, _state in turns)
+    assert points == 6
+
+
+def test_a_silent_channel_ends_longer_speeches_unparked():
+    # with one Flint Lock left, the first pull puts Flint on it and no
+    # second pull can be said: every longer speech ends after that pull,
+    # unparked, sharing the (1, False) turn
+    run, s = next(_decision_points())
+    state, conf = s.observe(run), run.last()
+    p2 = conf.players[1]
+    flint = next(st for st in p2.spelltraps if st is not None and st.card == FLINT)
+    locks = [i for i, m in enumerate(p2.monsters) if m is not None and m.card == FLINT_LOCK]
+    assert len(locks) == 2 and flint.equipped_to not in [(1, MZONE, i) for i in locks]
+    one_lock = update_player(conf, 1, monsters=tuple(
+        None if i == locks[1] else m for i, m in enumerate(p2.monsters)))
+    run = Run((one_lock,), ())
+    choices, turns, made = _shared_turns(run, state, Budget(10, 3), s)
+    assert turns == [_turn_alone(run, state, c, s) for c in choices]
+    assert choices[:3] == [(0, True), (1, True), (1, False)]
+    assert len(turns) == 7 and all(t == turns[2] for t in turns[3:])
+    head = _head(turns[0][0])
+    zero, parked, pulled = (len(steps) for steps, _state in turns[:3])
+    assert made == head + 1 + (zero - head) + (parked - head - 1) + (pulled - head - 1)
 
 
 @pytest.mark.parametrize("reduce, budget", [
