@@ -28,8 +28,9 @@ its own.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..carddb import (
     ATTRAFFIC, BAIT_DOLL, CARDS, CITADEL, CLARA, ENDYMION, FILLER, FLINT, FLINT_LOCK,
@@ -277,29 +278,208 @@ def spell_counters(conf: Configuration) -> int:
     return conf.instance_at(loc).counters
 
 
-def shift_counters(conf: Configuration, dc: int, dl: int) -> Configuration:
-    """conf with dc more counters on the face-up Magical Citadel that
-    ``spell_counters`` reads, and dl more LP for its controller's opponent.
+# --- the frame, and moving a recorded line onto a new one -----------------
 
-    The increment cycle rests on this shift.  Lemma: for each of the
-    cycle's four moves m (Book of Eclipse, setting Desert Sunlight, Bait
-    Doll, Upstart Goblin) and all dc, dl >= 0,
-    ``apply(shift_counters(c, dc, dl), m) == shift_counters(apply(c, m), dc, dl)``
-    whenever the opponent's LP in c is positive.  It holds because, of the
-    engine's reads of counters and LP, only the thresholds can tell c from
-    its shift: Endymion's 6-counter check, Soul Drain's 1000-LP payment and
-    the zero-LP terminal tests.  None of the four moves is an Endymion
-    summon or a Soul Drain activation, and a positive LP stays positive as
-    it grows.  The other reads only add to the value: a spell activation's
-    +1 counter and Upstart Goblin's +1000 LP for the opponent commute with
-    the shift.  So once a cycle ends at its own start shifted by (dc, dl), each
-    later cycle is the one before it shifted by (dc, dl) again.
+_STAMPS = ("set_turn", "face_since", "summoned_turn")
+
+
+def transport(confs: Iterable[Configuration], start: Configuration,
+              onto: Configuration, numeric: bool = False) -> list[Configuration]:
+    """The configurations of a line recorded from start, moved onto the
+    start onto, which agrees with start outside the frame.
+
+    The frame is what the rules read only against a few thresholds, or a
+    line may leave alone:
+    - the counters on P1's face-up Magical Citadel and P2's LP;
+    - the turn, with each stamp (``set_turn``, ``face_since``,
+      ``summoned_turn``) at or after start's turn;
+    - P2's deck, hand and graveyard.
+    The image T(c) of a recorded c adds onto's differences over start to
+    the counters, P2's LP, the turn and each stamp at or after start's
+    turn; a stamp before it (a past one) of a card changed since start is
+    read off the same slot of onto; and P2's piles are onto's when start's
+    differ from them.  Records c shares with start are onto's own and
+    every other one is copied once per call, so T(start) = onto and a step
+    costs a few ``fast_replace`` copies.  With numeric set the caller
+    vouches that start and onto differ only in the counters and P2's LP,
+    as the cycle table's starts do, and only those are moved.
+
+    Lemma (the frame rule of separation logic, Reynolds, LICS 2002): for a
+    move m made at c while P1 is the turn player, apply(T(c), m) is
+    defined exactly when apply(c, m) is, and then equals T(apply(c, m)),
+    under the guard that each of the engine's reads of a frame field below
+    names.  A read answers alike at c and T(c) under its guard; every other
+    use of a frame field adds to it or copies it, which commutes with T.
+    - The counters: Endymion's 6-counter check and -6.  Guard: the
+      counters move by 0, or the line summons no Endymion.  A spell's +1
+      commutes.
+    - P2's LP: the terminal tests' ``== 0`` (``_terminal``,
+      ``is_winning_state``), ``_adjust_lp``'s clamp at 0 and, when P2
+      pays it, Soul Drain's 1000 LP.  Guard: the LP moves by 0, or P2's LP
+      stays positive all along the line and its image and, where P2 pays
+      for Soul Drain, at least 1000.  Gains and damage commute.
+    - The turn: ``turn == 0`` (the opening windows, ``_apply_draw``,
+      ``_apply_pass``, ``_advance_phase``), ``turn == 1`` and ``!= 1``
+      (``_start_turn``'s first draw, the turn-1 attack ban), ``turn >= 1``
+      (``_deck_out_pending``) and the parity ``_start_turn`` makes the
+      turn player from.  Guard: start and onto are at turn 2 or later and
+      the turn moves by an even number.
+    - The stamps, compared only with the turn: ``set_turn == turn`` (a
+      trap or quick-play spell set this turn, ``_activation_timing_ok``,
+      ``_chk_bait_doll``), ``face_since >= turn`` and ``set_turn == turn``
+      (``_chk_flip``) and ``summoned_turn == turn`` (Yata's bounce in
+      ``_end_phase_events``).  A stamp at or after start's turn moves with
+      the turn and one before it stays below it, so each answers alike; a
+      written stamp is the turn.  A past stamp of a changed card is the one
+      its slot had at start, since only Creature Swap moves a card with its
+      stamps to another slot.  Guard: the line plays no Creature Swap.
+    - P2's piles: every draw, discard, send to the graveyard and return to
+      the hand changes them.  Guard: a line that changes them moves only
+      onto equal piles.  The reads that change nothing are a draw from an
+      empty deck (P2 draws by Book of Eclipse's End Phase and by Morphing
+      Jar), Morphing Jar's discard of an empty hand, the checks and
+      candidates of P2's set cards that P2's answer to a Pass runs
+      (``_has_quick_move``), and a card activated from P2's graveyard
+      (``_effect_card``).  Guard: P2's deck and hand are empty at start
+      exactly when at onto, and a line that meets a set card of P2's or
+      activates from P2's graveyard moves only onto equal piles.  The
+      opening windows read both hands (turn >= 2), the hand limit and
+      deck-out read the turn player's, P1's, and so does every other read.
+    Outside any move, ``is_initial`` reads the turn and both LP totals.
+    ``unframed`` takes this frame out of a start, and ``line_frame`` reads
+    a recorded line's guards.
     """
-    p = _citadel_loc(conf)[0]
-    me, opp = conf.players[p], conf.players[1 - p]
-    me = replace(me, field_zone=replace(me.field_zone, counters=me.field_zone.counters + dc))
-    opp = replace(opp, lp=opp.lp + dl)
-    return replace(conf, players=(me, opp) if p == 0 else (opp, me))
+    since, dt = start.turn, onto.turn - start.turn
+    was, now = start.players, onto.players
+    dl = now[1].lp - was[1].lp
+    cit = was[0].field_zone
+    dc = (now[0].field_zone.counters - cit.counters
+          if cit is not None and cit.card == CITADEL and cit.face_up else 0)
+    memo: dict[int, object] = {id(was[p]): now[p] for p in (0, 1)}
+    if numeric:
+        out = []
+        for c in confs:
+            p1, p2 = c.players
+            fz = p1.field_zone
+            if dc and fz.card == CITADEL and fz.face_up:
+                p1 = replace(p1, field_zone=replace(fz, counters=fz.counters + dc))
+            got = memo.get(id(p2))
+            if got is None:
+                got = memo[id(p2)] = replace(p2, lp=p2.lp + dl)
+            out.append(replace(c, players=(p1, got)))
+        return out
+    piles = {} if _piles(was[1]) == _piles(now[1]) else dict(zip(_PILES, _piles(now[1])))
+    for p in (0, 1):
+        memo[id(was[p].monsters)] = now[p].monsters
+        memo[id(was[p].spelltraps)] = now[p].spelltraps
+
+    def card(inst, at_start, at_onto, dc=0):
+        """The image of the card in a slot; at_start, at_onto: the slot's
+        card at start and at onto."""
+        if inst is at_start:
+            return at_onto
+        if inst is None:
+            return None
+        got = memo.get(id(inst))
+        if got is None:
+            changes = {}
+            for f in _STAMPS:
+                v = getattr(inst, f)
+                w = v + dt if v >= since else getattr(at_onto, f) if v >= 0 else v
+                if w != v:
+                    changes[f] = w
+            if dc and inst.card == CITADEL and inst.face_up:
+                changes["counters"] = inst.counters + dc
+            got = memo[id(inst)] = replace(inst, **changes) if changes else inst
+        return got
+
+    def zones(cards, at_start, at_onto):
+        got = memo.get(id(cards))
+        if got is None:
+            img = tuple(map(card, cards, at_start, at_onto))
+            got = memo[id(cards)] = cards if all(map(operator.is_, img, cards)) else img
+        return got
+
+    def player(ps, p):
+        got = memo.get(id(ps))
+        if got is None:
+            w, o = was[p], now[p]
+            changes = {"monsters": zones(ps.monsters, w.monsters, o.monsters),
+                       "spelltraps": zones(ps.spelltraps, w.spelltraps, o.spelltraps),
+                       "extra_zone": card(ps.extra_zone, w.extra_zone, o.extra_zone),
+                       "field_zone": card(ps.field_zone, w.field_zone, o.field_zone,
+                                          0 if p else dc)}
+            if p:
+                changes["lp"] = ps.lp + dl
+                changes.update(piles)
+            got = memo[id(ps)] = replace(ps, **changes)
+        return got
+
+    return [replace(c, turn=c.turn + dt,
+                    players=(player(c.players[0], 0), player(c.players[1], 1)))
+            for c in confs]
+
+
+_PILES = ("deck", "hand", "gy")
+
+
+def _piles(ps: PlayerState) -> tuple:
+    return ps.deck, ps.hand, ps.gy
+
+
+def unframed(conf: Configuration) -> Configuration:
+    """conf with the frame of ``transport`` taken out, but for the counters:
+    of the turn only its parity, each stamp at or after the turn as its
+    distance from it and each past one as -2, P2's LP 0, and of P2's piles
+    only whether the deck and the hand are empty.  Starts with equal images
+    differ only in the frame, by an even number of turns."""
+    turn = conf.turn
+
+    def card(inst):
+        if inst is None:
+            return None
+        changes = {}
+        for f in _STAMPS:
+            v = getattr(inst, f)
+            w = v - turn if v >= turn else -2 if v >= 0 else v
+            if w != v:
+                changes[f] = w
+        return replace(inst, **changes) if changes else inst
+
+    def player(ps):
+        return replace(ps, monsters=tuple(map(card, ps.monsters)),
+                       spelltraps=tuple(map(card, ps.spelltraps)),
+                       extra_zone=card(ps.extra_zone), field_zone=card(ps.field_zone))
+
+    p1, p2 = conf.players
+    p2 = replace(player(p2), lp=0, deck=(FILLER,) if p2.deck else (),
+                 hand=(FILLER,) if p2.hand else (), gy=())
+    return replace(conf, turn=turn % 2, players=(player(p1), p2))
+
+
+def line_frame(steps: Sequence[tuple[Configuration, Move, Configuration]]
+               ) -> Optional[tuple[int, bool]]:
+    """What a recorded line asks of the frame it is moved onto, read from
+    its (before, move, after) steps: None when ``transport``'s lemma does
+    not cover it (a start before turn 2, a move made while P2 is the turn
+    player, a Creature Swap), else P2's lowest LP along it and whether its
+    piles may move: the line leaves them as they are, meets no set card
+    of P2's and activates nothing from P2's graveyard."""
+    if not steps or steps[0][0].turn < 2:
+        return None
+    piles = _piles(steps[0][0].players[1])
+    low, free = steps[0][0].players[1].lp, True
+    for conf, move, nxt in steps:
+        if conf.active != 0:
+            return None
+        links = (move, *move.chain) if isinstance(move, ActivateEffect) else ()
+        if any(a.effect == "creature_swap" for a in links):
+            return None
+        low = min(low, nxt.players[1].lp)
+        free = free and _piles(nxt.players[1]) == piles and not any(
+            a.source[:2] == (1, GY) for a in links) and not any(
+            st is not None and not st.face_up for st in conf.players[1].spelltraps)
+    return low, free
 
 
 def _temple_available(conf: Configuration, p: int) -> bool:

@@ -172,6 +172,7 @@ def reduce_halting(e: int) -> ReductionOutput:
 
 
 def reduce_nis(e: int) -> ReductionOutput:
+    tmmod.machine_from_index(e)  # refuses a negative index before the set-up
     base = setup("b")
     return ReductionOutput(base.run, NISStrategy(e, base.run))
 

@@ -10,13 +10,13 @@ All scripts speak from Player 1's side; the opponent's forced plays
 Player 2, tagged only by their position in the line.
 
 ``play_cycles`` links an increment cycle as a recorded applied cycle
-shifted by the engine's ``shift_counters`` when the line's cycle table
-holds one whose start shifts onto this cycle's start, and otherwise
-applies the cycle and records it.  The table belongs to whoever makes the
-line: a strategy passes its own to the lines it plans, and any other line
-gets a fresh one.  ``shift_counters``' docstring states and argues the
-lemma this rests on (``tests/test_scripts.py`` checks it by property and
-against the applied cycles).
+moved by the engine's ``transport`` when the line's cycle table holds one
+whose start shifts onto this cycle's start, and otherwise applies the
+cycle and records it.  The table belongs to whoever makes the line: a
+strategy passes its own to the lines it plans, and any other line gets a
+fresh one.  ``transport``'s docstring states and argues the lemma this
+rests on (``tests/test_scripts.py`` checks it by property and against the
+applied cycles).
 """
 
 from __future__ import annotations
@@ -55,15 +55,15 @@ from .engine import (
     apply,
     initial_configuration,
 )
-from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
+from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE, fast_replace
 from .engine.moves import ChainLink
 from .engine.rules import (
     _link,
     flip_choice_extras,
     identity_order,
     make_bait_doll_move,
-    shift_counters,
     spell_counters,
+    transport,
 )
 
 
@@ -591,54 +591,54 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
 
 
 def _gauge(conf: Configuration) -> Optional[tuple[int, int]]:
-    """The two values ``shift_counters`` moves, read where it moves them:
-    the counters on Player 1's face-up Magical Citadel and the opponent's
-    LP; None without that Citadel."""
+    """The numeric frame of ``transport``: the counters on Player 1's
+    face-up Magical Citadel and the opponent's LP; None without that
+    Citadel."""
     fz = conf.players[0].field_zone
     if fz is None or fz.card != CITADEL or not fz.face_up:
         return None
     return fz.counters, conf.players[1].lp
 
 
-def _shift_onto(start: Configuration, conf: Configuration) -> Optional[tuple[int, int]]:
-    """The shift (x, y) >= 0 that takes start to conf, if one does."""
-    gauge, to = _gauge(start), _gauge(conf)
-    if gauge is None or to is None:
-        return None
-    x, y = to[0] - gauge[0], to[1] - gauge[1]
-    if x >= 0 and y >= 0 and shift_counters(start, x, y) == conf:
-        return x, y
-    return None
+def _ungauged(conf: Configuration) -> Configuration:
+    """conf, which has a gauge, with both its values read as 0."""
+    p1, p2 = conf.players
+    p1 = fast_replace(p1, field_zone=fast_replace(p1.field_zone, counters=0))
+    return fast_replace(conf, players=(p1, fast_replace(p2, lp=0)))
 
 
-# recorded increment cycles, each as (c0, m1, c1, ..., m4, c4) under the hash
-# of its start c0 with the counters and the opponent's LP taken out (starts
-# that share a hash are told apart by _shift_onto)
-CycleTable = dict[int, tuple]
+# recorded increment cycles, each as (c0, m1, c1, ..., m4, c4) with its gains
+# (g, h) >= 0 when it ends at its own start shifted by them (else None),
+# under its start c0 with the counters and the opponent's LP taken out
+CycleTable = dict[Configuration, tuple[tuple, Optional[tuple[int, int]]]]
 
 
 def play_cycles(line: Line, a: int, b: int) -> None:
     """Play a increment cycles and then b decrement cycles onto the line.
 
     Each increment cycle's start is looked up in the line's cycle table,
-    keyed by the hash of the start with its counters and the opponent's LP
-    taken out.  When a recorded cycle's start shifts by some (x, y) >= 0
-    onto this one, the cycle is linked as the recorded steps shifted by
-    (x, y), with the same four moves: by the lemma of ``shift_counters``,
+    keyed by the start with its counters and the opponent's LP taken out.
+    When a recorded cycle's start shifts by some (x, y) >= 0 (counters,
+    LP) onto this one, the cycle is linked as the recorded steps moved by
+    ``transport`` onto this start, with the same four moves: by its lemma,
     that is what applying them gives.  Otherwise the cycle goes through
     ``increment_cycle_moves``, so through the engine, and is recorded.  A
-    recorded cycle that ends at its own start shifted by its gains (g, h)
+    recorded cycle that ends at its own start shifted by its gains
     repeats itself: once such a cycle is hit, the rest of the batch is
-    linked as its steps shifted by (x + k g, y + k h), with no more lookups.
+    linked as its steps moved onto the end of the copy before, with no
+    more lookups.
     """
     left = a
     while left:
         conf = line.conf
         gauge = _gauge(conf)
-        key = None if gauge is None else hash(shift_counters(conf, -gauge[0], -gauge[1]))
-        cycle = None if key is None else line.cycles.get(key)
-        shift = None if cycle is None else _shift_onto(cycle[0], conf)
-        if shift is None:
+        key = None if gauge is None else _ungauged(conf)
+        entry = None if key is None else line.cycles.get(key)
+        if entry is not None:
+            cycle, gains = entry
+            if min(now - was for now, was in zip(gauge, _gauge(cycle[0]))) < 0:
+                entry = None
+        if entry is None:
             start = len(line.run)
             increment_cycle_moves(line)
             left -= 1
@@ -647,19 +647,18 @@ def play_cycles(line: Line, a: int, b: int) -> None:
                 cycle += (move, nxt)
             # the lemma needs the opponent's LP positive before each move
             if key is not None and all(c.players[1].lp > 0 for c in cycle[:-1:2]):
-                line.cycles[key] = cycle
+                end = _gauge(cycle[-1])
+                gains = None if end is None else (end[0] - gauge[0], end[1] - gauge[1])
+                if gains is not None and (min(gains) < 0 or _ungauged(cycle[-1]) != key):
+                    gains = None
+                line.cycles[key] = cycle, gains
             continue
-        # the cycle repeats when it ends at its own start shifted by its
-        # gains; a hit at its own end shows that without a comparison
-        repeats = None
-        if left > 1:
-            repeats = shift if conf is cycle[-1] else _shift_onto(cycle[0], cycle[-1])
-        (x, y), (g, h) = shift, repeats or (0, 0)
-        times = left if repeats else 1
+        times = left if gains is not None else 1
         run = line.run
-        for k in range(times):
-            for i in range(1, len(cycle), 2):
-                run = _link(run, shift_counters(cycle[i + 1], x + k * g, y + k * h), cycle[i])
+        for _ in range(times):
+            moved = transport(cycle[2::2], cycle[0], run.last(), numeric=True)
+            for move, nxt in zip(cycle[1::2], moved):
+                run = _link(run, nxt, move)
         line.run = run
         left -= times
     for _ in range(b):

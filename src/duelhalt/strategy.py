@@ -11,10 +11,19 @@ are undefined, matching the localization picture.
 
 `next_move` answers with a (move, next configuration) pair, and the next
 configuration is the one the planned line reached: the one `apply`
-produced when the plan was simulated, or, for an increment cycle linked
-from the strategy's cycle table, a recorded applied cycle shifted by
-`rules.shift_counters`, which the lemma stated there equates with what
-`apply` gives.  Plans are cached on (configuration, mode) and
+produced when the plan was simulated, or one moved by `rules.transport`
+from a recorded line that `apply` made.  Two tables hold recorded lines:
+the increment cycles the strategy's planned lines played, linked by a
+shift of the counters and the opponent's LP, and the turns it planned,
+moved onto a later start that differs only in the frame (the opponent's
+LP, deck, hand and graveyard, the turn and the stamps at or after it).
+The lemma stated on `transport` equates a moved line with what `apply`
+gives under guards read off the two starts and the recorded line.  A
+turn's planner reads the frame only through the engine (the legality
+of its moves and the terminal tests; the cycle table reads the LP too,
+but only to choose between linking a cycle and applying it), so the turn
+it plans from a moved start is the moved turn; the counters, our own
+side and the heard state stay in the table's key.  Plans are cached on (configuration, mode) and
 configurations compare by value, so a cached pair from an equal
 configuration still equals what `apply` gives.  Both players' turns are
 planned lines: ours by the strategy, the opponent's canonical turns by
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .carddb import CLARA, FLINT, FLINT_LOCK, RAIGEKI, YATA
 from .coding import pair, unpair, untriple
@@ -62,7 +71,7 @@ from .engine import (
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.rules import spell_counters
+from .engine.rules import line_frame, spell_counters, transport, unframed
 from .scripts import (
     CycleTable,
     Line,
@@ -122,6 +131,20 @@ OFF = "off"
 BROKEN = "broken"
 
 
+class _Turn(NamedTuple):
+    """A planned turn as the turn table records it."""
+    start: Configuration
+    moves: tuple[Move, ...]
+    confs: tuple[Configuration, ...]  # the configuration after each move
+    low: int  # the opponent's lowest LP along it
+    piles: bool  # whether the opponent's piles may move under it
+
+
+# the opponent's LP at which no read of it in a turn can tell a transported
+# turn from the planned one: Soul Drain's payment
+_LP_GUARD = 1000
+
+
 class Strategy:
     """Deterministic turn planner: a move depends only on the configuration
     and the heard state."""
@@ -131,6 +154,8 @@ class Strategy:
         self._plan: dict[tuple[Configuration, Hashable], Step] = {}
         # the increment cycles its planned lines played, for the lines after
         self._cycles: CycleTable = {}
+        # the turns it planned, under their start with the frame taken out
+        self._turns: dict[tuple[Configuration, Hashable], list[_Turn]] = {}
 
     def observe(self, run: Run) -> Hashable:
         """The heard state at the end of the run, from one walk of it."""
@@ -145,15 +170,47 @@ class Strategy:
     def next_move(self, conf: Configuration, state: Hashable) -> Optional[Step]:
         """Our move at conf and the configuration it leads to; None where
         the strategy is undefined.  Plans cover our whole turn, the
-        opponent's passes in it included."""
+        opponent's passes in it included.
+
+        A turn from a start that differs from a recorded turn's only in the
+        frame, and passes the guards of ``rules.transport``'s lemma, is the
+        recorded turn moved onto it; any other turn is planned and
+        recorded.  Both fill the plan cache alike."""
         mode = self._reads(state)
         if (conf, mode) in self._plan:
             return self._plan[conf, mode]
-        line = self._plan_turn(conf, mode)
-        if line is None:
-            return None
-        self._plan.update(((c, mode), (mv, nxt)) for c, mv, nxt in line.run.steps())
+        key = (unframed(conf), mode) if conf.turn >= 2 else None
+        steps = self._transported(conf, key)
+        if steps is None:
+            line = self._plan_turn(conf, mode)
+            if line is None:
+                return None
+            steps = list(line.run.steps())
+            frame = line_frame(steps)  # None from before turn 2, as key
+            if frame is not None:
+                self._turns.setdefault(key, []).append(_Turn(
+                    conf, tuple(mv for _c, mv, _n in steps),
+                    tuple(nxt for _c, _m, nxt in steps), *frame))
+        self._plan.update(((c, mode), (mv, nxt)) for c, mv, nxt in steps)
         return self._plan.get((conf, mode))
+
+    def _transported(self, conf: Configuration, key) -> Optional[list]:
+        """The steps of the first recorded turn under key that the guards
+        let move onto conf, moved there; None when there is none.  The
+        guards: the opponent's LP moves by 0 or stays at _LP_GUARD or more
+        along both turns, and a turn whose piles may not move goes only
+        onto equal piles (the key holds the rest)."""
+        p2 = conf.players[1]
+        for turn in self._turns.get(key, ()):
+            was = turn.start.players[1]
+            dl = p2.lp - was.lp
+            if dl and min(turn.low, turn.low + dl) < _LP_GUARD:
+                continue
+            if not turn.piles and (p2.deck, p2.hand, p2.gy) != (was.deck, was.hand, was.gy):
+                continue
+            confs = transport(turn.confs, turn.start, conf)
+            return list(zip([conf, *confs], turn.moves, confs))
+        return None
 
     def _reads(self, state: Hashable) -> Hashable:
         """What the planner reads from the state; plans are cached on it."""
@@ -650,9 +707,11 @@ def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) 
     """Depth-truncated localization of the strategy after the given run.
 
     Nodes sit at the opponent's decision points; edges carry the coded
-    number choice; leaves are marked by the win check on their segment.
+    number choice; leaves are marked by the win check on their segment,
+    and a drive that passes the budget's last turn ends in an open leaf.
     """
     budget = budget or Budget(max_turns=depth * 4 + 20, max_opponent_number=8)
+    last_turn = run.last().turn + budget.max_turns
     # open nodes live on an explicit stack, so a deep tree needs no deep
     # recursion; the bottom one only holds the root
     stack = [_Open(None, 0, depth + 1, iter(()), [])]
@@ -660,7 +719,7 @@ def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) 
     def visit(label: Optional[int], r: Run, st: Hashable, d: int) -> None:
         """Add the node reached from r under the top node: a leaf, or an
         open node pushed onto the stack."""
-        r, stop, children = _expand(s, r, st, budget)
+        r, stop, children = _expand(s, r, st, budget, last_turn)
         code = encode_configuration(r.last())
         if stop is None and d > 0:
             stack.append(_Open(label, code, d, children, []))

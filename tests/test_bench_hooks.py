@@ -60,6 +60,9 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     # - the planned lines: each planned step is applied once, except the
     #   increment cycles linked from the cycle table as shifts of a recorded
     #   cycle (every planned cycle the traced cycle planner did not play);
+    # - the moved turns: a recorded turn moved onto a later start by
+    #   rules.transport is linked, not applied, so its steps are counted
+    #   where the strategy moves it;
     # - the opponent's transitions: the distinct run nodes of every turn the
     #   shared walk yields, since turns share their prefixes and each node is
     #   made by one apply and one Run.extend.
@@ -75,7 +78,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         s = out.strategy
         planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
         plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
-        planned, turns = [], []
+        transported = strategy.Strategy._transported
+        planned, turns, moved = [], [], []
 
         def counted_plan(self, conf, mode):
             line = plan_turn(self, conf, mode)
@@ -89,7 +93,14 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
                     turns.append((run, played[0]))
                 yield choice, played
 
+        def counted_moves(self, conf, key):
+            steps = transported(self, conf, key)
+            if steps is not None:
+                moved.append([mv for _c, mv, _n in steps])
+            return steps
+
         monkeypatch.setattr(planner, "_plan_turn", counted_plan)
+        monkeypatch.setattr(strategy.Strategy, "_transported", counted_moves)
         monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
         tracer = Tracer(scopes=layers.SCOPES)
         try:
@@ -109,15 +120,17 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
             while node is not base:
                 theirs.add(id(node))
                 node = node._parent
-        assert linked > 0
+        assert linked > 0 and moved
         assert inside["engine.run_extend"] == ours + len(theirs)
         assert inside["engine.apply"] + 4 * linked == sum(map(len, planned)) + len(theirs)
         if out.strategy.descriptor[0] == "tm":
-            # one line, with no opponent choice: the witness
-            assert cycles == sum(getattr(m, "effect", None) == "boe_flip_all"
-                                 for m in verdict.witness)
-            assert inside["engine.apply"] + 4 * linked == inside["engine.run_extend"] \
-                == len(verdict.witness)
+            # one line, with no opponent choice: the witness, made of the
+            # planned lines and the moved turns
+            assert cycles + sum(getattr(m, "effect", None) == "boe_flip_all"
+                                for moves in moved for m in moves) \
+                == sum(getattr(m, "effect", None) == "boe_flip_all" for m in verdict.witness)
+            assert inside["engine.apply"] + 4 * linked + sum(map(len, moved)) \
+                == inside["engine.run_extend"] == len(verdict.witness)
         else:
             assert len(theirs) < sum(len(node) - len(base) for base, node in turns)
     # the counter planner still plans each increment cycle through the

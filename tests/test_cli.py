@@ -85,6 +85,17 @@ def test_tree_command(capsys):
     assert "verdict=WELL-FOUNDED" in out
 
 
+def test_tree_leaves_nodes_past_the_turn_budget_open(capsys):
+    # check-win stops at --max-turns, and so does the tree: one turn is far
+    # too short for the slow machine, so a branch stays open
+    code, out = run_cli(
+        capsys, "tree", "--reduce", "halting", "--machine", "slow",
+        "--depth", "100", "--max-turns", "1",
+    )
+    assert code == 0
+    assert out.strip().endswith("verdict=OPEN")
+
+
 def test_compile_tm(tmp_path, capsys):
     prog = tmp_path / "succ.tm"
     prog.write_text("start a\nblank 0\nhalt h\na 1 -> a 0 R\na 0 -> h 1 S\n")
@@ -238,6 +249,8 @@ _DUEL = ["duel", "--machine", "identity", "--script"]
     pytest.param(_HALTING + ["{dir}"], None, id="machine-option-directory"),
     pytest.param(["check-win", "--reduce", "halting", "--index", "-1"],
                  "error: machine index -1 is negative", id="machine-index"),
+    pytest.param(["reduce", "--reduce", "nis", "--index", "-5"],
+                 "error: machine index -5 is negative", id="nis-machine-index"),
     pytest.param(_DUEL + ["{dir}/word.txt"], None, id="script-word"),
     pytest.param(_DUEL + ["{dir}/negative.txt"], None, id="script-negative"),
     pytest.param(_DUEL + ["{dir}/missing.txt"], None, id="script-missing"),

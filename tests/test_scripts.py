@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from duelhalt.carddb import lookup
 from duelhalt.engine import ActivateEffect, Phase, apply, validate_run
 from duelhalt.engine.config import GY
-from duelhalt.engine.rules import is_legal, shift_counters, spell_counters
+from duelhalt.engine.config import fast_replace, update_player
+from duelhalt.engine.rules import is_legal, spell_counters, transport
 from duelhalt.errors import IllegalMove, InsufficientCounters, NotLoopReady, ZeroTarget
 from duelhalt import scripts
 from duelhalt.reductions import (
@@ -281,21 +282,32 @@ def _outcome(conf, move):
         return None
 
 
+def _shifted(conf, dc, dl):
+    """conf with dc more counters on our Citadel and dl more LP for the
+    opponent, built field by field: the reference for transport's shift."""
+    fz = conf.players[0].field_zone
+    conf = update_player(conf, 0, field_zone=fast_replace(fz, counters=fz.counters + dc))
+    return update_player(conf, 1, lp=conf.players[1].lp + dl)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(0, 10**9))
 def test_apply_commutes_with_the_counter_shift(first_six_cycles, dc, dl):
-    """The lemma of shift_counters on every configuration of the cycles: each
-    of its cycle's four moves is legal at c exactly when it is legal at the
-    shifted c, and then leads to the shifted result."""
+    """transport's lemma for the numeric frame on every configuration of the
+    cycles: each of its cycle's four moves is legal at c exactly when it is
+    legal at the shifted c, and then leads to the result moved onto it."""
     for cycle in first_six_cycles:
         moves = [move for _c, move, _n in cycle]
         for conf, _m, _n in cycle:
-            shifted = shift_counters(conf, dc, dl)
+            shifted = _shifted(conf, dc, dl)
             assert spell_counters(shifted) == spell_counters(conf) + dc
             assert shifted.players[1].lp == conf.players[1].lp + dl
             for move in moves:
                 after = _outcome(conf, move)
-                want = None if after is None else shift_counters(after, dc, dl)
+                want = None if after is None else transport([after], conf, shifted)[0]
+                if want is not None:
+                    assert want == _shifted(after, dc, dl)
+                    assert transport([after], conf, shifted, numeric=True) == [want]
                 assert _outcome(shifted, move) == want
 
 
@@ -308,7 +320,7 @@ def test_the_shift_lemma_is_only_for_the_cycle_moves(board_a):
                             (0, GY, gy.index(_cid("Endymion, the Master Magician"))),
                             extras=(five.players[0].monsters.index(None), 0))
     assert not is_legal(five, summon)
-    assert is_legal(shift_counters(five, 3, 0), summon)
+    assert is_legal(_shifted(five, 3, 0), summon)
 
 
 @pytest.mark.parametrize("start", ["final", "tick"])
@@ -407,7 +419,7 @@ def test_the_cycle_table_links_only_upward_shifts(board_b, monkeypatch):
     for dc, dl, linked in [(0, 0, True), (3, 0, True), (0, 1000, True), (30, 7000, True),
                            (-1, 0, False), (0, -1000, False), (-1, 1000, False),
                            (3, -1000, False)]:
-        shifted = shift_counters(start, dc, dl)
+        shifted = _shifted(start, dc, dl)
         line = Line(shifted, dict(table))
         played.clear()
         play_cycles(line, 1, 0)
