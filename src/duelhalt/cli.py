@@ -18,13 +18,14 @@ from .strategy import (Budget, NISStrategy, WELL_FOUNDED, _p2_has_channel, check
                        well_founded_to_depth)
 
 
-# duel plays a spoken number k as k equip pulls, so the bound keeps a round
-# to seconds of play
+# a spoken number k is k equip pulls, and the checkers try 2k + 1 opponent
+# turns at a decision point under a cap of k, so the bound keeps a round of
+# duel to seconds of play and the checkers' choice lists to memory
 MAX_DUEL_NUMBER = 10_000
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _int_at_least(low: int, most: float = float("inf")):
+    """An argparse type: an integer no smaller than low and no larger than most."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -32,6 +33,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if n > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {n}")
         return n
     return parse
 
@@ -112,11 +115,7 @@ def cmd_compile_tm(args) -> int:
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        max_turns=args.max_turns,
-        max_opponent_number=args.max_number,
-        cap_exhaustive=args.exhaustive,
-    )
+    return Budget(args.max_turns, args.max_number, args.exhaustive)
 
 
 def _reduction(args):
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_args(p):
         p.add_argument("--max-turns", type=_int_at_least(1), default=100)
-        p.add_argument("--max-number", type=_int_at_least(1), default=6)
+        p.add_argument("--max-number", type=_int_at_least(1, MAX_DUEL_NUMBER), default=6)
         p.add_argument("--exhaustive", action="store_true",
                        help="read the number cap as the whole choice space")
 

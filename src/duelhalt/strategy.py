@@ -1,15 +1,16 @@
 """Strategies, the budgeted winning checker, and strategy trees.
 
 A strategy is a partial function from runs to Player 1's next
-configuration, and a move depends only on the configuration and the
-strategy's heard state: what it made of the opponent's numbers so far.
-`observe` derives the state from a run in one walk and `hear` advances it
-per finished opponent turn, so the explorer carries (run, state) and never
-re-walks a run.  The three families plan one of their own turns at a time
-and replay the plan move by move; outside their scripted prefixes they
-are undefined, matching the localization picture.
+configuration.  Its answer at a configuration is the whole turn it plays
+from there, and depends only on the configuration and the strategy's
+heard state: what it made of the opponent's numbers so far.  `observe`
+derives the state from a run in one walk and `hear` advances it per
+finished opponent turn, so the explorer carries (run, state) and never
+re-walks a run.  Outside their scripted prefixes the three families are
+undefined, matching the localization picture.
 
-`next_move` answers with a (move, next configuration) pair, and the next
+`next_move` answers with our steps to the end of the turn, each a (move,
+next configuration) pair, cached once under (configuration, mode).  Each
 configuration is the one the planned line reached: the one `apply`
 produced when the plan was simulated, or one moved by `rules.transport`
 from a recorded line that `apply` made.  Two tables hold recorded lines:
@@ -23,12 +24,13 @@ turn's planner reads the frame only through the engine (the legality
 of its moves and the terminal tests; the cycle table reads the LP too,
 but only to choose between linking a cycle and applying it), so the turn
 it plans from a moved start is the moved turn; the counters, our own
-side and the heard state stay in the table's key.  Plans are cached on (configuration, mode) and
-configurations compare by value, so a cached pair from an equal
-configuration still equals what `apply` gives.  Both players' turns are
-planned lines: ours by the strategy, the opponent's canonical turns by
-`_p2_turns`.  `_drive` and the explorer extend the run with the planned
-configurations and choose or apply no move of their own, so each
+side and the heard state stay in the table's key.  Configurations
+compare by value, so a turn cached at an equal start still equals what
+`apply` gives, and a configuration inside a cached turn is answered with
+the turn planned from it, whatever else the cache holds.  Both players'
+turns are planned lines: ours by the strategy, the opponent's canonical
+turns by `_p2_turns`.  `_drive` and the explorer extend the run with the
+planned configurations and choose or apply no move of their own, so each
 transition is applied at most once, by the line that plans it.
 
 The winning checker and the strategy trees share one explorer of the
@@ -134,8 +136,7 @@ BROKEN = "broken"
 class _Turn(NamedTuple):
     """A planned turn as the turn table records it."""
     start: Configuration
-    moves: tuple[Move, ...]
-    confs: tuple[Configuration, ...]  # the configuration after each move
+    steps: tuple[Step, ...]  # the turn, as next_move answers it
     low: int  # the opponent's lowest LP along it
     piles: bool  # whether the opponent's piles may move under it
 
@@ -146,12 +147,13 @@ _LP_GUARD = 1000
 
 
 class Strategy:
-    """Deterministic turn planner: a move depends only on the configuration
-    and the heard state."""
+    """Deterministic turn planner: the turn it plays from a configuration
+    depends only on that configuration and the heard state."""
 
     def __init__(self, descriptor: tuple):
         self.descriptor = descriptor
-        self._plan: dict[tuple[Configuration, Hashable], Step] = {}
+        # each answer, under the configuration it was asked at
+        self._plan: dict[tuple[Configuration, Hashable], Optional[tuple[Step, ...]]] = {}
         # the increment cycles its planned lines played, for the lines after
         self._cycles: CycleTable = {}
         # the turns it planned, under their start with the frame taken out
@@ -167,34 +169,31 @@ class Strategy:
         """The state after an opponent turn that spoke the number n."""
         return state
 
-    def next_move(self, conf: Configuration, state: Hashable) -> Optional[Step]:
-        """Our move at conf and the configuration it leads to; None where
-        the strategy is undefined.  Plans cover our whole turn, the
-        opponent's passes in it included.
+    def next_move(self, conf: Configuration, state: Hashable) -> Optional[tuple[Step, ...]]:
+        """Our steps from conf to the end of our turn (the first
+        configuration of theirs) or to the won configuration, each a (move,
+        configuration it leads to) pair; None where the strategy is
+        undefined.  The opponent's passes inside our turn are among them.
 
         A turn from a start that differs from a recorded turn's only in the
         frame, and passes the guards of ``rules.transport``'s lemma, is the
         recorded turn moved onto it; any other turn is planned and
-        recorded.  Both fill the plan cache alike."""
+        recorded.  Either answer is cached under (conf, mode)."""
         mode = self._reads(state)
-        if (conf, mode) in self._plan:
-            return self._plan[conf, mode]
-        key = (unframed(conf), mode) if conf.turn >= 2 else None
-        steps = self._transported(conf, key)
-        if steps is None:
-            line = self._plan_turn(conf, mode)
-            if line is None:
-                return None
-            steps = list(line.run.steps())
-            frame = line_frame(steps)  # None from before turn 2, as key
-            if frame is not None:
-                self._turns.setdefault(key, []).append(_Turn(
-                    conf, tuple(mv for _c, mv, _n in steps),
-                    tuple(nxt for _c, _m, nxt in steps), *frame))
-        self._plan.update(((c, mode), (mv, nxt)) for c, mv, nxt in steps)
-        return self._plan.get((conf, mode))
+        if (conf, mode) not in self._plan:
+            key = (unframed(conf), mode) if conf.turn >= 2 else None
+            steps = self._transported(conf, key)
+            if steps is None:
+                line = self._plan_turn(conf, mode)
+                made = [] if line is None else list(line.run.steps())
+                steps = tuple((mv, nxt) for _c, mv, nxt in made)
+                frame = line_frame(made)  # None when empty or from before turn 2, as key
+                if frame is not None:
+                    self._turns.setdefault(key, []).append(_Turn(conf, steps, *frame))
+            self._plan[conf, mode] = steps or None
+        return self._plan[conf, mode]
 
-    def _transported(self, conf: Configuration, key) -> Optional[list]:
+    def _transported(self, conf: Configuration, key) -> Optional[tuple[Step, ...]]:
         """The steps of the first recorded turn under key that the guards
         let move onto conf, moved there; None when there is none.  The
         guards: the opponent's LP moves by 0 or stays at _LP_GUARD or more
@@ -208,8 +207,8 @@ class Strategy:
                 continue
             if not turn.piles and (p2.deck, p2.hand, p2.gy) != (was.deck, was.hand, was.gy):
                 continue
-            confs = transport(turn.confs, turn.start, conf)
-            return list(zip([conf, *confs], turn.moves, confs))
+            confs = transport((nxt for _m, nxt in turn.steps), turn.start, conf)
+            return tuple(zip((mv for mv, _n in turn.steps), confs))
         return None
 
     def _reads(self, state: Hashable) -> Hashable:
@@ -407,9 +406,8 @@ class WOStrategy(_ChannelStrategy):
 
 def _p2_has_channel(conf: Configuration) -> bool:
     p2 = conf.players[1]
-    flint = any(st is not None and st.card == FLINT and st.face_up for st in p2.spelltraps)
-    locks = sum(1 for m in p2.monsters if m is not None and m.card == FLINT_LOCK and m.face_up)
-    return flint and locks >= 1
+    return (any(st is not None and st.card == FLINT and st.face_up for st in p2.spelltraps)
+            and any(m is not None and m.card == FLINT_LOCK and m.face_up for m in p2.monsters))
 
 
 def _p2_turn_choices(conf: Configuration, budget: Budget) -> list[tuple[int, bool]]:
@@ -497,7 +495,7 @@ def _terminal_kind(conf: Configuration) -> Optional[str]:
 
 def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = None
            ) -> tuple[Run, Optional[str]]:
-    """Follow the strategy's plans up to the opponent's next decision point:
+    """Follow the strategy's turns up to the opponent's next decision point:
     the first configuration of their turn, so no opponent turn ends along a
     drive and the heard state holds (a run that ends inside an opponent's
     turn, past that point, has the rest of the turn passed out unheard).
@@ -507,7 +505,7 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
     run ends before the move it could not make), UNDETERMINED past
     last_turn or after MAX_STEPS moves.
     """
-    steps = 0
+    steps, turn, at = 0, (), 0  # our moves made; the turn followed, and where
     while True:
         conf = run.last()
         kind = _terminal_kind(conf)
@@ -525,12 +523,13 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
             continue
         if steps == MAX_STEPS:
             return run, UNDETERMINED
-        step = s.next_move(conf, state)
-        if step is None:
-            return run, LOSS
-        mv, nxt = step
+        if at == len(turn):
+            turn, at = s.next_move(conf, state), 0
+            if turn is None:
+                return run, LOSS
+        mv, nxt = turn[at]
         run = run.extend(nxt, mv)
-        steps += 1
+        steps, at = steps + 1, at + 1
 
 
 def _expand(s: Strategy, run: Run, state: Hashable, budget: Budget,

@@ -56,7 +56,9 @@ def test_bounded_runs_step_through_the_traced_stepper(perfbench_on_path):
 def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch):
     # strategy.applies_per_transition is engine applies over Run.extend calls
     # inside check_winning.  Counted independently here:
-    # - our transitions: the drive's next_move calls, less the root's check;
+    # - our transitions: the summed length of the turns the drives followed,
+    #   every next_move answer but the root's check (a WIN follows each
+    #   turn to its end);
     # - the planned lines: each planned step is applied once, except the
     #   increment cycles linked from the cycle table as shifts of a recorded
     #   cycle (every planned cycle the traced cycle planner did not play);
@@ -78,8 +80,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         s = out.strategy
         planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
         plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
-        transported = strategy.Strategy._transported
-        planned, turns, moved = [], [], []
+        transported, answer = strategy.Strategy._transported, strategy.Strategy.next_move
+        planned, turns, moved, answers = [], [], [], []
 
         def counted_plan(self, conf, mode):
             line = plan_turn(self, conf, mode)
@@ -96,11 +98,17 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         def counted_moves(self, conf, key):
             steps = transported(self, conf, key)
             if steps is not None:
-                moved.append([mv for _c, mv, _n in steps])
+                moved.append([mv for mv, _n in steps])
             return steps
+
+        def counted_answers(self, conf, state):
+            turn = answer(self, conf, state)
+            answers.append(len(turn or ()))
+            return turn
 
         monkeypatch.setattr(planner, "_plan_turn", counted_plan)
         monkeypatch.setattr(strategy.Strategy, "_transported", counted_moves)
+        monkeypatch.setattr(strategy.Strategy, "next_move", counted_answers)
         monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
         tracer = Tracer(scopes=layers.SCOPES)
         try:
@@ -111,7 +119,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         monkeypatch.undo()
         assert verdict.is_win
         inside = tracer.scoped[layers.CHECKER]
-        ours = inside["strategy.next_move"] - 1
+        assert len(answers) == inside["strategy.next_move"]
+        ours = sum(answers[1:])
         cycles = sum(getattr(m, "effect", None) == "boe_flip_all" for moves in planned
                      for m in moves)
         linked = cycles - inside["scripts.increment_cycle_moves"]

@@ -258,6 +258,10 @@ _DUEL = ["duel", "--machine", "identity", "--script"]
     pytest.param(_DUEL + ["{dir}"], None, id="script-directory"),
     pytest.param(_HALTING + ["empty", "--max-turns", "0"], None, id="budget-turns"),
     pytest.param(_HALTING + ["empty", "--max-number", "x"], None, id="budget-number"),
+    pytest.param(["check-win", "--reduce", "nis", "--machine", "successor", "--max-turns", "1",
+                  "--max-number", "10001"], None, id="budget-number-over-the-bound"),
+    pytest.param(["tree", "--reduce", "nis", "--machine", "successor", "--max-number", "10001"],
+                 None, id="tree-number-over-the-bound"),
     pytest.param(["tree", "--reduce", "halting", "--depth", "-1"], None, id="budget-depth"),
     pytest.param(["duel", "--max-rounds", "-1"], None, id="budget-rounds"),
     pytest.param(["counters", "--set", "0"], None, id="budget-counters-zero"),

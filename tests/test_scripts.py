@@ -355,32 +355,34 @@ _EXPLORED = {
 }
 
 
+def _cached_steps(s):
+    """Every step of every turn the strategy has cached, as (before, move,
+    after), under the turn's mode."""
+    for (conf, mode), turn in s._plan.items():
+        for mv, nxt in turn or ():
+            yield mode, (conf, mv, nxt)
+            conf = nxt
+
+
 def test_planned_steps_are_applied_steps():
-    # cycles linked from the strategy's cycle table included: every
-    # plan-cache entry is what apply gives
+    # the drives extend the run with the cached turns' configurations and
+    # do not apply our moves again, so every step of every cached turn,
+    # cycles linked from the strategy's cycle table and moved turns
+    # included, is what apply gives from the step before it
     for name, (reduce, budget, kind) in _EXPLORED.items():
         out = reduce()
         assert check_winning(out.run, out.strategy, budget).kind == kind, name
-        plan = out.strategy._plan
-        assert plan, name
-        for (conf, _mode), (move, nxt) in plan.items():
+        steps = [step for _mode, step in _cached_steps(out.strategy)]
+        assert len(steps) > 100, name
+        for conf, move, nxt in steps:
             assert apply(conf, move) == nxt, name
-
-
-def _cycle_from(plan, conf, mode):
-    """The four planned steps from a cycle's start, (move, configuration)."""
-    steps = []
-    for _ in range(4):
-        move, conf = plan[conf, mode]
-        steps.append((move, conf))
-    return steps
 
 
 @pytest.mark.parametrize("name", ["nis-successor", "wo-omega-reverse"])
 def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
-    # every planned increment cycle, linked from the table or not, has the
-    # moves increment_cycle_moves picks at its start and the configurations
-    # they lead to
+    # every increment cycle of a cached turn, linked from the table or not,
+    # has the moves increment_cycle_moves picks at its start and the
+    # configurations they lead to
     reduce, budget, _kind = _EXPLORED[name]
     out = reduce()
     played = []
@@ -393,15 +395,17 @@ def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
     monkeypatch.setattr(scripts, "increment_cycle_moves", counted)
     check_winning(out.run, out.strategy, budget)
     monkeypatch.undo()
-    plan = out.strategy._plan
-    starts = [key for key, (move, _n) in plan.items()
-              if getattr(move, "effect", None) == "boe_flip_all"]
-    linked = [key for key in starts if key[0] not in played]
-    assert len(linked) > len(starts) // 2
-    for conf, mode in linked:
-        line = Line(conf)
+    steps = list(_cached_steps(out.strategy))
+    cycles = {}  # each cycle's four steps, under its start and mode
+    for i, (mode, (conf, move, _n)) in enumerate(steps):
+        if getattr(move, "effect", None) == "boe_flip_all":
+            cycles[conf, mode] = [(m, n) for _mode, (_c, m, n) in steps[i:i + 4]]
+    linked = [key for key in cycles if key[0] not in played]
+    assert len(linked) > len(cycles) // 2
+    for key in linked:
+        line = Line(key[0])
         increment_cycle_moves(line)
-        assert _cycle_from(plan, conf, mode) == [(m, n) for _c, m, n in line.run.steps()]
+        assert cycles[key] == [(m, n) for _c, m, n in line.run.steps()]
 
 
 def test_the_cycle_table_links_only_upward_shifts(board_b, monkeypatch):

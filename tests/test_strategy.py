@@ -143,22 +143,21 @@ class TestCheckWinning:
             check_winning(Run((board_b.final,), ()), s, Budget(10, 2))
 
     def test_loss_when_strategy_strands(self):
-        # a strategy defined at the root but not afterwards
+        # a strategy defined for the turn from the root but not afterwards:
+        # the line plays that turn and the opponent's, then strands
         out = reduce_halting(CURATED["empty"])
+        root = out.run.last()
 
-        class OneMove(type(out.strategy)):
-            def __init__(self, inner):
-                super().__init__(inner.e)
-                self.calls = 0
-
+        class OneTurn(type(out.strategy)):
             def next_move(self, conf, state):
-                self.calls += 1
-                if self.calls > 1:
-                    return None
-                return super().next_move(conf, state)
+                return super().next_move(conf, state) if conf == root else None
 
-        v = check_winning(out.run, OneMove(out.strategy), Budget(50, 2))
+        first = out.strategy.next_move(root, None)
+        v = check_winning(out.run, OneTurn(out.strategy.e), Budget(50, 2))
         assert v.kind == LOSS
+        assert v.witness[:len(first)] == tuple(mv for mv, _n in first)
+        after = replay_witness(out.run, v.witness).last()
+        assert after.turn == first[-1][1].turn + 1 and after.active == 0
 
 
 class TestNumberChannel:
@@ -262,15 +261,40 @@ def test_verdicts_do_not_depend_on_what_the_plan_cache_holds():
     (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True)),
     (lambda: reduce_wo(reverse_omega()), Budget(16, 3)),
 ], ids=["halting-identity", "nis-successor", "wo-reverse-omega"])
-def test_a_warm_strategy_checks_as_a_fresh_one(reduce, budget):
-    # the second check runs on the plans and the cycle table the first one
-    # left, and answers with the fresh strategy's verdict and witness
+def test_a_warm_strategy_checks_as_a_fresh_one(reduce, budget, monkeypatch):
+    # the second check runs on the turns and the cycle table the first one
+    # left, every answer a cached turn, and answers with the fresh
+    # strategy's verdict and witness
     fresh = reduce()
     want = check_winning(fresh.run, fresh.strategy, budget)
     out = reduce()
     first = check_winning(out.run, out.strategy, budget)
     assert out.strategy._plan and out.strategy._cycles
+
+    def refuse(self, *args):
+        raise AssertionError("a warm check made a turn of its own")
+
+    planner = next(c for c in type(out.strategy).__mro__ if "_plan_turn" in vars(c))
+    monkeypatch.setattr(planner, "_plan_turn", refuse)
+    monkeypatch.setattr(strategy.Strategy, "_transported", refuse)
     assert first == want and check_winning(out.run, out.strategy, budget) == want
+
+
+def test_answers_do_not_depend_on_what_the_strategy_has_cached():
+    # at every witness configuration where we hold priority, a strategy
+    # that has checked the tree answers with the turn a fresh one plans
+    out = reduce_nis(CURATED["successor"])
+    s = out.strategy
+    v = check_winning(out.run, s, Budget(10, 8, cap_exhaustive=True))
+    run, asked = replay_witness(out.run, v.witness), 0
+    for i in range(len(out.run), len(run) + 1):
+        conf = run.configs[i]
+        if conf.active == 0 and conf.priority == 0:
+            state = s.observe(Run(run.configs[:i + 1], run.moves[:i]))
+            fresh = strategy.NISStrategy(s.e, s.base_run)
+            assert s.next_move(conf, state) == fresh.next_move(conf, state), i
+            asked += 1
+    assert asked > 30
 
 
 def _turn_alone(run, state, choice, s):
@@ -368,30 +392,6 @@ def test_a_silent_channel_ends_longer_speeches_unparked():
     head = _head(turns[0][0])
     zero, parked, pulled = (len(steps) for steps, _state in turns[:3])
     assert made == head + 1 + (zero - head) + (parked - head - 1) + (pulled - head - 1)
-
-
-@pytest.mark.parametrize("reduce, budget", [
-    (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4)),
-    (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True)),
-], ids=["halting-identity", "nis-successor"])
-def test_planned_steps_are_what_apply_gives(reduce, budget):
-    # the drivers extend the run with the planned configuration and do not
-    # apply our moves again, so each planned pair must be apply's own
-    out = reduce()
-    s, steps = out.strategy, []
-    planned = s.next_move
-
-    def next_move(conf, state):
-        step = planned(conf, state)
-        if step is not None:
-            steps.append((conf, step))
-        return step
-
-    s.next_move = next_move
-    check_winning(out.run, s, budget)
-    assert len(steps) > 100
-    for conf, (mv, nxt) in steps:
-        assert apply(conf, mv) == nxt
 
 
 def test_play_applies_no_move_outside_the_plans(monkeypatch):

@@ -40,7 +40,7 @@ _CHECKS.update({
 
 def _moved_turns(out, budget, monkeypatch):
     """check_winning's verdict, and each turn the strategy moved onto a
-    start there as (start, mode, steps)."""
+    start there as (start, mode, steps), the steps (move, configuration)."""
     moved, found = [], strategy.Strategy._transported
 
     def spy(self, conf, key):
@@ -65,7 +65,7 @@ def test_moved_turns_are_the_planned_turns(name, monkeypatch):
     for conf, mode, steps in moved:
         planner._cycles = {}
         line = planner._plan_turn(conf, mode)
-        assert line is not None and list(line.run.steps()) == steps, name
+        assert line is not None and _pairs(line) == steps, name
 
 
 def test_most_turns_are_moved_not_planned(monkeypatch):
@@ -120,6 +120,16 @@ def _piles(ps):
     return dict(deck=ps.deck, hand=ps.hand, gy=ps.gy)
 
 
+def _pairs(line):
+    """A planned line's steps as a turn holds them: (move, configuration)."""
+    return tuple((mv, nxt) for _c, mv, nxt in line.run.steps())
+
+
+def _split(turn):
+    """A recorded turn's moves and the configurations after them."""
+    return tuple(mv for mv, _n in turn.steps), tuple(nxt for _m, nxt in turn.steps)
+
+
 @pytest.fixture(scope="module")
 def recorded_turns():
     """The turns strategies recorded in a halting check (set-up A's board)
@@ -171,12 +181,13 @@ def test_apply_commutes_with_the_transport(recorded_turns, their_boards, data):
         piles = _piles(data.draw(st.sampled_from(keyed)))
     onto = _reframe(start, new_turn, lp, piles, lambda: rng.randrange(new_turn))
     assert unframed(onto) == unframed(start)
-    moved = transport(turn.confs, start, onto)
-    confs = (start,) + turn.confs
-    for before, move, after in zip((onto, *moved), turn.moves, moved):
+    moves, after_each = _split(turn)
+    moved = transport(after_each, start, onto)
+    confs = (start,) + after_each
+    for before, move, after in zip((onto, *moved), moves, moved):
         assert apply(before, move) == after
-    i = data.draw(st.integers(0, len(turn.moves) - 1))
-    move = data.draw(st.sampled_from(turn.moves))
+    i = data.draw(st.integers(0, len(moves) - 1))
+    move = data.draw(st.sampled_from(moves))
     after = _outcome(confs[i], move)
     if after is None:
         assert _outcome(([onto] + moved)[i], move) is None
@@ -209,7 +220,7 @@ def _refused(s, onto, mode):
     """The strategy moves no recorded turn onto onto, and the turn it plans
     there is not the recorded one moved anyway."""
     assert s._transported(onto, (unframed(onto), mode)) is None
-    return list(s._plan_turn(onto, mode).run.steps())
+    return _pairs(s._plan_turn(onto, mode))
 
 
 def test_the_lp_guard_refuses_a_low_turn_moved_by_a_nonzero_difference():
@@ -219,9 +230,10 @@ def test_the_lp_guard_refuses_a_low_turn_moved_by_a_nonzero_difference():
     start = turn.start
     onto = _reframe(start, start.turn, start.players[1].lp + 1000,
                     _piles(start.players[1]), None)
-    moved = transport(turn.confs, start, onto)
+    moves, after_each = _split(turn)
+    moved = transport(after_each, start, onto)
     assert moved[-1].players[1].lp == 1000
-    assert _refused(s, onto, mode) != list(zip([onto, *moved], turn.moves, moved))
+    assert _refused(s, onto, mode) != tuple(zip(moves, moved))
     # with a zero difference the same turn moves, by an even number of turns
     later = _reframe(start, start.turn + 2, start.players[1].lp, _piles(start.players[1]),
                      None)
@@ -233,12 +245,13 @@ def test_the_pile_guard_refuses_a_turn_that_changes_them_onto_other_piles():
     # onto their piles as they were; here their graveyard holds one more card
     s, mode, turn = _recorded(
         "wo-omega-reverse", lambda t: not t.piles and t.low >= 1000
-        and t.confs[-1].players[1].gy != t.start.players[1].gy)
+        and t.steps[-1][1].players[1].gy != t.start.players[1].gy)
     start = turn.start
     p2 = start.players[1]
     onto = _reframe(start, start.turn, p2.lp, dict(_piles(p2), gy=p2.gy + p2.deck[:1]), None)
-    moved = transport(turn.confs, start, onto)
-    assert _refused(s, onto, mode) != list(zip([onto, *moved], turn.moves, moved))
+    moves, after_each = _split(turn)
+    moved = transport(after_each, start, onto)
+    assert _refused(s, onto, mode) != tuple(zip(moves, moved))
 
 
 def test_the_turn_guard_refuses_a_start_before_turn_2(monkeypatch):
@@ -246,13 +259,15 @@ def test_the_turn_guard_refuses_a_start_before_turn_2(monkeypatch):
     # not, and the planner strands there instead; no turn from before turn
     # 2 is looked up or recorded
     s, mode, turn = _recorded(
-        "halting-identity", lambda t: any(type(m).__name__ == "DeclareAttack" for m in t.moves))
+        "halting-identity",
+        lambda t: any(type(m).__name__ == "DeclareAttack" for m, _n in t.steps))
     start = turn.start
     onto = _reframe(start, 1, start.players[1].lp, _piles(start.players[1]),
                     lambda: 0)
-    images = transport(turn.confs, start, onto)
+    moves, after_each = _split(turn)
+    images = transport(after_each, start, onto)
     assert s._plan_turn(onto, mode) is None
-    assert line_frame(list(zip([onto, *images], turn.moves, images))) is None
+    assert line_frame(list(zip([onto, *images], moves, images))) is None
     monkeypatch.setattr(strategy, "transport", None)  # a lookup would fail
     tables = {k: list(v) for k, v in s._turns.items()}
     assert s.next_move(onto, None) is None
