@@ -394,6 +394,33 @@ def test_a_silent_channel_ends_longer_speeches_unparked():
     assert made == head + 1 + (zero - head) + (parked - head - 1) + (pulled - head - 1)
 
 
+@pytest.mark.parametrize("reduce, budget", [
+    (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4)),
+    (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True)),
+], ids=["halting-identity", "nis-successor"])
+def test_planned_steps_are_what_apply_gives(reduce, budget):
+    # the drivers extend the run with the configurations of the turn the
+    # strategy answers and do not apply our moves again, so each step of
+    # every answered turn must be apply's own from the step before it
+    out = reduce()
+    s, steps = out.strategy, []
+    planned = s.next_move
+
+    def next_move(conf, state):
+        turn = planned(conf, state)
+        before = conf
+        for mv, nxt in turn or ():
+            steps.append((before, mv, nxt))
+            before = nxt
+        return turn
+
+    s.next_move = next_move
+    check_winning(out.run, s, budget)
+    assert len(steps) > 100
+    for conf, mv, nxt in steps:
+        assert apply(conf, mv) == nxt
+
+
 def test_play_applies_no_move_outside_the_plans(monkeypatch):
     # both players' turns are planned lines, so with the strategy module's
     # apply refused the checker, the trees and the play functions still run
