@@ -169,7 +169,7 @@ def lookup(name: str) -> CardSpec:
     """Name -> spec, case- and punctuation-insensitive."""
     spec = _BY_NORM.get(_norm(name))
     if spec is None:
-        raise UnknownCard(name)
+        raise UnknownCard(f"no card named {name!r}")
     return spec
 
 

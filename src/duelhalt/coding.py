@@ -18,13 +18,16 @@ layout is declared once, as (attribute, field) pairs built from the field
 kinds below, and the one layout both writes and reads the list.  Reading is
 strict: a list is accepted only in the form that writing produces, so a
 decoded record re-encodes to the code it came from.  Faults are ValueErrors,
-and MalformedCode at ``Field.decode``.
+and MalformedCode at ``Field.decode``.  Each field kind's one writer,
+``digits(value)``, returns its part of D: each element v as the base-4
+digit 1, then the bits of v + 1 after its leading 1 (a 1 bit as 3), so
+the list's code is exactly 4·int(D, 4).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
-from operator import attrgetter, itemgetter
 
 from .errors import MalformedCode
 
@@ -61,28 +64,24 @@ def untriple(n: int) -> tuple[int, int, int]:
 # 0 <-> "", 1 <-> "0", 2 <-> "1", 3 <-> "00", ...  (binary of n+1 minus the
 # leading 1).  This is the standard length-lexicographic enumeration.
 
-def _nat_to_bits(n: int) -> str:
-    if n < 0:
-        raise ValueError("naturals only")
-    return bin(n + 1)[3:]
-
-
 # Read in base 4, a sequence code's bit pairs are its digits: 0 and 3 are an
 # element's doubled 0 and 1 bits, 1 (the pair 01) ends an element, and 2
 # (the pair 10) occurs in no code.
 _QUADS = str.maketrans({f"{i:x}": f"{i >> 2}{i & 3}" for i in range(16)})  # hex -> base 4
 
 
+def _spell(n: int) -> str:  # the digits of the natural n
+    return "1" + bin(n + 1)[3:].replace("1", "3")
+
+
+@cache
+def _table(shift: int) -> dict[int, str]:  # the digits of v + shift below 256, keyed by v
+    return {v: _spell(v + shift) for v in range(-shift, 256 - shift)}
+
+
 def seq_encode(seq) -> int:
     """Encode a finite sequence of naturals as a natural; () -> 0."""
-    vals = [int(v) + 1 for v in seq]
-    if not vals:
-        return 0
-    if min(vals) < 1:
-        raise ValueError("naturals only")
-    # bin(v + 1) is 0b1 and then v's bits: each element's digits, after an end mark
-    digits = "".join(map(bin, vals)).replace("1", "3").replace("0b3", "1")
-    return int("1" + digits[1:] + "1", 4) - 1
+    return 4 * int("".join(map(NAT.digits, seq)) or "0", 4)
 
 
 def seq_decode(n: int) -> tuple[int, ...]:
@@ -92,7 +91,9 @@ def seq_decode(n: int) -> tuple[int, ...]:
     (a pair 10, an odd tail, an element with no end mark), naming the
     first fault reading left to right.
     """
-    bits = _nat_to_bits(n)
+    if n < 0:
+        raise ValueError("naturals only")
+    bits = bin(n + 1)[3:]
     p = len(bits) // 2  # whole pairs; a leading hex 1 keeps their zeros
     quads = format(int("0" + bits[:2 * p], 2) + 16 ** p, "x").translate(_QUADS)[p + 2:]
     if "2" in quads:
@@ -137,30 +138,21 @@ class Reader:
 
 
 class Field:
-    """A field kind: ``put(out, value)`` writes a value onto a flat list,
-    and ``get(reader)`` reads back exactly what ``put`` writes."""
-
-    def put_many(self, out: list, values) -> None:
-        for v in values:
-            self.put(out, v)
+    """A field kind: ``digits(value)`` writes a value as its elements'
+    digits, and ``get(reader)`` reads back exactly the elements written."""
 
     def get_many(self, r: Reader, n: int) -> tuple:
         return tuple([self.get(r) for _ in range(n)])
 
-    def flat(self, value) -> list[int]:
-        out: list[int] = []
-        self.put(out, value)
-        return out
-
     def read(self, vals):
-        """The value whose flat list is all of vals."""
+        """The value whose elements are all of vals."""
         r = Reader(vals)
         value = self.get(r)
         r.done()
         return value
 
     def encode(self, value) -> int:
-        return seq_encode(self.flat(value))
+        return 4 * int(self.digits(value) or "0", 4)
 
     def decode(self, code: int):
         """The value whose flat list code is; a MalformedCode names any fault."""
@@ -177,18 +169,19 @@ class Int(Field):
 
     def __init__(self, shift: int = 0, lo: int | None = None, hi: int | None = None, make=None):
         self.shift, self.lo, self.hi, self.make = shift, -shift if lo is None else lo, hi, make
+        self.table = _table(shift)
 
-    def put(self, out, value):
-        out.append(value + self.shift)
+    def digits(self, value):
+        d = self.table.get(value)
+        if d is None and value + self.shift < 0:
+            raise ValueError("naturals only")
+        return d or _spell(value + self.shift)
 
     def get(self, r):
         v = r.take() - self.shift
         if v < self.lo or (self.hi is not None and v > self.hi):
             raise ValueError(f"value {v} out of range")
         return v if self.make is None else self.make(v)
-
-    def put_many(self, out, values):
-        out.extend([v + self.shift for v in values] if self.shift else values)
 
     def get_many(self, r, n):  # piles of cards, in bulk
         vals = r.take_many(n)
@@ -202,8 +195,8 @@ class Int(Field):
 class Text(Field):
     """An ASCII string: its length, then its bytes."""
 
-    def put(self, out, value):
-        out.extend((len(value), *value.encode("ascii")))
+    def digits(self, value):
+        return NAT.digits(len(value)) + "".join(map(NAT.table.__getitem__, value.encode("ascii")))
 
     def get(self, r):
         return bytes(r.take_many(r.take())).decode("ascii")
@@ -215,9 +208,16 @@ class Seq(Field):
     def __init__(self, field: Field):
         self.field = field
 
-    def put(self, out, value):
-        out.append(len(value))
-        self.field.put_many(out, value)
+    def digits(self, value):
+        if not value:
+            return NAT.table[0]
+        f = self.field
+        if type(f) is Int:  # a pile, in one pass; a value the table lacks goes to f.digits
+            try:
+                return NAT.digits(len(value)) + "".join(map(f.table.__getitem__, value))
+            except KeyError:
+                pass
+        return NAT.digits(len(value)) + "".join([f.digits(v) for v in value])
 
     def get(self, r):
         return self.field.get_many(r, r.take())
@@ -226,8 +226,8 @@ class Seq(Field):
 class Set(Seq):
     """A frozenset, written as a sequence in increasing order."""
 
-    def put(self, out, value):
-        super().put(out, sorted(value))
+    def digits(self, value):
+        return Seq.digits(self, sorted(value))
 
     def get(self, r):
         vals = super().get(r)
@@ -242,10 +242,8 @@ class Maybe(Field):
     def __init__(self, field: Field):
         self.field = field
 
-    def put(self, out, value):
-        out.append(0 if value is None else 1)
-        if value is not None:
-            self.field.put(out, value)
+    def digits(self, value):
+        return NAT.table[0] if value is None else NAT.table[1] + self.field.digits(value)
 
     def get(self, r):
         return self.field.get(r) if FLAG.get(r) else None
@@ -255,11 +253,10 @@ class Fixed(Field):
     """A tuple with one value of each field, in order."""
 
     def __init__(self, *fields: Field):
-        self.fields, self._puts = fields, [(itemgetter(i), f.put) for i, f in enumerate(fields)]
+        self.fields = fields
 
-    def put(self, out, value):
-        for values, put in self._puts:
-            put(out, values(value))
+    def digits(self, value):
+        return "".join([f.digits(v) for f, v in zip(self.fields, value)])
 
     def get(self, r):
         return tuple([f.get(r) for f in self.fields])
@@ -271,9 +268,10 @@ class Record(Fixed):
 
     def __init__(self, cls, layout: list[tuple[str, Field]], version: int | None = None):
         self.cls, self.version, (self.attrs, self.fields) = cls, version, zip(*layout)
-        self._puts = [(attrgetter(attr), f.put) for attr, f in layout]
-        if version is not None:
-            self._puts.insert(0, (lambda _record: version, list.append))  # version first
+        self.layout, self.head = layout, "" if version is None else NAT.digits(version)
+
+    def digits(self, value):
+        return self.head + "".join([f.digits(getattr(value, a)) for a, f in self.layout])
 
     def get(self, r):
         if self.version is not None and r.take() != self.version:

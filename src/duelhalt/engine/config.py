@@ -6,7 +6,10 @@ filler placeholders, so the snapshot coincides with Player 1's knowledge
 of the game.  Its integer code follows the layouts declared once below,
 one per record, through ``coding``'s field kinds: equal configurations
 yield equal codes, ``decode(encode(c)) == c``, and a code is accepted only
-in the form ``encode`` writes, so ``encode(decode(n)) == n`` too.
+in the form ``encode`` writes, so ``encode(decode(n)) == n`` too.  As
+consecutive configurations share most of their players and cards,
+``encode_configuration`` reuses the digits it wrote for those very records
+of the configuration it encoded last, and keeps no other records.
 """
 
 from __future__ import annotations
@@ -203,14 +206,33 @@ class Configuration:
 # --- integer codec: each record's layout, in code order.  Card ids are
 # shifted by 1, and so are the turn stamps, whose "never" is -1.
 
+_kept = _now = {}  # entries by id: of the configuration encoded last, of the one being encoded
+
+
+class _Reused(Record):
+    """A record whose digits are reused while the configuration encoded last
+    holds the very same record.  An entry is (record, its digits, the entries
+    written inside it): it holds its record, so no other can take that id,
+    and a reused player brings its cards along."""
+
+    def digits(self, record):
+        entry = _kept.get(id(record))
+        if entry is None:
+            n = len(_now)
+            entry = (record, Record.digits(self, record), list(_now.items())[n:])
+        _now.update(entry[2])
+        _now[id(record)] = entry
+        return entry[1]
+
+
 _CARD = Int(shift=1, lo=0, hi=FILLER)
 _TURN = Int(shift=1)
-_SLOT = Maybe(Record(CardInstance, [
+_SLOT = Maybe(_Reused(CardInstance, [
     ("card", _CARD), ("face_up", FLAG), ("position", Int(hi=DEF)), ("negated", FLAG),
     ("counters", NAT), ("set_turn", _TURN), ("face_since", _TURN), ("summoned_turn", _TURN),
     ("equipped_to", Maybe(LOC))]))
 _PILE = Seq(_CARD)
-_PLAYER = Record(PlayerState, [
+_PLAYER = _Reused(PlayerState, [
     ("lp", NAT), ("deck", _PILE), ("hand", _PILE), ("gy", _PILE), ("banished", _PILE),
     ("extra_deck", _PILE), ("monsters", Fixed(*[_SLOT] * N_MZONES)), ("extra_zone", _SLOT),
     ("spelltraps", Fixed(*[_SLOT] * N_SZONES)), ("field_zone", _SLOT)])
@@ -223,7 +245,11 @@ _CONFIGURATION = Record(Configuration, [
 
 
 def encode_configuration(conf: Configuration) -> int:
-    return _CONFIGURATION.encode(conf)
+    global _kept, _now
+    _now = {}
+    code = _CONFIGURATION.encode(conf)
+    _kept = _now
+    return code
 
 
 def decode_configuration(code: int) -> Configuration:

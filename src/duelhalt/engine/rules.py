@@ -933,10 +933,6 @@ def _res_bait_doll(conf, p, source, targets, extras):
 _FORCED = Fixed(Seq(LOC), Seq(NAT))
 
 
-def _pack_forced(targets: tuple[Loc, ...], extras: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_FORCED.flat((targets, extras)))
-
-
 def _unpack_forced(flat: tuple[int, ...]) -> tuple[tuple[Loc, ...], tuple[int, ...]]:
     if not flat:
         return (), ()
@@ -1312,7 +1308,7 @@ def make_bait_doll_move(player, source, ds_loc, flip_extras):
         "bait_doll_force",
         source,
         targets=(ds_loc,),
-        extras=_pack_forced((), flip_extras),
+        extras=(0, len(flip_extras)) + tuple(flip_extras),  # _FORCED: no targets, then the extras
     )
 
 

@@ -266,6 +266,8 @@ _DUEL = ["duel", "--machine", "identity", "--script"]
     pytest.param(["duel", "--max-rounds", "-1"], None, id="budget-rounds"),
     pytest.param(["counters", "--set", "0"], None, id="budget-counters-zero"),
     pytest.param(["counters", "--set", "-4"], None, id="budget-counters-negative"),
+    pytest.param(["cards", "Blue-Eyes White Dragon"],
+                 "error: no card named 'Blue-Eyes White Dragon'", id="card-unknown"),
 ])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, argv, message):
     for name, body in _INPUTS.items():

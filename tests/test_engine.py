@@ -556,6 +556,17 @@ def test_configuration_and_move_codes_are_pinned(board_a, board_b):
     assert digest.hexdigest() == "4e76cae88e54912dba3b51462c8f59f0375dc0e826ea2e12d0fa5cbc482c8d9e"
 
 
+def test_trace_lines_are_pinned(board_a, board_b):
+    # SHA-256 over every line trace_lines writes, a newline after each, along
+    # the same three runs: pins each line's JSON layout, text and hex code
+    runs = [board_a.run, board_b.run, set_counters(board_a.final, 57).run]
+    digest = hashlib.sha256()
+    for run in runs:
+        for line in trace_lines(run):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "a7567a023c6c15458ce9524fb5fc6af8ef51068e1b2b8a82ff10238854ec5175"
+
+
 def test_a_trap_bait_doll_forces_resolves_as_its_own_activation(board_a):
     # a set Soul Drain on set-up A's final board, activated directly and
     # forced by Bait Doll: both pay its 1000 LP and leave it face-up
