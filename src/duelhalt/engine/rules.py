@@ -23,6 +23,10 @@ through ``check_legal``, so ``is_legal(c, m)`` holds exactly when
 ``apply(c, m)`` returns.  ``legal_moves`` only proposes: it keeps the rows'
 candidates that ``check_legal`` accepts, in row order, and makes no test of
 its own.
+
+An effect's rules live in its ``EFFECTS`` row, one ``Effect`` record, and
+no effect is named outside the table, the chain patterns, Bait Doll's move
+and the dragon's own handlers.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ..carddb import (
     ATTRAFFIC, BAIT_DOLL, CARDS, CITADEL, CLARA, ENDYMION, FILLER, FLINT, FLINT_LOCK,
@@ -65,6 +69,7 @@ from .config import (
 from .moves import (
     ActivateEffect,
     AdvancePhase,
+    ChainLink,
     ChangeEquipTarget,
     DeclareAttack,
     DIRECT,
@@ -246,12 +251,8 @@ def _equipped(conf: Configuration, loc: Loc, cid: int) -> bool:
 
 def _effect_draw_blocked(conf: Configuration, p: int) -> bool:
     """True when p cannot draw outside their own Draw Phase."""
-    opp = 1 - p
-    if _controls_faceup(conf, opp, PROTECTOR) is not None:
-        return True
-    if _controls_faceup(conf, opp, ATTRAFFIC) is not None:
-        return True
-    return False
+    return (_controls_faceup(conf, 1 - p, PROTECTOR) is not None
+            or _controls_faceup(conf, 1 - p, ATTRAFFIC) is not None)
 
 
 def _special_summon_blocked(conf: Configuration, p: int) -> bool:
@@ -326,13 +327,14 @@ def transport(confs: Iterable[Configuration], start: Configuration,
       the turn moves by an even number.
     - The stamps, compared only with the turn: ``set_turn == turn`` (a
       trap or quick-play spell set this turn, ``_activation_timing_ok``,
-      ``_chk_bait_doll``), ``face_since >= turn`` and ``set_turn == turn``
+      ``_trap_ready``), ``face_since >= turn`` and ``set_turn == turn``
       (``_chk_flip``) and ``summoned_turn == turn`` (Yata's bounce in
       ``_end_phase_events``).  A stamp at or after start's turn moves with
       the turn and one before it stays below it, so each answers alike; a
       written stamp is the turn.  A past stamp of a changed card is the one
       its slot had at start, since only Creature Swap moves a card with its
-      stamps to another slot.  Guard: the line plays no Creature Swap.
+      stamps to another slot (its row's ``moves_stamps``).  Guard: the
+      line plays no Creature Swap.
     - P2's piles: every draw, discard, send to the graveyard and return to
       the hand changes them.  Guard: a line that changes them moves only
       onto equal piles.  The reads that change nothing are a draw from an
@@ -473,7 +475,7 @@ def line_frame(steps: Sequence[tuple[Configuration, Move, Configuration]]
         if conf.active != 0:
             return None
         links = (move, *move.chain) if isinstance(move, ActivateEffect) else ()
-        if any(a.effect == "creature_swap" for a in links):
+        if any(EFFECTS[a.effect].moves_stamps for a in links):
             return None
         low = min(low, nxt.players[1].lp)
         free = free and _piles(nxt.players[1]) == piles and not any(
@@ -482,10 +484,11 @@ def line_frame(steps: Sequence[tuple[Configuration, Move, Configuration]]
     return low, free
 
 
-def _temple_available(conf: Configuration, p: int) -> bool:
-    # while the temple is up, traps may fire the turn they were set; the
-    # counter loop leans on this several times per turn
-    return _controls_faceup(conf, p, TEMPLE) is not None
+def _trap_ready(conf: Configuration, p: int, inst: CardInstance) -> bool:
+    """Whether p's set trap may fire: it was set before this turn, or p's
+    Temple of the Kings is up, which the counter loop leans on several
+    times per turn."""
+    return inst.set_turn != conf.turn or _controls_faceup(conf, p, TEMPLE) is not None
 
 
 # --- zone plumbing -------------------------------------------------------
@@ -598,6 +601,12 @@ def _flip_up(conf: Configuration, loc: Loc, position: int) -> Configuration:
     return _set_slot(conf, loc, _face_up(conf.instance_at(loc), position, conf.turn))
 
 
+def _skip_draw(conf: Configuration, p: int) -> Configuration:
+    skip = list(conf.skip_draw)
+    skip[p] = True
+    return replace(conf, skip_draw=tuple(skip))
+
+
 def _draw_cards(conf: Configuration, p: int, n: int, by_effect: bool) -> Configuration:
     if by_effect and _effect_draw_blocked(conf, p):
         return conf
@@ -625,9 +634,7 @@ def _resolve_flip_trigger(
         for q in (0, 1):
             conf = _draw_cards(conf, q, 5, by_effect=True)
         return conf
-    if inst.card in (MOF, MOD):
-        if choice is None:
-            return conf
+    if inst.card in (MOF, MOD) and choice is not None:
         _chk_recovery(conf, p, inst.card, choice)
         return _gy_to_hand(conf, p, choice[2])
     return conf
@@ -646,37 +653,36 @@ def _chk_recovery(conf: Configuration, p: int, card: int, choice: Loc) -> None:
         _require(is_trap_id(gy[idx]), "Mask of Darkness recovers traps only")
 
 
-def _flip_up_phase(conf: Configuration, p: int) -> tuple[Configuration, list[int]]:
-    """Flip all of p's face-down monsters face-up in defense, in one copy of
-    p; no triggers yet."""
-    monsters = conf.players[p].monsters
-    flipped = [i for i, inst in enumerate(monsters) if inst is not None and not inst.face_up]
-    return _set_monsters(conf, [((p, MZONE, i), _face_up(monsters[i], DEF, conf.turn))
-                                for i in flipped]), flipped
+# --- effect handlers ------------------------------------------------------
+#
+# An effect's rules live in its EFFECTS row, one Effect record: its check,
+# resolve and candidates, and the facts the activation path reads instead of
+# naming the effect.
 
 
-def _run_flip_triggers(
-    conf: Configuration, p: int, zones: list[int], choices: dict[int, Optional[Loc]]
-) -> Configuration:
-    for i in zones:
-        conf = _resolve_flip_trigger(conf, (p, MZONE, i), choices.get(i))
+def _no_change(conf, p, source, targets, extras):
+    """The resolve of a card that only sets up a continuous effect: the
+    activation wrapper places the card, and the rule queries read the
+    effect off the board."""
     return conf
 
 
-# --- effect handlers ------------------------------------------------------
-#
-# check(conf, p, source, targets, extras) raises IllegalMove;
-# resolve(conf, p, source, targets, extras) -> Configuration.
-# candidates(conf, p, source) yields (targets, extras) pairs for the
-# enumerator (a bounded representative family for multi-choice effects).
-
-
-def _gy_locs(conf: Configuration, p: int, pred) -> list[Loc]:
-    out = []
-    for idx, cid in enumerate(conf.players[p].gy):
-        if pred(cid):
-            out.append((p, GY, idx))
-    return out
+class Effect(NamedTuple):
+    check: Callable[..., None]  # (conf, p, source, targets, extras), raises IllegalMove
+    resolve: Callable[..., Configuration] = _no_change  # (conf, p, source, targets, extras)
+    # (conf, p, source) -> (targets, extras) pairs for the enumerator, a
+    # bounded family for multi-choice effects; None: the one pair ((), ())
+    candidates: Optional[Callable[..., Iterable]] = None
+    reads_extras: bool = False  # else a move, chain link or forced trap carries none
+    main_only: bool = False  # a monster or extra-deck effect: its owner's main phase only
+    moves_own_card: bool = False  # resolve moves the card, and none is played
+    gy_first: bool = False  # the spent card reaches the graveyard before resolving
+    skips_gy: bool = False  # the spent card makes no trip to the graveyard
+    # judged by resolving it when it carries at least this many extras (None:
+    # never), as a forced trap's check and flip choices read the chain's board
+    resolve_checks: Optional[int] = None
+    zones: tuple[int, ...] = ()  # activated from these too: GY, EXTRA (the extra monster zone)
+    moves_stamps: bool = False  # a card moves with its stamps to another slot
 
 
 def _first_free(zones: tuple[Optional[CardInstance], ...]) -> Optional[int]:
@@ -696,13 +702,6 @@ def _no_targets(what: str) -> Callable:
         _require(not targets, msg)
 
     return check
-
-
-def _no_change(conf, p, source, targets, extras):
-    """The resolve of a card that only sets up a continuous effect: the
-    activation wrapper places the card and pays its cost, and the rule
-    queries read the effect off the board."""
-    return conf
 
 
 @cache
@@ -727,9 +726,9 @@ def _send_from_gy(to: str) -> Callable:
 
 
 def _gy_targets(lo: int, hi: int, count_msg: str, to: str, own: bool = False,
-                offer: Optional[int] = None) -> tuple[Callable, Callable, Callable]:
-    """The (check, resolve, candidates) row of an effect that targets lo..hi
-    graveyard cards and sends them on with _send_from_gy(to).
+                offer: Optional[int] = None) -> Effect:
+    """The row of an effect that targets lo..hi graveyard cards and sends
+    them on with _send_from_gy(to).
 
     ``own`` limits the targets to the activating player's graveyard; the
     candidates are the target sets of lo..offer cards (offer defaults to hi).
@@ -753,18 +752,35 @@ def _gy_targets(lo: int, hi: int, count_msg: str, to: str, own: bool = False,
         for combo in itertools.islice(combos, _COMBO_CAP):
             yield combo, ()
 
-    return check, _send_from_gy(to), candidates
+    return Effect(check, _send_from_gy(to), candidates)
 
 
-def _chk_equip(count_msg: str, target_msg: str) -> Callable:
-    """The check of an equip that targets 1 face-up monster."""
+def _one_target(count_msg: str, target_msg: str, fits: Callable,
+                also: Optional[tuple[Callable, str]] = None,
+                scan: Optional[Callable] = None) -> tuple[Callable, Optional[Callable]]:
+    """The check and candidates of an effect that targets 1 card: an
+    occupied locator where fits(p, loc, inst) holds (else target_msg), then
+    also's (holds(conf, loc, inst), message).  The candidates are the cards
+    scan(conf) yields that pass both; None without a scan."""
+    holds, also_msg = also or (None, "")
+
     def check(conf, p, source, targets, extras):
         _require(len(targets) == 1, count_msg)
-        inst = conf.instance_at(targets[0])
-        _require(inst is not None and inst.face_up and targets[0][1] in (MZONE, EXTRA),
-                 target_msg)
+        loc = targets[0]
+        inst = conf.instance_at(loc)
+        _require(inst is not None and fits(p, loc, inst), target_msg)
+        _require(holds is None or holds(conf, loc, inst), also_msg)
 
-    return check
+    def candidates(conf, p, source):
+        for loc, inst in scan(conf):
+            if fits(p, loc, inst) and (holds is None or holds(conf, loc, inst)):
+                yield (loc,), ()
+
+    return check, candidates if scan else None
+
+
+def _face_up_monster(p, loc, inst):
+    return inst.face_up and loc[1] in (MZONE, EXTRA)
 
 
 def _res_equip(conf, p, source, targets, extras):
@@ -772,14 +788,22 @@ def _res_equip(conf, p, source, targets, extras):
     return _set_slot(conf, source, replace(inst, equipped_to=targets[0]))
 
 
-def _cand_equip(conf, p, source):
-    for loc, inst in conf.iter_monsters():
-        if inst.face_up:
-            yield (loc,), ()
+def _equip(count_msg: str, target_msg: str) -> Effect:
+    """The row of an equip that targets 1 face-up monster."""
+    check, candidates = _one_target(count_msg, target_msg, _face_up_monster,
+                                    scan=Configuration.iter_monsters)
+    return Effect(check, _res_equip, candidates)
 
 
-def _chk_double_summon(conf, p, source, targets, extras):
-    _require(not targets and not extras, "Double Summon takes no targets")
+def _chk_draw(what: str, need: int, short_msg: str) -> Callable:
+    """The check of a card that takes no targets and draws from a deck of
+    at least need cards."""
+    def check(conf, p, source, targets, extras):
+        _require(not targets, f"{what} takes no targets")
+        _require(len(conf.players[p].deck) >= need, short_msg)
+        _require(not _effect_draw_blocked(conf, p), "drawing outside the Draw Phase is blocked")
+
+    return check
 
 
 def _res_double_summon(conf, p, source, targets, extras):
@@ -820,41 +844,18 @@ def _res_rain_of_mercy(conf, p, source, targets, extras):
     return _adjust_lp(conf, 1, 1000)
 
 
-def _chk_upstart(conf, p, source, targets, extras):
-    _require(not targets, "Upstart Goblin takes no targets")
-    _require(len(conf.players[p].deck) >= 1, "no card to draw")
-    _require(not _effect_draw_blocked(conf, p), "drawing outside the Draw Phase is blocked")
-
-
 def _res_upstart(conf, p, source, targets, extras):
     conf = _draw_cards(conf, p, 1, by_effect=True)
     return _adjust_lp(conf, 1 - p, 1000)
 
 
-def _chk_mst(conf, p, source, targets, extras):
-    _require(len(targets) == 1, "Mystical Space Typhoon targets 1 spell/trap")
-    t = targets[0]
-    inst = conf.instance_at(t)
-    _require(inst is not None and t[1] in (SZONE, FZONE), "target must be a spell/trap on the field")
+_chk_mst, _cand_mst = _one_target(
+    "Mystical Space Typhoon targets 1 spell/trap", "target must be a spell/trap on the field",
+    lambda p, loc, inst: loc[1] in (SZONE, FZONE), scan=Configuration.iter_spelltraps)
 
 
 def _res_mst(conf, p, source, targets, extras):
-    t = targets[0]
-    inst = conf.instance_at(t)
-    if inst is None:
-        return conf
-    return _to_gy(conf, t)
-
-
-def _cand_mst(conf, p, source):
-    for loc, _inst in conf.iter_spelltraps():
-        yield (loc,), ()
-
-
-def _chk_pot_desires(conf, p, source, targets, extras):
-    _require(not targets, "Pot of Desires takes no targets")
-    _require(len(conf.players[p].deck) >= 12, "need 10 to banish plus 2 to draw")
-    _require(not _effect_draw_blocked(conf, p), "drawing outside the Draw Phase is blocked")
+    return _to_gy(conf, targets[0])
 
 
 def _res_pot_desires(conf, p, source, targets, extras):
@@ -878,40 +879,22 @@ def _res_pot_duality(conf, p, source, targets, extras):
     return _add_hand(conf, p, chosen, deck=rest + tuple(top))
 
 
-def _chk_offerings(conf, p, source, targets, extras):
-    _require(len(targets) == 1, "Offerings to the Doomed targets 1 face-up monster")
-    t = targets[0]
-    inst = conf.instance_at(t)
-    _require(inst is not None and t[1] in (MZONE, EXTRA) and inst.face_up,
-             "target must be a face-up monster")
-    _require(not _pole_protected(conf, t, inst), "target is protected from spells")
+_chk_offerings, _cand_offerings = _one_target(
+    "Offerings to the Doomed targets 1 face-up monster", "target must be a face-up monster",
+    _face_up_monster, (lambda conf, loc, inst: not _pole_protected(conf, loc, inst),
+                       "target is protected from spells"),
+    scan=Configuration.iter_monsters)
 
 
 def _res_offerings(conf, p, source, targets, extras):
-    t = targets[0]
-    if conf.instance_at(t) is not None:
-        conf = _leave_field(conf, t, "gy")
-    skip = list(conf.skip_draw)
-    skip[p] = True
-    return replace(conf, skip_draw=tuple(skip))
+    return _skip_draw(_leave_field(conf, targets[0], "gy"), p)
 
 
-def _cand_offerings(conf, p, source):
-    shielded = _pole_shielded(conf)
-    for loc, inst in conf.iter_monsters():
-        if inst.face_up and loc not in shielded:
-            yield (loc,), ()
-
-
-def _chk_bait_doll(conf, p, source, targets, extras):
-    _require(len(targets) == 1, "Bait Doll targets 1 set card")
-    t = targets[0]
-    inst = conf.instance_at(t)
-    _require(inst is not None and t[1] == SZONE and not inst.face_up,
-             "target must be a set spell/trap")
-    st_spec = by_id(inst.card)
-    if st_spec.is_trap and inst.set_turn == conf.turn:
-        _require(_temple_available(conf, t[0]), "trap was set this turn")
+_chk_bait_doll = _one_target(
+    "Bait Doll targets 1 set card", "target must be a set spell/trap",
+    lambda p, loc, inst: loc[1] == SZONE and not inst.face_up,
+    (lambda conf, loc, inst: not by_id(inst.card).is_trap or _trap_ready(conf, loc[0], inst),
+     "trap was set this turn"))[0]
 
 
 def _res_bait_doll(conf, p, source, targets, extras):
@@ -919,14 +902,11 @@ def _res_bait_doll(conf, p, source, targets, extras):
     inst = conf.instance_at(t)
     if inst is not None and not inst.face_up and is_trap_id(inst.card):
         # the forced trap resolves as if its controller had activated it
-        eff = by_id(inst.card).effects[0]
-        inner_targets, inner_extras = _unpack_forced(extras)
-        EFFECTS[eff][0](conf, t[0], t, inner_targets, inner_extras)
-        conf = _resolve_activation(conf, t[0], eff, t, inner_targets, inner_extras)
+        forced = ChainLink(by_id(inst.card).effects[0], t, *_unpack_forced(extras))
+        _chk_link(conf, t[0], forced)
+        conf = _resolve_activation(conf, t[0], forced)
     # Bait Doll shuffles itself into its owner's deck after resolving.
-    ps = conf.players[p]
-    conf = update_player(conf, p, deck=ps.deck + (BAIT_DOLL,))
-    return conf
+    return update_player(conf, p, deck=conf.players[p].deck + (BAIT_DOLL,))
 
 
 # A forced trap's own targets and extras ride in Bait Doll's extras.
@@ -970,31 +950,31 @@ def _chk_soul_drain(conf, p, source, targets, extras):
     _require(conf.players[p].lp >= 1000, "cannot pay 1000 LP")
 
 
+def _res_soul_drain(conf, p, source, targets, extras):
+    # the 1000-LP cost; the lock itself is read off the board
+    return _adjust_lp(conf, p, -1000)
+
+
 def _res_desert_sunlight(conf, p, source, targets, extras):
-    # direct activation: flips and triggers; the activation wrapper routes
-    # the card to the graveyard before this runs (see _resolve_activation)
-    conf, zones = _flip_up_phase(conf, p)
-    choices = _decode_flip_choices(p, extras)
-    return _run_flip_triggers(conf, p, zones, choices)
-
-
-def _decode_flip_choices(p: int, extras: tuple[int, ...]) -> dict[int, Optional[Loc]]:
-    # extras: flat (zone, 1 + gy_index | 0) pairs
+    """All of p's face-down monsters flipped face-up in defense, in one copy
+    of p, then their flip triggers with the choices in extras: flat (zone,
+    1 + graveyard index | 0) pairs.  The spent trap is in the graveyard by
+    now (the row's gy_first)."""
     _require(len(extras) % 2 == 0, "flip choices come in (zone, choice) pairs")
-    choices: dict[int, Optional[Loc]] = {}
-    for i in range(0, len(extras), 2):
-        zone, enc = extras[i], extras[i + 1]
-        choices[zone] = None if enc == 0 else (p, GY, enc - 1)
-    return choices
+    choices = {extras[i]: None if extras[i + 1] == 0 else (p, GY, extras[i + 1] - 1)
+               for i in range(0, len(extras), 2)}
+    monsters = conf.players[p].monsters
+    flipped = [i for i, inst in enumerate(monsters) if inst is not None and not inst.face_up]
+    conf = _set_monsters(conf, [((p, MZONE, i), _face_up(monsters[i], DEF, conf.turn))
+                                for i in flipped])
+    for i in flipped:
+        conf = _resolve_flip_trigger(conf, (p, MZONE, i), choices.get(i))
+    return conf
 
 
 def flip_choice_extras(pairs: Iterable[tuple[int, Optional[int]]]) -> tuple[int, ...]:
     """Helper for scripts: (zone, gy_index_or_None) pairs -> extras."""
-    flat: list[int] = []
-    for zone, gy_idx in pairs:
-        flat.append(zone)
-        flat.append(0 if gy_idx is None else gy_idx + 1)
-    return tuple(flat)
+    return tuple(x for zone, gy_idx in pairs for x in (zone, 0 if gy_idx is None else gy_idx + 1))
 
 
 def _res_gift_card(conf, p, source, targets, extras):
@@ -1009,9 +989,8 @@ def _chk_mse(conf, p, source, targets, extras):
     _require(0 <= t[2] < len(gy) and is_spell_id(gy[t[2]]), "target must be a spell")
     _require(len(extras) == 2, "discard exactly 2 cards")
     hand = list(conf.players[p].hand)
-    src_cid = source[2] if source[1] == HAND else None
-    if src_cid is not None:
-        hand.remove(src_cid)
+    if source[1] == HAND:
+        hand.remove(source[2])
     for cid in extras:
         _require(cid in hand, "discard cards must be in hand")
         hand.remove(cid)
@@ -1041,20 +1020,34 @@ def _chk_creature_swap(conf, p, source, targets, extras):
 
 def _res_creature_swap(conf, p, source, targets, extras):
     mine, theirs = targets
-    a = conf.instance_at(mine)
-    b = conf.instance_at(theirs)
-    conf = _set_slot(conf, mine, None)
-    conf = _set_slot(conf, theirs, None)
-    za = _first_free(conf.players[1 - p].monsters)
-    conf = _set_slot(conf, (1 - p, MZONE, za), a)
-    zb = _first_free(conf.players[p].monsters)
-    conf = _set_slot(conf, (p, MZONE, zb), b)
+    a, b = conf.instance_at(mine), conf.instance_at(theirs)
+    conf = _set_monsters(conf, [(mine, None), (theirs, None)])
+    moved = {mine: (1 - p, MZONE, _first_free(conf.players[1 - p].monsters)),
+             theirs: (p, MZONE, _first_free(conf.players[p].monsters))}
+    conf = _set_monsters(conf, [(moved[mine], a), (moved[theirs], b)])
     # each equip follows the monster it was on, all moved in one pass
-    moved = {mine: (1 - p, MZONE, za), theirs: (p, MZONE, zb)}
     for sloc, st in list(conf.iter_spelltraps()):
         if st.equipped_to in moved:
             conf = _set_slot(conf, sloc, replace(st, equipped_to=moved[st.equipped_to]))
     return conf
+
+
+def _summon(conf: Configuration, cid: int, loc: Loc, **more) -> Configuration:
+    """cid special summoned face-up in attack position at loc."""
+    inst = CardInstance(cid, face_up=True, position=ATK, summoned_turn=conf.turn,
+                        face_since=conf.turn)
+    return _set_slot(conf, loc, inst, **more)
+
+
+def _chk_from_extra(conf: Configuration, p: int, cid: int, what: str) -> None:
+    _require(cid in conf.players[p].extra_deck, f"{what} monster not in the extra deck")
+    _require(conf.players[p].extra_zone is None, "extra monster zone occupied")
+
+
+def _summon_from_extra(conf: Configuration, p: int, cid: int) -> Configuration:
+    ed = list(conf.players[p].extra_deck)
+    ed.remove(cid)
+    return _summon(conf, cid, (p, EXTRA, 0), extra_deck=tuple(ed))
 
 
 def _chk_poly(conf, p, source, targets, extras):
@@ -1070,8 +1063,7 @@ def _chk_poly(conf, p, source, targets, extras):
             cids.append(inst.card)
     _require(sorted(cids) == sorted([ODD_EYES, ENDYMION]),
              "Starving Venemy Dragon needs Odd-Eyes Pendulum Dragon and Endymion")
-    _require(SVD in conf.players[p].extra_deck, "fusion monster not in the extra deck")
-    _require(conf.players[p].extra_zone is None, "extra monster zone occupied")
+    _chk_from_extra(conf, p, SVD, "fusion")
     _require(not _special_summon_blocked(conf, p), "special summons are blocked")
 
 
@@ -1081,12 +1073,7 @@ def _res_poly(conf, p, source, targets, extras):
             conf = _discard(conf, p, t[2])
         else:
             conf = _leave_field(conf, t, "gy")
-    ed = list(conf.players[p].extra_deck)
-    ed.remove(SVD)
-    conf = update_player(conf, p, extra_deck=tuple(ed))
-    inst = CardInstance(SVD, face_up=True, position=ATK, summoned_turn=conf.turn,
-                        face_since=conf.turn)
-    return _set_slot(conf, (p, EXTRA, 0), inst)
+    return _summon_from_extra(conf, p, SVD)
 
 
 def _res_raigeki(conf, p, source, targets, extras):
@@ -1102,46 +1089,35 @@ def _res_raigeki(conf, p, source, targets, extras):
     return conf
 
 
-def _chk_give_and_take(conf, p, source, targets, extras):
-    _require(len(targets) == 1, "target 1 monster in your graveyard")
-    t = targets[0]
-    _require(t[0] == p and t[1] == GY, "target must be in your graveyard")
-    gy = conf.players[p].gy
-    _require(0 <= t[2] < len(gy) and is_monster_id(gy[t[2]]), "target must be a monster")
-    _require(len(extras) == 1 and 0 <= extras[0] < N_MZONES, "pick an opponent zone")
-    _require(conf.players[1 - p].monsters[extras[0]] is None, "opponent zone occupied")
-    _require(not _special_summon_blocked(conf, p), "special summons are blocked")
+def _gy_monster_to_opp(face_up: bool) -> Effect:
+    """The row of Give and Take (face_up) and Reverse Reuse: a monster from
+    your graveyard summoned in defense to the opponent's main zone
+    extras[0]."""
+    def check(conf, p, source, targets, extras):
+        _require(len(targets) == 1, "target 1 monster in your graveyard")
+        t = targets[0]
+        _require(t[0] == p and t[1] == GY, "target must be in your graveyard")
+        gy = conf.players[p].gy
+        _require(0 <= t[2] < len(gy) and is_monster_id(gy[t[2]]), "target must be a monster")
+        _require(len(extras) == 1 and 0 <= extras[0] < N_MZONES, "pick an opponent zone")
+        _require(conf.players[1 - p].monsters[extras[0]] is None, "opponent zone occupied")
+        _require(not _special_summon_blocked(conf, p), "special summons are blocked")
 
+    def resolve(conf, p, source, targets, extras):
+        gy, i = conf.players[p].gy, targets[0][2]
+        conf = update_player(conf, p, gy=gy[:i] + gy[i + 1:])
+        inst = CardInstance(gy[i], face_up=face_up, position=DEF, set_turn=conf.turn,
+                            face_since=conf.turn, summoned_turn=conf.turn)
+        return _set_slot(conf, (1 - p, MZONE, extras[0]), inst)
 
-def _summon_from_gy_to_opp(conf, p, t, zone, face_up):
-    gy = conf.players[p].gy
-    cid = gy[t[2]]
-    conf = update_player(conf, p, gy=gy[: t[2]] + gy[t[2] + 1 :])
-    inst = CardInstance(
-        cid,
-        face_up=face_up,
-        position=DEF,
-        set_turn=conf.turn,
-        face_since=conf.turn,
-        summoned_turn=conf.turn,
-    )
-    return _set_slot(conf, (1 - p, MZONE, zone), inst)
+    def candidates(conf, p, source):
+        zone = _first_free(conf.players[1 - p].monsters)
+        if zone is not None:
+            gy = conf.players[p].gy
+            for loc in [(p, GY, i) for i, cid in enumerate(gy) if is_monster_id(cid)][:20]:
+                yield (loc,), (zone,)
 
-
-def _res_give_and_take(conf, p, source, targets, extras):
-    return _summon_from_gy_to_opp(conf, p, targets[0], extras[0], face_up=True)
-
-
-def _res_reverse_reuse(conf, p, source, targets, extras):
-    return _summon_from_gy_to_opp(conf, p, targets[0], extras[0], face_up=False)
-
-
-def _cand_gy_monster_to_opp(conf, p, source):
-    zone = _first_free(conf.players[1 - p].monsters)
-    if zone is None:
-        return
-    for loc in _gy_locs(conf, p, is_monster_id)[:20]:
-        yield (loc,), (zone,)
+    return Effect(check, resolve, candidates, reads_extras=True)
 
 
 def _chk_endymion_summon(conf, p, source, targets, extras):
@@ -1168,24 +1144,17 @@ def _chk_endymion_summon(conf, p, source, targets, extras):
 
 
 def _res_endymion_summon(conf, p, source, targets, extras):
-    cloc = _citadel_loc(conf)
-    citadel = conf.instance_at(cloc)
-    conf = _set_slot(conf, cloc, replace(citadel, counters=citadel.counters - 6))
-    if source[1] == HAND:
-        conf = _remove_hand(conf, p, ENDYMION)
-    else:
-        gy = conf.players[p].gy
-        conf = update_player(conf, p, gy=gy[: source[2]] + gy[source[2] + 1 :])
-    inst = CardInstance(ENDYMION, face_up=True, position=ATK,
-                        summoned_turn=conf.turn, face_since=conf.turn)
-    conf = _set_slot(conf, (p, MZONE, extras[0]), inst)
+    ps = conf.players[p]
+    cit = ps.field_zone  # the check found p's face-up Magical Citadel there
+    more = ({"hand": _hand_without(ps, ENDYMION)} if source[1] == HAND
+            else {"gy": ps.gy[:source[2]] + ps.gy[source[2] + 1:]})
+    conf = _summon(conf, ENDYMION, (p, MZONE, extras[0]),
+                   field_zone=replace(cit, counters=cit.counters - 6), **more)
     if len(extras) > 1 and extras[1] > 0:
         idx = extras[1] - 1
-        if source[1] == GY and source[2] < idx:
-            idx -= 1
-        gy = conf.players[p].gy
-        if 0 <= idx < len(gy) and is_spell_id(gy[idx]):
-            conf = _gy_to_hand(conf, p, idx)
+        # the check found a spell there, one place back if Endymion left
+        # the graveyard from before it
+        conf = _gy_to_hand(conf, p, idx - 1 if source[1] == GY and source[2] < idx else idx)
     return conf
 
 
@@ -1200,39 +1169,34 @@ def _cand_endymion(conf, p, source):
             break
 
 
+_chk_clara_material = _one_target(
+    "link summon uses 1 material", "material must be your face-up monster",
+    lambda p, loc, inst: loc[0] == p and inst.face_up,
+    (lambda conf, loc, inst: inst.card != FILLER and by_id(inst.card).stats.level == 1,
+     "material must be level 1"))[0]
+
+
 def _chk_clara_link(conf, p, source, targets, extras):
-    _require(CLARA in conf.players[p].extra_deck, "link monster not in the extra deck")
-    _require(conf.players[p].extra_zone is None, "extra monster zone occupied")
-    _require(len(targets) == 1, "link summon uses 1 material")
-    t = targets[0]
-    inst = conf.instance_at(t)
-    _require(inst is not None and t[0] == p and inst.face_up, "material must be your face-up monster")
-    _require(inst.card != FILLER and by_id(inst.card).stats.level == 1,
-             "material must be level 1")
+    _chk_from_extra(conf, p, CLARA, "link")
+    _chk_clara_material(conf, p, source, targets, extras)
     _require(not _special_summon_blocked(conf, p), "special summons are blocked")
 
 
 def _res_clara_link(conf, p, source, targets, extras):
-    conf = _leave_field(conf, targets[0], "gy")
-    ed = list(conf.players[p].extra_deck)
-    ed.remove(CLARA)
-    conf = update_player(conf, p, extra_deck=tuple(ed))
-    inst = CardInstance(CLARA, face_up=True, position=ATK,
-                        summoned_turn=conf.turn, face_since=conf.turn)
-    return _set_slot(conf, (p, EXTRA, 0), inst)
+    return _summon_from_extra(_leave_field(conf, targets[0], "gy"), p, CLARA)
+
+
+_chk_svd_target, _cand_svd_negate = _one_target(
+    "negate 1 opponent monster", "target must be an opponent face-up monster",
+    lambda p, loc, inst: loc[0] == 1 - p and inst.face_up, scan=Configuration.iter_monsters)
 
 
 def _chk_svd_negate(conf, p, source, targets, extras):
-    marker = "svd_negate"
-    _require(marker not in conf.opt_used, "once per turn")
+    _require("svd_negate" not in conf.opt_used, "once per turn")
     inst = conf.instance_at(source)
     _require(inst is not None and inst.card == SVD and inst.face_up and not inst.negated,
              "Starving Venemy Dragon must be face-up")
-    _require(len(targets) == 1, "negate 1 opponent monster")
-    t = targets[0]
-    tinst = conf.instance_at(t)
-    _require(tinst is not None and t[0] == 1 - p and tinst.face_up,
-             "target must be an opponent face-up monster")
+    _chk_svd_target(conf, p, source, targets, extras)
 
 
 def _res_svd_negate(conf, p, source, targets, extras):
@@ -1242,57 +1206,53 @@ def _res_svd_negate(conf, p, source, targets, extras):
     return replace(conf, opt_used=conf.opt_used | {"svd_negate"})
 
 
-def _cand_svd_negate(conf, p, source):
-    for loc, inst in conf.iter_monsters():
-        if loc[0] == 1 - p and inst.face_up:
-            yield (loc,), ()
-
-
-# Flint's check is Mist Body's, messages included.
-_chk_mist_body = _chk_equip("Mist Body equips 1 face-up monster",
-                            "equip target must be a face-up monster")
-
-EFFECTS: dict[str, tuple[Callable, Callable, Optional[Callable]]] = {
-    "double_summon_extra": (_chk_double_summon, _res_double_summon, None),
+EFFECTS: dict[str, Effect] = {
+    "double_summon_extra": Effect(_no_targets("Double Summon"), _res_double_summon),
     "pob_return_two": _gy_targets(2, 2, "Pot of Benevolence returns exactly 2 cards",
                                   to="deck"),
-    "gmc_gift": (_chk_gmc, _res_gmc, _cand_gmc),
+    "gmc_gift": Effect(_chk_gmc, _res_gmc, _cand_gmc),
     "soul_release_banish": _gy_targets(1, 5, "Soul Release banishes 1-5 cards",
                                        to="banished"),
-    "rain_of_mercy_gain": (_no_targets("Rain of Mercy"), _res_rain_of_mercy, None),
-    "upstart_draw": (_chk_upstart, _res_upstart, None),
-    "mst_destroy": (_chk_mst, _res_mst, _cand_mst),
-    "pot_desires": (_chk_pot_desires, _res_pot_desires, None),
-    "pot_duality": (_chk_pot_duality, _res_pot_duality, None),
-    "offerings_destroy_skip": (_chk_offerings, _res_offerings, _cand_offerings),
-    "citadel_counters": (_no_targets("field spell"), _no_change, None),
-    "temple_trap_allowance": (_no_targets("Temple of the Kings"), _no_change, None),
-    "bait_doll_force": (_chk_bait_doll, _res_bait_doll, None),
-    "boe_flip_all": (_no_targets("Book of Eclipse"), _res_boe, None),
-    "soul_drain_gy_lock": (_chk_soul_drain, _no_change, None),
-    "desert_sunlight_flip_up": (_no_targets("Desert Sunlight"), _res_desert_sunlight, None),
+    "rain_of_mercy_gain": Effect(_no_targets("Rain of Mercy"), _res_rain_of_mercy),
+    "upstart_draw": Effect(_chk_draw("Upstart Goblin", 1, "no card to draw"), _res_upstart),
+    "mst_destroy": Effect(_chk_mst, _res_mst, _cand_mst),
+    "pot_desires": Effect(_chk_draw("Pot of Desires", 12, "need 10 to banish plus 2 to draw"),
+                          _res_pot_desires),
+    "pot_duality": Effect(_chk_pot_duality, _res_pot_duality, reads_extras=True),
+    "offerings_destroy_skip": Effect(_chk_offerings, _res_offerings, _cand_offerings),
+    "citadel_counters": Effect(_no_targets("field spell")),
+    "temple_trap_allowance": Effect(_no_targets("Temple of the Kings")),
+    "bait_doll_force": Effect(_chk_bait_doll, _res_bait_doll, reads_extras=True, skips_gy=True,
+                              resolve_checks=0),
+    "boe_flip_all": Effect(_no_targets("Book of Eclipse"), _res_boe),
+    "soul_drain_gy_lock": Effect(_chk_soul_drain, _res_soul_drain),
+    "desert_sunlight_flip_up": Effect(_no_targets("Desert Sunlight"), _res_desert_sunlight,
+                                      reads_extras=True, gy_first=True, resolve_checks=1),
     "tornado_recycle": _gy_targets(1, 5, "Localized Tornado shuffles 1-5 cards",
                                    to="deck", own=True, offer=1),
-    "massivemorph_boost": (_chk_equip("Massivemorph targets 1 face-up monster",
-                                      "target must be a face-up monster"),
-                           _res_equip, _cand_equip),
-    "pole_position_immunity": (_no_targets("Pole Position"), _no_change, None),
-    "gift_card_gain": (_no_targets("Gift Card"), _res_gift_card, None),
-    "morale_boost_gain": (_no_targets("Morale Boost"), _no_change, None),
-    "mist_body_shield": (_chk_mist_body, _res_equip, _cand_equip),
-    "mse_discard_recover": (_chk_mse, _res_mse, None),
-    "attraffic_control": (_no_targets("Attraffic Control"), _no_change, None),
-    "creature_swap": (_chk_creature_swap, _res_creature_swap, None),
-    "polymerization_fuse": (_chk_poly, _res_poly, None),
-    "flint_lockdown": (_chk_equip("Flint equips 1 face-up monster",
-                                  "equip target must be a face-up monster"),
-                       _res_equip, _cand_equip),
-    "raigeki_wipe": (_no_targets("Raigeki"), _res_raigeki, None),
-    "give_and_take": (_chk_give_and_take, _res_give_and_take, _cand_gy_monster_to_opp),
-    "reverse_reuse": (_chk_give_and_take, _res_reverse_reuse, _cand_gy_monster_to_opp),
-    "endymion_counter_summon": (_chk_endymion_summon, _res_endymion_summon, _cand_endymion),
-    "clara_link_summon": (_chk_clara_link, _res_clara_link, None),
-    "svd_negate": (_chk_svd_negate, _res_svd_negate, _cand_svd_negate),
+    "massivemorph_boost": _equip("Massivemorph targets 1 face-up monster",
+                                 "target must be a face-up monster"),
+    "pole_position_immunity": Effect(_no_targets("Pole Position")),
+    "gift_card_gain": Effect(_no_targets("Gift Card"), _res_gift_card),
+    "morale_boost_gain": Effect(_no_targets("Morale Boost")),
+    "mist_body_shield": _equip("Mist Body equips 1 face-up monster",
+                               "equip target must be a face-up monster"),
+    "mse_discard_recover": Effect(_chk_mse, _res_mse, reads_extras=True),
+    "attraffic_control": Effect(_no_targets("Attraffic Control")),
+    "creature_swap": Effect(_chk_creature_swap, _res_creature_swap, moves_stamps=True),
+    "polymerization_fuse": Effect(_chk_poly, _res_poly, main_only=True),
+    "flint_lockdown": _equip("Flint equips 1 face-up monster",
+                             "equip target must be a face-up monster"),
+    "raigeki_wipe": Effect(_no_targets("Raigeki"), _res_raigeki),
+    "give_and_take": _gy_monster_to_opp(face_up=True),
+    "reverse_reuse": _gy_monster_to_opp(face_up=False),
+    "endymion_counter_summon": Effect(_chk_endymion_summon, _res_endymion_summon, _cand_endymion,
+                                      reads_extras=True, main_only=True, moves_own_card=True,
+                                      zones=(GY,)),
+    "clara_link_summon": Effect(_chk_clara_link, _res_clara_link, main_only=True,
+                                moves_own_card=True),
+    "svd_negate": Effect(_chk_svd_negate, _res_svd_negate, _cand_svd_negate, main_only=True,
+                         moves_own_card=True, zones=(EXTRA,)),
 }
 
 _CHAIN_PATTERNS = (
@@ -1315,7 +1275,7 @@ def make_bait_doll_move(player, source, ds_loc, flip_extras):
 # --- activation wrapper ---------------------------------------------------
 
 
-def _effect_card(conf: Configuration, p: int, effect: str, source: Loc) -> int:
+def _effect_card(conf: Configuration, p: int, source: Loc) -> int:
     """Which card is being activated, validating the source locator."""
     if source[1] == HAND:
         cid = source[2]
@@ -1340,7 +1300,7 @@ def _effect_card(conf: Configuration, p: int, effect: str, source: Loc) -> int:
 
 
 def _activation_timing_ok(conf: Configuration, p: int, effect: str, source: Loc) -> bool:
-    cid = _effect_card(conf, p, effect, source)
+    cid = _effect_card(conf, p, source)
     if cid == FILLER:
         return False
     spec = by_id(cid)
@@ -1348,8 +1308,7 @@ def _activation_timing_ok(conf: Configuration, p: int, effect: str, source: Loc)
         return False
     main = conf.phase in (Phase.MAIN1, Phase.MAIN2)
     own_turn = conf.active == p
-    if effect in ("endymion_counter_summon", "clara_link_summon", "svd_negate",
-                  "polymerization_fuse"):
+    if EFFECTS[effect].main_only:
         return own_turn and main
     if source[1] == HAND:
         if spec.kind == Kind.QUICKPLAY_SPELL:
@@ -1359,43 +1318,32 @@ def _activation_timing_ok(conf: Configuration, p: int, effect: str, source: Loc)
         return False  # traps never activate from hand
     if source[1] == SZONE or source[1] == FZONE:
         inst = conf.instance_at(source)
-        if inst is None:
-            return False
-        if inst.face_up:
+        if inst is None or inst.face_up:
             return False  # continuous cards do not re-activate
-        if spec.is_trap:
-            if inst.set_turn == conf.turn and not _temple_available(conf, p):
-                return False
-            return True  # any phase, any turn, at a priority window
+        if spec.is_trap:  # any phase, any turn, at a priority window
+            return _trap_ready(conf, p, inst)
         if spec.kind == Kind.QUICKPLAY_SPELL:
-            if inst.set_turn == conf.turn:
-                return False
-            return conf.phase != Phase.DRAW
+            return inst.set_turn != conf.turn and conf.phase != Phase.DRAW
         if spec.is_spell:
             return own_turn and main
     return False
 
 
-_NON_CARDPLAY = {"endymion_counter_summon", "clara_link_summon", "svd_negate"}
-
-
-def _resolve_activation(
-    conf: Configuration, p: int, effect: str, source: Loc,
-    targets: tuple[Loc, ...], extras: tuple[int, ...],
-) -> Configuration:
-    cid = _effect_card(conf, p, effect, source)
+def _resolve_activation(conf: Configuration, p: int,
+                        link: Union[ActivateEffect, ChainLink]) -> Configuration:
+    """One activation of p's, a move or a chain link, resolved: its card
+    played, its effect resolved and a spent normal card sent on."""
+    source, targets, extras = link.source, link.targets, link.extras
+    cid = _effect_card(conf, p, source)
     spec = by_id(cid)
-    chk, res, _cand = EFFECTS[effect]
-    if effect in _NON_CARDPLAY:
-        # monster-effect activations move their own cards
-        return res(conf, p, source, targets, extras)
+    row = EFFECTS[link.effect]
+    if row.moves_own_card:
+        return row.resolve(conf, p, source, targets, extras)
     from_hand = source[1] == HAND
 
-    # costs and placement at activation; a spell activation adds a counter
-    # to a face-up Magical Citadel, in the copy of p that takes the card
-    # from p's hand when the citadel is p's
-    if effect == "soul_drain_gy_lock":
-        conf = _adjust_lp(conf, p, -1000)
+    # placement at activation; a spell activation adds a counter to a
+    # face-up Magical Citadel, in the copy of p that takes the card from
+    # p's hand when the citadel is p's
     more = {}
     cloc = _citadel_loc(conf) if spec.is_spell else None
     if cloc is not None:
@@ -1417,20 +1365,18 @@ def _resolve_activation(
         else:
             conf = _set_slot(conf, src, CardInstance(cid, face_up=True, face_since=conf.turn),
                              hand=_hand_without(conf.players[p], cid), **more)
-    elif effect == "desert_sunlight_flip_up":
-        # the spent trap reaches the graveyard before its flip triggers
-        return res(_to_gy(conf, source), p, source, targets, extras)
+    elif row.gy_first:
+        return row.resolve(_to_gy(conf, source), p, source, targets, extras)
     else:
         inst = conf.instance_at(source)
         if inst is not None and not inst.face_up:
             conf = _set_slot(conf, source, replace(inst, face_up=True, face_since=conf.turn))
-    conf = res(conf, p, src, targets, extras)
+    conf = row.resolve(conf, p, src, targets, extras)
 
     # normal/quick-play cards go to the graveyard after resolving
-    if spec.kind in (Kind.NORMAL_SPELL, Kind.QUICKPLAY_SPELL, Kind.NORMAL_TRAP):
-        if effect == "bait_doll_force":
-            pass  # shuffles itself into the deck instead
-        elif from_hand:
+    if not row.skips_gy and spec.kind in (Kind.NORMAL_SPELL, Kind.QUICKPLAY_SPELL,
+                                          Kind.NORMAL_TRAP):
+        if from_hand:
             conf = update_player(conf, p, gy=conf.players[p].gy + (cid,))
         else:
             inst = conf.instance_at(src)
@@ -1756,8 +1702,20 @@ def _chk_timely(conf: Configuration, move: ActivateEffect) -> None:
         raise IllegalMove("activation timing is wrong")
 
 
+def _chk_link(conf: Configuration, p: int, link: Union[ActivateEffect, ChainLink]) -> bool:
+    """The check of one activation, a move, a chain link or a forced trap,
+    which carries extras only if its effect reads them; whether the chain
+    is then judged by resolving it."""
+    row = EFFECTS[link.effect]
+    if link.extras and not row.reads_extras:
+        raise IllegalMove("this effect takes no extra choices")
+    row.check(conf, p, link.source, link.targets, link.extras)
+    return row.resolve_checks is not None and len(link.extras) >= row.resolve_checks
+
+
 def _chk_activate(conf: Configuration, move: ActivateEffect) -> Optional[Configuration]:
     p = move.player
+    resolved = False
     if move.chain:
         effects = frozenset({move.effect} | {l.effect for l in move.chain})
         if not any(effects <= pat for pat in _CHAIN_PATTERNS):
@@ -1765,8 +1723,8 @@ def _chk_activate(conf: Configuration, move: ActivateEffect) -> Optional[Configu
         for link in move.chain:
             if not _activation_timing_ok(conf, p, link.effect, link.source):
                 raise IllegalMove("chain link timing is wrong")
-            EFFECTS[link.effect][0](conf, p, link.source, link.targets, link.extras)
-    EFFECTS[move.effect][0](conf, p, move.source, move.targets, move.extras)
+            resolved |= _chk_link(conf, p, link)
+    resolved |= _chk_link(conf, p, move)
     # a continuous, equip or field spell from the hand stays on the field
     if move.source[1] == HAND:
         kind = by_id(move.source[2]).kind
@@ -1774,10 +1732,8 @@ def _chk_activate(conf: Configuration, move: ActivateEffect) -> Optional[Configu
             raise IllegalMove("no free spell/trap zone")
         if kind == Kind.FIELD_SPELL and conf.players[p].field_zone is not None:
             raise IllegalMove("field zone occupied")
-    if move.effect == "bait_doll_force" or (move.extras or move.chain) and any(
-            link.effect == "desert_sunlight_flip_up" and link.extras for link in (move, *move.chain)):
-        # a forced trap's check and the flip choices read the board as the
-        # chain resolves: they are checked by resolving it, and apply takes
+    if resolved:
+        # judged by resolving the chain (Effect.resolve_checks); apply takes
         # the result
         return _apply_activate(conf, move)
     return None
@@ -1787,14 +1743,18 @@ def _apply_activate(conf: Configuration, move: ActivateEffect) -> Configuration:
     conf2 = conf
     # the chain resolves last link first
     for a in (*reversed(move.chain), move):
-        conf2 = _resolve_activation(conf2, move.player, a.effect, a.source, a.targets, a.extras)
+        conf2 = _resolve_activation(conf2, move.player, a)
     if conf.priority != conf.active:
         conf2 = replace(conf2, priority=conf.active)
     return conf2
 
 
-# the effects each card lists that have an EFFECTS row
+# the effects each card lists that have an EFFECTS row, and of the cards
+# with effects also activated from the graveyard or the extra monster zone
 _ACTIVATABLE = {spec.id: tuple(e for e in spec.effects if e in EFFECTS) for spec in CARDS}
+_FROM_GY, _FROM_EXTRA = ({cid: tuple(e for e in effects if zone in EFFECTS[e].zones)
+                          for cid, effects in _ACTIVATABLE.items()
+                          if any(zone in EFFECTS[e].zones for e in effects)} for zone in (GY, EXTRA))
 
 
 def _set_card_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
@@ -1803,18 +1763,18 @@ def _set_card_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
 
 
 def _activation_sources(conf: Configuration, p: int) -> list[tuple[str, Loc]]:
-    """(effect, source) pairs: the hand, set cards, Endymion in the
-    graveyard, the extra deck and the dragon in the extra monster zone."""
+    """(effect, source) pairs: the hand, set cards, the graveyard, the extra
+    deck and the extra monster zone."""
     ps = conf.players[p]
     sources = [(effect, (p, HAND, cid))
                for cid in sorted(set(ps.hand)) for effect in _ACTIVATABLE.get(cid, ())]
     sources += _set_card_sources(conf, p)
-    sources += [("endymion_counter_summon", (p, GY, idx))
-                for idx, cid in enumerate(ps.gy) if cid == ENDYMION]
+    sources += [(effect, (p, GY, idx))
+                for idx, cid in enumerate(ps.gy) if cid in _FROM_GY for effect in _FROM_GY[cid]]
     sources += [(effect, (p, EXTRADECK, cid))
                 for cid in set(ps.extra_deck) for effect in _ACTIVATABLE[cid]]
-    if ps.extra_zone is not None and ps.extra_zone.card == SVD:
-        sources.append(("svd_negate", (p, EXTRA, 0)))
+    if ps.extra_zone is not None and ps.extra_zone.card in _FROM_EXTRA:
+        sources += [(effect, (p, EXTRA, 0)) for effect in _FROM_EXTRA[ps.extra_zone.card]]
     return sources
 
 
@@ -1825,7 +1785,7 @@ def _cand_activate(conf: Configuration, p: int,
     for effect, source in _activation_sources(conf, p) if sources is None else sources:
         if not _activation_timing_ok(conf, p, effect, source):
             continue
-        cand = EFFECTS[effect][2]
+        cand = EFFECTS[effect].candidates
         combos = cand(conf, p, source) if cand else [((), ())]
         for targets, extras in itertools.islice(combos, _COMBO_CAP):
             yield ActivateEffect(p, effect, source, tuple(targets), tuple(extras))
@@ -1862,9 +1822,7 @@ def _apply_attack(conf: Configuration, move: DeclareAttack) -> Configuration:
     if move.target == DIRECT:
         conf = _adjust_lp(conf, 1 - p, -atk)
         if att.card == YATA and atk > 0:
-            skip = list(conf.skip_draw)
-            skip[1 - p] = True
-            conf = replace(conf, skip_draw=tuple(skip))
+            conf = _skip_draw(conf, 1 - p)
         return conf
 
     tgt_loc = move.target
@@ -1885,9 +1843,7 @@ def _apply_attack(conf: Configuration, move: DeclareAttack) -> Configuration:
             if not mist:
                 conf = _leave_field(conf, tgt_loc, "gy")
             if att.card == YATA and atk - tval > 0:
-                skip = list(conf.skip_draw)
-                skip[1 - p] = True
-                conf = replace(conf, skip_draw=tuple(skip))
+                conf = _skip_draw(conf, 1 - p)
         elif atk < tval:
             conf = _adjust_lp(conf, p, -(tval - atk))
             conf = _leave_field(conf, att_loc, "gy")

@@ -11,6 +11,7 @@ from duelhalt.carddb import (
     lookup,
     parse_decklist,
 )
+from duelhalt.engine.rules import EFFECTS
 from duelhalt.errors import DeckParseError, IllegalDeck, UnknownCard
 
 
@@ -112,3 +113,21 @@ def test_filler_deck_is_proxy_only():
 def test_lookup_roundtrip_every_spec():
     for spec in CARDS:
         assert lookup(spec.name) is spec
+
+
+# the effects the engine implements outside EFFECTS: flip triggers, End
+# Phase events, the draw and summon locks and Flint Lock's retarget move
+_PASSIVE = {"endymion_recycle", "flintlock_retarget", "mod_recover_trap", "mof_recover_spell",
+            "morphing_jar_wipe", "protector_draw_lock", "vanity_no_special", "yata_draw_skip",
+            "yata_spirit_bounce"}
+
+
+def test_every_listed_effect_is_a_row_or_implemented_elsewhere():
+    # a misspelled effect name would leave its card inert, with no error
+    listed = {effect for spec in CARDS for effect in spec.effects}
+    assert listed - set(EFFECTS) == _PASSIVE
+
+
+def test_every_effect_row_is_listed_by_a_card():
+    listed = {effect for spec in CARDS for effect in spec.effects}
+    assert set(EFFECTS) <= listed

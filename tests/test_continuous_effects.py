@@ -192,7 +192,7 @@ def test_offerings_on_pole_boards_agree(board_b):
         if not inst.face_up:
             continue
         legal = not naive_pole_protected(conf, loc, inst)
-        check = rules.EFFECTS["offerings_destroy_skip"][0]
+        check = rules.EFFECTS["offerings_destroy_skip"].check
         if legal:
             check(conf, 0, None, (loc,), ())
             after = rules._res_offerings(conf, 0, None, (loc,), ())

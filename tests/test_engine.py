@@ -425,9 +425,8 @@ def test_folded_effect_rows_keep_their_messages(board_a, effect, targets, messag
     assert conf.players[0].gy
     down = CardInstance(lookup("Morphing Jar").id, face_up=False)
     conf = update_player(conf, 1, monsters=(down,) + conf.players[1].monsters[1:])
-    check, _resolve, _candidates = EFFECTS[effect]
     with pytest.raises(IllegalMove) as err:
-        check(conf, 0, (0, HAND, 0), targets, ())
+        EFFECTS[effect].check(conf, 0, (0, HAND, 0), targets, ())
     assert str(err.value) == message
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.engine import apply
+from duelhalt.engine import ActivateEffect, apply
 from duelhalt.engine.config import fast_replace
 from duelhalt.engine.rules import line_frame, transport, unframed
 from duelhalt.errors import IllegalMove
@@ -272,3 +272,14 @@ def test_the_turn_guard_refuses_a_start_before_turn_2(monkeypatch):
     tables = {k: list(v) for k, v in s._turns.items()}
     assert s.next_move(onto, None) is None
     assert s._turns == tables
+
+
+def test_the_stamp_guard_refuses_a_line_that_plays_creature_swap(board_b):
+    # the swapped monsters keep their stamps in their new slots, which the
+    # lemma does not cover; the move after it on the same turn is covered
+    i = next(i for i, m in enumerate(board_b.run.moves)
+             if isinstance(m, ActivateEffect) and m.effect == "creature_swap")
+    steps = list(board_b.run.steps(i))
+    assert steps[0][0].turn >= 2 and steps[0][0].active == steps[1][0].active == 0
+    assert line_frame(steps[:1]) is None and line_frame(steps[:2]) is None
+    assert line_frame(steps[1:2]) is not None
