@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from functools import cache, lru_cache
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ..carddb import (
     ATTRAFFIC, BAIT_DOLL, CARDS, CITADEL, CLARA, ENDYMION, FILLER, FLINT, FLINT_LOCK,
@@ -282,6 +282,12 @@ def spell_counters(conf: Configuration) -> int:
 # --- the frame, and moving a recorded line onto a new one -----------------
 
 _STAMPS = ("set_turn", "face_since", "summoned_turn")
+_PILES = ("deck", "hand", "gy")
+_LP_GUARD = 1000  # Soul Drain's payment, the highest LP any read of P2's compares with
+
+
+def _piles(ps: PlayerState) -> tuple:
+    return ps.deck, ps.hand, ps.gy
 
 
 def transport(confs: Iterable[Configuration], start: Configuration,
@@ -303,7 +309,8 @@ def transport(confs: Iterable[Configuration], start: Configuration,
     every other one is copied once per call, so T(start) = onto and a step
     costs a few ``fast_replace`` copies.  With numeric set the caller
     vouches that start and onto differ only in the counters and P2's LP,
-    as the cycle table's starts do, and only those are moved.
+    as the copies of a line that repeats itself do (``repeats``), and only
+    those are moved.
 
     Lemma (the frame rule of separation logic, Reynolds, LICS 2002): for a
     move m made at c while P1 is the turn player, apply(T(c), m) is
@@ -311,14 +318,14 @@ def transport(confs: Iterable[Configuration], start: Configuration,
     under the guard that each of the engine's reads of a frame field below
     names.  A read answers alike at c and T(c) under its guard; every other
     use of a frame field adds to it or copies it, which commutes with T.
-    - The counters: Endymion's 6-counter check and -6.  Guard: the
-      counters move by 0, or the line summons no Endymion.  A spell's +1
-      commutes.
+    - The counters: Endymion's 6-counter check and -6 (its row's
+      ``reads_counters``).  Guard: the counters move by 0, or the line
+      summons no Endymion.  A spell's +1 commutes.
     - P2's LP: the terminal tests' ``== 0`` (``_terminal``,
       ``is_winning_state``), ``_adjust_lp``'s clamp at 0 and, when P2
       pays it, Soul Drain's 1000 LP.  Guard: the LP moves by 0, or P2's LP
-      stays positive all along the line and its image and, where P2 pays
-      for Soul Drain, at least 1000.  Gains and damage commute.
+      stays at ``_LP_GUARD`` (1000) or more all along the line and its
+      image.  Gains and damage commute.
     - The turn: ``turn == 0`` (the opening windows, ``_apply_draw``,
       ``_apply_pass``, ``_advance_phase``), ``turn == 1`` and ``!= 1``
       (``_start_turn``'s first draw, the turn-1 attack ban), ``turn >= 1``
@@ -348,15 +355,13 @@ def transport(confs: Iterable[Configuration], start: Configuration,
       opening windows read both hands (turn >= 2), the hand limit and
       deck-out read the turn player's, P1's, and so does every other read.
     Outside any move, ``is_initial`` reads the turn and both LP totals.
-    ``unframed`` takes this frame out of a start, and ``line_frame`` reads
-    a recorded line's guards.
+    ``unframed`` takes this frame out of a start, ``line_frame`` reads a
+    recorded line's guards, and ``LineTable`` checks them all.
     """
     since, dt = start.turn, onto.turn - start.turn
     was, now = start.players, onto.players
     dl = now[1].lp - was[1].lp
-    cit = was[0].field_zone
-    dc = (now[0].field_zone.counters - cit.counters
-          if cit is not None and cit.card == CITADEL and cit.face_up else 0)
+    dc = spell_counters(onto) - spell_counters(start)
     memo: dict[int, object] = {id(was[p]): now[p] for p in (0, 1)}
     if numeric:
         out = []
@@ -422,66 +427,131 @@ def transport(confs: Iterable[Configuration], start: Configuration,
             for c in confs]
 
 
-_PILES = ("deck", "hand", "gy")
-
-
-def _piles(ps: PlayerState) -> tuple:
-    return ps.deck, ps.hand, ps.gy
-
-
 def unframed(conf: Configuration) -> Configuration:
-    """conf with the frame of ``transport`` taken out, but for the counters:
-    of the turn only its parity, each stamp at or after the turn as its
+    """conf with the frame of ``transport`` taken out: the counters 0, of
+    the turn only its parity, each stamp at or after the turn as its
     distance from it and each past one as -2, P2's LP 0, and of P2's piles
     only whether the deck and the hand are empty.  Starts with equal images
     differ only in the frame, by an even number of turns."""
     turn = conf.turn
 
-    def card(inst):
-        if inst is None:
-            return None
-        changes = {}
-        for f in _STAMPS:
-            v = getattr(inst, f)
-            w = v - turn if v >= turn else -2 if v >= 0 else v
-            if w != v:
-                changes[f] = w
-        return replace(inst, **changes) if changes else inst
-
-    def player(ps):
-        return replace(ps, monsters=tuple(map(card, ps.monsters)),
-                       spelltraps=tuple(map(card, ps.spelltraps)),
-                       extra_zone=card(ps.extra_zone), field_zone=card(ps.field_zone))
+    def player(ps, p):
+        return replace(ps, monsters=tuple(_unframed_card(m, turn) for m in ps.monsters),
+                       spelltraps=tuple(_unframed_card(st, turn) for st in ps.spelltraps),
+                       extra_zone=_unframed_card(ps.extra_zone, turn),
+                       field_zone=_unframed_card(ps.field_zone, turn, not p))
 
     p1, p2 = conf.players
-    p2 = replace(player(p2), lp=0, deck=(FILLER,) if p2.deck else (),
+    p2 = replace(player(p2, 1), lp=0, deck=(FILLER,) if p2.deck else (),
                  hand=(FILLER,) if p2.hand else (), gy=())
-    return replace(conf, turn=turn % 2, players=(player(p1), p2))
+    return replace(conf, turn=turn % 2, players=(player(p1, 0), p2))
+
+
+@lru_cache(maxsize=1024)  # cards recur from one start looked up to the next
+def _unframed_card(inst: Optional[CardInstance], turn: int, counted: bool = False):
+    """A card of ``unframed``'s at the turn; counted: its counters are the
+    frame's when it is a face-up Magical Citadel."""
+    if inst is None:
+        return None
+    changes = {}
+    for f in _STAMPS:
+        v = getattr(inst, f)
+        w = v - turn if v >= turn else -2 if v >= 0 else v
+        if w != v:
+            changes[f] = w
+    if counted and inst.counters and inst.card == CITADEL and inst.face_up:
+        changes["counters"] = 0
+    return replace(inst, **changes) if changes else inst
 
 
 def line_frame(steps: Sequence[tuple[Configuration, Move, Configuration]]
-               ) -> Optional[tuple[int, bool]]:
+               ) -> Optional[tuple[int, bool, bool]]:
     """What a recorded line asks of the frame it is moved onto, read from
     its (before, move, after) steps: None when ``transport``'s lemma does
     not cover it (a start before turn 2, a move made while P2 is the turn
-    player, a Creature Swap), else P2's lowest LP along it and whether its
-    piles may move: the line leaves them as they are, meets no set card
-    of P2's and activates nothing from P2's graveyard."""
+    player, a Creature Swap), else P2's lowest LP along it, whether its
+    piles may move (the line leaves them as they are, meets no set card
+    of P2's and activates nothing from P2's graveyard) and whether it
+    reads the counters against a threshold (summons Endymion)."""
     if not steps or steps[0][0].turn < 2:
         return None
     piles = _piles(steps[0][0].players[1])
-    low, free = steps[0][0].players[1].lp, True
+    low, free, counts = steps[0][0].players[1].lp, True, False
     for conf, move, nxt in steps:
         if conf.active != 0:
             return None
         links = (move, *move.chain) if isinstance(move, ActivateEffect) else ()
-        if any(EFFECTS[a.effect].moves_stamps for a in links):
+        rows = [EFFECTS[a.effect] for a in links]
+        if any(row.moves_stamps for row in rows):
             return None
+        counts = counts or any(row.reads_counters for row in rows)
         low = min(low, nxt.players[1].lp)
         free = free and _piles(nxt.players[1]) == piles and not any(
             a.source[:2] == (1, GY) for a in links) and not any(
             st is not None and not st.face_up for st in conf.players[1].spelltraps)
-    return low, free
+    return low, free, counts
+
+
+def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
+    """The guards an ``unframed`` key leaves open, for a line from was: P2's
+    LP moves by 0 or stays at _LP_GUARD or more along the line and its
+    image, and P2's piles and the counters move only where frame lets them."""
+    low, piles, counts = frame
+    dl = onto.players[1].lp - was.players[1].lp
+    return ((not dl or min(low, low + dl) >= _LP_GUARD)
+            and (piles or _piles(onto.players[1]) == _piles(was.players[1]))
+            and not (counts and spell_counters(onto) != spell_counters(was)))
+
+
+class LineTable:
+    """Recorded lines under their ``unframed`` start and a tag, which holds
+    what the line's maker reads that the key does not; each is moved by
+    ``transport`` onto a later start with its key where the guards hold."""
+
+    def __init__(self):
+        # (start's key, tag) -> [(start, its (move, configuration) steps, line_frame's)]
+        self.recorded: dict[tuple[Configuration, Hashable], list[tuple]] = {}
+        self._missed: dict[Hashable, tuple] = {}  # per tag, the start a lookup missed, keyed
+
+    def moved(self, conf: Configuration, tag: Hashable
+              ) -> Optional[tuple[tuple[Move, Configuration], ...]]:
+        """The first line under conf's key and tag that may move onto conf
+        (at turn 2 or later, and ``_guards_hold``), moved there as (move,
+        configuration) steps; None when there is none."""
+        if conf.turn < 2:
+            return None
+        key = (unframed(conf), tag)
+        for start, steps, frame in self.recorded.get(key, ()):
+            if _guards_hold(start, frame, conf):
+                confs = transport((nxt for _m, nxt in steps), start, conf)
+                return tuple(zip((mv for mv, _n in steps), confs))
+        self._missed[tag] = conf, key
+        return None
+
+    def record(self, tag: Hashable,
+               steps: Sequence[tuple[Configuration, Move, Configuration]]) -> None:
+        """Record the line of (before, move, after) steps under its start
+        and tag, unless the lemma does not cover it."""
+        missed, key = self._missed.pop(tag, (None, None))
+        frame = line_frame(steps)
+        if frame is not None:
+            start = steps[0][0]
+            key = key if missed is start else (unframed(start), tag)
+            self.recorded.setdefault(key, []).append(
+                (start, tuple((mv, nxt) for _c, mv, nxt in steps), frame))
+
+
+def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:
+    """Whether the line of (before, move, after) steps ends at its own
+    start with only the counters and P2's LP moved, by gains of 0 or more,
+    under the guards: then ``transport(..., numeric=True)`` moves it onto
+    its end, and each copy onto the end of the one before."""
+    start, end = steps[0][0], steps[-1][2]
+    if (end.players[1].lp < start.players[1].lp or spell_counters(end) < spell_counters(start)
+            or transport((start,), start, end, numeric=True)[0] != end):
+        return False
+    frame = line_frame(steps)
+    return frame is not None and _guards_hold(start, frame, end)
 
 
 def _trap_ready(conf: Configuration, p: int, inst: CardInstance) -> bool:
@@ -683,6 +753,7 @@ class Effect(NamedTuple):
     resolve_checks: Optional[int] = None
     zones: tuple[int, ...] = ()  # activated from these too: GY, EXTRA (the extra monster zone)
     moves_stamps: bool = False  # a card moves with its stamps to another slot
+    reads_counters: bool = False  # checks the counters against a threshold
 
 
 def _first_free(zones: tuple[Optional[CardInstance], ...]) -> Optional[int]:
@@ -1188,7 +1259,8 @@ def _res_clara_link(conf, p, source, targets, extras):
 
 _chk_svd_target, _cand_svd_negate = _one_target(
     "negate 1 opponent monster", "target must be an opponent face-up monster",
-    lambda p, loc, inst: loc[0] == 1 - p and inst.face_up, scan=Configuration.iter_monsters)
+    lambda p, loc, inst: loc[0] == 1 - p and _face_up_monster(p, loc, inst),
+    scan=Configuration.iter_monsters)
 
 
 def _chk_svd_negate(conf, p, source, targets, extras):
@@ -1248,7 +1320,7 @@ EFFECTS: dict[str, Effect] = {
     "reverse_reuse": _gy_monster_to_opp(face_up=False),
     "endymion_counter_summon": Effect(_chk_endymion_summon, _res_endymion_summon, _cand_endymion,
                                       reads_extras=True, main_only=True, moves_own_card=True,
-                                      zones=(GY,)),
+                                      zones=(GY,), reads_counters=True),
     "clara_link_summon": Effect(_chk_clara_link, _res_clara_link, main_only=True,
                                 moves_own_card=True),
     "svd_negate": Effect(_chk_svd_negate, _res_svd_negate, _cand_svd_negate, main_only=True,
@@ -1308,8 +1380,9 @@ def _activation_timing_ok(conf: Configuration, p: int, effect: str, source: Loc)
         return False
     main = conf.phase in (Phase.MAIN1, Phase.MAIN2)
     own_turn = conf.active == p
-    if EFFECTS[effect].main_only:
-        return own_turn and main
+    row = EFFECTS[effect]
+    if row.main_only:
+        return own_turn and main and (source[1] not in (GY, EXTRA) or source[1] in row.zones)
     if source[1] == HAND:
         if spec.kind == Kind.QUICKPLAY_SPELL:
             return own_turn and conf.phase != Phase.DRAW

@@ -10,9 +10,9 @@ All scripts speak from Player 1's side; the opponent's forced plays
 Player 2, tagged only by their position in the line.
 
 ``play_cycles`` links an increment cycle as a recorded applied cycle
-moved by the engine's ``transport`` when the line's cycle table holds one
-whose start shifts onto this cycle's start, and otherwise applies the
-cycle and records it.  The table belongs to whoever makes the line: a
+moved by the engine's ``transport`` when the line's ``rules.LineTable``
+may move one onto this cycle's start, and otherwise applies the cycle and
+records it there.  The table belongs to whoever makes the line: a
 strategy passes its own to the lines it plans, and any other line gets a
 fresh one.  ``transport``'s docstring states and argues the lemma this
 rests on (``tests/test_scripts.py`` checks it by property and against the
@@ -55,13 +55,15 @@ from .engine import (
     apply,
     initial_configuration,
 )
-from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE, fast_replace
+from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
 from .engine.moves import ChainLink
 from .engine.rules import (
+    LineTable,
     _link,
     flip_choice_extras,
     identity_order,
     make_bait_doll_move,
+    repeats,
     spell_counters,
     transport,
 )
@@ -77,11 +79,11 @@ class Line:
     """A cursor over a run from a start configuration, or at the end of a
     run it extends: each move is validated by the engine and links one
     node onto the run.  The increment cycles it plays are looked up in, and
-    recorded into, the cycle table it is given (a fresh one by default)."""
+    recorded into, the line table it is given (a fresh one by default)."""
 
-    def __init__(self, start: Union[Configuration, Run], cycles: Optional[CycleTable] = None):
+    def __init__(self, start: Union[Configuration, Run], lines: Optional[LineTable] = None):
         self.run = start if isinstance(start, Run) else Run((start,), ())
-        self.cycles = {} if cycles is None else cycles
+        self.lines = LineTable() if lines is None else lines
 
     @property
     def conf(self) -> Configuration:
@@ -590,77 +592,40 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
     return a, b
 
 
-def _gauge(conf: Configuration) -> Optional[tuple[int, int]]:
-    """The numeric frame of ``transport``: the counters on Player 1's
-    face-up Magical Citadel and the opponent's LP; None without that
-    Citadel."""
-    fz = conf.players[0].field_zone
-    if fz is None or fz.card != CITADEL or not fz.face_up:
-        return None
-    return fz.counters, conf.players[1].lp
-
-
-def _ungauged(conf: Configuration) -> Configuration:
-    """conf, which has a gauge, with both its values read as 0."""
-    p1, p2 = conf.players
-    p1 = fast_replace(p1, field_zone=fast_replace(p1.field_zone, counters=0))
-    return fast_replace(conf, players=(p1, fast_replace(p2, lp=0)))
-
-
-# recorded increment cycles, each as (c0, m1, c1, ..., m4, c4) with its gains
-# (g, h) >= 0 when it ends at its own start shifted by them (else None),
-# under its start c0 with the counters and the opponent's LP taken out
-CycleTable = dict[Configuration, tuple[tuple, Optional[tuple[int, int]]]]
+# the tag increment cycles are recorded under: increment_cycle_moves reads
+# nothing the key of a line table takes out
+CYCLE = "increment cycle"
 
 
 def play_cycles(line: Line, a: int, b: int) -> None:
     """Play a increment cycles and then b decrement cycles onto the line.
 
-    Each increment cycle's start is looked up in the line's cycle table,
-    keyed by the start with its counters and the opponent's LP taken out.
-    When a recorded cycle's start shifts by some (x, y) >= 0 (counters,
-    LP) onto this one, the cycle is linked as the recorded steps moved by
-    ``transport`` onto this start, with the same four moves: by its lemma,
-    that is what applying them gives.  Otherwise the cycle goes through
+    An increment cycle is the recorded cycle that the line's table may move
+    onto its start, moved there with the same four moves (by
+    ``transport``'s lemma, what applying them gives), or else goes through
     ``increment_cycle_moves``, so through the engine, and is recorded.  A
-    recorded cycle that ends at its own start shifted by its gains
-    repeats itself: once such a cycle is hit, the rest of the batch is
-    linked as its steps moved onto the end of the copy before, with no
-    more lookups.
+    cycle that repeats itself (``rules.repeats``) links the rest of the
+    batch as its steps moved onto the end of the copy before, with no more
+    lookups.
     """
-    left = a
-    while left:
-        conf = line.conf
-        gauge = _gauge(conf)
-        key = None if gauge is None else _ungauged(conf)
-        entry = None if key is None else line.cycles.get(key)
-        if entry is not None:
-            cycle, gains = entry
-            if min(now - was for now, was in zip(gauge, _gauge(cycle[0]))) < 0:
-                entry = None
-        if entry is None:
-            start = len(line.run)
+    for left in range(a, 0, -1):
+        start = len(line.run)
+        moved = line.lines.moved(line.conf, CYCLE)
+        if moved is None:
             increment_cycle_moves(line)
-            left -= 1
-            cycle = (conf,)
-            for _c, move, nxt in line.run.steps(start):
-                cycle += (move, nxt)
-            # the lemma needs the opponent's LP positive before each move
-            if key is not None and all(c.players[1].lp > 0 for c in cycle[:-1:2]):
-                end = _gauge(cycle[-1])
-                gains = None if end is None else (end[0] - gauge[0], end[1] - gauge[1])
-                if gains is not None and (min(gains) < 0 or _ungauged(cycle[-1]) != key):
-                    gains = None
-                line.cycles[key] = cycle, gains
-            continue
-        times = left if gains is not None else 1
-        run = line.run
-        for _ in range(times):
-            moved = transport(cycle[2::2], cycle[0], run.last(), numeric=True)
-            for move, nxt in zip(cycle[1::2], moved):
-                run = _link(run, nxt, move)
-        line.run = run
-        left -= times
+        else:
+            for move, nxt in moved:
+                line.run = _link(line.run, nxt, move)
+        cycle = list(line.run.steps(start))
+        if moved is None:
+            line.lines.record(CYCLE, cycle)
+        if left > 1 and repeats(cycle):
+            moves, confs = [m for _c, m, _n in cycle], [n for _c, _m, n in cycle]
+            for _ in range(left - 1):
+                for move, nxt in zip(moves, transport(confs, cycle[0][0], line.conf,
+                                                      numeric=True)):
+                    line.run = _link(line.run, nxt, move)
+            break
     for _ in range(b):
         _require_loop_ready(line.conf, need_counters=6)
         p1 = line.conf.players[0]

@@ -13,24 +13,22 @@ undefined, matching the localization picture.
 next configuration) pair, cached once under (configuration, mode).  Each
 configuration is the one the planned line reached: the one `apply`
 produced when the plan was simulated, or one moved by `rules.transport`
-from a recorded line that `apply` made.  Two tables hold recorded lines:
-the increment cycles the strategy's planned lines played, linked by a
-shift of the counters and the opponent's LP, and the turns it planned,
-moved onto a later start that differs only in the frame (the opponent's
-LP, deck, hand and graveyard, the turn and the stamps at or after it).
-The lemma stated on `transport` equates a moved line with what `apply`
-gives under guards read off the two starts and the recorded line.  A
-turn's planner reads the frame only through the engine (the legality
-of its moves and the terminal tests; the cycle table reads the LP too,
-but only to choose between linking a cycle and applying it), so the turn
-it plans from a moved start is the moved turn; the counters, our own
-side and the heard state stay in the table's key.  Configurations
-compare by value, so a turn cached at an equal start still equals what
-`apply` gives, and a configuration inside a cached turn is answered with
-the turn planned from it, whatever else the cache holds.  Both players'
-turns are planned lines: ours by the strategy, the opponent's canonical
-turns by `_p2_turns`.  `_drive` and the explorer extend the run with the
-planned configurations and choose or apply no move of their own, so each
+from a recorded line that `apply` made.  The strategy's `rules.LineTable`
+holds the turns it planned and the increment cycles they played, and
+moves them onto later starts that differ only in the frame (the counters,
+the opponent's LP, deck, hand and graveyard, the turn and the stamps at
+or after it) under the guards of the lemma stated on `transport`.  A
+turn's planner reads the frame only through the engine (the legality of
+its moves and the terminal tests; its cycle lookups read the LP only to
+choose between moving a cycle and applying it) and through the counters,
+so a turn is recorded under the tag (mode, counters) and the turn it
+plans from a moved start is the moved turn.  Configurations compare by
+value, so a turn cached at an equal start still equals what `apply`
+gives, and a configuration inside a cached turn is answered with the turn
+planned from it, whatever else the cache holds.  Both players' turns are
+planned lines: ours by the strategy, the opponent's canonical turns by
+`_p2_turns`.  `_drive` and the explorer extend the run with the planned
+configurations and choose or apply no move of their own, so each
 transition is applied at most once, by the line that plans it.
 
 The winning checker and the strategy trees share one explorer of the
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .carddb import CLARA, FLINT, FLINT_LOCK, RAIGEKI, YATA
 from .coding import pair, unpair, untriple
@@ -73,9 +71,8 @@ from .engine import (
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.rules import line_frame, spell_counters, transport, unframed
+from .engine.rules import LineTable, spell_counters
 from .scripts import (
-    CycleTable,
     Line,
     _end_turn,
     _negate_protector_if_needed,
@@ -133,19 +130,6 @@ OFF = "off"
 BROKEN = "broken"
 
 
-class _Turn(NamedTuple):
-    """A planned turn as the turn table records it."""
-    start: Configuration
-    steps: tuple[Step, ...]  # the turn, as next_move answers it
-    low: int  # the opponent's lowest LP along it
-    piles: bool  # whether the opponent's piles may move under it
-
-
-# the opponent's LP at which no read of it in a turn can tell a transported
-# turn from the planned one: Soul Drain's payment
-_LP_GUARD = 1000
-
-
 class Strategy:
     """Deterministic turn planner: the turn it plays from a configuration
     depends only on that configuration and the heard state."""
@@ -154,10 +138,8 @@ class Strategy:
         self.descriptor = descriptor
         # each answer, under the configuration it was asked at
         self._plan: dict[tuple[Configuration, Hashable], Optional[tuple[Step, ...]]] = {}
-        # the increment cycles its planned lines played, for the lines after
-        self._cycles: CycleTable = {}
-        # the turns it planned, under their start with the frame taken out
-        self._turns: dict[tuple[Configuration, Hashable], list[_Turn]] = {}
+        # the turns it planned and the increment cycles they played
+        self.lines = LineTable()
 
     def observe(self, run: Run) -> Hashable:
         """The heard state at the end of the run, from one walk of it."""
@@ -175,41 +157,20 @@ class Strategy:
         configuration it leads to) pair; None where the strategy is
         undefined.  The opponent's passes inside our turn are among them.
 
-        A turn from a start that differs from a recorded turn's only in the
-        frame, and passes the guards of ``rules.transport``'s lemma, is the
-        recorded turn moved onto it; any other turn is planned and
-        recorded.  Either answer is cached under (conf, mode)."""
+        The table's recorded turn moved onto conf, when it has one under
+        the tag (mode, counters), is the answer; any other turn is planned
+        and recorded.  Either answer is cached under (conf, mode)."""
         mode = self._reads(state)
         if (conf, mode) not in self._plan:
-            key = (unframed(conf), mode) if conf.turn >= 2 else None
-            steps = self._transported(conf, key)
+            tag = (mode, spell_counters(conf))
+            steps = self.lines.moved(conf, tag)
             if steps is None:
                 line = self._plan_turn(conf, mode)
                 made = [] if line is None else list(line.run.steps())
                 steps = tuple((mv, nxt) for _c, mv, nxt in made)
-                frame = line_frame(made)  # None when empty or from before turn 2, as key
-                if frame is not None:
-                    self._turns.setdefault(key, []).append(_Turn(conf, steps, *frame))
+                self.lines.record(tag, made)
             self._plan[conf, mode] = steps or None
         return self._plan[conf, mode]
-
-    def _transported(self, conf: Configuration, key) -> Optional[tuple[Step, ...]]:
-        """The steps of the first recorded turn under key that the guards
-        let move onto conf, moved there; None when there is none.  The
-        guards: the opponent's LP moves by 0 or stays at _LP_GUARD or more
-        along both turns, and a turn whose piles may not move goes only
-        onto equal piles (the key holds the rest)."""
-        p2 = conf.players[1]
-        for turn in self._turns.get(key, ()):
-            was = turn.start.players[1]
-            dl = p2.lp - was.lp
-            if dl and min(turn.low, turn.low + dl) < _LP_GUARD:
-                continue
-            if not turn.piles and (p2.deck, p2.hand, p2.gy) != (was.deck, was.hand, was.gy):
-                continue
-            confs = transport((nxt for _m, nxt in turn.steps), turn.start, conf)
-            return tuple(zip((mv for mv, _n in turn.steps), confs))
-        return None
 
     def _reads(self, state: Hashable) -> Hashable:
         """What the planner reads from the state; plans are cached on it."""
@@ -281,7 +242,7 @@ class TMStrategy(Strategy):
         self.machine = m
 
     def _plan_turn(self, conf, mode):
-        return _planned(Line(conf, self._cycles), _own_turn, self._play_turn)
+        return _planned(Line(conf, self.lines), _own_turn, self._play_turn)
 
     def _play_turn(self, line: Line) -> None:
         mconf = tmmod.decode_tmconf(spell_counters(line.conf))
@@ -352,7 +313,7 @@ class _ChannelStrategy(Strategy):
     def _plan_turn(self, conf, mode):
         if mode == OFF:
             return None
-        return _planned(Line(conf, self._cycles), _own_turn, self._play_turn, mode)
+        return _planned(Line(conf, self.lines), _own_turn, self._play_turn, mode)
 
     def _play_turn(self, line: Line, mode: str) -> None:
         _negate_protector_if_needed(line)

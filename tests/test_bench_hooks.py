@@ -60,11 +60,11 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     #   every next_move answer but the root's check (a WIN follows each
     #   turn to its end);
     # - the planned lines: each planned step is applied once, except the
-    #   increment cycles linked from the cycle table as shifts of a recorded
-    #   cycle (every planned cycle the traced cycle planner did not play);
+    #   increment cycles linked as a recorded cycle moved by rules.transport
+    #   (every planned cycle the traced cycle planner did not play);
     # - the moved turns: a recorded turn moved onto a later start by
     #   rules.transport is linked, not applied, so its steps are counted
-    #   where the strategy moves it;
+    #   where the line table moves it under a turn's tag;
     # - the opponent's transitions: the distinct run nodes of every turn the
     #   shared walk yields, since turns share their prefixes and each node is
     #   made by one apply and one Run.extend.
@@ -72,6 +72,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     from tracer import Tracer
 
     from duelhalt import reductions, scripts
+    from duelhalt.engine.rules import LineTable
 
     cases = [(reductions.reduce_halting(tm.CURATED["identity"]), strategy.Budget(200, 4)),
              (reductions.reduce_nis(tm.CURATED["successor"]),
@@ -80,7 +81,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         s = out.strategy
         planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
         plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
-        transported, answer = strategy.Strategy._transported, strategy.Strategy.next_move
+        transported, answer = LineTable.moved, strategy.Strategy.next_move
         planned, turns, moved, answers = [], [], [], []
 
         def counted_plan(self, conf, mode):
@@ -95,9 +96,9 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
                     turns.append((run, played[0]))
                 yield choice, played
 
-        def counted_moves(self, conf, key):
-            steps = transported(self, conf, key)
-            if steps is not None:
+        def counted_moves(self, conf, tag):
+            steps = transported(self, conf, tag)
+            if steps is not None and tag != scripts.CYCLE:
                 moved.append([mv for mv, _n in steps])
             return steps
 
@@ -107,7 +108,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
             return turn
 
         monkeypatch.setattr(planner, "_plan_turn", counted_plan)
-        monkeypatch.setattr(strategy.Strategy, "_transported", counted_moves)
+        monkeypatch.setattr(LineTable, "moved", counted_moves)
         monkeypatch.setattr(strategy.Strategy, "next_move", counted_answers)
         monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
         tracer = Tracer(scopes=layers.SCOPES)

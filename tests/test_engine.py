@@ -320,7 +320,38 @@ def test_replay_trace_rejects_an_out_of_range_locator(board_b):
         replay_trace([json.dumps(rec)], last.configs[0])
 
 
-@pytest.mark.parametrize("bad", ['{}', '[1]', '{"move": "x"}', 'nul', '{"move": -1}',
+def test_the_dragons_negate_targets_only_monsters(board_b):
+    # at the set-up's negation, aimed at each of the opponent's five face-up
+    # spells and traps instead of their Protector
+    conf, move = board_b.run.configs[-2], board_b.run.moves[-1]
+    assert move.effect == "svd_negate"
+    targets = [(1, SZONE, i) for i, st in enumerate(conf.players[1].spelltraps)
+               if st is not None and st.face_up]
+    assert len(targets) == 5
+    for loc in targets:
+        bent = dataclasses.replace(move, targets=(loc,))
+        with pytest.raises(IllegalMove, match="opponent face-up monster"):
+            apply(conf, bent)
+
+
+def test_polymerization_does_not_activate_from_the_graveyard(board_b):
+    # the set-up's Polymerization, with the card moved from the hand to the
+    # graveyard first
+    poly = lookup("Polymerization").id
+    i = next(i for i, m in enumerate(board_b.run.moves)
+             if isinstance(m, ActivateEffect) and m.effect == "polymerization_fuse")
+    conf, move = board_b.run.configs[i], board_b.run.moves[i]
+    assert apply(conf, move)
+    ps = conf.players[0]
+    hand = list(ps.hand)
+    hand.remove(poly)
+    conf = update_player(conf, 0, hand=tuple(hand), gy=ps.gy + (poly,))
+    bent = dataclasses.replace(move, source=(0, GY, len(ps.gy)))
+    with pytest.raises(IllegalMove, match="activation timing"):
+        apply(conf, bent)
+
+
+@pytest.mark.parametrize("bad",['{}', '[1]', '{"move": "x"}', 'nul', '{"move": -1}',
                                  'non-hex config'])
 def test_replay_trace_names_the_malformed_line(board_a, bad):
     first = Run(board_a.run.configs[:2], board_a.run.moves[:1])

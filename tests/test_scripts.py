@@ -7,7 +7,7 @@ from duelhalt.carddb import lookup
 from duelhalt.engine import ActivateEffect, Phase, apply, validate_run
 from duelhalt.engine.config import GY
 from duelhalt.engine.config import fast_replace, update_player
-from duelhalt.engine.rules import is_legal, spell_counters, transport
+from duelhalt.engine.rules import LineTable, is_legal, spell_counters, transport
 from duelhalt.errors import IllegalMove, InsufficientCounters, NotLoopReady, ZeroTarget
 from duelhalt import scripts
 from duelhalt.reductions import (
@@ -378,11 +378,12 @@ def test_planned_steps_are_applied_steps():
             assert apply(conf, move) == nxt, name
 
 
-@pytest.mark.parametrize("name", ["nis-successor", "wo-omega-reverse"])
+@pytest.mark.parametrize("name", ["halting-identity", "nis-successor", "wo-omega-reverse"])
 def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
     # every increment cycle of a cached turn, linked from the table or not,
     # has the moves increment_cycle_moves picks at its start and the
-    # configurations they lead to
+    # configurations they lead to; the halting check's are mostly linked
+    # from cycles recorded on earlier turns
     reduce, budget, _kind = _EXPLORED[name]
     out = reduce()
     played = []
@@ -408,23 +409,35 @@ def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
         assert cycles[key] == [(m, n) for _c, m, n in line.run.steps()]
 
 
-def test_the_cycle_table_links_only_upward_shifts(board_b, monkeypatch):
-    # a recorded cycle is linked from a start it shifts onto by (x, y) >= 0
-    # (counters, opponent LP); from a start below it in either, the cycle
-    # goes through the engine, and either way the line is the applied one
+def _copy(table):
+    """A line table that holds what table holds, and records apart from it."""
+    out = LineTable()
+    out.recorded = {key: list(lines) for key, lines in table.recorded.items()}
+    return out
+
+
+def test_the_line_table_links_cycles_the_guards_allow(board_b, monkeypatch):
+    # a recorded cycle is linked from a start it moves onto by any counter
+    # shift, as it summons no Endymion, and by an LP shift that keeps the
+    # opponent's lowest LP along it at 1000 or more; from a start where
+    # their LP falls below, the cycle goes through the engine, and either
+    # way the line is the applied one
     start = turn_tick(board_b.final).final
-    table = {}
+    table = LineTable()
     play_cycles(Line(start, table), 1, 0)
-    assert len(table) == 1
+    assert len(table.recorded) == 1
+    low = start.players[1].lp
+    assert low > 1000
     played = []
     engine_cycle = scripts.increment_cycle_moves
     monkeypatch.setattr(scripts, "increment_cycle_moves",
                         lambda line: (played.append(line.conf), engine_cycle(line)))
     for dc, dl, linked in [(0, 0, True), (3, 0, True), (0, 1000, True), (30, 7000, True),
-                           (-1, 0, False), (0, -1000, False), (-1, 1000, False),
-                           (3, -1000, False)]:
+                           (-1, 0, True), (-1, 1000, True), (0, -1000, True),
+                           (3, 1000 - low, True), (0, 999 - low, False),
+                           (-1, 999 - low, False)]:
         shifted = _shifted(start, dc, dl)
-        line = Line(shifted, dict(table))
+        line = Line(shifted, _copy(table))
         played.clear()
         play_cycles(line, 1, 0)
         assert played == ([] if linked else [shifted]), (dc, dl)

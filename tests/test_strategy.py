@@ -7,7 +7,7 @@ from duelhalt.carddb import FLINT, FLINT_LOCK
 from duelhalt.coding import pair, triple
 from duelhalt.engine import ActivateEffect, Pass, Phase, Run, apply, validate_run
 from duelhalt.engine.config import MZONE, update_player
-from duelhalt.engine.rules import spell_counters
+from duelhalt.engine.rules import LineTable, spell_counters
 from duelhalt.errors import ScriptBroken, StrategyUndefinedAtRoot
 from duelhalt.reductions import (
     reduce_halting,
@@ -262,21 +262,21 @@ def test_verdicts_do_not_depend_on_what_the_plan_cache_holds():
     (lambda: reduce_wo(reverse_omega()), Budget(16, 3)),
 ], ids=["halting-identity", "nis-successor", "wo-reverse-omega"])
 def test_a_warm_strategy_checks_as_a_fresh_one(reduce, budget, monkeypatch):
-    # the second check runs on the turns and the cycle table the first one
-    # left, every answer a cached turn, and answers with the fresh
+    # the second check runs on the cached turns and the line table the
+    # first one left, every answer a cached turn, and answers with the fresh
     # strategy's verdict and witness
     fresh = reduce()
     want = check_winning(fresh.run, fresh.strategy, budget)
     out = reduce()
     first = check_winning(out.run, out.strategy, budget)
-    assert out.strategy._plan and out.strategy._cycles
+    assert out.strategy._plan and out.strategy.lines.recorded
 
     def refuse(self, *args):
         raise AssertionError("a warm check made a turn of its own")
 
     planner = next(c for c in type(out.strategy).__mro__ if "_plan_turn" in vars(c))
     monkeypatch.setattr(planner, "_plan_turn", refuse)
-    monkeypatch.setattr(strategy.Strategy, "_transported", refuse)
+    monkeypatch.setattr(LineTable, "moved", refuse)
     assert first == want and check_winning(out.run, out.strategy, budget) == want
 
 

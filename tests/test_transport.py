@@ -1,16 +1,19 @@
-"""Transported turns: a strategy's recorded turn, moved by ``rules.transport``
-onto a start that differs from its own only in the frame, is the turn the
-strategy plans from there; and each guard of the lemma refuses what it must."""
+"""Moved lines: a strategy's recorded turn, moved by ``rules.transport`` onto
+a start that differs from its own only in the frame, is the turn the
+strategy plans from there; the recorded lines, turns and increment cycles,
+moved onto random frames are what ``apply`` gives; and each guard of the
+lemma, as ``rules.LineTable`` checks it, refuses what it must."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.engine import ActivateEffect, apply
+from duelhalt.engine import ActivateEffect, Configuration, apply, rules
 from duelhalt.engine.config import fast_replace
-from duelhalt.engine.rules import line_frame, transport, unframed
+from duelhalt.engine.rules import LineTable, line_frame, spell_counters, transport, unframed
 from duelhalt.errors import IllegalMove
 from duelhalt.reductions import (
     reduce_halting,
@@ -20,6 +23,7 @@ from duelhalt.reductions import (
     standard_finite,
     standard_omega,
 )
+from duelhalt.scripts import CYCLE
 from duelhalt.strategy import Budget, check_winning
 from duelhalt.tm import CURATED
 
@@ -38,18 +42,25 @@ _CHECKS.update({
 })
 
 
+class Recorded(NamedTuple):
+    """A line as a ``LineTable`` holds it."""
+    start: Configuration
+    steps: tuple  # (move, configuration it leads to)
+    frame: tuple  # line_frame's: the lowest LP, whether the piles may move, reads counters
+
+
 def _moved_turns(out, budget, monkeypatch):
     """check_winning's verdict, and each turn the strategy moved onto a
     start there as (start, mode, steps), the steps (move, configuration)."""
-    moved, found = [], strategy.Strategy._transported
+    moved, found = [], LineTable.moved
 
-    def spy(self, conf, key):
-        steps = found(self, conf, key)
-        if steps is not None:
-            moved.append((conf, key[1], steps))
+    def spy(self, conf, tag):
+        steps = found(self, conf, tag)
+        if steps is not None and tag != CYCLE:
+            moved.append((conf, tag[0], steps))
         return steps
 
-    monkeypatch.setattr(strategy.Strategy, "_transported", spy)
+    monkeypatch.setattr(LineTable, "moved", spy)
     verdict = check_winning(out.run, out.strategy, budget)
     monkeypatch.undo()
     return verdict, moved
@@ -57,13 +68,15 @@ def _moved_turns(out, budget, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_CHECKS))
 def test_moved_turns_are_the_planned_turns(name, monkeypatch):
-    # every transported turn, moves and configurations, is the line the
-    # planner makes from its start with empty tables
+    # every moved turn, moves and configurations, is the line the planner
+    # makes from its start with an empty table; every check but the empty
+    # machine's, which wins on its first turn, moves some
     reduce, budget = _CHECKS[name]
     _verdict, moved = _moved_turns(reduce(), budget, monkeypatch)
+    assert moved or name == "halting-empty"
     planner = reduce().strategy
     for conf, mode, steps in moved:
-        planner._cycles = {}
+        planner.lines = LineTable()
         line = planner._plan_turn(conf, mode)
         assert line is not None and _pairs(line) == steps, name
 
@@ -86,11 +99,12 @@ def test_most_turns_are_moved_not_planned(monkeypatch):
 _STAMPS = ("set_turn", "face_since", "summoned_turn")
 
 
-def _reframe(start, turn, lp, piles, past):
+def _reframe(start, turn, lp, piles, past, dc=0):
     """start moved onto another frame field by field, the reference for
     transport: the turn and the stamps at or after start's turn moved to
     turn, every past stamp read from past() (kept when past is None), the
-    opponent's LP and piles replaced."""
+    opponent's LP and piles replaced, and dc more counters on our face-up
+    Citadel."""
     dt = turn - start.turn
 
     def card(inst):
@@ -112,6 +126,9 @@ def _reframe(start, turn, lp, piles, past):
                        extra_zone=card(ps.extra_zone), field_zone=card(ps.field_zone))
         if p:
             changes.update(lp=lp, **piles)
+        elif dc:
+            fz = changes["field_zone"]
+            changes["field_zone"] = fast_replace(fz, counters=fz.counters + dc)
         players.append(fast_replace(ps, **changes))
     return fast_replace(start, turn=turn, players=tuple(players))
 
@@ -125,23 +142,31 @@ def _pairs(line):
     return tuple((mv, nxt) for _c, mv, nxt in line.run.steps())
 
 
-def _split(turn):
-    """A recorded turn's moves and the configurations after them."""
-    return tuple(mv for mv, _n in turn.steps), tuple(nxt for _m, nxt in turn.steps)
+def _split(line):
+    """A recorded line's moves and the configurations after them."""
+    return tuple(mv for mv, _n in line.steps), tuple(nxt for _m, nxt in line.steps)
+
+
+def _triples(line, start):
+    """A recorded line moved onto start, as the (before, move, after) steps
+    a record takes."""
+    moves, after_each = _split(line)
+    moved = transport(after_each, line.start, start)
+    return list(zip([start, *moved], moves, moved))
 
 
 @pytest.fixture(scope="module")
-def recorded_turns():
-    """The turns strategies recorded in a halting check (set-up A's board)
-    and a channel check (set-up B's)."""
-    turns = []
+def recorded_lines():
+    """The turns and the increment cycles strategies recorded in a halting
+    check (set-up A's board) and a channel check (set-up B's)."""
+    lines = []
     for reduce, budget in (_CHECKS["halting-identity"], _CHECKS["wo-omega-reverse"]):
         out = reduce()
         check_winning(out.run, out.strategy, budget)
-        recorded = [t for ts in out.strategy._turns.values() for t in ts]
-        assert recorded
-        turns += recorded
-    return turns
+        tags = [tag for _k, tag in out.strategy.lines.recorded]
+        assert CYCLE in tags and any(tag != CYCLE for tag in tags)
+        lines += [Recorded(*line) for ls in out.strategy.lines.recorded.values() for line in ls]
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -159,29 +184,31 @@ def _outcome(conf, move):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
-def test_apply_commutes_with_the_transport(recorded_turns, their_boards, data):
-    """transport's lemma on recorded turns of both set-ups, over random
-    frames: a turn number of the start's parity, an opponent's LP the guard
-    allows, the opponent's piles from a set-up board with the key's empty
-    deck and hand, and any past stamps.  Every step of the turn moved onto
-    the new start is what apply gives there, and a move of the turn at one
-    of its configurations is legal exactly where it is legal at the moved
-    one, with the moved result."""
-    turn = data.draw(st.sampled_from(recorded_turns))
-    start = turn.start
+def test_apply_commutes_with_the_transport(recorded_lines, their_boards, data):
+    """transport's lemma on recorded turns and cycles of both set-ups, over
+    random frames: a turn number of the start's parity, an opponent's LP
+    the guard allows, the opponent's piles from a set-up board with the
+    key's empty deck and hand, any past stamps and, for a line that reads
+    no counters, any count.  Every step of the line moved onto the new
+    start is what apply gives there, and a move of the line at one of its
+    configurations is legal exactly where it is legal at the moved one,
+    with the moved result."""
+    line = data.draw(st.sampled_from(recorded_lines))
+    start, (low, free, counts) = line.start, line.frame
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     new_turn = start.turn % 2 + 2 * data.draw(st.integers(1, 10**4))
     lp = start.players[1].lp
-    if turn.low >= 1000:
-        lp = data.draw(st.integers(lp - turn.low + 1000, 10**8))
+    if low >= 1000:
+        lp = data.draw(st.integers(lp - low + 1000, 10**8))
     piles = _piles(start.players[1])
-    if turn.piles:
+    if free:
         keyed = [ps for ps in their_boards if (bool(ps.deck), bool(ps.hand))
                  == (bool(start.players[1].deck), bool(start.players[1].hand))]
         piles = _piles(data.draw(st.sampled_from(keyed)))
-    onto = _reframe(start, new_turn, lp, piles, lambda: rng.randrange(new_turn))
+    dc = 0 if counts else data.draw(st.integers(-spell_counters(start), 10**4))
+    onto = _reframe(start, new_turn, lp, piles, lambda: rng.randrange(new_turn), dc)
     assert unframed(onto) == unframed(start)
-    moves, after_each = _split(turn)
+    moves, after_each = _split(line)
     moved = transport(after_each, start, onto)
     confs = (start,) + after_each
     for before, move, after in zip((onto, *moved), moves, moved):
@@ -189,11 +216,13 @@ def test_apply_commutes_with_the_transport(recorded_turns, their_boards, data):
     i = data.draw(st.integers(0, len(moves) - 1))
     move = data.draw(st.sampled_from(moves))
     after = _outcome(confs[i], move)
+    frame = None if after is None else line_frame([(confs[i], move, after)])
     if after is None:
         assert _outcome(([onto] + moved)[i], move) is None
-    elif line_frame([(confs[i], move, after)]) is not None and \
+    elif frame is not None and \
             (lp == start.players[1].lp or after.players[1].lp >= 1000) and \
-            (not turn.piles or _piles(after.players[1]) == _piles(start.players[1])):
+            (not free or _piles(after.players[1]) == _piles(start.players[1])) and \
+            (dc == 0 or not frame[2]):
         prefix = transport(confs[1:i + 1] + (after,), start, onto)
         assert _outcome(([onto] + prefix)[i], move) == prefix[-1]
 
@@ -203,75 +232,92 @@ def test_apply_commutes_with_the_transport(recorded_turns, their_boards, data):
 
 def _recorded(name, pick):
     """The strategy of name after its check, with the first recorded turn
-    that pick accepts as the only one in its table, its mode and the turn."""
+    that pick accepts as the only line in its table, its tag and the turn."""
     reduce, budget = _CHECKS[name]
     out = reduce()
     check_winning(out.run, out.strategy, budget)
     s = out.strategy
-    for (key, mode), turns in s._turns.items():
-        for turn in turns:
-            if pick(turn):
-                s._turns = {(key, mode): [turn]}
-                return s, mode, turn
+    for (key, tag), turns in s.lines.recorded.items():
+        for turn in map(Recorded._make, turns):
+            if tag != CYCLE and pick(turn):
+                s.lines.recorded = {(key, tag): [turn]}
+                return s, tag, turn
     raise AssertionError(f"no recorded turn of {name} fits")
 
 
-def _refused(s, onto, mode):
+def _refused(s, onto, tag):
     """The strategy moves no recorded turn onto onto, and the turn it plans
     there is not the recorded one moved anyway."""
-    assert s._transported(onto, (unframed(onto), mode)) is None
-    return _pairs(s._plan_turn(onto, mode))
+    assert s.lines.moved(onto, tag) is None
+    return _pairs(s._plan_turn(onto, tag[0]))
 
 
 def test_the_lp_guard_refuses_a_low_turn_moved_by_a_nonzero_difference():
     # a turn that brings the opponent to 0 LP, moved onto 1000 LP more:
     # the clamp and the terminal test would read the difference
-    s, mode, turn = _recorded("nis-successor", lambda t: t.low == 0)
+    s, tag, turn = _recorded("nis-successor", lambda t: t.frame[0] == 0)
     start = turn.start
     onto = _reframe(start, start.turn, start.players[1].lp + 1000,
                     _piles(start.players[1]), None)
     moves, after_each = _split(turn)
     moved = transport(after_each, start, onto)
     assert moved[-1].players[1].lp == 1000
-    assert _refused(s, onto, mode) != tuple(zip(moves, moved))
+    assert _refused(s, onto, tag) != tuple(zip(moves, moved))
     # with a zero difference the same turn moves, by an even number of turns
     later = _reframe(start, start.turn + 2, start.players[1].lp, _piles(start.players[1]),
                      None)
-    assert s._transported(later, (unframed(later), mode)) is not None
+    assert s.lines.moved(later, tag) is not None
 
 
 def test_the_pile_guard_refuses_a_turn_that_changes_them_onto_other_piles():
     # a turn that sends the opponent's cards to their graveyard moves only
     # onto their piles as they were; here their graveyard holds one more card
-    s, mode, turn = _recorded(
-        "wo-omega-reverse", lambda t: not t.piles and t.low >= 1000
+    s, tag, turn = _recorded(
+        "wo-omega-reverse", lambda t: not t.frame[1] and t.frame[0] >= 1000
         and t.steps[-1][1].players[1].gy != t.start.players[1].gy)
     start = turn.start
     p2 = start.players[1]
     onto = _reframe(start, start.turn, p2.lp, dict(_piles(p2), gy=p2.gy + p2.deck[:1]), None)
     moves, after_each = _split(turn)
     moved = transport(after_each, start, onto)
-    assert _refused(s, onto, mode) != tuple(zip(moves, moved))
+    assert _refused(s, onto, tag) != tuple(zip(moves, moved))
+
+
+def test_the_counter_guard_refuses_a_line_that_summons_endymion_onto_other_counters():
+    # Endymion's summon from a recorded turn, moved onto 5 counters: its
+    # 6-counter check would read the difference
+    _s, _tag, turn = _recorded("halting-identity", lambda t: t.frame[2])
+    i = next(i for i, (m, _n) in enumerate(turn.steps)
+             if isinstance(m, ActivateEffect) and m.effect == "endymion_counter_summon")
+    start = turn.steps[i - 1][1]
+    summon = [(start, *turn.steps[i])]
+    lp, piles = start.players[1].lp, _piles(start.players[1])
+    onto = _reframe(start, start.turn + 2, lp, piles, None, 5 - spell_counters(start))
+    assert unframed(onto) == unframed(start)
+    assert _outcome(onto, summon[0][1]) is None
+    table = LineTable()
+    table.record("summon", summon)
+    assert table.moved(onto, "summon") is None
+    # with the counters as they were it moves
+    assert table.moved(_reframe(start, start.turn + 2, lp, piles, None), "summon") is not None
 
 
 def test_the_turn_guard_refuses_a_start_before_turn_2(monkeypatch):
     # a battle turn moved onto turn 1 attacks where the starting player may
     # not, and the planner strands there instead; no turn from before turn
     # 2 is looked up or recorded
-    s, mode, turn = _recorded(
+    s, tag, turn = _recorded(
         "halting-identity",
         lambda t: any(type(m).__name__ == "DeclareAttack" for m, _n in t.steps))
     start = turn.start
     onto = _reframe(start, 1, start.players[1].lp, _piles(start.players[1]),
                     lambda: 0)
-    moves, after_each = _split(turn)
-    images = transport(after_each, start, onto)
-    assert s._plan_turn(onto, mode) is None
-    assert line_frame(list(zip([onto, *images], moves, images))) is None
-    monkeypatch.setattr(strategy, "transport", None)  # a lookup would fail
-    tables = {k: list(v) for k, v in s._turns.items()}
+    assert s._plan_turn(onto, tag[0]) is None
+    assert line_frame(_triples(turn, onto)) is None
+    monkeypatch.setattr(rules, "unframed", None)  # a lookup or a record would fail
+    tables = {k: list(v) for k, v in s.lines.recorded.items()}
     assert s.next_move(onto, None) is None
-    assert s._turns == tables
+    assert s.lines.recorded == tables
 
 
 def test_the_stamp_guard_refuses_a_line_that_plays_creature_swap(board_b):
