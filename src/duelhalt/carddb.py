@@ -364,9 +364,9 @@ def deck_b() -> DeckList:
     return deck
 
 
-def filler_deck(size: int = 40) -> DeckList:
-    """Opponent proxy: a deck of indistinct vanilla placeholders."""
-    return DeckList(main=(FILLER,) * size, allow_filler=True)
+def filler_deck() -> DeckList:
+    """Opponent proxy: a deck of 40 indistinct vanilla placeholders."""
+    return DeckList(main=(FILLER,) * 40, allow_filler=True)
 
 
 # --- deck-list text format ---

@@ -10,12 +10,11 @@ import argparse
 import sys
 
 from . import carddb, reductions, scripts, tm, trace
-from .engine import is_winning_state, validate_run
+from .engine import is_winning_state, replay_witness, validate_run
 from .engine.rules import spell_counters
-from .errors import DeckParseError, DuelhaltError, InvalidOrder, TMParseError
+from .errors import DuelhaltError, InvalidOrder, TMParseError
 from .strategy import (Budget, NISStrategy, WELL_FOUNDED, _p2_has_channel, check_winning,
-                       drive_to_choice, play_opponent_number, replay_witness, to_tree,
-                       well_founded_to_depth)
+                       drive_to_choice, play_opponent_number, to_tree, well_founded_to_depth)
 
 
 # a spoken number k is k equip pulls, and the checkers try 2k + 1 opponent
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
 
     try:
         return args.fn(args)
-    except (OSError, UnicodeDecodeError, DeckParseError, InvalidOrder, TMParseError) as exc:
+    except (OSError, UnicodeDecodeError, InvalidOrder, TMParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DuelhaltError as exc:

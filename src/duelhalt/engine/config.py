@@ -134,9 +134,6 @@ class Configuration:
     def lp(self) -> tuple[int, int]:
         return (self.players[0].lp, self.players[1].lp)
 
-    def player(self, p: int) -> PlayerState:
-        return self.players[p]
-
     def instance_at(self, loc: Loc) -> Optional[CardInstance]:
         p, kind, idx = loc
         ps = self.players[p]

@@ -1,5 +1,9 @@
 """Legal moves, the transition function, and the restricted card effects.
 
+The trusted kernel, with ``config``, ``moves``, ``coding``, ``carddb``, ``errors``
+and ``trace``: all that a checker of runs, witnesses and traces needs or imports.
+Outside it, and checked by it: ``frame``, the strategies and the scripts.
+
 The fragment implements exactly the mechanics the constructions exercise:
 draw with skip flags, normal/flip/special summons with tributes, sets,
 activation of the construction cards' effects, equip retargeting, direct
@@ -32,9 +36,8 @@ and the dragon's own handlers.
 from __future__ import annotations
 
 import itertools
-import operator
-from functools import cache, lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from functools import cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from ..carddb import (
     ATTRAFFIC, BAIT_DOLL, CARDS, CITADEL, CLARA, ENDYMION, FILLER, FLINT, FLINT_LOCK,
@@ -100,7 +103,7 @@ class Run:
             raise ValueError(f"a run of {n} moves has {n + 1} configurations, not {len(configs)}")
         parent = Run(configs[:1], ()) if n else None
         for k in range(1, n):
-            parent = _link(parent, configs[k], moves[k - 1])
+            parent = link(parent, configs[k], moves[k - 1])
         self._parent, self._move, self._conf = parent, moves[-1] if n else None, configs[-1]
         self._len, self._configs, self._moves = n, configs, moves
 
@@ -112,7 +115,7 @@ class Run:
 
     def extend(self, conf: Configuration, move: Move) -> "Run":
         """The run one transition on: the explorer's step, once per transition."""
-        return _link(self, conf, move)
+        return link(self, conf, move)
 
     @property
     def configs(self) -> tuple[Configuration, ...]:
@@ -146,9 +149,9 @@ class Run:
         return ((a._conf, b._move, b._conf) for a, b in zip(nodes, nodes[1:]))
 
 
-def _link(parent: Run, conf: Configuration, move: Move) -> Run:
-    """The node one transition after parent.  Lines and trace replays link
-    here, so ``Run.extend`` counts only the explorer's transitions."""
+def link(parent: Run, conf: Configuration, move: Move) -> Run:
+    """The node one transition after parent, uncounted: lines and trace
+    replays link here, so ``Run.extend`` counts the explorer's steps."""
     run = object.__new__(Run)
     run._parent, run._move, run._conf, run._len = parent, move, conf, parent._len + 1
     run._configs = run._moves = None
@@ -277,281 +280,6 @@ def spell_counters(conf: Configuration) -> int:
     if loc is None:
         return 0
     return conf.instance_at(loc).counters
-
-
-# --- the frame, and moving a recorded line onto a new one -----------------
-
-_STAMPS = ("set_turn", "face_since", "summoned_turn")
-_PILES = ("deck", "hand", "gy")
-_LP_GUARD = 1000  # Soul Drain's payment, the highest LP any read of P2's compares with
-
-
-def _piles(ps: PlayerState) -> tuple:
-    return ps.deck, ps.hand, ps.gy
-
-
-def transport(confs: Iterable[Configuration], start: Configuration,
-              onto: Configuration, numeric: bool = False) -> list[Configuration]:
-    """The configurations of a line recorded from start, moved onto the
-    start onto, which agrees with start outside the frame.
-
-    The frame is what the rules read only against a few thresholds, or a
-    line may leave alone:
-    - the counters on P1's face-up Magical Citadel and P2's LP;
-    - the turn, with each stamp (``set_turn``, ``face_since``,
-      ``summoned_turn``) at or after start's turn;
-    - P2's deck, hand and graveyard.
-    The image T(c) of a recorded c adds onto's differences over start to
-    the counters, P2's LP, the turn and each stamp at or after start's
-    turn; a stamp before it (a past one) of a card changed since start is
-    read off the same slot of onto; and P2's piles are onto's when start's
-    differ from them.  Records c shares with start are onto's own and
-    every other one is copied once per call, so T(start) = onto and a step
-    costs a few ``fast_replace`` copies.  With numeric set the caller
-    vouches that start and onto differ only in the counters and P2's LP,
-    as the copies of a line that repeats itself do (``repeats``), and only
-    those are moved.
-
-    Lemma (the frame rule of separation logic, Reynolds, LICS 2002): for a
-    move m made at c while P1 is the turn player, apply(T(c), m) is
-    defined exactly when apply(c, m) is, and then equals T(apply(c, m)),
-    under the guard that each of the engine's reads of a frame field below
-    names.  A read answers alike at c and T(c) under its guard; every other
-    use of a frame field adds to it or copies it, which commutes with T.
-    - The counters: Endymion's 6-counter check and -6 (its row's
-      ``reads_counters``).  Guard: the counters move by 0, or the line
-      summons no Endymion.  A spell's +1 commutes.
-    - P2's LP: the terminal tests' ``== 0`` (``_terminal``,
-      ``is_winning_state``), ``_adjust_lp``'s clamp at 0 and, when P2
-      pays it, Soul Drain's 1000 LP.  Guard: the LP moves by 0, or P2's LP
-      stays at ``_LP_GUARD`` (1000) or more all along the line and its
-      image.  Gains and damage commute.
-    - The turn: ``turn == 0`` (the opening windows, ``_apply_draw``,
-      ``_apply_pass``, ``_advance_phase``), ``turn == 1`` and ``!= 1``
-      (``_start_turn``'s first draw, the turn-1 attack ban), ``turn >= 1``
-      (``_deck_out_pending``) and the parity ``_start_turn`` makes the
-      turn player from.  Guard: start and onto are at turn 2 or later and
-      the turn moves by an even number.
-    - The stamps, compared only with the turn: ``set_turn == turn`` (a
-      trap or quick-play spell set this turn, ``_activation_timing_ok``,
-      ``_trap_ready``), ``face_since >= turn`` and ``set_turn == turn``
-      (``_chk_flip``) and ``summoned_turn == turn`` (Yata's bounce in
-      ``_end_phase_events``).  A stamp at or after start's turn moves with
-      the turn and one before it stays below it, so each answers alike; a
-      written stamp is the turn.  A past stamp of a changed card is the one
-      its slot had at start, since only Creature Swap moves a card with its
-      stamps to another slot (its row's ``moves_stamps``).  Guard: the
-      line plays no Creature Swap.
-    - P2's piles: every draw, discard, send to the graveyard and return to
-      the hand changes them.  Guard: a line that changes them moves only
-      onto equal piles.  The reads that change nothing are a draw from an
-      empty deck (P2 draws by Book of Eclipse's End Phase and by Morphing
-      Jar), Morphing Jar's discard of an empty hand, the checks and
-      candidates of P2's set cards that P2's answer to a Pass runs
-      (``_has_quick_move``), and a card activated from P2's graveyard
-      (``_effect_card``).  Guard: P2's deck and hand are empty at start
-      exactly when at onto, and a line that meets a set card of P2's or
-      activates from P2's graveyard moves only onto equal piles.  The
-      opening windows read both hands (turn >= 2), the hand limit and
-      deck-out read the turn player's, P1's, and so does every other read.
-    Outside any move, ``is_initial`` reads the turn and both LP totals.
-    ``unframed`` takes this frame out of a start, ``line_frame`` reads a
-    recorded line's guards, and ``LineTable`` checks them all.
-    """
-    since, dt = start.turn, onto.turn - start.turn
-    was, now = start.players, onto.players
-    dl = now[1].lp - was[1].lp
-    dc = spell_counters(onto) - spell_counters(start)
-    memo: dict[int, object] = {id(was[p]): now[p] for p in (0, 1)}
-    if numeric:
-        out = []
-        for c in confs:
-            p1, p2 = c.players
-            fz = p1.field_zone
-            if dc and fz.card == CITADEL and fz.face_up:
-                p1 = replace(p1, field_zone=replace(fz, counters=fz.counters + dc))
-            got = memo.get(id(p2))
-            if got is None:
-                got = memo[id(p2)] = replace(p2, lp=p2.lp + dl)
-            out.append(replace(c, players=(p1, got)))
-        return out
-    piles = {} if _piles(was[1]) == _piles(now[1]) else dict(zip(_PILES, _piles(now[1])))
-    for p in (0, 1):
-        memo[id(was[p].monsters)] = now[p].monsters
-        memo[id(was[p].spelltraps)] = now[p].spelltraps
-
-    def card(inst, at_start, at_onto, dc=0):
-        """The image of the card in a slot; at_start, at_onto: the slot's
-        card at start and at onto."""
-        if inst is at_start:
-            return at_onto
-        if inst is None:
-            return None
-        got = memo.get(id(inst))
-        if got is None:
-            changes = {}
-            for f in _STAMPS:
-                v = getattr(inst, f)
-                w = v + dt if v >= since else getattr(at_onto, f) if v >= 0 else v
-                if w != v:
-                    changes[f] = w
-            if dc and inst.card == CITADEL and inst.face_up:
-                changes["counters"] = inst.counters + dc
-            got = memo[id(inst)] = replace(inst, **changes) if changes else inst
-        return got
-
-    def zones(cards, at_start, at_onto):
-        got = memo.get(id(cards))
-        if got is None:
-            img = tuple(map(card, cards, at_start, at_onto))
-            got = memo[id(cards)] = cards if all(map(operator.is_, img, cards)) else img
-        return got
-
-    def player(ps, p):
-        got = memo.get(id(ps))
-        if got is None:
-            w, o = was[p], now[p]
-            changes = {"monsters": zones(ps.monsters, w.monsters, o.monsters),
-                       "spelltraps": zones(ps.spelltraps, w.spelltraps, o.spelltraps),
-                       "extra_zone": card(ps.extra_zone, w.extra_zone, o.extra_zone),
-                       "field_zone": card(ps.field_zone, w.field_zone, o.field_zone,
-                                          0 if p else dc)}
-            if p:
-                changes["lp"] = ps.lp + dl
-                changes.update(piles)
-            got = memo[id(ps)] = replace(ps, **changes)
-        return got
-
-    return [replace(c, turn=c.turn + dt,
-                    players=(player(c.players[0], 0), player(c.players[1], 1)))
-            for c in confs]
-
-
-def unframed(conf: Configuration) -> Configuration:
-    """conf with the frame of ``transport`` taken out: the counters 0, of
-    the turn only its parity, each stamp at or after the turn as its
-    distance from it and each past one as -2, P2's LP 0, and of P2's piles
-    only whether the deck and the hand are empty.  Starts with equal images
-    differ only in the frame, by an even number of turns."""
-    turn = conf.turn
-
-    def player(ps, p):
-        return replace(ps, monsters=tuple(_unframed_card(m, turn) for m in ps.monsters),
-                       spelltraps=tuple(_unframed_card(st, turn) for st in ps.spelltraps),
-                       extra_zone=_unframed_card(ps.extra_zone, turn),
-                       field_zone=_unframed_card(ps.field_zone, turn, not p))
-
-    p1, p2 = conf.players
-    p2 = replace(player(p2, 1), lp=0, deck=(FILLER,) if p2.deck else (),
-                 hand=(FILLER,) if p2.hand else (), gy=())
-    return replace(conf, turn=turn % 2, players=(player(p1, 0), p2))
-
-
-@lru_cache(maxsize=1024)  # cards recur from one start looked up to the next
-def _unframed_card(inst: Optional[CardInstance], turn: int, counted: bool = False):
-    """A card of ``unframed``'s at the turn; counted: its counters are the
-    frame's when it is a face-up Magical Citadel."""
-    if inst is None:
-        return None
-    changes = {}
-    for f in _STAMPS:
-        v = getattr(inst, f)
-        w = v - turn if v >= turn else -2 if v >= 0 else v
-        if w != v:
-            changes[f] = w
-    if counted and inst.counters and inst.card == CITADEL and inst.face_up:
-        changes["counters"] = 0
-    return replace(inst, **changes) if changes else inst
-
-
-def line_frame(steps: Sequence[tuple[Configuration, Move, Configuration]]
-               ) -> Optional[tuple[int, bool, bool]]:
-    """What a recorded line asks of the frame it is moved onto, read from
-    its (before, move, after) steps: None when ``transport``'s lemma does
-    not cover it (a start before turn 2, a move made while P2 is the turn
-    player, a Creature Swap), else P2's lowest LP along it, whether its
-    piles may move (the line leaves them as they are, meets no set card
-    of P2's and activates nothing from P2's graveyard) and whether it
-    reads the counters against a threshold (summons Endymion)."""
-    if not steps or steps[0][0].turn < 2:
-        return None
-    piles = _piles(steps[0][0].players[1])
-    low, free, counts = steps[0][0].players[1].lp, True, False
-    for conf, move, nxt in steps:
-        if conf.active != 0:
-            return None
-        links = (move, *move.chain) if isinstance(move, ActivateEffect) else ()
-        rows = [EFFECTS[a.effect] for a in links]
-        if any(row.moves_stamps for row in rows):
-            return None
-        counts = counts or any(row.reads_counters for row in rows)
-        low = min(low, nxt.players[1].lp)
-        free = free and _piles(nxt.players[1]) == piles and not any(
-            a.source[:2] == (1, GY) for a in links) and not any(
-            st is not None and not st.face_up for st in conf.players[1].spelltraps)
-    return low, free, counts
-
-
-def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
-    """The guards an ``unframed`` key leaves open, for a line from was: P2's
-    LP moves by 0 or stays at _LP_GUARD or more along the line and its
-    image, and P2's piles and the counters move only where frame lets them."""
-    low, piles, counts = frame
-    dl = onto.players[1].lp - was.players[1].lp
-    return ((not dl or min(low, low + dl) >= _LP_GUARD)
-            and (piles or _piles(onto.players[1]) == _piles(was.players[1]))
-            and not (counts and spell_counters(onto) != spell_counters(was)))
-
-
-class LineTable:
-    """Recorded lines under their ``unframed`` start and a tag, which holds
-    what the line's maker reads that the key does not; each is moved by
-    ``transport`` onto a later start with its key where the guards hold."""
-
-    def __init__(self):
-        # (start's key, tag) -> [(start, its (move, configuration) steps, line_frame's)]
-        self.recorded: dict[tuple[Configuration, Hashable], list[tuple]] = {}
-        self._missed: dict[Hashable, tuple] = {}  # per tag, the start a lookup missed, keyed
-
-    def moved(self, conf: Configuration, tag: Hashable
-              ) -> Optional[tuple[tuple[Move, Configuration], ...]]:
-        """The first line under conf's key and tag that may move onto conf
-        (at turn 2 or later, and ``_guards_hold``), moved there as (move,
-        configuration) steps; None when there is none."""
-        if conf.turn < 2:
-            return None
-        key = (unframed(conf), tag)
-        for start, steps, frame in self.recorded.get(key, ()):
-            if _guards_hold(start, frame, conf):
-                confs = transport((nxt for _m, nxt in steps), start, conf)
-                return tuple(zip((mv for mv, _n in steps), confs))
-        self._missed[tag] = conf, key
-        return None
-
-    def record(self, tag: Hashable,
-               steps: Sequence[tuple[Configuration, Move, Configuration]]) -> None:
-        """Record the line of (before, move, after) steps under its start
-        and tag, unless the lemma does not cover it."""
-        missed, key = self._missed.pop(tag, (None, None))
-        frame = line_frame(steps)
-        if frame is not None:
-            start = steps[0][0]
-            key = key if missed is start else (unframed(start), tag)
-            self.recorded.setdefault(key, []).append(
-                (start, tuple((mv, nxt) for _c, mv, nxt in steps), frame))
-
-
-def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:
-    """Whether the line of (before, move, after) steps ends at its own
-    start with only the counters and P2's LP moved, by gains of 0 or more,
-    under the guards: then ``transport(..., numeric=True)`` moves it onto
-    its end, and each copy onto the end of the one before."""
-    start, end = steps[0][0], steps[-1][2]
-    if (end.players[1].lp < start.players[1].lp or spell_counters(end) < spell_counters(start)
-            or transport((start,), start, end, numeric=True)[0] != end):
-        return False
-    frame = line_frame(steps)
-    return frame is not None and _guards_hold(start, frame, end)
 
 
 def _trap_ready(conf: Configuration, p: int, inst: CardInstance) -> bool:
@@ -2155,6 +1883,13 @@ def validate_run(run: Run) -> bool:
     if not is_initial(run.configs[0]):
         return False
     return all(transition_ok(conf, nxt, move) for conf, move, nxt in run.steps())
+
+
+def replay_witness(run: Run, moves: Iterable[Move]) -> Run:
+    """run extended by each of moves in turn, each applied: a witness played out."""
+    for mv in moves:
+        run = run.extend(apply(run.last(), mv), mv)
+    return run
 
 
 def can_act(run: Run) -> bool:

@@ -98,11 +98,14 @@ def standard_finite(size: int) -> LinearOrder:
     return finite_table([[1 if i <= j else 0 for j in range(size)] for i in range(size)])
 
 
-def custom_order(e: int, fuel: int = 10_000) -> LinearOrder:
+_ORDER_FUEL = 10_000  # steps machine e gets to decide one comparison
+
+
+def custom_order(e: int) -> LinearOrder:
     """Order decided by machine e on pair codes (bounded evaluation)."""
 
     def leq(m: int, n: int) -> bool:
-        r = tmmod.run_bounded(e, pair(m, n), fuel)
+        r = tmmod.run_bounded(e, pair(m, n), _ORDER_FUEL)
         return isinstance(r, tmmod.Converged) and r.output > 0
 
     order = LinearOrder(f"custom-{e}", leq)

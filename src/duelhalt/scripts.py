@@ -10,13 +10,11 @@ All scripts speak from Player 1's side; the opponent's forced plays
 Player 2, tagged only by their position in the line.
 
 ``play_cycles`` links an increment cycle as a recorded applied cycle
-moved by the engine's ``transport`` when the line's ``rules.LineTable``
-may move one onto this cycle's start, and otherwise applies the cycle and
-records it there.  The table belongs to whoever makes the line: a
-strategy passes its own to the lines it plans, and any other line gets a
-fresh one.  ``transport``'s docstring states and argues the lemma this
-rests on (``tests/test_scripts.py`` checks it by property and against the
-applied cycles).
+moved by ``frame.transport`` when the line's ``frame.LineTable`` may move
+one onto this cycle's start, and otherwise applies the cycle and records
+it there.  The table belongs to whoever makes the line: a strategy passes
+its own to the lines it plans, and any other line gets a fresh one.  The
+lemma this rests on is stated once, on ``frame.transport``.
 """
 
 from __future__ import annotations
@@ -54,19 +52,12 @@ from .engine import (
     SetSpellTrap,
     apply,
     initial_configuration,
+    link,
 )
 from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
+from .engine.frame import LineTable, repeats, transport
 from .engine.moves import ChainLink
-from .engine.rules import (
-    LineTable,
-    _link,
-    flip_choice_extras,
-    identity_order,
-    make_bait_doll_move,
-    repeats,
-    spell_counters,
-    transport,
-)
+from .engine.rules import flip_choice_extras, identity_order, make_bait_doll_move, spell_counters
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ class Line:
             nxt = apply(self.conf, move)
         except IllegalMove as exc:
             raise ScriptBroken(len(self.run), f"{move!r}: {exc}") from exc
-        self.run = _link(self.run, nxt, move)
+        self.run = link(self.run, nxt, move)
 
     def result(self) -> ScriptResult:
         return ScriptResult(self.run, self.conf)
@@ -158,9 +149,9 @@ def _end_turn(line: Line) -> None:
     _pass_until(line, lambda c: c.turn > turn)
 
 
-def _p1_turn(line: Line, actions, *, attack: bool = True, discard: tuple[int, ...] = (),
+def _p1_turn(line: Line, actions, *, discard: tuple[int, ...] = (),
              stop_in_main: bool = False) -> None:
-    """One Player 1 turn: draw, main actions, optional Yata attack, end."""
+    """One Player 1 turn: draw, main actions, Yata attack, end."""
     conf = line.conf
     if conf.phase == Phase.DRAW and not conf.draw_done and conf.players[0].deck:
         line.do(DrawCard(0))
@@ -169,8 +160,7 @@ def _p1_turn(line: Line, actions, *, attack: bool = True, discard: tuple[int, ..
         act(line)
     if stop_in_main:
         return
-    if attack:
-        _yata_attack(line)
+    _yata_attack(line)
     _to_phase(line, Phase.END)
     if discard:
         line.do(DiscardToLimit(0, discard))
@@ -229,10 +219,10 @@ def _set_st(cid, player=0):
     return act
 
 
-def _activate(cid, targets=(), extras=(), player=0, effect=None, zone=HAND):
-    """Activate the card from the hand, or from its spell/trap zone."""
+def _activate(cid, targets=(), extras=(), player=0, zone=HAND):
+    """Activate the card's first effect from the hand or its spell/trap zone."""
     def act(line: Line):
-        eff = effect or by_id(cid).effects[0]
+        eff = by_id(cid).effects[0]
         idx = cid if zone == HAND else _szone_of(line.conf, player, cid)
         tg = targets(line.conf) if callable(targets) else targets
         ex = extras(line.conf) if callable(extras) else extras
@@ -240,13 +230,13 @@ def _activate(cid, targets=(), extras=(), player=0, effect=None, zone=HAND):
     return act
 
 
-def _flip(zone_cid, recover_cid=None, player=0):
+def _flip(zone_cid, recover_cid=None):
     def act(line: Line):
-        zone = _mzone_of(line.conf, player, zone_cid, face_up=False)
+        zone = _mzone_of(line.conf, 0, zone_cid, face_up=False)
         recover = None
         if recover_cid is not None:
-            recover = (player, GY, _gy_index(line.conf, player, recover_cid))
-        line.do(FlipSummon(player, zone, recover))
+            recover = (0, GY, _gy_index(line.conf, 0, recover_cid))
+        line.do(FlipSummon(0, zone, recover))
     return act
 
 
@@ -382,7 +372,7 @@ def _opening_turns(deck: DeckList, order: tuple[int, ...]) -> Line:
     _p1_turn(line, [_activate(OFFERINGS, targets=lambda c: (
         (0, MZONE, _mzone_of(c, 0, MORPHING_JAR)),))])   # t5; skips our t7 draw
     _p2_turn(line)
-    _p1_turn(line, [_summon_yata], attack=True)      # t7 (no draw)
+    _p1_turn(line, [_summon_yata])                   # t7 (no draw)
     _p2_turn(line)
     return line
 
@@ -398,7 +388,7 @@ def setup_run_a() -> ScriptResult:
     # recycling the same Double Summon through each Magician of Faith
     _p1_turn(line, [hold, _summon_yata])             # t9: hold Double Summon
     _p2_turn(line)
-    _p1_turn(line, [_double_then_set(MOF)], attack=True)  # t11
+    _p1_turn(line, [_double_then_set(MOF)])          # t11
     _p2_turn(line)
     _p1_turn(line, [_double_then_set(MOF, flip=(MOF, DBLSUM))])  # t13
     _p2_turn(line)
@@ -604,7 +594,7 @@ def play_cycles(line: Line, a: int, b: int) -> None:
     onto its start, moved there with the same four moves (by
     ``transport``'s lemma, what applying them gives), or else goes through
     ``increment_cycle_moves``, so through the engine, and is recorded.  A
-    cycle that repeats itself (``rules.repeats``) links the rest of the
+    cycle that repeats itself (``frame.repeats``) links the rest of the
     batch as its steps moved onto the end of the copy before, with no more
     lookups.
     """
@@ -615,7 +605,7 @@ def play_cycles(line: Line, a: int, b: int) -> None:
             increment_cycle_moves(line)
         else:
             for move, nxt in moved:
-                line.run = _link(line.run, nxt, move)
+                line.run = link(line.run, nxt, move)
         cycle = list(line.run.steps(start))
         if moved is None:
             line.lines.record(CYCLE, cycle)
@@ -624,7 +614,7 @@ def play_cycles(line: Line, a: int, b: int) -> None:
             for _ in range(left - 1):
                 for move, nxt in zip(moves, transport(confs, cycle[0][0], line.conf,
                                                       numeric=True)):
-                    line.run = _link(line.run, nxt, move)
+                    line.run = link(line.run, nxt, move)
             break
     for _ in range(b):
         _require_loop_ready(line.conf, need_counters=6)

@@ -12,13 +12,11 @@ undefined, matching the localization picture.
 `next_move` answers with our steps to the end of the turn, each a (move,
 next configuration) pair, cached once under (configuration, mode).  Each
 configuration is the one the planned line reached: the one `apply`
-produced when the plan was simulated, or one moved by `rules.transport`
-from a recorded line that `apply` made.  The strategy's `rules.LineTable`
-holds the turns it planned and the increment cycles they played, and
-moves them onto later starts that differ only in the frame (the counters,
-the opponent's LP, deck, hand and graveyard, the turn and the stamps at
-or after it) under the guards of the lemma stated on `transport`.  A
-turn's planner reads the frame only through the engine (the legality of
+produced when the plan was simulated, or one that the strategy's
+`frame.LineTable` moved from a recorded line that `apply` made.  The table
+holds the turns it planned and the increment cycles they played; the
+frame, the lemma and its guards are stated once, on `frame.transport`.
+A turn's planner reads the frame only through the engine (the legality of
 its moves and the terminal tests; its cycle lookups read the LP only to
 choose between moving a cycle and applying it) and through the counters,
 so a turn is recorded under the tag (mode, counters) and the turn it
@@ -66,12 +64,13 @@ from .engine import (
     Move,
     Phase,
     Run,
-    apply,
+    apply,  # bound, never called: perfbench's tracer tests count the modules binding it
     encode_configuration,
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.rules import LineTable, spell_counters
+from .engine.frame import LineTable
+from .engine.rules import spell_counters
 from .scripts import (
     Line,
     _end_turn,
@@ -110,7 +109,6 @@ UNDETERMINED = "undetermined"
 class WinVerdict:
     kind: str
     witness: tuple[Move, ...] = ()
-    budget: Optional[Budget] = None
 
     @property
     def is_win(self) -> bool:
@@ -542,10 +540,10 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
         key, met = (r.last(), st), len(r) - base_len
         if key in seen:
             first, first_met = seen[key]
-            return WinVerdict(first.kind, witness(r) + first.witness[first_met:], budget)
+            return WinVerdict(first.kind, witness(r) + first.witness[first_met:])
         r, stop, children = _expand(s, r, st, budget, last_turn)
         if stop is not None:
-            seen[key] = WinVerdict(stop, witness(r), budget), met
+            seen[key] = WinVerdict(stop, witness(r)), met
             return seen[key][0]
         return _Branch(key, met, r, children,
                        _p2_has_channel(r.last()) and not budget.cap_exhaustive)
@@ -567,22 +565,16 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
         step = next(top.children, None)
         if step is not None:
             child = step[1]
-            node = WinVerdict(LOSS, witness(top.run), budget) if child is None else explore(*child)
+            node = WinVerdict(LOSS, witness(top.run)) if child is None else explore(*child)
             continue
         stack.pop()
         if top.undetermined is not None:
             node = top.undetermined
         elif top.capped or top.first_win is None:
-            node = WinVerdict(UNDETERMINED, witness(top.run), budget)
+            node = WinVerdict(UNDETERMINED, witness(top.run))
         else:
             node = top.first_win
         seen[top.key] = node, top.met
-
-
-def replay_witness(run: Run, moves: Iterable[Move]) -> Run:
-    for mv in moves:
-        run = run.extend(apply(run.last(), mv), mv)
-    return run
 
 
 def drive_to_choice(run: Run, s: Strategy) -> Optional[Run]:
@@ -663,14 +655,13 @@ class _Open:
     edges: list[tuple[int, StrategyTree]]
 
 
-def to_tree(s: Strategy, run: Run, depth: int, budget: Optional[Budget] = None) -> StrategyTree:
+def to_tree(s: Strategy, run: Run, depth: int, budget: Budget) -> StrategyTree:
     """Depth-truncated localization of the strategy after the given run.
 
     Nodes sit at the opponent's decision points; edges carry the coded
     number choice; leaves are marked by the win check on their segment,
     and a drive that passes the budget's last turn ends in an open leaf.
     """
-    budget = budget or Budget(max_turns=depth * 4 + 20, max_opponent_number=8)
     last_turn = run.last().turn + budget.max_turns
     # open nodes live on an explicit stack, so a deep tree needs no deep
     # recursion; the bottom one only holds the root

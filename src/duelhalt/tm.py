@@ -88,7 +88,7 @@ class Halted:
     config: TMConfiguration
 
 
-def make_config(tape: dict[int, int], head: int, state: int, blank: int = 0) -> TMConfiguration:
+def make_config(tape: dict[int, int], head: int, state: int, blank: int) -> TMConfiguration:
     cells = tuple(sorted((p, s) for p, s in tape.items() if s != blank))
     return TMConfiguration(cells, head, state)
 

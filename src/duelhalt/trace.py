@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .engine import Configuration, Move, Run, apply, decode_configuration, encode_configuration
+from .engine import (Configuration, Move, Run, apply, decode_configuration, encode_configuration,
+                     link)
 from .engine.moves import decode_move, encode_move, render_move
-from .engine.rules import _link
 from .errors import IllegalMove, MalformedCode
 
 # what a code or record that is not in the written form raises on reading
@@ -70,5 +70,5 @@ def replay_trace(lines: Iterable[str], initial) -> Run:
         if text != _line(before, move, code):
             raise MalformedCode(f"trace line {n} is malformed: it is not the line "
                                 f"written for its transition")
-        run = _link(run, after, move)
+        run = link(run, after, move)
     return run

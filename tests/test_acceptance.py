@@ -12,6 +12,7 @@ from duelhalt.engine import (
     encode_configuration,
     initial_configuration,
     legal_moves,
+    replay_witness,
     transition_ok,
     validate_run,
 )
@@ -44,7 +45,6 @@ from duelhalt.strategy import (
     check_winning,
     drive_to_choice,
     play_opponent_number,
-    replay_witness,
     to_tree,
     well_founded_to_depth,
 )

@@ -60,10 +60,10 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     #   every next_move answer but the root's check (a WIN follows each
     #   turn to its end);
     # - the planned lines: each planned step is applied once, except the
-    #   increment cycles linked as a recorded cycle moved by rules.transport
+    #   increment cycles linked as a recorded cycle moved by frame.transport
     #   (every planned cycle the traced cycle planner did not play);
     # - the moved turns: a recorded turn moved onto a later start by
-    #   rules.transport is linked, not applied, so its steps are counted
+    #   frame.transport is linked, not applied, so its steps are counted
     #   where the line table moves it under a turn's tag;
     # - the opponent's transitions: the distinct run nodes of every turn the
     #   shared walk yields, since turns share their prefixes and each node is
@@ -72,7 +72,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     from tracer import Tracer
 
     from duelhalt import reductions, scripts
-    from duelhalt.engine.rules import LineTable
+    from duelhalt.engine.frame import LineTable
 
     cases = [(reductions.reduce_halting(tm.CURATED["identity"]), strategy.Budget(200, 4)),
              (reductions.reduce_nis(tm.CURATED["successor"]),

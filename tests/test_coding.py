@@ -13,12 +13,12 @@ from duelhalt.coding import (
     Fixed, Int, Maybe, Record, Seq, Set, Text, pair, seq_decode, seq_encode, triple, unpair,
     untriple,
 )
-from duelhalt.engine import config, decode_configuration, encode_configuration
+from duelhalt.engine import config, decode_configuration, encode_configuration, replay_witness
 from duelhalt.engine.config import CardInstance, update_player
 from duelhalt.engine.moves import _TAG_OF, encode_move
 from duelhalt.reductions import reduce_halting
 from duelhalt.scripts import set_counters
-from duelhalt.strategy import WIN, Budget, check_winning, replay_witness
+from duelhalt.strategy import WIN, Budget, check_winning
 from duelhalt.tm import CURATED
 
 # --- the reference: the flat-list writer as it stood before the digit strings

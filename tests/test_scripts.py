@@ -7,7 +7,8 @@ from duelhalt.carddb import lookup
 from duelhalt.engine import ActivateEffect, Phase, apply, validate_run
 from duelhalt.engine.config import GY
 from duelhalt.engine.config import fast_replace, update_player
-from duelhalt.engine.rules import LineTable, is_legal, spell_counters, transport
+from duelhalt.engine.frame import LineTable, transport
+from duelhalt.engine.rules import is_legal, spell_counters
 from duelhalt.errors import IllegalMove, InsufficientCounters, NotLoopReady, ZeroTarget
 from duelhalt import scripts
 from duelhalt.reductions import (

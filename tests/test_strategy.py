@@ -1,13 +1,16 @@
 import hashlib
+import random
 
 import pytest
 
 from duelhalt import strategy
 from duelhalt.carddb import FLINT, FLINT_LOCK
 from duelhalt.coding import pair, triple
-from duelhalt.engine import ActivateEffect, Pass, Phase, Run, apply, validate_run
+from duelhalt.engine import (ActivateEffect, Pass, Phase, Run, apply, is_winning_state,
+                             replay_witness, validate_run)
 from duelhalt.engine.config import MZONE, update_player
-from duelhalt.engine.rules import LineTable, spell_counters
+from duelhalt.engine.frame import LineTable
+from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import ScriptBroken, StrategyUndefinedAtRoot
 from duelhalt.reductions import (
     reduce_halting,
@@ -29,7 +32,6 @@ from duelhalt.strategy import (
     check_winning,
     drive_to_choice,
     play_opponent_number,
-    replay_witness,
     to_tree,
     well_founded_to_depth,
 )
@@ -297,6 +299,45 @@ def test_answers_do_not_depend_on_what_the_strategy_has_cached():
     assert asked > 30
 
 
+# the kinds the natural exploration order gives, as the acceptance tests have them
+_ORDER_CASES = {
+    "nis-successor": (lambda: reduce_nis(CURATED["successor"]),
+                      Budget(150, 8, cap_exhaustive=True), WIN),
+    "wo-finite-3": (lambda: reduce_wo(standard_finite(3)), Budget(60, 8, cap_exhaustive=True), WIN),
+    "wo-finite-5": (lambda: reduce_wo(standard_finite(5)), Budget(60, 8, cap_exhaustive=True), WIN),
+    "wo-omega": (lambda: reduce_wo(standard_omega()), Budget(80, 10, cap_exhaustive=True), WIN),
+    "wo-omega-reverse": (lambda: reduce_wo(reverse_omega()), Budget(16, 3), UNDETERMINED),
+    "nis-identity": (lambda: reduce_nis(CURATED["identity"]),
+                     Budget(24, 8, cap_exhaustive=True), UNDETERMINED),
+}
+_ORDERS = {"reversed": None, "shuffled-1": 1, "shuffled-2": 2}  # order -> shuffle seed
+
+
+@pytest.mark.parametrize("case, order", [
+    (case, order) for case in _ORDER_CASES for order in _ORDERS
+    if case != "nis-identity" or order == "reversed"])  # 1.8 s an order
+def test_the_verdict_kind_does_not_depend_on_the_exploration_order(case, order, monkeypatch):
+    # the opponent's canonical turns at each decision point, explored
+    # reversed or shuffled, give the kind of the natural order, and a WIN's
+    # witness in that order still plays out to a won configuration
+    reduce, budget, kind = _ORDER_CASES[case]
+    seed, choices = _ORDERS[order], strategy._p2_turn_choices
+    rng = random.Random(seed)
+
+    def reordered(conf, budget):
+        out = choices(conf, budget)[::-1]
+        if seed is not None:
+            rng.shuffle(out)
+        return out
+
+    monkeypatch.setattr(strategy, "_p2_turn_choices", reordered)
+    out = reduce()
+    v = check_winning(out.run, out.strategy, budget)
+    assert v.kind == kind
+    if kind == WIN:
+        assert is_winning_state(replay_witness(out.run, v.witness).last(), 0)
+
+
 def _turn_alone(run, state, choice, s):
     """The canonical opponent turn as one line of its own, speaking its
     number in their main phase: the reference for the shared turns."""
@@ -478,11 +519,11 @@ def test_witnesses_are_pinned(reduce, budget, kind, length, sha):
     assert (v.kind, len(v.witness), _digest(v.witness)) == (kind, length, sha)
 
 
-# each tree's reduction, depth, budget (None: to_tree's default) and the
-# well_founded_to_depth answer
+# each tree's reduction, depth, budget and the well_founded_to_depth answer
 _TREES = {
-    "identity": (lambda: reduce_nis(CURATED["identity"]), 4, None, OpenBranch((22, 7, 4, 2))),
-    "successor": (lambda: reduce_nis(CURATED["successor"]), 4, None, WELL_FOUNDED),
+    "identity": (lambda: reduce_nis(CURATED["identity"]), 4, Budget(36, 8),
+                 OpenBranch((22, 7, 4, 2))),
+    "successor": (lambda: reduce_nis(CURATED["successor"]), 4, Budget(36, 8), WELL_FOUNDED),
     "wo-reverse-omega": (lambda: reduce_wo(reverse_omega()), 5, Budget(16, 3),
                          OpenBranch((4, 7, 11, 2, 2))),
 }

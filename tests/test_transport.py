@@ -1,8 +1,8 @@
-"""Moved lines: a strategy's recorded turn, moved by ``rules.transport`` onto
+"""Moved lines: a strategy's recorded turn, moved by ``frame.transport`` onto
 a start that differs from its own only in the frame, is the turn the
 strategy plans from there; the recorded lines, turns and increment cycles,
 moved onto random frames are what ``apply`` gives; and each guard of the
-lemma, as ``rules.LineTable`` checks it, refuses what it must."""
+lemma, as ``frame.LineTable`` checks it, refuses what it must."""
 
 import random
 from typing import NamedTuple
@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.engine import ActivateEffect, Configuration, apply, rules
+from duelhalt.engine import ActivateEffect, Configuration, apply
 from duelhalt.engine.config import fast_replace
-from duelhalt.engine.rules import LineTable, line_frame, spell_counters, transport, unframed
+from duelhalt.engine.frame import LineTable, line_frame, transport, unframed
+from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import IllegalMove
 from duelhalt.reductions import (
     reduce_halting,
@@ -314,7 +315,7 @@ def test_the_turn_guard_refuses_a_start_before_turn_2(monkeypatch):
                     lambda: 0)
     assert s._plan_turn(onto, tag[0]) is None
     assert line_frame(_triples(turn, onto)) is None
-    monkeypatch.setattr(rules, "unframed", None)  # a lookup or a record would fail
+    monkeypatch.setattr("duelhalt.engine.frame.unframed", None)  # a lookup or a record would fail
     tables = {k: list(v) for k, v in s.lines.recorded.items()}
     assert s.next_move(onto, None) is None
     assert s.lines.recorded == tables
