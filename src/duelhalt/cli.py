@@ -13,8 +13,8 @@ from . import carddb, reductions, scripts, tm, trace
 from .engine import is_winning_state, replay_witness, validate_run
 from .engine.rules import spell_counters
 from .errors import DuelhaltError, InvalidOrder, TMParseError
-from .strategy import (Budget, NISStrategy, WELL_FOUNDED, _p2_has_channel, check_winning,
-                       drive_to_choice, play_opponent_number, to_tree, well_founded_to_depth)
+from .strategy import (Budget, NISStrategy, WELL_FOUNDED, check_winning, drive_to_choice,
+                       has_channel, play_opponent_number, to_tree, well_founded_to_depth)
 
 
 # a spoken number k is k equip pulls, and the checkers try 2k + 1 opponent
@@ -200,7 +200,7 @@ def cmd_duel(args) -> int:
         print(f"turn {conf.turn}: lp={conf.lp[0]}/{conf.lp[1]} "
               f"counters={spell_counters(conf)}")
         k = 0  # without the number channel they can only pass the turn out
-        if _p2_has_channel(conf):
+        if has_channel(conf):
             if transcript is not None:
                 if not transcript:
                     print("transcript exhausted")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..carddb import CITADEL, FILLER
 from .config import GY, CardInstance, Configuration, PlayerState, fast_replace as replace
@@ -241,40 +241,33 @@ def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
 
 class LineTable:
     """Recorded lines under their ``unframed`` start and a tag, which holds
-    what the line's maker reads that the key does not; each is moved by
-    ``transport`` onto a later start with its key where the guards hold."""
+    what the line's maker reads that the key does not; ``line``, the one way
+    in, moves a recorded line onto a later start or plays and records one."""
 
     def __init__(self):
         # (start's key, tag) -> [(start, its (move, configuration) steps, line_frame's)]
         self.recorded: dict[tuple[Configuration, Hashable], list[tuple]] = {}
-        self._missed: dict[Hashable, tuple] = {}  # per tag, the start a lookup missed, keyed
 
-    def moved(self, conf: Configuration, tag: Hashable
-              ) -> Optional[tuple[tuple[Move, Configuration], ...]]:
-        """The first line under conf's key and tag that may move onto conf
-        (at turn 2 or later, and ``_guards_hold``), moved there as (move,
-        configuration) steps; None when there is none."""
-        if conf.turn < 2:
-            return None
-        key = (unframed(conf), tag)
-        for start, steps, frame in self.recorded.get(key, ()):
-            if _guards_hold(start, frame, conf):
-                confs = transport((nxt for _m, nxt in steps), start, conf)
-                return tuple(zip((mv for mv, _n in steps), confs))
-        self._missed[tag] = conf, key
-        return None
-
-    def record(self, tag: Hashable,
-               steps: Sequence[tuple[Configuration, Move, Configuration]]) -> None:
-        """Record the line of (before, move, after) steps under its start
-        and tag, unless the lemma does not cover it."""
-        missed, key = self._missed.pop(tag, (None, None))
-        frame = line_frame(steps)
+    def line(self, conf: Configuration, tag: Hashable,
+             play: Callable[[], Sequence[tuple[Configuration, Move, Configuration]]]
+             ) -> tuple[tuple[Move, Configuration], ...]:
+        """The line from conf under the tag, as (move, configuration) steps:
+        the first recorded under conf's key and tag that may move onto conf
+        (at turn 2 or later, and ``_guards_hold``), moved there; else the
+        (before, move, after) steps from conf that play() makes, recorded
+        under that key unless the lemma does not cover them."""
+        if conf.turn >= 2:
+            key = (unframed(conf), tag)
+            for start, steps, frame in self.recorded.get(key, ()):
+                if _guards_hold(start, frame, conf):
+                    confs = transport((nxt for _m, nxt in steps), start, conf)
+                    return tuple(zip((mv for mv, _n in steps), confs))
+        made = play()
+        steps = tuple((mv, nxt) for _c, mv, nxt in made)
+        frame = line_frame(made)  # None before turn 2, so key is bound
         if frame is not None:
-            start = steps[0][0]
-            key = key if missed is start else (unframed(start), tag)
-            self.recorded.setdefault(key, []).append(
-                (start, tuple((mv, nxt) for _c, mv, nxt in steps), frame))
+            self.recorded.setdefault(key, []).append((made[0][0], steps, frame))
+        return steps
 
 
 def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:

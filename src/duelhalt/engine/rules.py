@@ -472,8 +472,6 @@ class Effect(NamedTuple):
     # bounded family for multi-choice effects; None: the one pair ((), ())
     candidates: Optional[Callable[..., Iterable]] = None
     reads_extras: bool = False  # else a move, chain link or forced trap carries none
-    main_only: bool = False  # a monster or extra-deck effect: its owner's main phase only
-    moves_own_card: bool = False  # resolve moves the card, and none is played
     gy_first: bool = False  # the spent card reaches the graveyard before resolving
     skips_gy: bool = False  # the spent card makes no trip to the graveyard
     # judged by resolving it when it carries at least this many extras (None:
@@ -1040,19 +1038,16 @@ EFFECTS: dict[str, Effect] = {
     "mse_discard_recover": Effect(_chk_mse, _res_mse, reads_extras=True),
     "attraffic_control": Effect(_no_targets("Attraffic Control")),
     "creature_swap": Effect(_chk_creature_swap, _res_creature_swap, moves_stamps=True),
-    "polymerization_fuse": Effect(_chk_poly, _res_poly, main_only=True),
+    "polymerization_fuse": Effect(_chk_poly, _res_poly),
     "flint_lockdown": _equip("Flint equips 1 face-up monster",
                              "equip target must be a face-up monster"),
     "raigeki_wipe": Effect(_no_targets("Raigeki"), _res_raigeki),
     "give_and_take": _gy_monster_to_opp(face_up=True),
     "reverse_reuse": _gy_monster_to_opp(face_up=False),
     "endymion_counter_summon": Effect(_chk_endymion_summon, _res_endymion_summon, _cand_endymion,
-                                      reads_extras=True, main_only=True, moves_own_card=True,
-                                      zones=(GY,), reads_counters=True),
-    "clara_link_summon": Effect(_chk_clara_link, _res_clara_link, main_only=True,
-                                moves_own_card=True),
-    "svd_negate": Effect(_chk_svd_negate, _res_svd_negate, _cand_svd_negate, main_only=True,
-                         moves_own_card=True, zones=(EXTRA,)),
+                                      reads_extras=True, zones=(GY,), reads_counters=True),
+    "clara_link_summon": Effect(_chk_clara_link, _res_clara_link),
+    "svd_negate": Effect(_chk_svd_negate, _res_svd_negate, _cand_svd_negate, zones=(EXTRA,)),
 }
 
 _CHAIN_PATTERNS = (
@@ -1108,9 +1103,9 @@ def _activation_timing_ok(conf: Configuration, p: int, effect: str, source: Loc)
         return False
     main = conf.phase in (Phase.MAIN1, Phase.MAIN2)
     own_turn = conf.active == p
-    row = EFFECTS[effect]
-    if row.main_only:
-        return own_turn and main and (source[1] not in (GY, EXTRA) or source[1] in row.zones)
+    if spec.is_monster:  # a monster's effect: its owner's main phase only
+        return own_turn and main and (source[1] not in (GY, EXTRA)
+                                      or source[1] in EFFECTS[effect].zones)
     if source[1] == HAND:
         if spec.kind == Kind.QUICKPLAY_SPELL:
             return own_turn and conf.phase != Phase.DRAW
@@ -1138,7 +1133,7 @@ def _resolve_activation(conf: Configuration, p: int,
     cid = _effect_card(conf, p, source)
     spec = by_id(cid)
     row = EFFECTS[link.effect]
-    if row.moves_own_card:
+    if spec.is_monster:  # a monster's effect moves the card itself, and none is played
         return row.resolve(conf, p, source, targets, extras)
     from_hand = source[1] == HAND
 

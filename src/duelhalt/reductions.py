@@ -167,11 +167,9 @@ def reduce_halting(e: int) -> ReductionOutput:
     configuration on input e; the compiled strategy simulates from there.
     """
     base = setup("a")
-    m = tmmod.machine_from_index(e)
-    if isinstance(m, tmmod.AppendixMachine):
-        m = tmmod.EMPTY_MACHINE
-    code = tmmod.encode_tmconf(tmmod.initial_config(m, e))
-    return ReductionOutput(set_counters(base.run, code).run, TMStrategy(e))
+    s = TMStrategy(e)
+    code = tmmod.encode_tmconf(tmmod.initial_config(s.machine, e))
+    return ReductionOutput(set_counters(base.run, code).run, s)
 
 
 def reduce_nis(e: int) -> ReductionOutput:

@@ -9,10 +9,10 @@ All scripts speak from Player 1's side; the opponent's forced plays
 (cards handed over mid-line) are recorded as ordinary legal moves for
 Player 2, tagged only by their position in the line.
 
-``play_cycles`` links an increment cycle as a recorded applied cycle
-moved by ``frame.transport`` when the line's ``frame.LineTable`` may move
-one onto this cycle's start, and otherwise applies the cycle and records
-it there.  The table belongs to whoever makes the line: a strategy passes
+``play_cycles`` takes each increment cycle from the line's
+``frame.LineTable`` in one call: a recorded applied cycle moved onto the
+cycle's start by ``frame.transport``, or else the cycle applied there and
+recorded.  The table belongs to whoever makes the line: a strategy passes
 its own to the lines it plans, and any other line gets a fresh one.  The
 lemma this rests on is stated once, on ``frame.transport``.
 """
@@ -20,7 +20,7 @@ lemma this rests on is stated once, on ``frame.transport``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .carddb import (
     ATTRAFFIC, BAIT_DOLL, BOE, CITADEL, CLARA, CREATSWAP, DBLSUM, DESERT_SUNLIGHT, ENDYMION,
@@ -587,28 +587,31 @@ def cycle_plan(delta: int, min_decrements: int = 0) -> tuple[int, int]:
 CYCLE = "increment cycle"
 
 
+def _played(line: Line, fill: Callable[[Line], None]) -> list:
+    """The (before, move, after) steps that fill(line) plays onto the line."""
+    start = len(line.run)
+    fill(line)
+    return list(line.run.steps(start))
+
+
 def play_cycles(line: Line, a: int, b: int) -> None:
     """Play a increment cycles and then b decrement cycles onto the line.
 
-    An increment cycle is the recorded cycle that the line's table may move
-    onto its start, moved there with the same four moves (by
-    ``transport``'s lemma, what applying them gives), or else goes through
-    ``increment_cycle_moves``, so through the engine, and is recorded.  A
-    cycle that repeats itself (``frame.repeats``) links the rest of the
-    batch as its steps moved onto the end of the copy before, with no more
-    lookups.
+    Each increment cycle is the line table's cycle from its start: a
+    recorded cycle moved there with the same four moves (by ``transport``'s
+    lemma, what applying them gives), or else the one
+    ``increment_cycle_moves`` plays through the engine, which the table
+    records.  A cycle that repeats itself (``frame.repeats``) links the
+    rest of the batch as its steps moved onto the end of the copy before,
+    with no more lookups.
     """
     for left in range(a, 0, -1):
         start = len(line.run)
-        moved = line.lines.moved(line.conf, CYCLE)
-        if moved is None:
-            increment_cycle_moves(line)
-        else:
-            for move, nxt in moved:
+        steps = line.lines.line(line.conf, CYCLE, lambda: _played(line, increment_cycle_moves))
+        if len(line.run) == start:  # moved onto the start, not played there
+            for move, nxt in steps:
                 line.run = link(line.run, nxt, move)
         cycle = list(line.run.steps(start))
-        if moved is None:
-            line.lines.record(CYCLE, cycle)
         if left > 1 and repeats(cycle):
             moves, confs = [m for _c, m, _n in cycle], [n for _c, _m, n in cycle]
             for _ in range(left - 1):

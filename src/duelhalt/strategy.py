@@ -10,24 +10,23 @@ re-walks a run.  Outside their scripted prefixes the three families are
 undefined, matching the localization picture.
 
 `next_move` answers with our steps to the end of the turn, each a (move,
-next configuration) pair, cached once under (configuration, mode).  Each
-configuration is the one the planned line reached: the one `apply`
-produced when the plan was simulated, or one that the strategy's
-`frame.LineTable` moved from a recorded line that `apply` made.  The table
-holds the turns it planned and the increment cycles they played; the
-frame, the lemma and its guards are stated once, on `frame.transport`.
-A turn's planner reads the frame only through the engine (the legality of
-its moves and the terminal tests; its cycle lookups read the LP only to
-choose between moving a cycle and applying it) and through the counters,
-so a turn is recorded under the tag (mode, counters) and the turn it
-plans from a moved start is the moved turn.  Configurations compare by
-value, so a turn cached at an equal start still equals what `apply`
-gives, and a configuration inside a cached turn is answered with the turn
-planned from it, whatever else the cache holds.  Both players' turns are
-planned lines: ours by the strategy, the opponent's canonical turns by
-`_p2_turns`.  `_drive` and the explorer extend the run with the planned
-configurations and choose or apply no move of their own, so each
-transition is applied at most once, by the line that plans it.
+next configuration) pair, from one call to the strategy's
+`frame.LineTable`, its only record of its answers: a recorded turn moved
+onto the configuration, or else the turn planned there, which the table
+records as it does the increment cycles a plan plays.  So each
+configuration is one `apply` made or one moved from a line `apply` made;
+the frame, the lemma and its guards are stated once, on
+`frame.transport`.  A turn's planner reads the frame only through the
+engine (the legality of its moves and the terminal tests; its cycle
+lookups read the LP only to choose between moving a cycle and applying
+it) and through the counters, so a turn is recorded under the tag (mode,
+counters), the turn it plans from a moved start is the moved turn, and a
+turn asked for again is the recorded one moved onto its own start, equal
+to it by value.  Both players' turns are planned lines: ours by the
+strategy, the opponent's canonical turns by `_p2_turns`.  `_drive` and
+the explorer extend the run with the planned configurations and choose or
+apply no move of their own, so each transition is applied at most once,
+by the line that plans it.
 
 The winning checker and the strategy trees share one explorer of the
 opponent's choices.  Those are numbers spoken through the equip-retarget
@@ -134,8 +133,6 @@ class Strategy:
 
     def __init__(self, descriptor: tuple):
         self.descriptor = descriptor
-        # each answer, under the configuration it was asked at
-        self._plan: dict[tuple[Configuration, Hashable], Optional[tuple[Step, ...]]] = {}
         # the turns it planned and the increment cycles they played
         self.lines = LineTable()
 
@@ -155,23 +152,18 @@ class Strategy:
         configuration it leads to) pair; None where the strategy is
         undefined.  The opponent's passes inside our turn are among them.
 
-        The table's recorded turn moved onto conf, when it has one under
-        the tag (mode, counters), is the answer; any other turn is planned
-        and recorded.  Either answer is cached under (conf, mode)."""
+        The answer is the line table's turn from conf under the tag (mode,
+        counters), a recorded turn moved onto conf or one planned and recorded."""
         mode = self._reads(state)
-        if (conf, mode) not in self._plan:
-            tag = (mode, spell_counters(conf))
-            steps = self.lines.moved(conf, tag)
-            if steps is None:
-                line = self._plan_turn(conf, mode)
-                made = [] if line is None else list(line.run.steps())
-                steps = tuple((mv, nxt) for _c, mv, nxt in made)
-                self.lines.record(tag, made)
-            self._plan[conf, mode] = steps or None
-        return self._plan[conf, mode]
+
+        def play():
+            line = self._plan_turn(conf, mode)
+            return () if line is None else list(line.run.steps())
+
+        return self.lines.line(conf, (mode, spell_counters(conf)), play) or None
 
     def _reads(self, state: Hashable) -> Hashable:
-        """What the planner reads from the state; plans are cached on it."""
+        """What the planner reads from the state; turns are recorded under it."""
         return None
 
     def _plan_turn(self, conf: Configuration, mode: Hashable) -> Optional[Line]:
@@ -363,7 +355,9 @@ class WOStrategy(_ChannelStrategy):
 # --- the budgeted winning checker ---------------------------------------------
 
 
-def _p2_has_channel(conf: Configuration) -> bool:
+def has_channel(conf: Configuration) -> bool:
+    """Whether the opponent holds the number channel: a face-up Flint and a
+    face-up Flint Lock on their side."""
     p2 = conf.players[1]
     return (any(st is not None and st.card == FLINT and st.face_up for st in p2.spelltraps)
             and any(m is not None and m.card == FLINT_LOCK and m.face_up for m in p2.monsters))
@@ -371,7 +365,7 @@ def _p2_has_channel(conf: Configuration) -> bool:
 
 def _p2_turn_choices(conf: Configuration, budget: Budget) -> list[tuple[int, bool]]:
     """Canonical opponent turns: (pulls, parked).  Pass-only turns are (0, True)."""
-    ks = range(1, budget.max_opponent_number + 1) if _p2_has_channel(conf) else ()
+    ks = range(1, budget.max_opponent_number + 1) if has_channel(conf) else ()
     return [(0, True)] + [(k, park) for k in ks for park in (True, False)]
 
 
@@ -546,7 +540,7 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
             seen[key] = WinVerdict(stop, witness(r)), met
             return seen[key][0]
         return _Branch(key, met, r, children,
-                       _p2_has_channel(r.last()) and not budget.cap_exhaustive)
+                       has_channel(r.last()) and not budget.cap_exhaustive)
 
     # open branch points live on an explicit stack, so a long game needs no
     # deep recursion; each verdict settles into the branch point above it

@@ -420,8 +420,6 @@ def _run(m: TMachine, conf: TMConfiguration, t: int, oracle: Sequence[int]
     """At most t steps, step i reading oracle cell i (blank 0 past the
     prefix): the configuration the machine halts in, or None while it runs."""
     for i in range(t):
-        if halted(m, conf):
-            return conf
         nxt = step(m, conf, oracle[i] if i < len(oracle) else 0)
         if isinstance(nxt, Halted):
             return nxt.config

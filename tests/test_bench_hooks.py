@@ -64,7 +64,9 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     #   (every planned cycle the traced cycle planner did not play);
     # - the moved turns: a recorded turn moved onto a later start by
     #   frame.transport is linked, not applied, so its steps are counted
-    #   where the line table moves it under a turn's tag;
+    #   where the line table answers under a turn's tag without playing;
+    #   the first is the root's turn, planned for the root's check and
+    #   moved onto the root for the drive, whose steps ours already counts;
     # - the opponent's transitions: the distinct run nodes of every turn the
     #   shared walk yields, since turns share their prefixes and each node is
     #   made by one apply and one Run.extend.
@@ -81,7 +83,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         s = out.strategy
         planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
         plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
-        transported, answer = LineTable.moved, strategy.Strategy.next_move
+        table_line, answer = LineTable.line, strategy.Strategy.next_move
         planned, turns, moved, answers = [], [], [], []
 
         def counted_plan(self, conf, mode):
@@ -96,10 +98,11 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
                     turns.append((run, played[0]))
                 yield choice, played
 
-        def counted_moves(self, conf, tag):
-            steps = transported(self, conf, tag)
-            if steps is not None and tag != scripts.CYCLE:
-                moved.append([mv for mv, _n in steps])
+        def counted_moves(self, conf, tag, play):
+            played = []
+            steps = table_line(self, conf, tag, lambda: played.append(conf) or play())
+            if not played and tag != scripts.CYCLE:
+                moved.append((conf, [mv for mv, _n in steps]))
             return steps
 
         def counted_answers(self, conf, state):
@@ -108,7 +111,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
             return turn
 
         monkeypatch.setattr(planner, "_plan_turn", counted_plan)
-        monkeypatch.setattr(LineTable, "moved", counted_moves)
+        monkeypatch.setattr(LineTable, "line", counted_moves)
         monkeypatch.setattr(strategy.Strategy, "next_move", counted_answers)
         monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
         tracer = Tracer(scopes=layers.SCOPES)
@@ -130,7 +133,9 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
             while node is not base:
                 theirs.add(id(node))
                 node = node._parent
-        assert linked > 0 and moved
+        assert linked > 0 and moved[0][0] is out.run.last()
+        moved = [moves for _conf, moves in moved[1:]]
+        assert moved
         assert inside["engine.run_extend"] == ours + len(theirs)
         assert inside["engine.apply"] + 4 * linked == sum(map(len, planned)) + len(theirs)
         if out.strategy.descriptor[0] == "tm":

@@ -92,6 +92,13 @@ def test_no_module_imports_a_private_kernel_name():
     assert borrowed == []
 
 
+def test_the_cli_imports_no_private_name():
+    # the command line reads every module through its public names
+    borrowed = [(module, n) for module, names in _imports("duelhalt.cli")
+                for n in names if n.startswith("_")]
+    assert borrowed == []
+
+
 def test_the_strategy_layer_applies_no_move():
     # the drivers follow planned lines: the strategy module binds apply
     # under its own name, since the benchmark's tracer tests count the

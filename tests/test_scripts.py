@@ -356,24 +356,41 @@ _EXPLORED = {
 }
 
 
-def _cached_steps(s):
-    """Every step of every turn the strategy has cached, as (before, move,
-    after), under the turn's mode."""
-    for (conf, mode), turn in s._plan.items():
-        for mv, nxt in turn or ():
-            yield mode, (conf, mv, nxt)
+def _answered_steps(reduce, budget, monkeypatch, play=None):
+    """check_winning's verdict kind on a fresh reduction, and every step of
+    every turn the strategy's line table answered with there, recorded or
+    moved, as (before, move, after) under the turn's mode; play, when
+    given, stands in for increment_cycle_moves during the check."""
+    out, answered, answer = reduce(), [], LineTable.line
+
+    def spy(self, conf, tag, play):
+        steps = answer(self, conf, tag, play)
+        if tag != scripts.CYCLE:
+            answered.append((tag[0], conf, steps))
+        return steps
+
+    monkeypatch.setattr(LineTable, "line", spy)
+    if play is not None:
+        monkeypatch.setattr(scripts, "increment_cycle_moves", play)
+    kind = check_winning(out.run, out.strategy, budget).kind
+    monkeypatch.undo()
+    flat = []
+    for mode, conf, steps in answered:
+        for mv, nxt in steps:
+            flat.append((mode, (conf, mv, nxt)))
             conf = nxt
+    return kind, flat
 
 
-def test_planned_steps_are_applied_steps():
-    # the drives extend the run with the cached turns' configurations and
-    # do not apply our moves again, so every step of every cached turn,
-    # cycles linked from the strategy's cycle table and moved turns
+def test_planned_steps_are_applied_steps(monkeypatch):
+    # the drives extend the run with the turns the line table answers with
+    # and do not apply our moves again, so every step of every such turn,
+    # cycles linked from the table inside planned turns and moved turns
     # included, is what apply gives from the step before it
     for name, (reduce, budget, kind) in _EXPLORED.items():
-        out = reduce()
-        assert check_winning(out.run, out.strategy, budget).kind == kind, name
-        steps = [step for _mode, step in _cached_steps(out.strategy)]
+        got, answered = _answered_steps(reduce, budget, monkeypatch)
+        assert got == kind, name
+        steps = [step for _mode, step in answered]
         assert len(steps) > 100, name
         for conf, move, nxt in steps:
             assert apply(conf, move) == nxt, name
@@ -381,12 +398,11 @@ def test_planned_steps_are_applied_steps():
 
 @pytest.mark.parametrize("name", ["halting-identity", "nis-successor", "wo-omega-reverse"])
 def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
-    # every increment cycle of a cached turn, linked from the table or not,
-    # has the moves increment_cycle_moves picks at its start and the
-    # configurations they lead to; the halting check's are mostly linked
-    # from cycles recorded on earlier turns
+    # every increment cycle of a turn the line table answered with, linked
+    # from the table or not, has the moves increment_cycle_moves picks at
+    # its start and the configurations they lead to; the halting check's
+    # are mostly linked from cycles recorded on earlier turns
     reduce, budget, _kind = _EXPLORED[name]
-    out = reduce()
     played = []
     engine_cycle = scripts.increment_cycle_moves
 
@@ -394,10 +410,7 @@ def test_linked_cycles_are_the_cycles_the_engine_plays(name, monkeypatch):
         played.append(line.conf)
         engine_cycle(line)
 
-    monkeypatch.setattr(scripts, "increment_cycle_moves", counted)
-    check_winning(out.run, out.strategy, budget)
-    monkeypatch.undo()
-    steps = list(_cached_steps(out.strategy))
+    _kind, steps = _answered_steps(reduce, budget, monkeypatch, counted)
     cycles = {}  # each cycle's four steps, under its start and mode
     for i, (mode, (conf, move, _n)) in enumerate(steps):
         if getattr(move, "effect", None) == "boe_flip_all":

@@ -9,7 +9,6 @@ from duelhalt.coding import pair, triple
 from duelhalt.engine import (ActivateEffect, Pass, Phase, Run, apply, is_winning_state,
                              replay_witness, validate_run)
 from duelhalt.engine.config import MZONE, update_player
-from duelhalt.engine.frame import LineTable
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import ScriptBroken, StrategyUndefinedAtRoot
 from duelhalt.reductions import (
@@ -264,21 +263,20 @@ def test_verdicts_do_not_depend_on_what_the_plan_cache_holds():
     (lambda: reduce_wo(reverse_omega()), Budget(16, 3)),
 ], ids=["halting-identity", "nis-successor", "wo-reverse-omega"])
 def test_a_warm_strategy_checks_as_a_fresh_one(reduce, budget, monkeypatch):
-    # the second check runs on the cached turns and the line table the
-    # first one left, every answer a cached turn, and answers with the fresh
-    # strategy's verdict and witness
+    # the second check runs on the line table the first one left, every
+    # answer a recorded turn moved from the table, and answers with the
+    # fresh strategy's verdict and witness
     fresh = reduce()
     want = check_winning(fresh.run, fresh.strategy, budget)
     out = reduce()
     first = check_winning(out.run, out.strategy, budget)
-    assert out.strategy._plan and out.strategy.lines.recorded
+    assert out.strategy.lines.recorded
 
     def refuse(self, *args):
         raise AssertionError("a warm check made a turn of its own")
 
     planner = next(c for c in type(out.strategy).__mro__ if "_plan_turn" in vars(c))
     monkeypatch.setattr(planner, "_plan_turn", refuse)
-    monkeypatch.setattr(LineTable, "moved", refuse)
     assert first == want and check_winning(out.run, out.strategy, budget) == want
 
 
@@ -517,6 +515,21 @@ def test_witnesses_are_pinned(reduce, budget, kind, length, sha):
     out = reduce()
     v = check_winning(out.run, out.strategy, budget)
     assert (v.kind, len(v.witness), _digest(v.witness)) == (kind, length, sha)
+
+
+def test_finite_5_wins_at_a_cap_that_speaks_its_longest_chain():
+    # the longest chain of finite(5), 4 > 3 > 2 > 1, opens with the number
+    # pair(3, 4) = 32, so at cap 32 the opponent can speak every chain the
+    # order holds, and the win must still follow
+    out = reduce_wo(standard_finite(5))
+    s, state = out.strategy, None
+    assert pair(3, 4) == 32
+    for n in (32, 2, 1):
+        state = s.hear(state, n)
+    assert state == 1
+    v = check_winning(out.run, s, Budget(60, 32, cap_exhaustive=True))
+    assert v.is_win
+    assert is_winning_state(replay_witness(out.run, v.witness).last(), 0)
 
 
 # each tree's reduction, depth, budget and the well_founded_to_depth answer

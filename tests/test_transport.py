@@ -53,15 +53,16 @@ class Recorded(NamedTuple):
 def _moved_turns(out, budget, monkeypatch):
     """check_winning's verdict, and each turn the strategy moved onto a
     start there as (start, mode, steps), the steps (move, configuration)."""
-    moved, found = [], LineTable.moved
+    moved, answer = [], LineTable.line
 
-    def spy(self, conf, tag):
-        steps = found(self, conf, tag)
-        if steps is not None and tag != CYCLE:
+    def spy(self, conf, tag, play):
+        played = []
+        steps = answer(self, conf, tag, lambda: played.append(conf) or play())
+        if not played and tag != CYCLE:
             moved.append((conf, tag[0], steps))
         return steps
 
-    monkeypatch.setattr(LineTable, "moved", spy)
+    monkeypatch.setattr(LineTable, "line", spy)
     verdict = check_winning(out.run, out.strategy, budget)
     monkeypatch.undo()
     return verdict, moved
@@ -246,11 +247,23 @@ def _recorded(name, pick):
     raise AssertionError(f"no recorded turn of {name} fits")
 
 
+def _refuse():
+    raise AssertionError("the line table played a line it should have moved")
+
+
 def _refused(s, onto, tag):
-    """The strategy moves no recorded turn onto onto, and the turn it plans
-    there is not the recorded one moved anyway."""
-    assert s.lines.moved(onto, tag) is None
-    return _pairs(s._plan_turn(onto, tag[0]))
+    """The strategy's table moves no recorded turn onto onto but plays it:
+    the turn the strategy plans there, which is not the recorded one moved
+    anyway."""
+    played = []
+
+    def play():
+        played.append(onto)
+        return list(s._plan_turn(onto, tag[0]).run.steps())
+
+    steps = s.lines.line(onto, tag, play)
+    assert played
+    return steps
 
 
 def test_the_lp_guard_refuses_a_low_turn_moved_by_a_nonzero_difference():
@@ -267,7 +280,7 @@ def test_the_lp_guard_refuses_a_low_turn_moved_by_a_nonzero_difference():
     # with a zero difference the same turn moves, by an even number of turns
     later = _reframe(start, start.turn + 2, start.players[1].lp, _piles(start.players[1]),
                      None)
-    assert s.lines.moved(later, tag) is not None
+    assert s.lines.line(later, tag, _refuse)
 
 
 def test_the_pile_guard_refuses_a_turn_that_changes_them_onto_other_piles():
@@ -296,11 +309,12 @@ def test_the_counter_guard_refuses_a_line_that_summons_endymion_onto_other_count
     onto = _reframe(start, start.turn + 2, lp, piles, None, 5 - spell_counters(start))
     assert unframed(onto) == unframed(start)
     assert _outcome(onto, summon[0][1]) is None
-    table = LineTable()
-    table.record("summon", summon)
-    assert table.moved(onto, "summon") is None
+    table, played = LineTable(), []
+    assert table.line(start, "summon", lambda: summon) == (summon[0][1:],)
+    assert table.line(onto, "summon", lambda: played.append(onto) or ()) == ()
+    assert played == [onto]
     # with the counters as they were it moves
-    assert table.moved(_reframe(start, start.turn + 2, lp, piles, None), "summon") is not None
+    assert table.line(_reframe(start, start.turn + 2, lp, piles, None), "summon", _refuse)
 
 
 def test_the_turn_guard_refuses_a_start_before_turn_2(monkeypatch):
