@@ -27,7 +27,7 @@ def _piles(ps: PlayerState) -> tuple:
 
 
 def transport(confs: Iterable[Configuration], start: Configuration,
-              onto: Configuration, numeric: bool = False) -> list[Configuration]:
+              onto: Configuration) -> list[Configuration]:
     """The configurations of a line recorded from start, moved onto the
     start onto, which agrees with start outside the frame.
 
@@ -43,10 +43,7 @@ def transport(confs: Iterable[Configuration], start: Configuration,
     read off the same slot of onto; and P2's piles are onto's when start's
     differ from them.  Records c shares with start are onto's own and
     every other one is copied once per call, so T(start) = onto and a step
-    costs a few ``fast_replace`` copies.  With numeric set the caller
-    vouches that start and onto differ only in the counters and P2's LP,
-    as the copies of a line that repeats itself do (``repeats``), and only
-    those are moved.
+    costs a few ``fast_replace`` copies.
 
     Lemma (the frame rule of separation logic, Reynolds, LICS 2002): for a
     move m made at c while P1 is the turn player, apply(T(c), m) is
@@ -90,6 +87,9 @@ def transport(confs: Iterable[Configuration], start: Configuration,
       activates from P2's graveyard moves only onto equal piles.  The
       opening windows read both hands (turn >= 2), the hand limit and
       deck-out read the turn player's, P1's, and so does every other read.
+    Under the guards T(c) is terminal, and won by the same player,
+    exactly when c is: the terminal tests read P2's LP against 0, the turn
+    and the turn player's deck, P2's only where its emptiness is kept.
     Outside any move, ``is_initial`` reads the turn and both LP totals.
     ``unframed`` takes this frame out of a start, ``line_frame`` reads a
     recorded line's guards, and ``LineTable`` checks them all.
@@ -99,18 +99,6 @@ def transport(confs: Iterable[Configuration], start: Configuration,
     dl = now[1].lp - was[1].lp
     dc = spell_counters(onto) - spell_counters(start)
     memo: dict[int, object] = {id(was[p]): now[p] for p in (0, 1)}
-    if numeric:
-        out = []
-        for c in confs:
-            p1, p2 = c.players
-            fz = p1.field_zone
-            if dc and fz.card == CITADEL and fz.face_up:
-                p1 = replace(p1, field_zone=replace(fz, counters=fz.counters + dc))
-            got = memo.get(id(p2))
-            if got is None:
-                got = memo[id(p2)] = replace(p2, lp=p2.lp + dl)
-            out.append(replace(c, players=(p1, got)))
-        return out
     piles = {} if _piles(was[1]) == _piles(now[1]) else dict(zip(_PILES, _piles(now[1])))
     for p in (0, 1):
         memo[id(was[p].monsters)] = now[p].monsters
@@ -270,14 +258,35 @@ class LineTable:
         return steps
 
 
+def shift(confs: Iterable[Configuration], start: Configuration,
+          onto: Configuration) -> list[Configuration]:
+    """``transport`` for a start and onto that differ only in the counters
+    and P2's LP, as a line that repeats itself and its copies do
+    (``repeats``): only those two are moved."""
+    dl = onto.players[1].lp - start.players[1].lp
+    dc = spell_counters(onto) - spell_counters(start)
+    memo = {id(start.players[1]): onto.players[1]}
+    out = []
+    for c in confs:
+        p1, p2 = c.players
+        fz = p1.field_zone
+        if dc and fz.card == CITADEL and fz.face_up:
+            p1 = replace(p1, field_zone=replace(fz, counters=fz.counters + dc))
+        got = memo.get(id(p2))
+        if got is None:
+            got = memo[id(p2)] = replace(p2, lp=p2.lp + dl)
+        out.append(replace(c, players=(p1, got)))
+    return out
+
+
 def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:
     """Whether the line of (before, move, after) steps ends at its own
     start with only the counters and P2's LP moved, by gains of 0 or more,
-    under the guards: then ``transport(..., numeric=True)`` moves it onto
-    its end, and each copy onto the end of the one before."""
+    under the guards: then ``shift`` moves it onto its end, and each copy
+    onto the end of the one before."""
     start, end = steps[0][0], steps[-1][2]
     if (end.players[1].lp < start.players[1].lp or spell_counters(end) < spell_counters(start)
-            or transport((start,), start, end, numeric=True)[0] != end):
+            or shift((start,), start, end)[0] != end):
         return False
     frame = line_frame(steps)
     return frame is not None and _guards_hold(start, frame, end)

@@ -36,8 +36,6 @@ class ScriptBroken(DuelhaltError):
 
     def __init__(self, step, reason):
         super().__init__(f"script broken at step {step}: {reason}")
-        self.step = step
-        self.reason = reason
 
 
 class NotLoopReady(DuelhaltError):

@@ -10,11 +10,9 @@ All scripts speak from Player 1's side; the opponent's forced plays
 Player 2, tagged only by their position in the line.
 
 ``play_cycles`` takes each increment cycle from the line's
-``frame.LineTable`` in one call: a recorded applied cycle moved onto the
-cycle's start by ``frame.transport``, or else the cycle applied there and
-recorded.  The table belongs to whoever makes the line: a strategy passes
-its own to the lines it plans, and any other line gets a fresh one.  The
-lemma this rests on is stated once, on ``frame.transport``.
+``frame.LineTable``, moved under ``frame.transport``'s lemma or applied
+and recorded; a strategy passes its own table to the lines it plans, and
+any other line gets a fresh one.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .engine import (
     link,
 )
 from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
-from .engine.frame import LineTable, repeats, transport
+from .engine.frame import LineTable, repeats, shift
 from .engine.moves import ChainLink
 from .engine.rules import flip_choice_extras, identity_order, make_bait_doll_move, spell_counters
 
@@ -81,6 +79,8 @@ class Line:
         return self.run.last()
 
     def do(self, move: Move) -> None:
+        """Apply the move and link its result; the kernel's ``_prelude``
+        refuses any move from a terminal, so none ends inside a line."""
         try:
             nxt = apply(self.conf, move)
         except IllegalMove as exc:
@@ -132,12 +132,11 @@ def _szone_of(conf: Configuration, p: int, cid: int) -> int:
 
 
 def _pass_until(line: Line, pred) -> None:
-    guard = 0
-    while not pred(line.conf):
+    for _ in range(61):
+        if pred(line.conf):
+            return
         line.do(Pass(line.conf.priority))
-        guard += 1
-        if guard > 60:
-            raise ScriptBroken(len(line.run), "phase walk did not converge")
+    raise ScriptBroken(len(line.run), "phase walk did not converge")
 
 
 def _to_phase(line: Line, phase: Phase) -> None:
@@ -299,8 +298,6 @@ def _order_for(deck: DeckList, want: list[int]) -> tuple[int, ...]:
         else:
             raise ScriptBroken(-1, f"deck order wants a missing copy of {cid}")
     order.extend(i for i in range(len(pool)) if not used[i])
-    if len(order) != len(pool):
-        raise ScriptBroken(-1, "deck order is not a permutation")
     return tuple(order)
 
 
@@ -532,13 +529,9 @@ def _summon_endymion(line: Line) -> int:
     """Summon the magician from the graveyard (-6); returns its zone."""
     conf = line.conf
     zone = _free_mzone(conf, 0)
-    extras = [zone, 0]
-    if OFFERINGS in conf.players[0].gy:
-        extras[1] = 1 + _gy_index(conf, 0, OFFERINGS)
-    line.do(ActivateEffect(
-        0, "endymion_counter_summon", (0, GY, _gy_index(conf, 0, ENDYMION)),
-        extras=tuple(extras),
-    ))
+    offerings = 1 + _gy_index(conf, 0, OFFERINGS) if OFFERINGS in conf.players[0].gy else 0
+    line.do(ActivateEffect(0, "endymion_counter_summon", (0, GY, _gy_index(conf, 0, ENDYMION)),
+                           extras=(zone, offerings)))
     return zone
 
 
@@ -602,8 +595,8 @@ def play_cycles(line: Line, a: int, b: int) -> None:
     lemma, what applying them gives), or else the one
     ``increment_cycle_moves`` plays through the engine, which the table
     records.  A cycle that repeats itself (``frame.repeats``) links the
-    rest of the batch as its steps moved onto the end of the copy before,
-    with no more lookups.
+    rest of the batch as its steps shifted (``frame.shift``) onto the end
+    of the copy before, with no more lookups.
     """
     for left in range(a, 0, -1):
         start = len(line.run)
@@ -615,8 +608,7 @@ def play_cycles(line: Line, a: int, b: int) -> None:
         if left > 1 and repeats(cycle):
             moves, confs = [m for _c, m, _n in cycle], [n for _c, _m, n in cycle]
             for _ in range(left - 1):
-                for move, nxt in zip(moves, transport(confs, cycle[0][0], line.conf,
-                                                      numeric=True)):
+                for move, nxt in zip(moves, shift(confs, cycle[0][0], line.conf)):
                     line.run = link(line.run, nxt, move)
             break
     for _ in range(b):

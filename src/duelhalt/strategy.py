@@ -12,21 +12,19 @@ undefined, matching the localization picture.
 `next_move` answers with our steps to the end of the turn, each a (move,
 next configuration) pair, from one call to the strategy's
 `frame.LineTable`, its only record of its answers: a recorded turn moved
-onto the configuration, or else the turn planned there, which the table
-records as it does the increment cycles a plan plays.  So each
-configuration is one `apply` made or one moved from a line `apply` made;
-the frame, the lemma and its guards are stated once, on
-`frame.transport`.  A turn's planner reads the frame only through the
-engine (the legality of its moves and the terminal tests; its cycle
-lookups read the LP only to choose between moving a cycle and applying
-it) and through the counters, so a turn is recorded under the tag (mode,
-counters), the turn it plans from a moved start is the moved turn, and a
-turn asked for again is the recorded one moved onto its own start, equal
-to it by value.  Both players' turns are planned lines: ours by the
-strategy, the opponent's canonical turns by `_p2_turns`.  `_drive` and
-the explorer extend the run with the planned configurations and choose or
-apply no move of their own, so each transition is applied at most once,
-by the line that plans it.
+onto the configuration, or else the turn planned there and recorded, as
+are the increment cycles a plan plays.  So each configuration is one
+`apply` made or one moved from a line `apply` made; the frame, the lemma
+and its guards are stated once, on `frame.transport`.  A turn's planner
+reads the frame only through the engine (the legality of its moves and
+the terminal tests; its cycle lookups read the LP only to choose between
+moving a cycle and applying it) and through the counters, so a turn is
+recorded under the tag (mode, counters) and the turn it plans from a
+moved start is the moved turn.  Both players' turns are planned lines:
+ours by the strategy, theirs by `_p2_turns`.  `_drive` links each whole
+and judges it at its end, and it and the explorer choose or apply no
+move of their own: each transition is applied at most once, by the line
+that plans it, and each turn is asked for once, the root's included.
 
 The winning checker and the strategy trees share one explorer of the
 opponent's choices.  Those are numbers spoken through the equip-retarget
@@ -151,9 +149,7 @@ class Strategy:
         configuration of theirs) or to the won configuration, each a (move,
         configuration it leads to) pair; None where the strategy is
         undefined.  The opponent's passes inside our turn are among them.
-
-        The answer is the line table's turn from conf under the tag (mode,
-        counters), a recorded turn moved onto conf or one planned and recorded."""
+        The answer is the line table's turn under the tag (mode, counters)."""
         mode = self._reads(state)
 
         def play():
@@ -186,7 +182,8 @@ def _planned(line: Line, fill: Callable[..., None], *args) -> Optional[Line]:
 
 def _own_turn(line: Line, play: Callable[..., None], *args) -> None:
     """One of our turns: walk to the main phase, let play(line, *args) fill
-    it, and pass the turn unless the game is won."""
+    it, and pass the turn unless the game is won.  No configuration before
+    the line's last is terminal, as ``Line.do`` says."""
     if line.conf.phase == Phase.DRAW:
         _to_phase(line, Phase.MAIN1)
     if line.conf.phase not in (Phase.MAIN1, Phase.MAIN2):
@@ -452,13 +449,16 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
     the first configuration of their turn, so no opponent turn ends along a
     drive and the heard state holds (a run that ends inside an opponent's
     turn, past that point, has the rest of the turn passed out unheard).
+    Each turn, ours from ``next_move`` and theirs from ``_their_steps``, is
+    linked whole and judged at its end, as no planned line (``_own_turn``)
+    or moved one (``frame.transport``) has a terminal before it.
 
     Returns the run reached and None there, or why the drive stopped first:
     WIN or LOSS at a terminal state, LOSS when the strategy strands (the
-    run ends before the move it could not make), UNDETERMINED past
-    last_turn or after MAX_STEPS moves.
+    run ends before the turn it could not answer), UNDETERMINED past
+    last_turn or once MAX_STEPS of our moves are made, judged between turns.
     """
-    steps, turn, at = 0, (), 0  # our moves made; the turn followed, and where
+    steps = 0  # our moves made
     while True:
         conf = run.last()
         kind = _terminal_kind(conf)
@@ -474,19 +474,18 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
                 return run, LOSS
             run = played[0]
             continue
-        if steps == MAX_STEPS:
+        if steps >= MAX_STEPS:
             return run, UNDETERMINED
-        if at == len(turn):
-            turn, at = s.next_move(conf, state), 0
-            if turn is None:
-                return run, LOSS
-        mv, nxt = turn[at]
-        run = run.extend(nxt, mv)
-        steps, at = steps + 1, at + 1
+        turn = s.next_move(conf, state)
+        if turn is None:
+            return run, LOSS
+        for mv, nxt in turn:
+            run = run.extend(nxt, mv)
+        steps += len(turn)
 
 
 def _expand(s: Strategy, run: Run, state: Hashable, budget: Budget,
-            last_turn: Optional[int] = None) -> tuple[Run, Optional[str], Iterator]:
+            last_turn: int) -> tuple[Run, Optional[str], Iterator]:
     """The explorer's step: drive to the opponent's next choice.  Returns
     the run reached, why the drive stopped (None at a branch point) and,
     lazily, each canonical opponent turn there with the (run, state) it
@@ -514,11 +513,11 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     Win: every explored branch reaches Player 1's victory, and either the
     budget's number cap is declared exhaustive or the opponent never had a
     capped choice.  Loss: some branch defeats Player 1 or strands the
-    strategy.  Anything cut off by the budget is Undetermined.
+    strategy.  Anything cut off by the budget is Undetermined.  A terminal
+    root has its verdict; at another in our turn and priority, a first drive
+    that loses with nothing played raises StrategyUndefinedAtRoot.
     """
     state, root = s.observe(run), run.last()
-    if root.active == 0 and root.priority == 0 and s.next_move(root, state) is None:
-        raise StrategyUndefinedAtRoot(str(s.descriptor))
     last_turn = root.turn + budget.max_turns
     base_len = len(run)
     # a line's verdict depends only on the configuration and heard state it
@@ -546,6 +545,8 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     # deep recursion; each verdict settles into the branch point above it
     stack: list[_Branch] = []
     node = explore(run, state)
+    if node == WinVerdict(LOSS) and root.active == root.priority == 0 and not _terminal_kind(root):
+        raise StrategyUndefinedAtRoot(str(s.descriptor))  # no turn answered from the root
     while True:
         if isinstance(node, _Branch):
             stack.append(node)

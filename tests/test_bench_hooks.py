@@ -53,20 +53,37 @@ def test_bounded_runs_step_through_the_traced_stepper(perfbench_on_path):
     assert tracer.scoped[layers.BOUNDED].get("tm.step", 0) > 0
 
 
+def test_a_traced_check_plans_through_the_traced_planner(perfbench_on_path):
+    # strategy.plan_miss_ratio counts strategy.plan_turn calls, which the
+    # tracer wraps only on the strategy classes that define _plan_turn: a
+    # planner moved elsewhere would leave that metric reading 0
+    import layers
+    from tracer import Tracer
+
+    from duelhalt import reductions
+
+    out = reductions.reduce_halting(tm.CURATED["empty"])
+    tracer = Tracer(scopes=layers.SCOPES)
+    try:
+        layers.install(tracer)
+        assert strategy.check_winning(out.run, out.strategy, strategy.Budget(10, 2)).is_win
+    finally:
+        tracer.unpatch()
+    assert tracer.scoped[layers.CHECKER].get("strategy.plan_turn", 0) > 0
+
+
 def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch):
     # strategy.applies_per_transition is engine applies over Run.extend calls
     # inside check_winning.  Counted independently here:
     # - our transitions: the summed length of the turns the drives followed,
-    #   every next_move answer but the root's check (a WIN follows each
-    #   turn to its end);
+    #   every next_move answer (a WIN follows each turn to its end);
     # - the planned lines: each planned step is applied once, except the
     #   increment cycles linked as a recorded cycle moved by frame.transport
     #   (every planned cycle the traced cycle planner did not play);
     # - the moved turns: a recorded turn moved onto a later start by
     #   frame.transport is linked, not applied, so its steps are counted
     #   where the line table answers under a turn's tag without playing;
-    #   the first is the root's turn, planned for the root's check and
-    #   moved onto the root for the drive, whose steps ours already counts;
+    #   none is moved onto the root, whose turn only the first drive asks for;
     # - the opponent's transitions: the distinct run nodes of every turn the
     #   shared walk yields, since turns share their prefixes and each node is
     #   made by one apply and one Run.extend.
@@ -124,7 +141,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         assert verdict.is_win
         inside = tracer.scoped[layers.CHECKER]
         assert len(answers) == inside["strategy.next_move"]
-        ours = sum(answers[1:])
+        ours = sum(answers)
         cycles = sum(getattr(m, "effect", None) == "boe_flip_all" for moves in planned
                      for m in moves)
         linked = cycles - inside["scripts.increment_cycle_moves"]
@@ -133,8 +150,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
             while node is not base:
                 theirs.add(id(node))
                 node = node._parent
-        assert linked > 0 and moved[0][0] is out.run.last()
-        moved = [moves for _conf, moves in moved[1:]]
+        assert linked > 0 and all(conf != out.run.last() for conf, _moves in moved)
+        moved = [moves for _conf, moves in moved]
         assert moved
         assert inside["engine.run_extend"] == ours + len(theirs)
         assert inside["engine.apply"] + 4 * linked == sum(map(len, planned)) + len(theirs)

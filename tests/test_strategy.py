@@ -9,6 +9,7 @@ from duelhalt.coding import pair, triple
 from duelhalt.engine import (ActivateEffect, Pass, Phase, Run, apply, is_winning_state,
                              replay_witness, validate_run)
 from duelhalt.engine.config import MZONE, update_player
+from duelhalt.engine.frame import LineTable
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import ScriptBroken, StrategyUndefinedAtRoot
 from duelhalt.reductions import (
@@ -19,6 +20,7 @@ from duelhalt.reductions import (
     standard_finite,
     standard_omega,
 )
+from duelhalt.scripts import CYCLE
 from duelhalt.strategy import (
     Budget,
     LOSS,
@@ -142,6 +144,37 @@ class TestCheckWinning:
         s = TMStrategy(CURATED["empty"])
         with pytest.raises(StrategyUndefinedAtRoot):
             check_winning(Run((board_b.final,), ()), s, Budget(10, 2))
+
+    def test_a_root_already_won_has_its_verdict(self):
+        # halting identity's witness replayed to its won end: the checker
+        # gives WIN with nothing to play, as the tree gives a winning leaf,
+        # and asks no turn of a finished game
+        out = reduce_halting(CURATED["identity"])
+        won = replay_witness(out.run, check_winning(out.run, out.strategy, Budget(200, 4)).witness)
+        assert is_winning_state(won.last(), 0)
+        v = check_winning(won, TMStrategy(CURATED["identity"]), Budget(5, 2))
+        assert (v.kind, v.witness) == (WIN, ())
+        tree = to_tree(TMStrategy(CURATED["identity"]), won, 3, Budget(5, 2))
+        assert tree.winning is True and not tree.children
+
+    @pytest.mark.parametrize("reduce, budget", [
+        (lambda: reduce_halting(CURATED["identity"]), Budget(200, 4)),
+        (lambda: reduce_nis(CURATED["successor"]), Budget(10, 8, cap_exhaustive=True)),
+    ])
+    def test_the_root_turn_is_looked_up_once(self, reduce, budget, monkeypatch):
+        # the first drive's own answer is the only lookup of the root's
+        # turn: no separate question checks that the strategy is defined there
+        out = reduce()
+        root, lookups, line = out.run.last(), [], LineTable.line
+
+        def spy(self, conf, tag, play):
+            if conf is root and tag != CYCLE:
+                lookups.append(tag)
+            return line(self, conf, tag, play)
+
+        monkeypatch.setattr(LineTable, "line", spy)
+        assert check_winning(out.run, out.strategy, budget).is_win
+        assert len(lookups) == 1
 
     def test_loss_when_strategy_strands(self):
         # a strategy defined for the turn from the root but not afterwards:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.engine import ActivateEffect, Configuration, apply
+from duelhalt.engine import ActivateEffect, Configuration, apply, is_winning_state
 from duelhalt.engine.config import fast_replace
 from duelhalt.engine.frame import LineTable, line_frame, transport, unframed
 from duelhalt.engine.rules import spell_counters
@@ -192,7 +192,9 @@ def test_apply_commutes_with_the_transport(recorded_lines, their_boards, data):
     the guard allows, the opponent's piles from a set-up board with the
     key's empty deck and hand, any past stamps and, for a line that reads
     no counters, any count.  Every step of the line moved onto the new
-    start is what apply gives there, and a move of the line at one of its
+    start is what apply gives there and is terminal, and won by the same
+    player, exactly where the recorded one is, and the recorded line has no
+    terminal before its end; and a move of the line at one of its
     configurations is legal exactly where it is legal at the moved one,
     with the moved result."""
     line = data.draw(st.sampled_from(recorded_lines))
@@ -215,6 +217,10 @@ def test_apply_commutes_with_the_transport(recorded_lines, their_boards, data):
     confs = (start,) + after_each
     for before, move, after in zip((onto, *moved), moves, moved):
         assert apply(before, move) == after
+    for recorded, image in zip(confs, (onto, *moved)):
+        assert [is_winning_state(image, p) for p in (0, 1)] \
+            == [is_winning_state(recorded, p) for p in (0, 1)]
+    assert not any(is_winning_state(c, p) for c in confs[:-1] for p in (0, 1))
     i = data.draw(st.integers(0, len(moves) - 1))
     move = data.draw(st.sampled_from(moves))
     after = _outcome(confs[i], move)
