@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..carddb import CITADEL, FILLER
 from .config import GY, CardInstance, Configuration, PlayerState, fast_replace as replace
 from .moves import ActivateEffect, Move
-from .rules import EFFECTS, spell_counters
+from .rules import EFFECTS, Later, spell_counters
 
 
 # --- the frame, and moving a recorded line onto a new one -----------------
@@ -227,6 +227,60 @@ def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
             and not (counts and spell_counters(onto) != spell_counters(was)))
 
 
+class MovedLine:
+    """A recorded line moved onto a start, as (move, configuration) steps
+    built only when read: ``last`` builds the end alone, ``links`` leaves
+    the configurations before it to the nodes a drive links them onto
+    (``rules.Later``), and the first read of any of those, through a node
+    or by iterating or comparing the line, builds them all with one
+    ``transport``."""
+
+    __slots__ = ("_steps", "_start", "_onto", "_last", "_confs")
+
+    def __init__(self, steps: Sequence[tuple[Move, Configuration]], start: Configuration,
+                 onto: Configuration):
+        self._steps, self._start, self._onto = steps, start, onto
+        self._last = self._confs = None
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __iter__(self):
+        return zip((mv for mv, _n in self._steps), self.confs())
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+    def last(self) -> Configuration:
+        if self._last is None:
+            self._last = transport((self._steps[-1][1],), self._start, self._onto)[0]
+        return self._last
+
+    def confs(self) -> list[Configuration]:
+        if self._confs is None:
+            recorded = [nxt for _m, nxt in self._steps]
+            if self._last is None:
+                self._confs = transport(recorded, self._start, self._onto)
+                self._last = self._confs[-1]
+            else:
+                self._confs = transport(recorded[:-1], self._start, self._onto) + [self._last]
+        return self._confs
+
+    def links(self) -> Iterator[tuple[Move, Union[Configuration, Later]]]:
+        """The steps for ``Run.extend``: each configuration but the last
+        a ``Later`` of the line's."""
+        for i, (mv, _n) in enumerate(self._steps[:-1]):
+            yield mv, Later(self, i)
+        yield self._steps[-1][0], self.last()
+
+
+def links(steps: Sequence[tuple[Move, Configuration]]
+          ) -> Iterable[tuple[Move, Union[Configuration, Later]]]:
+    """The steps ``LineTable.line`` answered, for ``Run.extend``: a moved
+    line's ``links``, or the played steps as they are."""
+    return steps.links() if isinstance(steps, MovedLine) else steps
+
+
 class LineTable:
     """Recorded lines under their ``unframed`` start and a tag, which holds
     what the line's maker reads that the key does not; ``line``, the one way
@@ -238,18 +292,18 @@ class LineTable:
 
     def line(self, conf: Configuration, tag: Hashable,
              play: Callable[[], Sequence[tuple[Configuration, Move, Configuration]]]
-             ) -> tuple[tuple[Move, Configuration], ...]:
+             ) -> Sequence[tuple[Move, Configuration]]:
         """The line from conf under the tag, as (move, configuration) steps:
         the first recorded under conf's key and tag that may move onto conf
-        (at turn 2 or later, and ``_guards_hold``), moved there; else the
+        (at turn 2 or later, and ``_guards_hold``), as a ``MovedLine`` onto
+        conf, which builds a configuration only when read; else the
         (before, move, after) steps from conf that play() makes, recorded
         under that key unless the lemma does not cover them."""
         if conf.turn >= 2:
             key = (unframed(conf), tag)
             for start, steps, frame in self.recorded.get(key, ()):
                 if _guards_hold(start, frame, conf):
-                    confs = transport((nxt for _m, nxt in steps), start, conf)
-                    return tuple(zip((mv for mv, _n in steps), confs))
+                    return MovedLine(steps, start, conf)
         made = play()
         steps = tuple((mv, nxt) for _c, mv, nxt in made)
         frame = line_frame(made)  # None before turn 2, so key is bound

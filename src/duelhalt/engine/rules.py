@@ -92,7 +92,13 @@ class Run:
     """A line of play c_0 m_1 c_1 ... m_n c_n of length n, as a persistent
     parent-pointer node (Driscoll, Sarnak, Sleator and Tarjan, "Making Data
     Structures Persistent", 1989): extending is O(1) and shares the prefix.
-    The tuples are built on first read and cached on the node read."""
+    The tuples are built on first read and cached on the node read.
+
+    A node may be linked with a ``Later`` for its configuration, a moved
+    line's that is not built yet; reading it (``last``, ``since``,
+    ``steps``, ``configs``, and through them ``validate_run`` and a trace)
+    builds it and keeps it on the node.  ``moves`` and ``moves_after`` read
+    the moves alone and build nothing."""
 
     __slots__ = ("_parent", "_move", "_conf", "_len", "_configs", "_moves")
 
@@ -113,7 +119,7 @@ class Run:
     def last(self) -> Configuration:
         return self._conf
 
-    def extend(self, conf: Configuration, move: Move) -> "Run":
+    def extend(self, conf: Union[Configuration, "Later"], move: Move) -> "Run":
         """The run one transition on: the explorer's step, once per transition."""
         return link(self, conf, move)
 
@@ -126,7 +132,7 @@ class Run:
     @property
     def moves(self) -> tuple[Move, ...]:
         if self._moves is None:
-            self._moves = tuple(move for _c, move, _n in self.steps())
+            self._moves = self.moves_after(0)
         return self._moves
 
     def _from(self, n: int) -> list["Run"]:
@@ -143,16 +149,56 @@ class Run:
         """The configurations c_n ... c_len; none when the run is shorter."""
         return [node._conf for node in self._from(n)]
 
+    def moves_after(self, n: int) -> tuple[Move, ...]:
+        """The moves m_n+1 ... m_len, off the nodes alone; none when the
+        run is shorter."""
+        return tuple(node._move for node in self._from(n)[1:])
+
     def steps(self, n: int = 0) -> Iterator[tuple[Configuration, Move, Configuration]]:
         """The transitions after c_n, in order, as (before, move, after)."""
         nodes = self._from(n)
         return ((a._conf, b._move, b._conf) for a, b in zip(nodes, nodes[1:]))
 
 
-def link(parent: Run, conf: Configuration, move: Move) -> Run:
+class Later:
+    """The configuration a node is linked with before it is built: the i-th
+    of line.confs(), which builds the line's configurations at once on its
+    first call and keeps them."""
+
+    __slots__ = ("line", "i")
+
+    def __init__(self, line, i: int):
+        self.line, self.i = line, i
+
+
+_SLOT = Run._conf  # the slot a node keeps its configuration in
+
+
+class _Deferred(Run):
+    """A node linked with a ``Later``: every read of a node's configuration
+    goes through ``_conf``, which here builds it on the first read and
+    keeps it in the slot, so a node linked with a configuration pays
+    nothing for deferral."""
+
+    __slots__ = ()
+
+    @property
+    def _conf(self) -> Configuration:
+        conf = _SLOT.__get__(self)
+        if conf.__class__ is Later:
+            conf = conf.line.confs()[conf.i]
+            _SLOT.__set__(self, conf)
+        return conf
+
+    @_conf.setter
+    def _conf(self, conf: Union[Configuration, Later]) -> None:
+        _SLOT.__set__(self, conf)
+
+
+def link(parent: Run, conf: Union[Configuration, Later], move: Move) -> Run:
     """The node one transition after parent, uncounted: lines and trace
     replays link here, so ``Run.extend`` counts the explorer's steps."""
-    run = object.__new__(Run)
+    run = object.__new__(_Deferred if conf.__class__ is Later else Run)
     run._parent, run._move, run._conf, run._len = parent, move, conf, parent._len + 1
     run._configs = run._moves = None
     return run

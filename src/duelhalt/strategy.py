@@ -13,7 +13,10 @@ undefined, matching the localization picture.
 next configuration) pair, from one call to the strategy's
 `frame.LineTable`, its only record of its answers: a recorded turn moved
 onto the configuration, or else the turn planned there and recorded, as
-are the increment cycles a plan plays.  So each configuration is one
+are the increment cycles a plan plays.  A moved turn is built only where
+it is read: `_drive` links its moves and its end, and the configurations
+between are built the first time a run's configurations or steps are
+read; the witness reads moves alone.  So each configuration is one
 `apply` made or one moved from a line `apply` made; the frame, the lemma
 and its guards are stated once, on `frame.transport`.  A turn's planner
 reads the frame only through the engine (the legality of its moves and
@@ -66,7 +69,7 @@ from .engine import (
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.frame import LineTable
+from .engine.frame import LineTable, links
 from .engine.rules import spell_counters
 from .scripts import (
     Line,
@@ -451,7 +454,10 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
     turn, past that point, has the rest of the turn passed out unheard).
     Each turn, ours from ``next_move`` and theirs from ``_their_steps``, is
     linked whole and judged at its end, as no planned line (``_own_turn``)
-    or moved one (``frame.transport``) has a terminal before it.
+    or moved one (``frame.transport``) has a terminal before it.  A moved
+    turn is linked by ``frame.links``, one ``Run.extend`` per move: its
+    end is built, and the configurations before it are left to the nodes
+    (``rules.Later``) until a read of the run's configurations or steps.
 
     Returns the run reached and None there, or why the drive stopped first:
     WIN or LOSS at a terminal state, LOSS when the strategy strands (the
@@ -479,7 +485,7 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
         turn = s.next_move(conf, state)
         if turn is None:
             return run, LOSS
-        for mv, nxt in turn:
+        for mv, nxt in links(turn):
             run = run.extend(nxt, mv)
         steps += len(turn)
 
@@ -526,7 +532,7 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     seen: dict[tuple[Configuration, Hashable], tuple[WinVerdict, int]] = {}
 
     def witness(r: Run) -> tuple[Move, ...]:
-        return tuple(mv for _c, mv, _n in r.steps(base_len))
+        return r.moves_after(base_len)
 
     def explore(r: Run, st: Hashable) -> WinVerdict | _Branch:
         """A verdict, or the branch point at the opponent's next choice."""

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from duelhalt.carddb import FILLER, deck_a, filler_deck, lookup
+from duelhalt.carddb import (FILLER, MST, POTDUAL, RAIGEKI, TORNADO, UPSTART, YATA, deck_a,
+                             filler_deck, lookup)
 from duelhalt.engine import (
     ActivateEffect,
     AdvancePhase,
@@ -634,3 +635,47 @@ def test_creature_swap_moves_each_equip_with_its_monster(board_b):
     assert after.players[0].monsters[0].name == "Clara & Rushka, the Ventriloduo"
     equips = [inst.equipped_to for inst in after.players[1].spelltraps[1:4]]
     assert equips == [(0, MZONE, 0), (0, MZONE, 0), (1, MZONE, 0)]
+
+
+def _with_pot_of_duality(board, deck):
+    """The set-up's last board with Pot of Duality in our hand and the deck."""
+    conf = board.final
+    hand = tuple(sorted(conf.players[0].hand + (POTDUAL,)))
+    return update_player(conf, 0, hand=hand, deck=deck)
+
+
+_EXCAVATED = (MST, TORNADO, UPSTART, RAIGEKI, YATA)
+
+
+@pytest.mark.parametrize("pick", [0, 1, 2])
+def test_pot_of_duality_takes_one_of_the_top_three(board_b, pick):
+    """Pot of Duality excavates the top 3 cards of the deck and adds the
+    one its extra picks to the hand; the two not taken go to the bottom of
+    the deck, in order, and the spell goes to the graveyard."""
+    conf = _with_pot_of_duality(board_b, _EXCAVATED)
+    pot = ActivateEffect(0, "pot_duality", (0, HAND, POTDUAL), extras=(pick,))
+    after = apply(conf, pot)
+    top = list(_EXCAVATED[:3])
+    taken = top.pop(pick)
+    ps, was = after.players[0], conf.players[0]
+    hand = list(was.hand)
+    hand.remove(POTDUAL)
+    assert ps.deck == _EXCAVATED[3:] + tuple(top)
+    assert ps.hand == tuple(sorted(hand + [taken]))
+    assert ps.gy.count(POTDUAL) == was.gy.count(POTDUAL) + 1
+    assert transition_ok(conf, after, pot)
+
+
+@pytest.mark.parametrize("deck, extras, message", [
+    (_EXCAVATED, (3,), "choose one of the top 3"),
+    (_EXCAVATED, (-1,), "choose one of the top 3"),
+    (_EXCAVATED, (0, 1), "choose one of the top 3"),
+    (_EXCAVATED[:2], (0,), "need 3 cards to excavate"),
+])
+def test_pot_of_duality_refuses_a_pick_outside_the_top_three(board_b, deck, extras, message):
+    # an extra outside 0-2, or a deck of fewer than 3 cards to excavate
+    conf = _with_pot_of_duality(board_b, deck)
+    pot = ActivateEffect(0, "pot_duality", (0, HAND, POTDUAL), extras=extras)
+    assert not is_legal(conf, pot)
+    with pytest.raises(IllegalMove, match=message):
+        apply(conf, pot)

@@ -1,8 +1,9 @@
 """Moved lines: a strategy's recorded turn, moved by ``frame.transport`` onto
 a start that differs from its own only in the frame, is the turn the
 strategy plans from there; the recorded lines, turns and increment cycles,
-moved onto random frames are what ``apply`` gives; and each guard of the
-lemma, as ``frame.LineTable`` checks it, refuses what it must."""
+moved onto random frames are what ``apply`` gives; each guard of the
+lemma, as ``frame.LineTable`` checks it, refuses what it must; and a moved
+turn's configurations are built only when something reads them."""
 
 import random
 from typing import NamedTuple
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.engine import ActivateEffect, Configuration, apply, is_winning_state
+from duelhalt.engine import (ActivateEffect, Configuration, Run, apply, is_winning_state,
+                             replay_witness, validate_run)
 from duelhalt.engine.config import fast_replace
-from duelhalt.engine.frame import LineTable, line_frame, transport, unframed
+from duelhalt.engine.frame import LineTable, MovedLine, line_frame, transport, unframed
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import IllegalMove
 from duelhalt.reductions import (
@@ -25,7 +27,7 @@ from duelhalt.reductions import (
     standard_omega,
 )
 from duelhalt.scripts import CYCLE
-from duelhalt.strategy import Budget, check_winning
+from duelhalt.strategy import Budget, check_winning, play_opponent_number
 from duelhalt.tm import CURATED
 
 _EXHAUSTIVE = dict(cap_exhaustive=True)
@@ -350,3 +352,85 @@ def test_the_stamp_guard_refuses_a_line_that_plays_creature_swap(board_b):
     assert steps[0][0].turn >= 2 and steps[0][0].active == steps[1][0].active == 0
     assert line_frame(steps[:1]) is None and line_frame(steps[:2]) is None
     assert line_frame(steps[1:2]) is not None
+
+
+def test_the_turn_player_guard_refuses_a_move_of_the_opponents_turn(board_a):
+    # the lemma covers moves made while we are the turn player: a line with
+    # a move of the opponent's turn is neither covered nor recorded
+    steps = next([step] for step in board_a.run.steps()
+                 if step[0].active == 1 and step[0].turn >= 2)
+    assert line_frame(steps) is None
+    table = LineTable()
+    assert table.line(steps[0][0], "theirs", lambda: steps) == (steps[0][1:],)
+    assert table.recorded == {}
+
+
+# --- moved turns built only when read ---------------------------------------------
+
+
+def _counted_transport(monkeypatch):
+    """The configurations frame.transport builds from now on, as a list
+    that grows by the length of each answer."""
+    built, build = [], transport
+
+    def spy(confs, start, onto):
+        out = build(confs, start, onto)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr("duelhalt.engine.frame.transport", spy)
+    return built
+
+
+def test_halting_checks_build_only_the_ends_of_moved_turns(monkeypatch):
+    # a moved turn costs one transport of its end: the eight halting checks
+    # that read no oracle build at most a fifth of the 10,980 configurations
+    # that moving every step built, and no witness reads one
+    built = _counted_transport(monkeypatch)
+    for name in sorted(CURATED):
+        if not name.startswith("oracle"):
+            out = reduce_halting(CURATED[name])
+            kind = check_winning(out.run, out.strategy, Budget(200, 4)).kind
+            assert kind == ("undetermined" if name == "loop" else "win"), name
+    assert 0 < sum(built) <= 2196
+
+
+def test_a_lazily_driven_run_validates_when_read_back(monkeypatch):
+    # slow's line past several moved turns: its moves read back without
+    # building anything, its steps build each moved turn's configurations
+    # before its end, and the run read back is valid and is its moves
+    # applied from the start
+    out = reduce_halting(CURATED["slow"])
+    turns, line = [], LineTable.line
+
+    def spy(self, conf, tag, play):
+        steps = line(self, conf, tag, play)
+        if isinstance(steps, MovedLine) and tag != CYCLE:
+            turns.append(steps)
+        return steps
+
+    monkeypatch.setattr(LineTable, "line", spy)
+    run = out.run
+    for _ in range(40):
+        if len(turns) >= 5:
+            break
+        run = play_opponent_number(run, out.strategy, 0)
+    monkeypatch.undo()
+    assert len(turns) >= 5
+    built = _counted_transport(monkeypatch)
+    moves = run.moves
+    assert not built
+    assert validate_run(run)
+    assert sum(built) == sum(len(turn) - 1 for turn in turns)
+    assert replay_witness(Run(run.configs[:1], ()), moves).configs == run.configs
+
+
+def test_a_witness_is_read_off_the_moves_alone(monkeypatch):
+    # successor's check moves turns but no cycle: every configuration
+    # transport builds is a moved turn's end, as the witness reads the
+    # nodes' moves alone, and applied from the base run it wins
+    out = reduce_halting(CURATED["successor"])
+    built = _counted_transport(monkeypatch)
+    verdict = check_winning(out.run, out.strategy, Budget(200, 4))
+    assert verdict.is_win and 0 < sum(built) == len(built)
+    assert is_winning_state(replay_witness(out.run, verdict.witness).last(), 0)
