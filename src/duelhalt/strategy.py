@@ -29,8 +29,11 @@ and judges it at its end, and it and the explorer choose or apply no
 move of their own: each transition is applied at most once, by the line
 that plans it, and each turn is asked for once, the root's included.
 
-The winning checker and the strategy trees share one explorer of the
-opponent's choices.  Those are numbers spoken through the equip-retarget
+The winning checker and the strategy trees read one lazily built DAG of
+explored lines, a node per (configuration, heard state) a line starts at:
+the checker folds verdict kinds over it and the trees unfold it to a
+depth, so a line that two branches reach is driven once.  Its edges are
+the opponent's choices, numbers spoken through the equip-retarget
 channel, so a turn of theirs is canonicalized to "pull the equip k times,
 then park it (or not)", and the turns at one decision point share their
 prefix: the draw, the walk to the main phase and each pull are made once.
@@ -490,27 +493,48 @@ def _drive(run: Run, state: Hashable, s: Strategy, last_turn: Optional[int] = No
         steps += len(turn)
 
 
-def _expand(s: Strategy, run: Run, state: Hashable, budget: Budget,
-            last_turn: int) -> tuple[Run, Optional[str], Iterator]:
-    """The explorer's step: drive to the opponent's next choice.  Returns
-    the run reached, why the drive stopped (None at a branch point) and,
-    lazily, each canonical opponent turn there with the (run, state) it
-    leads to, or None when it cannot be played (a LOSS leaf)."""
-    run, stop = _drive(run, state, s, last_turn)
-    choices = _p2_turn_choices(run.last(), budget) if stop is None else []
-    return run, stop, _p2_turns(run, state, choices, s)
+class _Node:
+    """An explored line, from the (configuration, heard state) it starts at
+    to the opponent's next choice: its moves, the configuration it ends at,
+    its kind (why the drive stopped, None at their choice, until settled)
+    and the opponent's turns there, as ``_p2_turns`` yields them.  A node
+    ``check_winning`` settles keeps via (the turn its witness goes on
+    through, and the child) and drops its end and turns."""
+
+    __slots__ = ("moves", "end", "kind", "turns", "via")
 
 
-@dataclass
-class _Branch:
-    """An opponent decision point whose choices check_winning is exploring."""
-    key: tuple[Configuration, Hashable]  # where the line into it started,
-    met: int  # and its witness length there
-    run: Run
-    children: Iterator  # of _expand
-    capped: bool  # running into the number cap leaves the branch undetermined
-    first_win: Optional[WinVerdict] = None
-    undetermined: Optional[WinVerdict] = None
+class _Dag:
+    """The lines explored below a run, one node per (configuration, heard
+    state) a line starts at, the pair that alone fixes its drive and the
+    choices after it: lines that meet share a node, so each is driven once.
+    No node refers back to the DAG, so its nodes go with it, cycle-free."""
+
+    def __init__(self, s: Strategy, budget: Budget, last_turn: int):
+        self.s, self.budget, self.last_turn = s, budget, last_turn
+        self.nodes: dict[tuple[Configuration, Hashable], _Node] = {}
+
+    def node(self, run: Run, state: Hashable) -> _Node:
+        """The line from run's end, driven the first time it is reached."""
+        node = self.nodes.get((run.last(), state))
+        if node is None:
+            node = self.nodes[run.last(), state] = _Node()
+            end, node.kind = _drive(run, state, self.s, self.last_turn)
+            node.moves, node.end, node.via = end.moves_after(len(run)), end.last(), None
+            node.turns = iter(()) if node.kind is not None else \
+                _p2_turns(end, state, _p2_turn_choices(node.end, self.budget), self.s)
+        return node
+
+    def turn(self, node: _Node) -> Optional[tuple[int, Optional[Run], Optional[_Node]]]:
+        """node's next opponent turn as (coded choice, run into the child,
+        child), those two None when it cannot be played, or None past the
+        last; the child is made, and driven, as its turn is read."""
+        step = next(node.turns, None)
+        if step is None:
+            return None
+        (k, park), child = step
+        run, child = (None, None) if child is None else (child[0], self.node(*child))
+        return pair(k, int(park)), run, child
 
 
 def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
@@ -522,60 +546,50 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     strategy.  Anything cut off by the budget is Undetermined.  A terminal
     root has its verdict; at another in our turn and priority, a first drive
     that loses with nothing played raises StrategyUndefinedAtRoot.
+
+    The verdict is a fold of kinds over the explored DAG, depth first: the
+    first LOSS ends it, and a branch point takes its last Undetermined
+    child, else its first WIN, else (capped or childless) Undetermined.
+    A settled node keeps its kind and the turn its witness continues
+    through, and the witness is read off those from the root down.
     """
-    state, root = s.observe(run), run.last()
-    last_turn = root.turn + budget.max_turns
-    base_len = len(run)
-    # a line's verdict depends only on the configuration and heard state it
-    # starts from, so lines that meet take the first one's verdict and moves
-    # (each kept with its witness length where the line started)
-    seen: dict[tuple[Configuration, Hashable], tuple[WinVerdict, int]] = {}
-
-    def witness(r: Run) -> tuple[Move, ...]:
-        return r.moves_after(base_len)
-
-    def explore(r: Run, st: Hashable) -> WinVerdict | _Branch:
-        """A verdict, or the branch point at the opponent's next choice."""
-        key, met = (r.last(), st), len(r) - base_len
-        if key in seen:
-            first, first_met = seen[key]
-            return WinVerdict(first.kind, witness(r) + first.witness[first_met:])
-        r, stop, children = _expand(s, r, st, budget, last_turn)
-        if stop is not None:
-            seen[key] = WinVerdict(stop, witness(r)), met
-            return seen[key][0]
-        return _Branch(key, met, r, children,
-                       has_channel(r.last()) and not budget.cap_exhaustive)
-
-    # open branch points live on an explicit stack, so a long game needs no
-    # deep recursion; each verdict settles into the branch point above it
-    stack: list[_Branch] = []
-    node = explore(run, state)
-    if node == WinVerdict(LOSS) and root.active == root.priority == 0 and not _terminal_kind(root):
+    root, base_len = run.last(), len(run)
+    dag = _Dag(s, budget, root.turn + budget.max_turns)
+    node = dag.node(run, s.observe(run))
+    if node.kind == LOSS and not node.moves and root.active == root.priority == 0 \
+            and not _terminal_kind(root):
         raise StrategyUndefinedAtRoot(str(s.descriptor))  # no turn answered from the root
+    kept: dict[tuple[Move, ...], tuple[Move, ...]] = {}  # a via turn per value: most are passes
+    stack: list[tuple[_Node, Run]] = []  # open branch points, the runs into them: no recursion
     while True:
-        if isinstance(node, _Branch):
-            stack.append(node)
-        elif node.kind == LOSS or not stack:
-            return node
-        elif node.kind == UNDETERMINED:
-            stack[-1].undetermined = node
-        elif stack[-1].first_win is None:
-            stack[-1].first_win = node
-        top = stack[-1]
-        step = next(top.children, None)
-        if step is not None:
-            child = step[1]
-            node = WinVerdict(LOSS, witness(top.run)) if child is None else explore(*child)
-            continue
-        stack.pop()
-        if top.undetermined is not None:
-            node = top.undetermined
-        elif top.capped or top.first_win is None:
-            node = WinVerdict(UNDETERMINED, witness(top.run))
+        if node.kind is None:  # a branch point, reached for the first time
+            stack.append((node, run))
+        elif node.kind == LOSS:
+            return WinVerdict(LOSS, run.moves_after(base_len) + node.moves)
+        elif not stack:  # the root: its witness runs down the settled turns
+            kind, out = node.kind, []
+            while node is not None:
+                out += node.moves
+                turn, node = node.via or ((), None)
+                out += turn
+            return WinVerdict(kind, tuple(out))
+        else:  # a settled kind folds into the branch point above it
+            top, reach = stack[-1]
+            if node.kind == UNDETERMINED or top.kind is None:
+                turn = run.moves_after(len(reach) + len(top.moves))
+                top.kind, top.via = node.kind, (kept.setdefault(turn, turn), node)
+            node.end = node.turns = None
+        top, reach = stack[-1]
+        step = dag.turn(top)
+        if step is None:
+            node, run = stack.pop()
+            if node.kind is None or node.kind == WIN and has_channel(node.end) \
+                    and not budget.cap_exhaustive:
+                node.kind, node.via = UNDETERMINED, None
+        elif step[2] is None:  # a turn that cannot be played: a LOSS leaf
+            return WinVerdict(LOSS, reach.moves_after(base_len) + top.moves)
         else:
-            node = top.first_win
-        seen[top.key] = node, top.met
+            _choice, run, node = step
 
 
 def drive_to_choice(run: Run, s: Strategy) -> Optional[Run]:
@@ -646,54 +660,38 @@ class StrategyTree:
         return n
 
 
-@dataclass
-class _Open:
-    """A tree node whose children to_tree is still building."""
-    label: Optional[int]  # the coded choice on the edge into it
-    code: int
-    depth: int  # levels left below it
-    children: Iterator  # of _expand
-    edges: list[tuple[int, StrategyTree]]
-
-
 def to_tree(s: Strategy, run: Run, depth: int, budget: Budget) -> StrategyTree:
     """Depth-truncated localization of the strategy after the given run.
 
     Nodes sit at the opponent's decision points; edges carry the coded
     number choice; leaves are marked by the win check on their segment,
     and a drive that passes the budget's last turn ends in an open leaf.
+    The tree is the unfolding of the explored DAG (``_Dag``) to the depth,
+    so a line that two branches reach is driven once.
     """
-    last_turn = run.last().turn + budget.max_turns
-    # open nodes live on an explicit stack, so a deep tree needs no deep
-    # recursion; the bottom one only holds the root
-    stack = [_Open(None, 0, depth + 1, iter(()), [])]
-
-    def visit(label: Optional[int], r: Run, st: Hashable, d: int) -> None:
-        """Add the node reached from r under the top node: a leaf, or an
-        open node pushed onto the stack."""
-        r, stop, children = _expand(s, r, st, budget, last_turn)
-        code = encode_configuration(r.last())
-        if stop is None and d > 0:
-            stack.append(_Open(label, code, d, children, []))
-        else:
-            leaf = StrategyTree(code, stop == WIN if stop in (WIN, LOSS) else None)
-            stack[-1].edges.append((label, leaf))
-
-    visit(None, run, s.observe(run), depth)
-    while len(stack) > 1:
-        top = stack[-1]
-        step = next(top.children, None)
-        if step is None:
+    dag = _Dag(s, budget, run.last().turn + budget.max_turns)
+    edges: dict[_Node, list[tuple[int, Optional[_Node]]]] = {}  # per node, its turns read
+    node = dag.node(run, s.observe(run))
+    # open tree nodes (edge label into it, node, levels left below it, code,
+    # subtrees built) live on an explicit stack: no deep recursion for a deep tree
+    stack = [(None, node, depth, encode_configuration(node.end), [])]
+    while True:
+        label, node, d, code, built = stack[-1]
+        read = edges.setdefault(node, [])
+        if len(read) == len(built) and d > 0 and (step := dag.turn(node)) is not None:
+            read.append((step[0], step[2]))
+        if d == 0 or len(read) == len(built):
             stack.pop()
-            stack[-1].edges.append((top.label, StrategyTree(top.code, None, tuple(top.edges))))
+            tree = StrategyTree(code, {WIN: True, LOSS: False}.get(node.kind), tuple(built))
+            if not stack:
+                return tree
+            stack[-1][4].append((label, tree))
             continue
-        (k, park), child = step
-        label = pair(k, int(park))
+        choice, child = read[len(built)]
         if child is None:
-            top.edges.append((label, StrategyTree(top.code, False)))
+            built.append((choice, StrategyTree(code, False)))
         else:
-            visit(label, *child, top.depth - 1)
-    return stack[0].edges[0][1]
+            stack.append((choice, child, d - 1, encode_configuration(child.end), []))
 
 
 WELL_FOUNDED = "all-branches-terminate-winning"

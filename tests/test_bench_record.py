@@ -38,7 +38,9 @@ def test_recorded_entries_pass_the_schema_and_count_won_pairs(tmp_path):
     assert bench_record.main(["--check", str(path)]) == 0
 
 
-@pytest.mark.parametrize("bend", ["no median", "a run short", "no counts"])
+@pytest.mark.parametrize("bend", ["no median", "a run short", "no counts", "an array",
+                                  "an entry not an object", "a metric not an object",
+                                  "runs not a list"])
 def test_the_schema_check_refuses_a_bent_file(bend):
     doc = {"workload": "halting", "entries": [
         bench_record.entry("a" * 40, [_result(0.4), _result(0.5)], _result(0.0), 1.0)]}
@@ -48,8 +50,23 @@ def test_the_schema_check_refuses_a_bent_file(bend):
         del e["metrics"]["wall_s"]["median"]
     elif bend == "a run short":
         e["metrics"]["wall_s"]["runs"].pop()
-    else:
+    elif bend == "no counts":
         e["one_round_counts"] = {}
+    elif bend == "an array":
+        bent = []
+    elif bend == "an entry not an object":
+        bent["entries"].append("b" * 40)
+    elif bend == "a metric not an object":
+        e["metrics"]["wall_s"] = 0.4
+    else:
+        e["metrics"]["wall_s"]["runs"] = 2
     bench_record.check(doc)
     with pytest.raises(ValueError):
         bench_record.check(bent)
+
+
+def test_the_check_command_refuses_a_json_array_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "BENCH_halting.json"
+    path.write_text("[]")
+    assert bench_record.main(["--check", str(path)]) == 1
+    assert capsys.readouterr().err == "error: BENCH file: not a JSON object\n"

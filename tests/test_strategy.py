@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -586,6 +587,56 @@ def test_nis_trees_are_pinned(machine, size, sha):
     tree = to_tree(out.strategy, out.run, depth, budget)
     assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
     assert well_founded_to_depth(tree, depth) == answer
+
+
+@pytest.mark.parametrize("reduce, depth, budget, drives, size, sha", [
+    (lambda: reduce_wo(standard_omega()), 6, Budget(80, 10, cap_exhaustive=True), 140, 268,
+     "6d1b3bb41cceccc2498bf04f0424ba71c8d052ed12eea986e68127244bebe725"),
+    (lambda: reduce_wo(standard_finite(5)), 8, Budget(60, 8, cap_exhaustive=True), 104, 152,
+     "dd32e7bc4d874248af5ac6537c4ea26da1cacc4148a171f61c36a6603f58291c"),
+], ids=["wo-omega", "wo-finite-5"])
+def test_a_tree_drives_each_line_once(reduce, depth, budget, drives, size, sha, monkeypatch):
+    # lines that two branches reach share one (configuration, heard state)
+    # start, and the tree drives each start once: a drive per tree node
+    # would make as many drives as the tree has nodes
+    starts, drive = [], strategy._drive
+
+    def counted(run, state, s, last_turn=None):
+        starts.append((run.last(), state))
+        return drive(run, state, s, last_turn)
+
+    monkeypatch.setattr(strategy, "_drive", counted)
+    out = reduce()
+    tree = to_tree(out.strategy, out.run, depth, budget)
+    assert (len(starts), len(set(starts))) == (drives, drives)
+    assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
+    assert well_founded_to_depth(tree, depth) == WELL_FOUNDED
+
+
+def test_nothing_keeps_an_explored_dag_alive(monkeypatch):
+    # no node refers back to its DAG, so the nodes go with the DAG by
+    # reference counting alone, runs and opponent turns included; a node
+    # whose turns closed over the DAG would wait for the cycle collector
+    out = reduce_wo(standard_omega())
+    budget = Budget(80, 10, cap_exhaustive=True)
+    dags, init = [], strategy._Dag.__init__
+    monkeypatch.setattr(strategy._Dag, "__init__",
+                        lambda self, *args: dags.append(self) or init(self, *args))
+
+    def nodes():
+        return sum(isinstance(o, strategy._Node) for o in gc.get_objects())
+
+    gc.collect()  # what earlier tests left to the collector
+    gc.disable()
+    try:
+        assert check_winning(out.run, out.strategy, budget).is_win
+        assert well_founded_to_depth(to_tree(out.strategy, out.run, 6, budget), 6) == WELL_FOUNDED
+        made = sum(len(dag.nodes) for dag in dags)
+        assert made > 0 and nodes() == made
+        dags.clear()
+        assert nodes() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_drive_inside_their_turn_passes_it_out_unheard():

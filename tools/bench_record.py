@@ -131,22 +131,28 @@ def check(doc: dict) -> None:
         if not cond:
             raise ValueError(f"BENCH file: {what}")
 
+    need(isinstance(doc, dict), "not a JSON object")
     need(isinstance(doc.get("workload"), str), "no workload")
     need(isinstance(doc.get("entries"), list) and doc["entries"], "no entries")
     for e in doc["entries"]:
+        need(isinstance(e, dict), "an entry is not an object")
         need(isinstance(e.get("commit"), str) and e["commit"], "an entry names no commit")
         need(isinstance(e.get("pairs"), int) and e["pairs"] >= 1, f"{e['commit']}: no pairs")
-        need(e.get("metrics"), f"{e['commit']}: no metrics")
+        need(isinstance(e.get("metrics"), dict) and e["metrics"], f"{e['commit']}: no metrics")
         for name, m in e["metrics"].items():
+            need(isinstance(m, dict), f"{e['commit']}: {name} is not an object")
             need(all(isinstance(m.get(k), (int, float)) for k in STATS),
                  f"{e['commit']}: {name} lacks one of {STATS}")
-            need(len(m.get("runs", ())) == e["pairs"], f"{e['commit']}: {name} runs != pairs")
+            need(isinstance(m.get("runs"), list) and len(m["runs"]) == e["pairs"],
+                 f"{e['commit']}: {name} runs are not a list of one per pair")
             need(m["min"] <= m["q1"] <= m["median"] <= m["q3"],
                  f"{e['commit']}: {name} statistics out of order")
         need(isinstance(e.get("one_round_counts"), dict) and e["one_round_counts"],
              f"{e['commit']}: no one-round counts")
+        need(isinstance(e.get("won_pairs", {}), dict), f"{e['commit']}: won_pairs is not an object")
         for name, won_in in e.get("won_pairs", {}).items():
-            need(0 <= won_in <= e["pairs"], f"{e['commit']}: won_pairs[{name}] out of range")
+            need(isinstance(won_in, int) and 0 <= won_in <= e["pairs"],
+                 f"{e['commit']}: won_pairs[{name}] out of range")
 
 
 def record(root: Path, rev: str, pairs: int, seconds: Optional[float], out_dir: Path) -> None:
