@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..carddb import CITADEL, FILLER
-from .config import GY, CardInstance, Configuration, PlayerState, fast_replace as replace
+from .config import GY, HAND, CardInstance, Configuration, PlayerState, fast_replace as replace
 from .moves import ActivateEffect, Move
 from .rules import EFFECTS, Later, spell_counters
 
@@ -20,10 +20,20 @@ from .rules import EFFECTS, Later, spell_counters
 _STAMPS = ("set_turn", "face_since", "summoned_turn")
 _PILES = ("deck", "hand", "gy")
 _LP_GUARD = 1000  # Soul Drain's payment, the highest LP any read of P2's compares with
+# the fewest cards P2's deck keeps along a line moved onto another deck
+# length: deck-out compares it with 0, and a draw of n cards takes n
+# wherever it leaves one
+_DECK_GUARD = 1
 
 
 def _piles(ps: PlayerState) -> tuple:
     return ps.deck, ps.hand, ps.gy
+
+
+def _filler(ps: PlayerState) -> bool:
+    """Whether every card in the player's deck, hand and graveyard is
+    FILLER, so that the piles are their lengths."""
+    return all(pile.count(FILLER) == len(pile) for pile in _piles(ps))
 
 
 def transport(confs: Iterable[Configuration], start: Configuration,
@@ -41,16 +51,18 @@ def transport(confs: Iterable[Configuration], start: Configuration,
     the counters, P2's LP, the turn and each stamp at or after start's
     turn; a stamp before it (a past one) of a card changed since start is
     read off the same slot of onto; and P2's piles are onto's when start's
-    differ from them.  Records c shares with start are onto's own and
+    differ from them, but when every card in start's and onto's is FILLER
+    they are counts: each of T(c)'s is c's with onto's length difference
+    over start added.  Records c shares with start are onto's own and
     every other one is copied once per call, so T(start) = onto and a step
     costs a few ``fast_replace`` copies.
 
     Lemma (the frame rule of separation logic, Reynolds, LICS 2002): for a
-    move m made at c while P1 is the turn player, apply(T(c), m) is
-    defined exactly when apply(c, m) is, and then equals T(apply(c, m)),
-    under the guard that each of the engine's reads of a frame field below
-    names.  A read answers alike at c and T(c) under its guard; every other
-    use of a frame field adds to it or copies it, which commutes with T.
+    move m made at c, apply(T(c), m) is defined exactly when apply(c, m)
+    is, and then equals T(apply(c, m)), under the guard that each of the
+    engine's reads of a frame field below names.  A read answers alike at
+    c and T(c) under its guard; every other use of a frame field adds to it
+    or copies it, which commutes with T.
     - The counters: Endymion's 6-counter check and -6 (its row's
       ``reads_counters``).  Guard: the counters move by 0, or the line
       summons no Endymion.  A spell's +1 commutes.
@@ -58,7 +70,7 @@ def transport(confs: Iterable[Configuration], start: Configuration,
       ``is_winning_state``), ``_adjust_lp``'s clamp at 0 and, when P2
       pays it, Soul Drain's 1000 LP.  Guard: the LP moves by 0, or P2's LP
       stays at ``_LP_GUARD`` (1000) or more all along the line and its
-      image.  Gains and damage commute.
+      image.  Gains and damage commute, Flint Lock's +1000 among them.
     - The turn: ``turn == 0`` (the opening windows, ``_apply_draw``,
       ``_apply_pass``, ``_advance_phase``), ``turn == 1`` and ``!= 1``
       (``_start_turn``'s first draw, the turn-1 attack ban), ``turn >= 1``
@@ -75,31 +87,64 @@ def transport(confs: Iterable[Configuration], start: Configuration,
       its slot had at start, since only Creature Swap moves a card with its
       stamps to another slot (its row's ``moves_stamps``).  Guard: the
       line plays no Creature Swap.
-    - P2's piles: every draw, discard, send to the graveyard and return to
-      the hand changes them.  Guard: a line that changes them moves only
-      onto equal piles.  The reads that change nothing are a draw from an
-      empty deck (P2 draws by Book of Eclipse's End Phase and by Morphing
-      Jar), Morphing Jar's discard of an empty hand, the checks and
-      candidates of P2's set cards that P2's answer to a Pass runs
-      (``_has_quick_move``), and a card activated from P2's graveyard
-      (``_effect_card``).  Guard: P2's deck and hand are empty at start
-      exactly when at onto, and a line that meets a set card of P2's or
-      activates from P2's graveyard moves only onto equal piles.  The
-      opening windows read both hands (turn >= 2), the hand limit and
-      deck-out read the turn player's, P1's, and so does every other read.
-    Under the guards T(c) is terminal, and won by the same player,
-    exactly when c is: the terminal tests read P2's LP against 0, the turn
-    and the turn player's deck, P2's only where its emptiness is kept.
-    Outside any move, ``is_initial`` reads the turn and both LP totals.
-    ``unframed`` takes this frame out of a start, ``line_frame`` reads a
-    recorded line's guards, and ``LineTable`` checks them all.
+    - P2's piles, left alone: every draw, discard, send to the graveyard
+      and return to the hand changes them.  Guard: a line that changes
+      them moves only onto equal piles, unless they are counts (below).
+      The reads that change nothing are a draw from an empty deck (P2
+      draws by Book of Eclipse's End Phase and by Morphing Jar), Morphing
+      Jar's discard of an empty hand, the checks and candidates of P2's
+      set cards that P2's answer to a Pass runs (``_has_quick_move``), a
+      card activated from P2's graveyard (``_effect_card``) and, on P2's
+      own turn, the hand limit.  Guard: P2's deck and hand are empty at
+      start exactly when at onto, and a line that meets a set card of
+      P2's, activates from P2's graveyard or makes a move while P2 is the
+      turn player moves only onto equal piles.
+    - P2's piles as counts: when every card in them is FILLER, which is
+      inert (``_chk_summon``, ``_activation_timing_ok``), the rules read
+      their lengths alone.  Deck-out (``_deck_out_pending``) compares the
+      deck with 0.  A draw (``_draw_cards``) of n cards, 1 for P2's draw
+      and up to 5 for Morphing Jar's and Book of Eclipse's End Phase draw,
+      takes the lesser of n and the deck's length: n wherever it leaves a
+      card, in the line and in its image.  The deck grows only by
+      graveyard cards a locator names, so along such a line it only
+      shrinks.  The hand limit (``_prelude``'s End Phase window,
+      ``_chk_discard``) compares the hand with ``HAND_LIMIT``, Morphing
+      Jar empties the hand, and a locator names a card of the hand or the
+      graveyard by index.  Guard: the piles are FILLER all along the line
+      and at onto, the hand lengths at start and onto are equal, the deck
+      length moves by 0 or stays at ``_DECK_GUARD`` (1) or more all along
+      the line and its image, and the line names no card of P2's hand or
+      graveyard and meets no set card of P2's, whose checks may read them.
+    - Moves made while P2 is the turn player.  ``_start_turn`` reads the
+      turn's parity and ``turn == 1``.  P2's draw and deck-out read P2's
+      deck, and the hand limit P2's hand: the piles' guards.
+      ``_end_phase_events`` bounces Yata by its stamp, and under Book of
+      Eclipse flips the monsters of the player whose turn it is not and
+      draws for them: P1's cards on P2's turn, and on ours a draw from
+      P2's deck.  A Pass of P2's opens the
+      ``_has_quick_move`` window of P1's set cards, whose checks read
+      P1's graveyard (Localized Tornado's targets are its own), P1's LP
+      (Soul Drain's payment), the stamps (``_trap_ready``, a set
+      quick-play's ``set_turn``) and the board, never P2's LP or piles.
+      Flint Lock's pull adds 1000 to P2's LP.  So the clauses above cover
+      the turn, with no guard of its own.
+    Under the guards T(c) is terminal, and won by the same player, exactly
+    when c is: the terminal tests read P2's LP against 0, the turn and the
+    turn player's deck, P2's only where its emptiness is kept.  Outside
+    any move, ``is_initial`` reads the turn and both LP totals; the opening
+    windows read both hands, at turn 0 only.  ``unframed`` takes this frame
+    out of a start, ``line_frame`` reads a recorded line's guards, and
+    ``LineTable`` checks them all.
     """
     since, dt = start.turn, onto.turn - start.turn
     was, now = start.players, onto.players
     dl = now[1].lp - was[1].lp
     dc = spell_counters(onto) - spell_counters(start)
     memo: dict[int, object] = {id(was[p]): now[p] for p in (0, 1)}
-    piles = {} if _piles(was[1]) == _piles(now[1]) else dict(zip(_PILES, _piles(now[1])))
+    w, o = _piles(was[1]), _piles(now[1])
+    counted = w != o and _filler(was[1]) and _filler(now[1])
+    grown = [len(b) - len(a) for a, b in zip(w, o)] if counted else ()  # onto's over start's
+    piles = {} if w == o or counted else dict(zip(_PILES, o))
     for p in (0, 1):
         memo[id(was[p].monsters)] = now[p].monsters
         memo[id(was[p].spelltraps)] = now[p].spelltraps
@@ -143,6 +188,9 @@ def transport(confs: Iterable[Configuration], start: Configuration,
             if p:
                 changes["lp"] = ps.lp + dl
                 changes.update(piles)
+                if counted:
+                    changes.update((f, (FILLER,) * (len(pile) + d))
+                                   for f, pile, d in zip(_PILES, _piles(ps), grown))
             got = memo[id(ps)] = replace(ps, **changes)
         return got
 
@@ -189,41 +237,61 @@ def _unframed_card(inst: Optional[CardInstance], turn: int, counted: bool = Fals
 
 
 def line_frame(steps: Sequence[tuple[Configuration, Move, Configuration]]
-               ) -> Optional[tuple[int, bool, bool]]:
+               ) -> Optional[tuple[int, bool, bool, Optional[int]]]:
     """What a recorded line asks of the frame it is moved onto, read from
     its (before, move, after) steps: None when ``transport``'s lemma does
-    not cover it (a start before turn 2, a move made while P2 is the turn
-    player, a Creature Swap), else P2's lowest LP along it, whether its
-    piles may move (the line leaves them as they are, meets no set card
-    of P2's and activates nothing from P2's graveyard) and whether it
-    reads the counters against a threshold (summons Endymion)."""
+    not cover it (a start before turn 2, a Creature Swap), else P2's lowest
+    LP along it, whether its piles may move as they are (it leaves them
+    alone, meets no set card of P2's, activates nothing from P2's
+    graveyard and makes every move while P1 is the turn player), whether
+    it reads the counters against a threshold (summons Endymion) and, when
+    P2's piles are counts along it (all FILLER, no set card of P2's met and
+    no card of P2's hand or graveyard named), the lowest length of P2's
+    deck, else None.  P2's side is read only where a step changes it."""
     if not steps or steps[0][0].turn < 2:
         return None
-    piles = _piles(steps[0][0].players[1])
-    low, free, counts = steps[0][0].players[1].lp, True, False
+    p2, seen = steps[0][0].players[1], None
+    piles = _piles(p2)
+    low, free, counts, from_gy, named, meets = p2.lp, True, False, False, False, False
+    deck = len(p2.deck) if _filler(p2) else None
     for conf, move, nxt in steps:
-        if conf.active != 0:
-            return None
-        links = (move, *move.chain) if isinstance(move, ActivateEffect) else ()
-        rows = [EFFECTS[a.effect] for a in links]
-        if any(row.moves_stamps for row in rows):
-            return None
-        counts = counts or any(row.reads_counters for row in rows)
-        low = min(low, nxt.players[1].lp)
-        free = free and _piles(nxt.players[1]) == piles and not any(
-            a.source[:2] == (1, GY) for a in links) and not any(
-            st is not None and not st.face_up for st in conf.players[1].spelltraps)
-    return low, free, counts
+        if isinstance(move, ActivateEffect):
+            links = (move, *move.chain)
+            rows = [EFFECTS[a.effect] for a in links]
+            if any(row.moves_stamps for row in rows):
+                return None
+            counts = counts or any(row.reads_counters for row in rows)
+            from_gy = from_gy or any(a.source[:2] == (1, GY) for a in links)
+            named = named or any(loc[:2] in ((1, HAND), (1, GY)) for a in links
+                                 for loc in (a.source, *a.targets))
+        free = free and conf.active == 0
+        if conf.players[1] is not seen:
+            seen = conf.players[1]
+            meets = meets or any(st is not None and not st.face_up for st in seen.spelltraps)
+        p2 = nxt.players[1]
+        if p2 is not seen:
+            low = min(low, p2.lp)
+            free = free and _piles(p2) == piles
+            if deck is not None:
+                deck = min(deck, len(p2.deck)) if _filler(p2) else None
+    return low, free and not meets and not from_gy, counts, \
+        None if meets or named else deck
 
 
 def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
     """The guards an ``unframed`` key leaves open, for a line from was: P2's
     LP moves by 0 or stays at _LP_GUARD or more along the line and its
-    image, and P2's piles and the counters move only where frame lets them."""
-    low, piles, counts = frame
-    dl = onto.players[1].lp - was.players[1].lp
+    image, P2's piles move only where frame lets them (as they are, or as
+    counts: onto's FILLER too, the hand as long and the deck moved by 0 or
+    kept at _DECK_GUARD or more), and the counters only where frame lets
+    them."""
+    low, free, counts, deck = frame
+    w, o = was.players[1], onto.players[1]
+    dl, dd = o.lp - w.lp, len(o.deck) - len(w.deck)
     return ((not dl or min(low, low + dl) >= _LP_GUARD)
-            and (piles or _piles(onto.players[1]) == _piles(was.players[1]))
+            and (free or _piles(o) == _piles(w) or deck is not None
+                 and len(o.hand) == len(w.hand) and _filler(o)
+                 and (not dd or min(deck, deck + dd) >= _DECK_GUARD))
             and not (counts and spell_counters(onto) != spell_counters(was)))
 
 
@@ -273,6 +341,14 @@ class MovedLine:
             yield mv, Later(self, i)
         yield self._steps[-1][0], self.last()
 
+    def split(self, ends: Callable[[Configuration], bool]) -> tuple["MovedLine", "MovedLine"]:
+        """The line as two moved as it is: up to the first recorded
+        configuration that ends() accepts, and the rest.  ends must read no
+        frame field, so that it answers alike on the moved line."""
+        i = next(i for i, (_m, nxt) in enumerate(self._steps) if ends(nxt)) + 1
+        return (MovedLine(self._steps[:i], self._start, self._onto),
+                MovedLine(self._steps[i:], self._start, self._onto))
+
 
 def links(steps: Sequence[tuple[Move, Configuration]]
           ) -> Iterable[tuple[Move, Union[Configuration, Later]]]:
@@ -289,37 +365,57 @@ class LineTable:
     def __init__(self):
         # (start's key, tag) -> [(start, its (move, configuration) steps, line_frame's)]
         self.recorded: dict[tuple[Configuration, Hashable], list[tuple]] = {}
+        # (start's key, tag) -> lines played as iterators, not read yet
+        self.unread: dict[tuple[Configuration, Hashable], list[Iterator]] = {}
 
     def line(self, conf: Configuration, tag: Hashable,
-             play: Callable[[], Sequence[tuple[Configuration, Move, Configuration]]]
+             play: Callable[[], Iterable[tuple[Configuration, Move, Configuration]]]
              ) -> Sequence[tuple[Move, Configuration]]:
         """The line from conf under the tag, as (move, configuration) steps:
         the first recorded under conf's key and tag that may move onto conf
         (at turn 2 or later, and ``_guards_hold``), as a ``MovedLine`` onto
         conf, which builds a configuration only when read; else the
         (before, move, after) steps from conf that play() makes, recorded
-        under that key unless the lemma does not cover them."""
-        if conf.turn >= 2:
-            key = (unframed(conf), tag)
+        under that key unless the lemma does not cover them.  play() may
+        give them as an iterator, which is read only when a later lookup
+        under the key meets it, so a line whose start never recurs is never
+        read; its answer here is then no steps."""
+        key = (unframed(conf), tag) if conf.turn >= 2 else None
+        if key is not None:
+            for made in self.unread.pop(key, ()):
+                self._record(key, made)
             for start, steps, frame in self.recorded.get(key, ()):
                 if _guards_hold(start, frame, conf):
                     return MovedLine(steps, start, conf)
         made = play()
+        if isinstance(made, Iterator):
+            if key is not None:
+                self.unread.setdefault(key, []).append(made)
+            return ()
+        return self._record(key, made)
+
+    def _record(self, key: Optional[tuple[Configuration, Hashable]],
+                made: Iterable[tuple[Configuration, Move, Configuration]]
+                ) -> tuple[tuple[Move, Configuration], ...]:
+        """Read the played steps and record them under the key unless the
+        lemma does not cover them (none from before turn 2, which has no
+        key); their (move, configuration) steps."""
+        made = list(made)
         steps = tuple((mv, nxt) for _c, mv, nxt in made)
-        frame = line_frame(made)  # None before turn 2, so key is bound
+        frame = line_frame(made)
         if frame is not None:
             self.recorded.setdefault(key, []).append((made[0][0], steps, frame))
         return steps
 
 
 def shift(confs: Iterable[Configuration], start: Configuration,
-          onto: Configuration) -> list[Configuration]:
+          onto: Configuration, times: int = 1) -> list[Configuration]:
     """``transport`` for a start and onto that differ only in the counters
     and P2's LP, as a line that repeats itself and its copies do
-    (``repeats``): only those two are moved."""
-    dl = onto.players[1].lp - start.players[1].lp
-    dc = spell_counters(onto) - spell_counters(start)
-    memo = {id(start.players[1]): onto.players[1]}
+    (``repeats``): only those two are moved, by times their differences."""
+    dl = (onto.players[1].lp - start.players[1].lp) * times
+    dc = (spell_counters(onto) - spell_counters(start)) * times
+    memo = {id(start.players[1]): onto.players[1]} if times == 1 else {}
     out = []
     for c in confs:
         p1, p2 = c.players
@@ -331,6 +427,47 @@ def shift(confs: Iterable[Configuration], start: Configuration,
             got = memo[id(p2)] = replace(p2, lp=p2.lp + dl)
         out.append(replace(c, players=(p1, got)))
     return out
+
+
+class Copies:
+    """The copies of a line that repeats itself (``repeats``), linked after
+    it, as (move, configuration) steps built only when read: the end is one
+    ``shift`` by the copies' whole gain, and the first read of any
+    configuration before it, through a node (``rules.Later``), builds them
+    all, one ``shift`` per copy."""
+
+    __slots__ = ("_line", "_copies", "_last", "_confs")
+
+    def __init__(self, line: Sequence[tuple[Configuration, Move, Configuration]], copies: int):
+        self._line, self._copies = line, copies
+        self._last = self._confs = None
+
+    def __len__(self) -> int:
+        return len(self._line) * self._copies
+
+    def last(self) -> Configuration:
+        if self._last is None:
+            start, end = self._line[0][0], self._line[-1][2]
+            self._last = shift((end,), start, end, self._copies)[0]
+        return self._last
+
+    def confs(self) -> list[Configuration]:
+        if self._confs is None:
+            start, end = self._line[0][0], self._line[-1][2]
+            after = [nxt for _c, _m, nxt in self._line]
+            confs = [c for j in range(1, self._copies + 1) for c in shift(after, start, end, j)]
+            if self._last is not None:
+                confs[-1] = self._last
+            self._last, self._confs = confs[-1], confs
+        return self._confs
+
+    def links(self) -> Iterator[tuple[Move, Union[Configuration, Later]]]:
+        """The steps for ``Run.extend``: each configuration but the last
+        a ``Later`` of the copies'."""
+        moves = [mv for _c, mv, _n in self._line]
+        for i in range(len(self) - 1):
+            yield moves[i % len(moves)], Later(self, i)
+        yield moves[-1], self.last()
 
 
 def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:

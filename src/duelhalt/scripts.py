@@ -53,7 +53,7 @@ from .engine import (
     link,
 )
 from .engine.config import EXTRA, FZONE, GY, HAND, HAND_LIMIT, MZONE, SZONE
-from .engine.frame import LineTable, repeats, shift
+from .engine.frame import Copies, LineTable, repeats
 from .engine.moves import ChainLink
 from .engine.rules import flip_choice_extras, identity_order, make_bait_doll_move, spell_counters
 
@@ -131,11 +131,15 @@ def _szone_of(conf: Configuration, p: int, cid: int) -> int:
     raise ScriptBroken(-1, f"spell/trap {cid} not on P{p+1}'s field")
 
 
+# one Pass per player, shared by every line's phase walks
+_PASSES = (Pass(0), Pass(1))
+
+
 def _pass_until(line: Line, pred) -> None:
     for _ in range(61):
         if pred(line.conf):
             return
-        line.do(Pass(line.conf.priority))
+        line.do(_PASSES[line.conf.priority])
     raise ScriptBroken(len(line.run), "phase walk did not converge")
 
 
@@ -595,8 +599,9 @@ def play_cycles(line: Line, a: int, b: int) -> None:
     lemma, what applying them gives), or else the one
     ``increment_cycle_moves`` plays through the engine, which the table
     records.  A cycle that repeats itself (``frame.repeats``) links the
-    rest of the batch as its steps shifted (``frame.shift``) onto the end
-    of the copy before, with no more lookups.
+    rest of the batch as one line of its copies (``frame.Copies``), with no
+    more lookups: the batch's end is built by one shift, and the
+    configurations before it when first read.
     """
     for left in range(a, 0, -1):
         start = len(line.run)
@@ -606,10 +611,8 @@ def play_cycles(line: Line, a: int, b: int) -> None:
                 line.run = link(line.run, nxt, move)
         cycle = list(line.run.steps(start))
         if left > 1 and repeats(cycle):
-            moves, confs = [m for _c, m, _n in cycle], [n for _c, _m, n in cycle]
-            for _ in range(left - 1):
-                for move, nxt in zip(moves, shift(confs, cycle[0][0], line.conf)):
-                    line.run = link(line.run, nxt, move)
+            for move, nxt in Copies(cycle, left - 1).links():
+                line.run = link(line.run, nxt, move)
             break
     for _ in range(b):
         _require_loop_ready(line.conf, need_counters=6)

@@ -29,6 +29,19 @@ and judges it at its end, and it and the explorer choose or apply no
 move of their own: each transition is applied at most once, by the line
 that plans it, and each turn is asked for once, the root's included.
 
+Where the opponent has one choice (no channel: the turn that passes
+through), their turn and the drive after it to their next decision point
+are one round, a line of the same table under the tag (ROUND, heard
+state, counters, the opponent's hand size): what the round's maker reads
+beyond the key.  A round the table moves onto a later decision point is
+linked step by step with only our turn's start, the next node's key, and
+the round's end built, and with no `_p2_turns`, `next_move` or `_drive`;
+`frame.transport`'s lemma covers the moves of the opponent's turn in it,
+on their FILLER piles counted by length.  A played round is recorded,
+and read only when its key recurs, when its drive stops at their next
+decision point with the heard state unchanged; one that would end past
+the budget's last turn is not looked up, so the drive judges it.
+
 The winning checker and the strategy trees read one lazily built DAG of
 explored lines, a node per (configuration, heard state) a line starts at:
 the checker folds verdict kinds over it and the trees unfold it to a
@@ -504,6 +517,11 @@ class _Node:
     __slots__ = ("moves", "end", "kind", "turns", "via")
 
 
+# the tag a round is recorded under, before what its maker reads beyond the
+# key: the heard state, the counters and the opponent's hand size
+ROUND = "round"
+
+
 class _Dag:
     """The lines explored below a run, one node per (configuration, heard
     state) a line starts at, the pair that alone fixes its drive and the
@@ -514,21 +532,82 @@ class _Dag:
         self.s, self.budget, self.last_turn = s, budget, last_turn
         self.nodes: dict[tuple[Configuration, Hashable], _Node] = {}
 
-    def node(self, run: Run, state: Hashable) -> _Node:
-        """The line from run's end, driven the first time it is reached."""
+    def node(self, run: Run, state: Hashable,
+             driven: Optional[tuple[Run, Optional[str]]] = None) -> _Node:
+        """The line from run's end, driven the first time it is reached
+        unless its drive, (end, kind), is given.  A decision point with one
+        choice and room for a round within the last turn keeps its (end,
+        state) as its turns, for ``_round``; any other, an iterator."""
         node = self.nodes.get((run.last(), state))
         if node is None:
             node = self.nodes[run.last(), state] = _Node()
-            end, node.kind = _drive(run, state, self.s, self.last_turn)
+            end, node.kind = driven or _drive(run, state, self.s, self.last_turn)
             node.moves, node.end, node.via = end.moves_after(len(run)), end.last(), None
-            node.turns = iter(()) if node.kind is not None else \
-                _p2_turns(end, state, _p2_turn_choices(node.end, self.budget), self.s)
+            choices = () if node.kind is not None else _p2_turn_choices(node.end, self.budget)
+            if not choices:
+                node.turns = iter(())
+            elif choices == [(0, True)] and node.end.turn + 2 <= self.last_turn:
+                node.turns = (end, state)
+            else:
+                node.turns = _p2_turns(end, state, choices, self.s)
         return node
+
+    def _round(self, run: Run, state: Hashable) -> tuple[Optional[Run], Optional[_Node]]:
+        """The round from a decision point with one choice: the opponent's
+        turn and the drive after it to their next decision point, as one
+        line of the strategy's table under the tag (ROUND, state, counters,
+        the opponent's hand size).  Gives the run into our turn and the
+        node there, both None when their turn cannot be played.
+
+        A moved round links its steps, one ``Run.extend`` each, and builds
+        only our turn's start, the child's key, and, for a new child, the
+        round's end.  A played round is their turn from ``_p2_turns`` and,
+        for a new child, its ``_drive``, recorded when that stops at their
+        next decision point with the heard state unchanged; so a moved
+        round, whose steps speak the number the recorded ones did, leaves
+        the state as it found it.  Both players' turns in it are covered by
+        ``frame.transport``'s lemma, and its two turns end within the last
+        turn (``node``), so no drive would judge it before its end."""
+        conf, s = run.last(), self.s
+        played: list[tuple[Optional[Run], Optional[_Node]]] = []
+
+        def play():
+            (_choice, child), = _p2_turns(run, state, [(0, True)], s)
+            if child is None:
+                played.append((None, None))
+                return ()
+            node = self.nodes.get((child[0].last(), child[1]))
+            if node is not None:  # reached before: driven then
+                played.append((child[0], node))
+                return ()
+            end, kind = _drive(*child, s, self.last_turn)
+            played.append((child[0], self.node(*child, (end, kind))))
+            # an iterator: the table reads the round only if its key recurs
+            return end.steps(len(run)) if kind is None and child[1] == state else ()
+
+        line = s.lines.line(conf, (ROUND, state, spell_counters(conf), len(conf.players[1].hand)),
+                            play)
+        if played:
+            return played[0]
+        theirs, ours = line.split(lambda c: c.active == 0)
+        for mv, nxt in theirs.links():
+            run = run.extend(nxt, mv)
+        node = self.nodes.get((run.last(), state))
+        if node is None:
+            end = run
+            for mv, nxt in ours.links():
+                end = end.extend(nxt, mv)
+            node = self.node(run, state, (end, None))
+        return run, node
 
     def turn(self, node: _Node) -> Optional[tuple[int, Optional[Run], Optional[_Node]]]:
         """node's next opponent turn as (coded choice, run into the child,
         child), those two None when it cannot be played, or None past the
-        last; the child is made, and driven, as its turn is read."""
+        last; the child is made, and driven or moved, as its turn is read."""
+        if node.turns.__class__ is tuple:  # a round still to read
+            run, child = self._round(*node.turns)
+            node.turns = iter(())
+            return pair(0, 1), run, child
         step = next(node.turns, None)
         if step is None:
             return None

@@ -86,12 +86,16 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     #   none is moved onto the root, whose turn only the first drive asks for;
     # - the opponent's transitions: the distinct run nodes of every turn the
     #   shared walk yields, since turns share their prefixes and each node is
-    #   made by one apply and one Run.extend.
+    #   made by one apply and one Run.extend;
+    # - the moved rounds: a recorded round (the opponent's one turn and the
+    #   drive after it) moved onto a later decision point is linked, one
+    #   Run.extend per step, with no apply, no next_move and no shared walk,
+    #   so its steps are counted where the two halves it splits into link.
     import layers
     from tracer import Tracer
 
     from duelhalt import reductions, scripts
-    from duelhalt.engine.frame import LineTable
+    from duelhalt.engine.frame import LineTable, MovedLine
 
     cases = [(reductions.reduce_halting(tm.CURATED["identity"]), strategy.Budget(200, 4)),
              (reductions.reduce_nis(tm.CURATED["successor"]),
@@ -101,7 +105,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
         plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
         table_line, answer = LineTable.line, strategy.Strategy.next_move
-        planned, turns, moved, answers = [], [], [], []
+        split, moved_links = MovedLine.split, MovedLine.links
+        planned, turns, moved, answers, halves, rounds = [], [], [], [], {}, []
 
         def counted_plan(self, conf, mode):
             line = plan_turn(self, conf, mode)
@@ -118,9 +123,20 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         def counted_moves(self, conf, tag, play):
             played = []
             steps = table_line(self, conf, tag, lambda: played.append(conf) or play())
-            if not played and tag != scripts.CYCLE:
+            if not played and tag != scripts.CYCLE and tag[0] != strategy.ROUND:
                 moved.append((conf, [mv for mv, _n in steps]))
             return steps
+
+        def counted_split(self, ends):
+            got = split(self, ends)
+            halves.update((id(half), half) for half in got)  # kept, so no id is reused
+            return got
+
+        def counted_links(self):
+            for step in moved_links(self):
+                if halves.get(id(self)) is self:
+                    rounds.append(step[0])
+                yield step
 
         def counted_answers(self, conf, state):
             turn = answer(self, conf, state)
@@ -131,6 +147,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         monkeypatch.setattr(LineTable, "line", counted_moves)
         monkeypatch.setattr(strategy.Strategy, "next_move", counted_answers)
         monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
+        monkeypatch.setattr(MovedLine, "split", counted_split)
+        monkeypatch.setattr(MovedLine, "links", counted_links)
         tracer = Tracer(scopes=layers.SCOPES)
         try:
             layers.install(tracer)
@@ -152,16 +170,16 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
                 node = node._parent
         assert linked > 0 and all(conf != out.run.last() for conf, _moves in moved)
         moved = [moves for _conf, moves in moved]
-        assert moved
-        assert inside["engine.run_extend"] == ours + len(theirs)
+        assert moved and rounds
+        assert inside["engine.run_extend"] == ours + len(theirs) + len(rounds)
         assert inside["engine.apply"] + 4 * linked == sum(map(len, planned)) + len(theirs)
         if out.strategy.descriptor[0] == "tm":
             # one line, with no opponent choice: the witness, made of the
-            # planned lines and the moved turns
+            # planned lines, the moved turns and the moved rounds
             assert cycles + sum(getattr(m, "effect", None) == "boe_flip_all"
-                                for moves in moved for m in moves) \
+                                for moves in moved + [rounds] for m in moves) \
                 == sum(getattr(m, "effect", None) == "boe_flip_all" for m in verdict.witness)
-            assert inside["engine.apply"] + 4 * linked + sum(map(len, moved)) \
+            assert inside["engine.apply"] + 4 * linked + sum(map(len, moved)) + len(rounds) \
                 == inside["engine.run_extend"] == len(verdict.witness)
         else:
             assert len(theirs) < sum(len(node) - len(base) for base, node in turns)

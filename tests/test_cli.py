@@ -1,3 +1,4 @@
+import hashlib
 import signal
 
 import pytest
@@ -10,6 +11,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_a_counter_plan_trace_is_pinned(tmp_path, capsys):
+    # the plan to 480 counters links most of its cycles as one repeated
+    # batch, built only when the trace reads it: the trace is the one the
+    # batch linked copy by copy wrote
+    path = tmp_path / "480.trace"
+    code, out = run_cli(capsys, "counters", "--set", "480", "--trace", str(path))
+    assert code == 0 and out.strip().endswith("verdict=OK")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == "8528f836baa9765742fa2e261deff3a54c2b50c17a7b687d525b7e967e4985cc"
 
 
 def test_cards_listing(capsys):

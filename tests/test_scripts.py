@@ -1,13 +1,15 @@
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt.carddb import lookup
-from duelhalt.engine import ActivateEffect, Phase, apply, validate_run
+from duelhalt.engine import ActivateEffect, Pass, Phase, apply, validate_run
+from duelhalt.engine import frame
 from duelhalt.engine.config import GY
 from duelhalt.engine.config import fast_replace, update_player
-from duelhalt.engine.frame import LineTable, shift, transport
+from duelhalt.engine.frame import LineTable, repeats, shift, transport
 from duelhalt.engine.rules import is_legal, spell_counters
 from duelhalt.errors import IllegalMove, InsufficientCounters, NotLoopReady, ZeroTarget
 from duelhalt import scripts
@@ -334,6 +336,51 @@ def test_shifted_cycles_equal_the_applied_cycles(board_a, start):
         play_cycles(line, a, 0)
         assert line.run.configs == applied.configs[:4 * a + 1]
         assert line.run.moves == applied.moves[:4 * a]
+
+
+def test_a_repeated_batch_builds_its_end_until_read(board_a, monkeypatch):
+    # the copies after a cycle that repeats itself are linked as one line:
+    # linking builds only its end, with one shift by the copies' whole gain,
+    # and the first read of a configuration before it builds every copy,
+    # each the cycle shifted onto the end of the copy before, as the batch
+    # was linked copy by copy, which is the applied line
+    cycles, built, build = 12, [], frame.shift
+
+    def counted(confs, start, onto, times=1):
+        out = build(confs, start, onto, times)
+        built.append((len(out), times))
+        return out
+
+    monkeypatch.setattr(frame, "shift", counted)
+    line = Line(board_a.final)
+    play_cycles(line, cycles, 0)
+    assert all(n == 1 for n, _times in built)
+    (copies,) = [times for _n, times in built if times > 1]
+    built.clear()
+    head = 4 * (cycles - copies)  # the moves up to the batch, the cycle it repeats last
+    cycle = list(islice(line.run.steps(head - 4), 4))
+    assert not built and repeats(cycle)
+    built.clear()
+    start, after, onto, want = cycle[0][0], [n for _c, _m, n in cycle], cycle[-1][2], []
+    for _ in range(copies):
+        want += build(after, start, onto)
+        onto = want[-1]
+    assert line.run.configs[head + 1:] == tuple(want)
+    assert sorted(built) == [(4, j) for j in range(1, 1 + copies)]
+    assert line.run.configs == _applied_cycles(board_a.final, cycles).configs
+
+
+def test_a_planned_turn_passes_with_two_pass_moves(board_a):
+    # every phase walk passes with one of the two players' shared Pass
+    # moves, so a planned turn, ours or the opponent's, holds at most two
+    # distinct Pass objects however many times it passes
+    out = reduce_halting(CURATED["identity"])
+    ours = out.strategy._plan_turn(out.run.last(), None)
+    theirs = Line(ours.conf)
+    scripts._p2_turn(theirs)
+    for line in (ours, theirs):
+        passes = [mv for mv in line.run.moves if isinstance(mv, Pass)]
+        assert len(passes) > 2 and len(set(map(id, passes))) <= 2
 
 
 @pytest.mark.parametrize("name", sorted(CURATED))

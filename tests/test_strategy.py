@@ -597,18 +597,26 @@ def test_nis_trees_are_pinned(machine, size, sha):
 ], ids=["wo-omega", "wo-finite-5"])
 def test_a_tree_drives_each_line_once(reduce, depth, budget, drives, size, sha, monkeypatch):
     # lines that two branches reach share one (configuration, heard state)
-    # start, and the tree drives each start once: a drive per tree node
-    # would make as many drives as the tree has nodes
-    starts, drive = [], strategy._drive
+    # start, and the tree makes each start's line once, by a drive or, after
+    # a decision point with one choice, as a moved round: a line per tree
+    # node would make as many as the tree has nodes
+    starts, made, drive, node = [], [], strategy._drive, strategy._Dag.node
 
     def counted(run, state, s, last_turn=None):
         starts.append((run.last(), state))
         return drive(run, state, s, last_turn)
 
+    def making(self, run, state, driven=None):
+        if (run.last(), state) not in self.nodes:
+            made.append((run.last(), state))
+        return node(self, run, state, driven)
+
     monkeypatch.setattr(strategy, "_drive", counted)
+    monkeypatch.setattr(strategy._Dag, "node", making)
     out = reduce()
     tree = to_tree(out.strategy, out.run, depth, budget)
-    assert (len(starts), len(set(starts))) == (drives, drives)
+    assert (len(made), len(set(made))) == (drives, drives)
+    assert len(set(starts)) == len(starts) < drives and set(starts) <= set(made)
     assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
     assert well_founded_to_depth(tree, depth) == WELL_FOUNDED
 

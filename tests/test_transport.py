@@ -1,10 +1,12 @@
 """Moved lines: a strategy's recorded turn, moved by ``frame.transport`` onto
 a start that differs from its own only in the frame, is the turn the
-strategy plans from there; the recorded lines, turns and increment cycles,
-moved onto random frames are what ``apply`` gives; each guard of the
-lemma, as ``frame.LineTable`` checks it, refuses what it must; and a moved
-turn's configurations are built only when something reads them."""
+strategy plans from there, and a moved round is the round played there;
+the recorded lines, turns, rounds and increment cycles, moved onto random
+frames are what ``apply`` gives; each guard of the lemma, as
+``frame.LineTable`` checks it, refuses what it must; and a moved line's
+configurations are built only when something reads them."""
 
+import copy
 import random
 from typing import NamedTuple
 
@@ -12,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.engine import (ActivateEffect, Configuration, Run, apply, is_winning_state,
-                             replay_witness, validate_run)
-from duelhalt.engine.config import fast_replace
+from duelhalt.carddb import FILLER, UPSTART
+from duelhalt.engine import (ActivateEffect, Configuration, DrawCard, Phase, Run, apply,
+                             is_winning_state, replay_witness, validate_run)
+from duelhalt.engine.config import HAND_LIMIT, fast_replace, update_player
 from duelhalt.engine.frame import LineTable, MovedLine, line_frame, transport, unframed
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import IllegalMove
@@ -27,7 +30,7 @@ from duelhalt.reductions import (
     standard_omega,
 )
 from duelhalt.scripts import CYCLE
-from duelhalt.strategy import Budget, check_winning, play_opponent_number
+from duelhalt.strategy import ROUND, Budget, check_winning, play_opponent_number
 from duelhalt.tm import CURATED
 
 _EXHAUSTIVE = dict(cap_exhaustive=True)
@@ -49,40 +52,87 @@ class Recorded(NamedTuple):
     """A line as a ``LineTable`` holds it."""
     start: Configuration
     steps: tuple  # (move, configuration it leads to)
-    frame: tuple  # line_frame's: the lowest LP, whether the piles may move, reads counters
+    # line_frame's: the lowest LP, whether the piles may move as they are,
+    # reads counters, and the lowest deck when the piles are counts
+    frame: tuple
 
 
-def _moved_turns(out, budget, monkeypatch):
-    """check_winning's verdict, and each turn the strategy moved onto a
-    start there as (start, mode, steps), the steps (move, configuration)."""
-    moved, answer = [], LineTable.line
+def _moved_lines(out, budget, monkeypatch):
+    """check_winning's verdict, each turn the strategy moved onto a start
+    there as (start, mode, steps), the steps (move, configuration), and each
+    round moved as (start, tag, the moved line)."""
+    moved, rounds, answer = [], [], LineTable.line
 
     def spy(self, conf, tag, play):
         played = []
         steps = answer(self, conf, tag, lambda: played.append(conf) or play())
         if not played and tag != CYCLE:
-            moved.append((conf, tag[0], steps))
+            if tag[0] == ROUND:
+                rounds.append((conf, tag, steps))
+            else:
+                moved.append((conf, tag[0], steps))
         return steps
 
     monkeypatch.setattr(LineTable, "line", spy)
     verdict = check_winning(out.run, out.strategy, budget)
     monkeypatch.undo()
-    return verdict, moved
+    return verdict, moved, rounds
+
+
+def _moved_turns(out, budget, monkeypatch):
+    """check_winning's verdict, and each turn the strategy moved onto a
+    start there as (start, mode, steps), the steps (move, configuration); a
+    moved round, whose mode is ROUND, moves the turn of ours inside it."""
+    verdict, moved, rounds = _moved_lines(out, budget, monkeypatch)
+    return verdict, moved + [(conf, tag[0], steps) for conf, tag, steps in rounds]
 
 
 @pytest.mark.parametrize("name", sorted(_CHECKS))
 def test_moved_turns_are_the_planned_turns(name, monkeypatch):
     # every moved turn, moves and configurations, is the line the planner
     # makes from its start with an empty table; every check but the empty
-    # machine's, which wins on its first turn, moves some
+    # machine's, which wins on its first turn, moves some turns or rounds,
+    # and a round moves its turn of ours inside it (checked below)
     reduce, budget = _CHECKS[name]
-    _verdict, moved = _moved_turns(reduce(), budget, monkeypatch)
-    assert moved or name == "halting-empty"
+    _verdict, moved, rounds = _moved_lines(reduce(), budget, monkeypatch)
+    assert moved or rounds or name == "halting-empty"
     planner = reduce().strategy
     for conf, mode, steps in moved:
         planner.lines = LineTable()
         line = planner._plan_turn(conf, mode)
         assert line is not None and _pairs(line) == steps, name
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKS))
+def test_moved_rounds_are_the_played_rounds(name, monkeypatch):
+    # every moved round, its moves, every configuration, the number the
+    # opponent speaks in it and the heard state after it, is the round
+    # played from its start by the strategy with a fresh table: the
+    # opponent's one turn, then the drive to their next decision point,
+    # which stops there, before the check's last turn, with nothing judged;
+    # every check but the empty machine's moves some
+    reduce, budget = _CHECKS[name]
+    out = reduce()
+    _verdict, _moved, rounds = _moved_lines(out, budget, monkeypatch)
+    assert rounds or name == "halting-empty"
+    last_turn = out.run.last().turn + budget.max_turns
+    for conf, (_tag, state, counters, hand), line in rounds:
+        assert (counters, hand) == (spell_counters(conf), len(conf.players[1].hand))
+        fresh = copy.copy(out.strategy)
+        fresh.lines = LineTable()
+        (_choice, child), = strategy._p2_turns(Run((conf,), ()), state, [(0, True)], fresh)
+        end, kind = strategy._drive(*child, fresh)
+        played = list(end.steps())
+        confs = line.confs()
+        assert kind is None and end.last().turn <= last_turn, name
+        assert [(mv, nxt) for _c, mv, nxt in played] == list(zip([mv for mv, _n in line], confs))
+        assert [c for c, _mv, _n in played] == [conf, *confs[:-1]]
+        theirs = len(child[0])  # the opponent's moves, then the drive's
+        assert all(c.active == 1 for c, _mv, _n in played[:theirs])
+        assert confs[theirs - 1] == child[0].last() and confs[theirs - 1].active == 0
+        spoken = sum(strategy._spoke(c, n) for c, _mv, n in played[:theirs])
+        moved_spoken = sum(strategy._spoke(c, n) for c, n in zip([conf, *confs], confs[:theirs]))
+        assert moved_spoken == spoken and child[1] == fresh.hear(state, spoken) == state
 
 
 def test_most_turns_are_moved_not_planned(monkeypatch):
@@ -162,15 +212,23 @@ def _triples(line, start):
 @pytest.fixture(scope="module")
 def recorded_lines():
     """The turns and the increment cycles strategies recorded in a halting
-    check (set-up A's board) and a channel check (set-up B's)."""
-    lines = []
+    check (set-up A's board) and a channel check (set-up B's), and apart
+    the rounds, read or not: moves of both players' turns, the halting
+    check's on counted piles."""
+    lines, rounds = [], []
     for reduce, budget in (_CHECKS["halting-identity"], _CHECKS["wo-omega-reverse"]):
         out = reduce()
         check_winning(out.run, out.strategy, budget)
         tags = [tag for _k, tag in out.strategy.lines.recorded]
-        assert CYCLE in tags and any(tag != CYCLE for tag in tags)
-        lines += [Recorded(*line) for ls in out.strategy.lines.recorded.values() for line in ls]
-    return lines
+        assert CYCLE in tags and any(tag != CYCLE and tag[0] != ROUND for tag in tags)
+        for (_key, tag), ls in out.strategy.lines.recorded.items():
+            (rounds if tag[0] == ROUND else lines).extend(map(Recorded._make, ls))
+        for made in (list(made) for ls in out.strategy.lines.unread.values() for made in ls):
+            frame = line_frame(made)
+            if frame is not None:
+                rounds.append(Recorded(made[0][0], tuple((mv, n) for _c, mv, n in made), frame))
+    assert sum(line.frame[3] is not None and not line.frame[1] for line in rounds) >= 5
+    return lines, rounds
 
 
 @pytest.fixture(scope="module")
@@ -186,31 +244,38 @@ def _outcome(conf, move):
         return None
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_apply_commutes_with_the_transport(recorded_lines, their_boards, data):
-    """transport's lemma on recorded turns and cycles of both set-ups, over
-    random frames: a turn number of the start's parity, an opponent's LP
-    the guard allows, the opponent's piles from a set-up board with the
-    key's empty deck and hand, any past stamps and, for a line that reads
-    no counters, any count.  Every step of the line moved onto the new
-    start is what apply gives there and is terminal, and won by the same
-    player, exactly where the recorded one is, and the recorded line has no
+    """transport's lemma on recorded turns, rounds (moves of both players'
+    turns) and cycles of both set-ups, over random frames: a turn number of
+    the start's parity, an opponent's LP the guard allows, the opponent's
+    piles from a set-up board with the key's empty deck and hand or, for a
+    line on counted piles, FILLER piles of the same hand length and a deck
+    the guard allows, any past stamps and, for a line that reads no
+    counters, any count.  Every step of the line moved onto the new start
+    is what apply gives there and is terminal, and won by the same player,
+    exactly where the recorded one is, and the recorded line has no
     terminal before its end; and a move of the line at one of its
     configurations is legal exactly where it is legal at the moved one,
     with the moved result."""
-    line = data.draw(st.sampled_from(recorded_lines))
-    start, (low, free, counts) = line.start, line.frame
+    line = data.draw(st.sampled_from(data.draw(st.sampled_from(recorded_lines))))
+    start, (low, free, counts, deck) = line.start, line.frame
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     new_turn = start.turn % 2 + 2 * data.draw(st.integers(1, 10**4))
     lp = start.players[1].lp
     if low >= 1000:
         lp = data.draw(st.integers(lp - low + 1000, 10**8))
-    piles = _piles(start.players[1])
+    p2 = start.players[1]
+    piles, dd = _piles(p2), 0
     if free:
         keyed = [ps for ps in their_boards if (bool(ps.deck), bool(ps.hand))
-                 == (bool(start.players[1].deck), bool(start.players[1].hand))]
+                 == (bool(p2.deck), bool(p2.hand))]
         piles = _piles(data.draw(st.sampled_from(keyed)))
+    elif deck is not None:
+        dd = data.draw(st.integers(1 - deck, 40)) if deck >= 1 else 0
+        piles = dict(deck=(FILLER,) * (len(p2.deck) + dd), hand=p2.hand,
+                     gy=(FILLER,) * data.draw(st.integers(0, 40)))
     dc = 0 if counts else data.draw(st.integers(-spell_counters(start), 10**4))
     onto = _reframe(start, new_turn, lp, piles, lambda: rng.randrange(new_turn), dc)
     assert unframed(onto) == unframed(start)
@@ -231,7 +296,8 @@ def test_apply_commutes_with_the_transport(recorded_lines, their_boards, data):
         assert _outcome(([onto] + moved)[i], move) is None
     elif frame is not None and \
             (lp == start.players[1].lp or after.players[1].lp >= 1000) and \
-            (not free or _piles(after.players[1]) == _piles(start.players[1])) and \
+            (frame[1] if free else frame[3] is not None and (dd == 0 or frame[3] + dd >= 1)
+             if deck is not None else True) and \
             (dc == 0 or not frame[2]):
         prefix = transport(confs[1:i + 1] + (after,), start, onto)
         assert _outcome(([onto] + prefix)[i], move) == prefix[-1]
@@ -355,14 +421,42 @@ def test_the_stamp_guard_refuses_a_line_that_plays_creature_swap(board_b):
 
 
 def test_the_turn_player_guard_refuses_a_move_of_the_opponents_turn(board_a):
-    # the lemma covers moves made while we are the turn player: a line with
-    # a move of the opponent's turn is neither covered nor recorded
+    # a move of the opponent's turn reads their piles: their draw the deck,
+    # the hand limit the hand.  A line with one is covered, but moves onto
+    # other piles only as counts: set-up A's first draw of theirs moves onto
+    # a shorter FILLER deck that a card is left in, not onto one it empties,
+    # a longer hand or a deck with a card that is not FILLER
     steps = next([step] for step in board_a.run.steps()
                  if step[0].active == 1 and step[0].turn >= 2)
-    assert line_frame(steps) is None
+    start, (_before, draw, _after) = steps[0][0], steps[0]
+    assert isinstance(draw, DrawCard) and line_frame(steps)[1:] == (False, False, 34)
     table = LineTable()
-    assert table.line(steps[0][0], "theirs", lambda: steps) == (steps[0][1:],)
-    assert table.recorded == {}
+    assert table.line(start, "theirs", lambda: steps) == (steps[0][1:],)
+    p2 = start.players[1]
+
+    def onto(**piles):
+        return _reframe(start, start.turn + 2, p2.lp, dict(_piles(p2), **piles), None)
+
+    shorter = onto(deck=p2.deck[1:])
+    assert list(table.line(shorter, "theirs", _refuse)) == [(draw, apply(shorter, draw))]
+    for other in (onto(deck=p2.deck[:1]), onto(hand=p2.hand + (FILLER,)),
+                  onto(deck=(UPSTART,) + p2.deck[1:])):
+        assert unframed(other) == unframed(start)
+        played = []
+        assert table.line(other, "theirs", lambda: played.append(other) or ()) == ()
+        assert played == [other]
+    # their pass in their End Phase reads the hand against the limit, so a
+    # line of their turn that leaves the piles alone still moves only onto
+    # a hand as long: onto one over the limit, the pass is not legal
+    end = next(step for step in board_a.run.steps()
+               if step[0].active == 1 and step[0].turn >= 2 and step[0].phase == Phase.END)
+    three = update_player(end[0], 1, hand=(FILLER,) * 3)
+    table.line(three, "pass", lambda: [(three, end[1], apply(three, end[1]))])
+    over = update_player(three, 1, hand=(FILLER,) * (HAND_LIMIT + 1))
+    assert unframed(over) == unframed(three) and _outcome(over, end[1]) is None
+    played = []
+    assert table.line(over, "pass", lambda: played.append(over) or ()) == ()
+    assert played == [over]
 
 
 # --- moved turns built only when read ---------------------------------------------
@@ -426,11 +520,24 @@ def test_a_lazily_driven_run_validates_when_read_back(monkeypatch):
 
 
 def test_a_witness_is_read_off_the_moves_alone(monkeypatch):
-    # successor's check moves turns but no cycle: every configuration
-    # transport builds is a moved turn's end, as the witness reads the
-    # nodes' moves alone, and applied from the base run it wins
+    # successor's check moves turns and rounds but no cycle: every
+    # configuration transport builds is built alone, a moved turn's end or
+    # a moved round's start of our turn or end, as the witness reads the
+    # nodes' moves alone, but for the turns of ours inside a played round,
+    # built when a later round first looks its record up, which happens
+    # once per key; applied from the base run the witness wins
     out = reduce_halting(CURATED["successor"])
-    built = _counted_transport(monkeypatch)
+    built, record, reads = _counted_transport(monkeypatch), LineTable._record, []
+
+    def reading(self, key, made):
+        reads.append(len(built))
+        got = record(self, key, made)
+        reads[-1] = built[reads[-1]:]
+        del built[len(built) - len(reads[-1]):]
+        return got
+
+    monkeypatch.setattr(LineTable, "_record", reading)
     verdict = check_winning(out.run, out.strategy, Budget(200, 4))
     assert verdict.is_win and 0 < sum(built) == len(built)
+    assert sum(map(len, reads)) <= len(out.strategy.lines.recorded)
     assert is_winning_state(replay_witness(out.run, verdict.witness).last(), 0)
