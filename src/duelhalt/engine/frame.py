@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from ..carddb import CITADEL, FILLER
 from .config import GY, HAND, CardInstance, Configuration, PlayerState, fast_replace as replace
 from .moves import ActivateEffect, Move
-from .rules import EFFECTS, Later, spell_counters
+from .rules import EFFECTS, spell_counters
 
 
 # --- the frame, and moving a recorded line onto a new one -----------------
@@ -297,32 +297,39 @@ def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
 
 class MovedLine:
     """A recorded line moved onto a start, as (move, configuration) steps
-    built only when read: ``last`` builds the end alone, ``links`` leaves
-    the configurations before it to the nodes a drive links them onto
-    (``rules.Later``), and the first read of any of those, through a node
-    or by iterating or comparing the line, builds them all with one
+    built only when read: ``last`` builds the end alone, ``at`` one
+    configuration alone, a ``Run`` node linked with the line reads its
+    ``moves`` alone, and the first read of the configurations, through the
+    node or by iterating or comparing the line, builds them all with one
     ``transport``."""
 
-    __slots__ = ("_steps", "_start", "_onto", "_last", "_confs")
+    __slots__ = ("_steps", "_start", "_frame", "_onto", "_last", "_confs")
 
     def __init__(self, steps: Sequence[tuple[Move, Configuration]], start: Configuration,
-                 onto: Configuration):
-        self._steps, self._start, self._onto = steps, start, onto
+                 onto: Configuration, frame: Optional[tuple] = None):
+        self._steps, self._start, self._frame, self._onto = steps, start, frame, onto
         self._last = self._confs = None
 
     def __len__(self) -> int:
         return len(self._steps)
 
     def __iter__(self):
-        return zip((mv for mv, _n in self._steps), self.confs())
+        return zip(self.moves(), self.confs())
 
     def __eq__(self, other):
         return tuple(self) == other
 
+    def moves(self) -> list[Move]:
+        return [mv for mv, _n in self._steps]
+
     def last(self) -> Configuration:
         if self._last is None:
-            self._last = transport((self._steps[-1][1],), self._start, self._onto)[0]
+            self._last = self.at(len(self._steps) - 1)
         return self._last
+
+    def at(self, i: int) -> Configuration:
+        """The configuration after the line's i-th move (from 0), built alone."""
+        return transport((self._steps[i][1],), self._start, self._onto)[0]
 
     def confs(self) -> list[Configuration]:
         if self._confs is None:
@@ -334,27 +341,47 @@ class MovedLine:
                 self._confs = transport(recorded[:-1], self._start, self._onto) + [self._last]
         return self._confs
 
-    def links(self) -> Iterator[tuple[Move, Union[Configuration, Later]]]:
-        """The steps for ``Run.extend``: each configuration but the last
-        a ``Later`` of the line's."""
-        for i, (mv, _n) in enumerate(self._steps[:-1]):
-            yield mv, Later(self, i)
-        yield self._steps[-1][0], self.last()
+    def onto(self, conf: Configuration) -> Optional["MovedLine"]:
+        """The same recorded line, as ``LineTable.line`` answered it, moved
+        onto conf, a start with its start's ``unframed`` key, or None where
+        the guards the table checked do not hold there (``_guards_hold``)."""
+        if not _guards_hold(self._start, self._frame, conf):
+            return None
+        return MovedLine(self._steps, self._start, conf, self._frame)
 
     def split(self, ends: Callable[[Configuration], bool]) -> tuple["MovedLine", "MovedLine"]:
         """The line as two moved as it is: up to the first recorded
         configuration that ends() accepts, and the rest.  ends must read no
         frame field, so that it answers alike on the moved line."""
         i = next(i for i, (_m, nxt) in enumerate(self._steps) if ends(nxt)) + 1
-        return (MovedLine(self._steps[:i], self._start, self._onto),
-                MovedLine(self._steps[i:], self._start, self._onto))
+        rest = MovedLine(self._steps[i:], self._start, self._onto)
+        rest._last = self._last
+        return MovedLine(self._steps[:i], self._start, self._onto), rest
 
 
-def links(steps: Sequence[tuple[Move, Configuration]]
-          ) -> Iterable[tuple[Move, Union[Configuration, Later]]]:
-    """The steps ``LineTable.line`` answered, for ``Run.extend``: a moved
-    line's ``links``, or the played steps as they are."""
-    return steps.links() if isinstance(steps, MovedLine) else steps
+class Joined:
+    """Moved lines linked end to start as one line, for one ``Run`` node:
+    each moved onto the end of the one before.  Their configurations are
+    built when first read."""
+
+    __slots__ = ("_lines", "_confs")
+
+    def __init__(self, lines: Sequence[MovedLine]):
+        self._lines, self._confs = lines, None
+
+    def __len__(self) -> int:
+        return sum(map(len, self._lines))
+
+    def moves(self) -> list[Move]:
+        return [mv for line in self._lines for mv in line.moves()]
+
+    def last(self) -> Configuration:
+        return self._lines[-1].last()
+
+    def confs(self) -> list[Configuration]:
+        if self._confs is None:
+            self._confs = [c for line in self._lines for c in line.confs()]
+        return self._confs
 
 
 class LineTable:
@@ -365,7 +392,8 @@ class LineTable:
     def __init__(self):
         # (start's key, tag) -> [(start, its (move, configuration) steps, line_frame's)]
         self.recorded: dict[tuple[Configuration, Hashable], list[tuple]] = {}
-        # (start's key, tag) -> lines played as iterators, not read yet
+        # (start's key, tag) -> lines played as iterators, not read yet; they
+        # hold what they walk, so their player drops them when that should go
         self.unread: dict[tuple[Configuration, Hashable], list[Iterator]] = {}
 
     def line(self, conf: Configuration, tag: Hashable,
@@ -386,7 +414,7 @@ class LineTable:
                 self._record(key, made)
             for start, steps, frame in self.recorded.get(key, ()):
                 if _guards_hold(start, frame, conf):
-                    return MovedLine(steps, start, conf)
+                    return MovedLine(steps, start, conf, frame)
         made = play()
         if isinstance(made, Iterator):
             if key is not None:
@@ -431,10 +459,9 @@ def shift(confs: Iterable[Configuration], start: Configuration,
 
 class Copies:
     """The copies of a line that repeats itself (``repeats``), linked after
-    it, as (move, configuration) steps built only when read: the end is one
-    ``shift`` by the copies' whole gain, and the first read of any
-    configuration before it, through a node (``rules.Later``), builds them
-    all, one ``shift`` per copy."""
+    it as one line: the end is one ``shift`` by the copies' whole gain,
+    and the first read of any configuration before it, through the
+    ``Run`` node linked with it, builds them all, one ``shift`` per copy."""
 
     __slots__ = ("_line", "_copies", "_last", "_confs")
 
@@ -444,6 +471,9 @@ class Copies:
 
     def __len__(self) -> int:
         return len(self._line) * self._copies
+
+    def moves(self) -> list[Move]:
+        return [mv for _c, mv, _n in self._line] * self._copies
 
     def last(self) -> Configuration:
         if self._last is None:
@@ -460,14 +490,6 @@ class Copies:
                 confs[-1] = self._last
             self._last, self._confs = confs[-1], confs
         return self._confs
-
-    def links(self) -> Iterator[tuple[Move, Union[Configuration, Later]]]:
-        """The steps for ``Run.extend``: each configuration but the last
-        a ``Later`` of the copies'."""
-        moves = [mv for _c, mv, _n in self._line]
-        for i in range(len(self) - 1):
-            yield moves[i % len(moves)], Later(self, i)
-        yield moves[-1], self.last()
 
 
 def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:

@@ -94,11 +94,14 @@ class Run:
     Structures Persistent", 1989): extending is O(1) and shares the prefix.
     The tuples are built on first read and cached on the node read.
 
-    A node may be linked with a ``Later`` for its configuration, a moved
-    line's that is not built yet; reading it (``last``, ``since``,
-    ``steps``, ``configs``, and through them ``validate_run`` and a trace)
-    builds it and keeps it on the node.  ``moves`` and ``moves_after`` read
-    the moves alone and build nothing."""
+    A node may stand for a whole line linked at once: any object with a
+    length, ``moves()``, ``last()`` and ``confs()`` (its moves, its end,
+    and the configurations after each of its moves, which a moved line
+    builds when first asked).  The node keeps the line's end as its
+    configuration.  ``since``, ``configs`` and ``steps``, and through them
+    ``validate_run`` and a trace, read the configurations before it off
+    ``confs()``, ``steps`` only once it reaches the node; ``moves`` and
+    ``moves_after`` read ``moves()`` alone."""
 
     __slots__ = ("_parent", "_move", "_conf", "_len", "_configs", "_moves")
 
@@ -119,8 +122,9 @@ class Run:
     def last(self) -> Configuration:
         return self._conf
 
-    def extend(self, conf: Union[Configuration, "Later"], move: Move) -> "Run":
-        """The run one transition on: the explorer's step, once per transition."""
+    def extend(self, conf, move: Optional[Move] = None) -> "Run":
+        """The run one transition on, or, given a line alone, on by the
+        whole line as one node: the explorer's step, once per node."""
         return link(self, conf, move)
 
     @property
@@ -135,72 +139,87 @@ class Run:
             self._moves = self.moves_after(0)
         return self._moves
 
-    def _from(self, n: int) -> list["Run"]:
-        """The nodes of c_n ... c_len, walking back only to c_n."""
+    def _after(self, n: int) -> tuple[list["Run"], "Run"]:
+        """The nodes that hold the moves after c_n, oldest first, walking
+        back only to c_n, and the node before them."""
         if n < 0:
             raise ValueError(f"a run has no configuration c_{n}")
         node, nodes = self, []
-        while node is not None and node._len >= n:
+        while node._len > n:
             nodes.append(node)
             node = node._parent
-        return nodes[::-1]
+        return nodes[::-1], node
 
     def since(self, n: int) -> list[Configuration]:
         """The configurations c_n ... c_len; none when the run is shorter."""
-        return [node._conf for node in self._from(n)]
+        if n > self._len:
+            return []
+        nodes, before = self._after(n)
+        skip = n - before._len  # c_n and the moves before it inside nodes[0]
+        out = [nodes[0]._line.confs()[skip - 1] if skip else before._conf]
+        for node in nodes:
+            if node.__class__ is Run:
+                out.append(node._conf)
+            else:
+                out += node._line.confs()[skip:]
+                skip = 0
+        return out
 
     def moves_after(self, n: int) -> tuple[Move, ...]:
         """The moves m_n+1 ... m_len, off the nodes alone; none when the
         run is shorter."""
-        return tuple(node._move for node in self._from(n)[1:])
+        nodes, before = self._after(n)
+        skip, out = n - before._len, []
+        for node in nodes:
+            if node.__class__ is Run:
+                out.append(node._move)
+            else:
+                out += node._line.moves()[skip:]
+                skip = 0
+        return tuple(out)
 
     def steps(self, n: int = 0) -> Iterator[tuple[Configuration, Move, Configuration]]:
-        """The transitions after c_n, in order, as (before, move, after)."""
-        nodes = self._from(n)
-        return ((a._conf, b._move, b._conf) for a, b in zip(nodes, nodes[1:]))
+        """The transitions after c_n, in order, as (before, move, after):
+        nothing is walked before the first is read, and a line node's
+        configurations are read as the steps reach it."""
+        if n > self._len:
+            return
+        nodes, before = self._after(n)
+        skip = n - before._len
+        conf = nodes[0]._line.confs()[skip - 1] if skip else before._conf
+        for node in nodes:
+            if node.__class__ is Run:
+                pairs = ((node._move, node._conf),)
+            else:
+                line = node._line
+                pairs = zip(line.moves()[skip:], line.confs()[skip:])
+                skip = 0
+            for move, nxt in pairs:
+                yield conf, move, nxt
+                conf = nxt
 
 
-class Later:
-    """The configuration a node is linked with before it is built: the i-th
-    of line.confs(), which builds the line's configurations at once on its
-    first call and keeps them."""
+class _Linked(Run):
+    """A node that stands for a whole line: its configuration is the
+    line's end, and the line is read for the positions before it."""
 
-    __slots__ = ("line", "i")
-
-    def __init__(self, line, i: int):
-        self.line, self.i = line, i
+    __slots__ = ("_line",)
 
 
-_SLOT = Run._conf  # the slot a node keeps its configuration in
-
-
-class _Deferred(Run):
-    """A node linked with a ``Later``: every read of a node's configuration
-    goes through ``_conf``, which here builds it on the first read and
-    keeps it in the slot, so a node linked with a configuration pays
-    nothing for deferral."""
-
-    __slots__ = ()
-
-    @property
-    def _conf(self) -> Configuration:
-        conf = _SLOT.__get__(self)
-        if conf.__class__ is Later:
-            conf = conf.line.confs()[conf.i]
-            _SLOT.__set__(self, conf)
-        return conf
-
-    @_conf.setter
-    def _conf(self, conf: Union[Configuration, Later]) -> None:
-        _SLOT.__set__(self, conf)
-
-
-def link(parent: Run, conf: Union[Configuration, Later], move: Move) -> Run:
-    """The node one transition after parent, uncounted: lines and trace
-    replays link here, so ``Run.extend`` counts the explorer's steps."""
-    run = object.__new__(_Deferred if conf.__class__ is Later else Run)
-    run._parent, run._move, run._conf, run._len = parent, move, conf, parent._len + 1
-    run._configs = run._moves = None
+def link(parent: Run, conf, move: Optional[Move] = None) -> Run:
+    """The node one transition after parent, or, given a line alone, the
+    node for the whole line after it (none for an empty one), uncounted:
+    lines and trace replays link here, so ``Run.extend`` counts the
+    explorer's steps."""
+    if move is None:
+        if not len(conf):
+            return parent
+        run = object.__new__(_Linked)
+        run._line, run._conf, run._len = conf, conf.last(), parent._len + len(conf)
+    else:
+        run = object.__new__(Run)
+        run._conf, run._len = conf, parent._len + 1
+    run._parent, run._move, run._configs, run._moves = parent, move, None, None
     return run
 
 

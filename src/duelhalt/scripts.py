@@ -599,20 +599,18 @@ def play_cycles(line: Line, a: int, b: int) -> None:
     lemma, what applying them gives), or else the one
     ``increment_cycle_moves`` plays through the engine, which the table
     records.  A cycle that repeats itself (``frame.repeats``) links the
-    rest of the batch as one line of its copies (``frame.Copies``), with no
-    more lookups: the batch's end is built by one shift, and the
-    configurations before it when first read.
+    rest of the batch as one run node for the line of its copies
+    (``frame.Copies``), with no more lookups: the batch's end is built by
+    one shift, and the configurations before it when first read.
     """
     for left in range(a, 0, -1):
         start = len(line.run)
         steps = line.lines.line(line.conf, CYCLE, lambda: _played(line, increment_cycle_moves))
         if len(line.run) == start:  # moved onto the start, not played there
-            for move, nxt in steps:
-                line.run = link(line.run, nxt, move)
+            line.run = link(line.run, steps)
         cycle = list(line.run.steps(start))
         if left > 1 and repeats(cycle):
-            for move, nxt in Copies(cycle, left - 1).links():
-                line.run = link(line.run, nxt, move)
+            line.run = link(line.run, Copies(cycle, left - 1))
             break
     for _ in range(b):
         _require_loop_ready(line.conf, need_counters=6)

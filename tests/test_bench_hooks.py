@@ -74,7 +74,9 @@ def test_a_traced_check_plans_through_the_traced_planner(perfbench_on_path):
 
 def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch):
     # strategy.applies_per_transition is engine applies over Run.extend calls
-    # inside check_winning.  Counted independently here:
+    # inside check_winning, and a call links one node: one transition, or a
+    # whole moved line.  The transitions are the summed lengths of the nodes
+    # linked, counted independently here:
     # - our transitions: the summed length of the turns the drives followed,
     #   every next_move answer (a WIN follows each turn to its end);
     # - the planned lines: each planned step is applied once, except the
@@ -88,14 +90,16 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
     #   shared walk yields, since turns share their prefixes and each node is
     #   made by one apply and one Run.extend;
     # - the moved rounds: a recorded round (the opponent's one turn and the
-    #   drive after it) moved onto a later decision point is linked, one
-    #   Run.extend per step, with no apply, no next_move and no shared walk,
-    #   so its steps are counted where the two halves it splits into link.
+    #   drive after it) moved onto a later decision point is linked as the
+    #   two halves it splits into, and the rounds of a batch after it as one
+    #   joined line, with no apply, no next_move and no shared walk, so its
+    #   steps are counted as the lengths of those lines.
     import layers
     from tracer import Tracer
 
     from duelhalt import reductions, scripts
-    from duelhalt.engine.frame import LineTable, MovedLine
+    from duelhalt.engine import Run
+    from duelhalt.engine.frame import Joined, LineTable, MovedLine
 
     cases = [(reductions.reduce_halting(tm.CURATED["identity"]), strategy.Budget(200, 4)),
              (reductions.reduce_nis(tm.CURATED["successor"]),
@@ -105,8 +109,8 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         planner = next(c for c in type(s).__mro__ if "_plan_turn" in vars(c))
         plan_turn, p2_turns = planner._plan_turn, strategy._p2_turns
         table_line, answer = LineTable.line, strategy.Strategy.next_move
-        split, moved_links = MovedLine.split, MovedLine.links
-        planned, turns, moved, answers, halves, rounds = [], [], [], [], {}, []
+        split, extend = MovedLine.split, Run.extend
+        planned, turns, moved, answers, halves, rounds, linked = [], [], [], [], {}, [], []
 
         def counted_plan(self, conf, mode):
             line = plan_turn(self, conf, mode)
@@ -132,11 +136,12 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
             halves.update((id(half), half) for half in got)  # kept, so no id is reused
             return got
 
-        def counted_links(self):
-            for step in moved_links(self):
-                if halves.get(id(self)) is self:
-                    rounds.append(step[0])
-                yield step
+        def counted_extend(self, conf, move=None):
+            run = extend(self, conf, move)
+            linked.append(len(run) - len(self))
+            if move is None and (halves.get(id(conf)) is conf or isinstance(conf, Joined)):
+                rounds.extend(conf.moves())
+            return run
 
         def counted_answers(self, conf, state):
             turn = answer(self, conf, state)
@@ -148,7 +153,7 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         monkeypatch.setattr(strategy.Strategy, "next_move", counted_answers)
         monkeypatch.setattr(strategy, "_p2_turns", counted_turns)
         monkeypatch.setattr(MovedLine, "split", counted_split)
-        monkeypatch.setattr(MovedLine, "links", counted_links)
+        monkeypatch.setattr(Run, "extend", counted_extend)
         tracer = Tracer(scopes=layers.SCOPES)
         try:
             layers.install(tracer)
@@ -162,25 +167,26 @@ def test_each_transition_is_applied_once(perfbench_on_path, board_a, monkeypatch
         ours = sum(answers)
         cycles = sum(getattr(m, "effect", None) == "boe_flip_all" for moves in planned
                      for m in moves)
-        linked = cycles - inside["scripts.increment_cycle_moves"]
+        linked_cycles = cycles - inside["scripts.increment_cycle_moves"]
         theirs = set()
         for base, node in turns:
             while node is not base:
                 theirs.add(id(node))
                 node = node._parent
-        assert linked > 0 and all(conf != out.run.last() for conf, _moves in moved)
+        assert linked_cycles > 0 and all(conf != out.run.last() for conf, _moves in moved)
         moved = [moves for _conf, moves in moved]
         assert moved and rounds
-        assert inside["engine.run_extend"] == ours + len(theirs) + len(rounds)
-        assert inside["engine.apply"] + 4 * linked == sum(map(len, planned)) + len(theirs)
+        assert inside["engine.run_extend"] == len(linked) < sum(linked)
+        assert sum(linked) == ours + len(theirs) + len(rounds)
+        assert inside["engine.apply"] + 4 * linked_cycles == sum(map(len, planned)) + len(theirs)
         if out.strategy.descriptor[0] == "tm":
             # one line, with no opponent choice: the witness, made of the
             # planned lines, the moved turns and the moved rounds
             assert cycles + sum(getattr(m, "effect", None) == "boe_flip_all"
                                 for moves in moved + [rounds] for m in moves) \
                 == sum(getattr(m, "effect", None) == "boe_flip_all" for m in verdict.witness)
-            assert inside["engine.apply"] + 4 * linked + sum(map(len, moved)) + len(rounds) \
-                == inside["engine.run_extend"] == len(verdict.witness)
+            assert inside["engine.apply"] + 4 * linked_cycles + sum(map(len, moved)) \
+                + len(rounds) == sum(linked) == len(verdict.witness)
         else:
             assert len(theirs) < sum(len(node) - len(base) for base, node in turns)
     # the counter planner still plans each increment cycle through the

@@ -543,8 +543,15 @@ def _tree_codes(tree):
     # the channel's turns played through the opponent's turn planner
     (lambda: reduce_wo(reverse_omega()), Budget(16, 3), UNDETERMINED, 86,
      "cce4aa2c38072e149481cdf39b6f8aecfc98eb4166f12e5926fc92cded5a63ae"),
+    # computed before rounds were linked in batches: slow's batch stops at
+    # the deck guard, before the deck-out round, and loop's at the last turn
+    (lambda: reduce_halting(CURATED["slow"]), Budget(200, 4), WIN, 2429,
+     "966fbb52ab1a4af68f597b76210c2c70bb8330d1be4c589e8d2a0b9942e03fb9"),
+    (lambda: reduce_halting(CURATED["loop"]), Budget(200, 4), UNDETERMINED, 4632,
+     "24278358f90afa522e95b9e8537a42d30138b6a671695eec0d48d9b70ba153ea"),
 ], ids=["halting-empty", "halting-identity", "halting-decrement", "halting-loop",
-        "nis-identity", "nis-successor", "wo-reverse-omega"])
+        "nis-identity", "nis-successor", "wo-reverse-omega", "halting-slow-200",
+        "halting-loop-200"])
 def test_witnesses_are_pinned(reduce, budget, kind, length, sha):
     out = reduce()
     v = check_winning(out.run, out.strategy, budget)
@@ -587,6 +594,16 @@ def test_nis_trees_are_pinned(machine, size, sha):
     tree = to_tree(out.strategy, out.run, depth, budget)
     assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
     assert well_founded_to_depth(tree, depth) == answer
+
+
+def test_a_halting_tree_through_batches_is_pinned():
+    # slow's tree at depth 60, computed before rounds were linked in
+    # batches: a decision point a batch passes is a tree node of its own
+    out = reduce_halting(CURATED["slow"])
+    tree = to_tree(out.strategy, out.run, 60, Budget(200, 4))
+    assert (tree.size(), _digest(_tree_codes(tree))) == \
+        (53, "e688b2e94dc840853f06e5624b216589b2549ed16482eb1d2e24061c33857aae")
+    assert well_founded_to_depth(tree, 60) == WELL_FOUNDED
 
 
 @pytest.mark.parametrize("reduce, depth, budget, drives, size, sha", [
@@ -647,6 +664,62 @@ def test_nothing_keeps_an_explored_dag_alive(monkeypatch):
         gc.enable()
 
 
+def test_a_batch_of_rounds_stops_where_a_line_was_explored(monkeypatch):
+    # slow's batch after its first moved round, linked again in a DAG where
+    # a line starts at our turn's start inside the sixth round: the batch
+    # ends with that round, whose child is the node there, and passes the
+    # decision points before it, each a round's end and the next one's start
+    out = reduce_halting(CURATED["slow"])
+    calls, batch = [], strategy._Dag._batch
+    monkeypatch.setattr(strategy._Dag, "_batch",
+                        lambda self, *args: calls.append((self, args)) or batch(self, *args))
+    assert check_winning(out.run, out.strategy, Budget(200, 4)).is_win
+    monkeypatch.undo()
+    dag, (line, theirs, end, start, state) = next((d, a) for d, a in calls
+                                                  if len(batch(d, *a)[0]) > 6)
+    rounds, passed = batch(dag, line, theirs, end, start, state)
+    assert passed == [end] + [r.last() for r in rounds[:-1]]
+    fresh = strategy._Dag(out.strategy, dag.budget, dag.last_turn)
+    fresh.node(Run((rounds[5].at(len(theirs) - 1),), ()), state, (Run((end,), ()), None))
+    cut, cut_passed = fresh._batch(line, theirs, end, start, state)
+    assert len(cut) == 6 and cut_passed == passed[:6]
+    assert [r.confs() for r in cut] == [r.confs() for r in rounds[:6]]
+
+
+def test_no_unread_round_outlives_its_check(monkeypatch):
+    # a played round is handed to the line table unread, to be read only if
+    # its key recurs, and it holds the runs it walks: a check and a tree let
+    # the ones no lookup read go at their end, so the strategy keeps none of
+    # their runs alive; rounds it did read stay recorded
+    out = reduce_halting(CURATED["identity"])
+    s, held, line = out.strategy, [], LineTable.line
+
+    def spy(self, conf, tag, play):
+        got = line(self, conf, tag, play)
+        held.append(sum(map(len, self.unread.values())))
+        return got
+
+    monkeypatch.setattr(LineTable, "line", spy)
+    assert check_winning(out.run, s, Budget(200, 4)).is_win
+    assert max(held) > 0 and s.lines.unread == {}
+    assert any(tag[0] == strategy.ROUND for _key, tag in s.lines.recorded)
+    held.clear()
+    assert to_tree(s, out.run, 60, Budget(200, 4)).size() > 1
+    assert max(held) > 0 and s.lines.unread == {}
+
+
+def test_steps_walk_no_node_before_the_first_is_read(monkeypatch):
+    # a run's steps are walked as they are read: asking for them walks no
+    # node, and the first read walks back only to where they start
+    run = reduce_halting(CURATED["identity"]).run
+    walked, walk = [], Run._after
+    monkeypatch.setattr(Run, "_after", lambda self, n: walked.append(n) or walk(self, n))
+    steps = run.steps(len(run) - 3)
+    assert walked == []
+    first = next(steps)
+    assert walked == [len(run) - 3] and first[0] == run.configs[-4]
+
+
 def test_a_drive_inside_their_turn_passes_it_out_unheard():
     # past the opponent's decision point, with one pull already made, the
     # drive passes the rest of their turn out and plays ours; pinned before
@@ -670,6 +743,22 @@ def test_deep_trees_do_not_need_recursion(shallow_recursion):
     out = reduce_halting(CURATED["loop"])
     tree = to_tree(out.strategy, out.run, 60, Budget(400, 4))
     assert tree.size() == 61 and well_founded_to_depth(tree, 60) == OpenBranch((2,) * 60)
+
+
+def test_a_shallow_tree_links_no_batch_past_its_depth(monkeypatch):
+    # loop's rounds repeat up to the last turn, but a tree of depth 5 reads
+    # only five of them: no batch links more, whatever the budget's turns
+    out = reduce_halting(CURATED["loop"])
+    batched, batch = [], strategy._Dag._batch
+
+    def counted(self, *args):
+        got = batch(self, *args)
+        batched.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(strategy._Dag, "_batch", counted)
+    tree = to_tree(out.strategy, out.run, 5, Budget(4000, 4))
+    assert tree.size() == 6 and batched and max(batched) <= 5
 
 
 def test_deep_trees_compare_hash_and_print_without_recursion(shallow_recursion):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelhalt import strategy
-from duelhalt.carddb import FILLER, UPSTART
+from duelhalt.carddb import FILLER, TORNADO, UPSTART
 from duelhalt.engine import (ActivateEffect, Configuration, DrawCard, Phase, Run, apply,
                              is_winning_state, replay_witness, validate_run)
-from duelhalt.engine.config import HAND_LIMIT, fast_replace, update_player
+from duelhalt.engine.config import HAND_LIMIT, CardInstance, fast_replace, update_player
 from duelhalt.engine.frame import LineTable, MovedLine, line_frame, transport, unframed
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import IllegalMove
@@ -29,7 +29,7 @@ from duelhalt.reductions import (
     standard_finite,
     standard_omega,
 )
-from duelhalt.scripts import CYCLE
+from duelhalt.scripts import CYCLE, Line, increment_cycle_moves
 from duelhalt.strategy import ROUND, Budget, check_winning, play_opponent_number
 from duelhalt.tm import CURATED
 
@@ -40,6 +40,8 @@ _EXHAUSTIVE = dict(cap_exhaustive=True)
 _CHECKS = {f"halting-{name}": (lambda name=name: reduce_halting(CURATED[name]), Budget(200, 4))
            for name in sorted(CURATED)}
 _CHECKS.update({
+    # slow's batch of rounds cut by the last turn, not by a guard
+    "halting-slow-100": (lambda: reduce_halting(CURATED["slow"]), Budget(100, 4)),
     "nis-successor": (lambda: reduce_nis(CURATED["successor"]), Budget(150, 8, **_EXHAUSTIVE)),
     "nis-identity": (lambda: reduce_nis(CURATED["identity"]), Budget(10, 8, **_EXHAUSTIVE)),
     "wo-finite-5": (lambda: reduce_wo(standard_finite(5)), Budget(60, 8, **_EXHAUSTIVE)),
@@ -60,8 +62,9 @@ class Recorded(NamedTuple):
 def _moved_lines(out, budget, monkeypatch):
     """check_winning's verdict, each turn the strategy moved onto a start
     there as (start, mode, steps), the steps (move, configuration), and each
-    round moved as (start, tag, the moved line)."""
-    moved, rounds, answer = [], [], LineTable.line
+    round moved as (start, tag, the moved line), the rounds of a batch
+    included, under the tag the table would have looked them up by."""
+    moved, rounds, answer, batch = [], [], LineTable.line, strategy._Dag._batch
 
     def spy(self, conf, tag, play):
         played = []
@@ -73,7 +76,14 @@ def _moved_lines(out, budget, monkeypatch):
                 moved.append((conf, tag[0], steps))
         return steps
 
+    def batched(self, line, theirs, end, start, state):
+        got, starts = batch(self, line, theirs, end, start, state)
+        rounds.extend((conf, strategy._round_tag(conf, state), moved)
+                      for conf, moved in zip(starts, got))
+        return got, starts
+
     monkeypatch.setattr(LineTable, "line", spy)
+    monkeypatch.setattr(strategy._Dag, "_batch", batched)
     verdict = check_winning(out.run, out.strategy, budget)
     monkeypatch.undo()
     return verdict, moved, rounds
@@ -110,11 +120,23 @@ def test_moved_rounds_are_the_played_rounds(name, monkeypatch):
     # played from its start by the strategy with a fresh table: the
     # opponent's one turn, then the drive to their next decision point,
     # which stops there, before the check's last turn, with nothing judged;
-    # every check but the empty machine's moves some
+    # every check but the empty machine's moves some, and every halting
+    # check that moves one links a batch of rounds after it, each round of
+    # which is checked the same way
     reduce, budget = _CHECKS[name]
     out = reduce()
+    batched, batch = [], strategy._Dag._batch
+
+    def counted(self, *args):
+        got = batch(self, *args)
+        batched.extend(got[0])
+        return got
+
+    monkeypatch.setattr(strategy._Dag, "_batch", counted)
     _verdict, _moved, rounds = _moved_lines(out, budget, monkeypatch)
     assert rounds or name == "halting-empty"
+    assert batched or not name.startswith("halting-") or name == "halting-empty"
+    assert all(any(line is got for _c, _t, line in rounds) for got in batched)
     last_turn = out.run.last().turn + budget.max_turns
     for conf, (_tag, state, counters, hand), line in rounds:
         assert (counters, hand) == (spell_counters(conf), len(conf.players[1].hand))
@@ -137,7 +159,8 @@ def test_moved_rounds_are_the_played_rounds(name, monkeypatch):
 
 def test_most_turns_are_moved_not_planned(monkeypatch):
     # a halting check plans the turns whose starts differ beyond the frame
-    # and moves every other one
+    # and moves every other one, a round of a batch, linked with no lookup,
+    # counted as a moved one
     out = reduce_halting(CURATED["slow"])
     planned = []
     plan_turn = strategy.TMStrategy._plan_turn
@@ -218,12 +241,13 @@ def recorded_lines():
     lines, rounds = [], []
     for reduce, budget in (_CHECKS["halting-identity"], _CHECKS["wo-omega-reverse"]):
         out = reduce()
+        unread = out.strategy.lines.unread  # the check lets its unread rounds go at its end
         check_winning(out.run, out.strategy, budget)
         tags = [tag for _k, tag in out.strategy.lines.recorded]
         assert CYCLE in tags and any(tag != CYCLE and tag[0] != ROUND for tag in tags)
         for (_key, tag), ls in out.strategy.lines.recorded.items():
             (rounds if tag[0] == ROUND else lines).extend(map(Recorded._make, ls))
-        for made in (list(made) for ls in out.strategy.lines.unread.values() for made in ls):
+        for made in (list(made) for ls in unread.values() for made in ls):
             frame = line_frame(made)
             if frame is not None:
                 rounds.append(Recorded(made[0][0], tuple((mv, n) for _c, mv, n in made), frame))
@@ -418,6 +442,37 @@ def test_the_stamp_guard_refuses_a_line_that_plays_creature_swap(board_b):
     assert steps[0][0].turn >= 2 and steps[0][0].active == steps[1][0].active == 0
     assert line_frame(steps[:1]) is None and line_frame(steps[:2]) is None
     assert line_frame(steps[1:2]) is not None
+
+
+def test_the_set_card_guard_refuses_a_line_that_meets_a_set_card_of_theirs(board_a):
+    # an increment cycle on set-up A's board, made while the opponent has a
+    # set card, whose checks may read their piles (a Localized Tornado's
+    # targets are its own graveyard), moves only onto their piles as they
+    # are: not onto another graveyard, nor, as counts, onto a shorter deck;
+    # with no set card of theirs the same cycle moves onto both
+    conf = board_a.final
+    spelltraps = list(conf.players[1].spelltraps)
+    spelltraps[spelltraps.index(None)] = CardInstance(TORNADO, face_up=False,
+                                                      set_turn=conf.turn - 1)
+    for start, moves in ((update_player(conf, 1, spelltraps=tuple(spelltraps)), False),
+                         (conf, True)):
+        line = Line(start)
+        increment_cycle_moves(line)
+        steps = list(line.run.steps())
+        p2 = start.players[1]
+        assert line_frame(steps)[1::2] == ((True, len(p2.deck)) if moves else (False, None))
+        table = LineTable()
+        table.line(start, CYCLE, lambda: steps)
+        for piles in (dict(gy=p2.gy + (FILLER,)), dict(deck=p2.deck[1:])):
+            onto, played = update_player(start, 1, **piles), []
+            assert unframed(onto) == unframed(start)
+            got = table.line(onto, CYCLE, lambda: played.append(onto) or ())
+            if moves:
+                applied = replay_witness(Run((onto,), ()), [mv for _c, mv, _n in steps])
+                assert not played
+                assert tuple(got) == tuple((mv, nxt) for _c, mv, nxt in applied.steps())
+            else:
+                assert played == [onto] and got == ()
 
 
 def test_the_turn_player_guard_refuses_a_move_of_the_opponents_turn(board_a):
