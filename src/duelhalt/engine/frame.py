@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..carddb import CITADEL, FILLER
 from .config import GY, HAND, CardInstance, Configuration, PlayerState, fast_replace as replace
@@ -297,11 +297,10 @@ def _guards_hold(was: Configuration, frame: tuple, onto: Configuration) -> bool:
 
 class MovedLine:
     """A recorded line moved onto a start, as (move, configuration) steps
-    built only when read: ``last`` builds the end alone, ``at`` one
-    configuration alone, a ``Run`` node linked with the line reads its
-    ``moves`` alone, and the first read of the configurations, through the
-    node or by iterating or comparing the line, builds them all with one
-    ``transport``."""
+    built only when read: ``last`` builds the end alone, a ``Run`` node
+    linked with the line reads its ``moves`` alone, and the first read of
+    the configurations, through the node or by iterating or comparing the
+    line, builds them all with one ``transport``."""
 
     __slots__ = ("_steps", "_start", "_frame", "_onto", "_last", "_confs")
 
@@ -324,12 +323,8 @@ class MovedLine:
 
     def last(self) -> Configuration:
         if self._last is None:
-            self._last = self.at(len(self._steps) - 1)
+            self._last = transport((self._steps[-1][1],), self._start, self._onto)[0]
         return self._last
-
-    def at(self, i: int) -> Configuration:
-        """The configuration after the line's i-th move (from 0), built alone."""
-        return transport((self._steps[i][1],), self._start, self._onto)[0]
 
     def confs(self) -> list[Configuration]:
         if self._confs is None:
@@ -342,9 +337,9 @@ class MovedLine:
         return self._confs
 
     def onto(self, conf: Configuration) -> Optional["MovedLine"]:
-        """The same recorded line, as ``LineTable.line`` answered it, moved
-        onto conf, a start with its start's ``unframed`` key, or None where
-        the guards the table checked do not hold there (``_guards_hold``)."""
+        """The same recorded line moved onto conf, a start with its start's
+        ``unframed`` key, or None where its guards do not hold there
+        (``_guards_hold``)."""
         if not _guards_hold(self._start, self._frame, conf):
             return None
         return MovedLine(self._steps, self._start, conf, self._frame)
@@ -392,45 +387,24 @@ class LineTable:
     def __init__(self):
         # (start's key, tag) -> [(start, its (move, configuration) steps, line_frame's)]
         self.recorded: dict[tuple[Configuration, Hashable], list[tuple]] = {}
-        # (start's key, tag) -> lines played as iterators, not read yet; they
-        # hold what they walk, so their player drops them when that should go
-        self.unread: dict[tuple[Configuration, Hashable], list[Iterator]] = {}
 
     def line(self, conf: Configuration, tag: Hashable,
-             play: Callable[[], Iterable[tuple[Configuration, Move, Configuration]]]
+             play: Callable[[], Sequence[tuple[Configuration, Move, Configuration]]]
              ) -> Sequence[tuple[Move, Configuration]]:
         """The line from conf under the tag, as (move, configuration) steps:
         the first recorded under conf's key and tag that may move onto conf
         (at turn 2 or later, and ``_guards_hold``), as a ``MovedLine`` onto
         conf, which builds a configuration only when read; else the
         (before, move, after) steps from conf that play() makes, recorded
-        under that key unless the lemma does not cover them.  play() may
-        give them as an iterator, which is read only when a later lookup
-        under the key meets it, so a line whose start never recurs is never
-        read; its answer here is then no steps."""
-        key = (unframed(conf), tag) if conf.turn >= 2 else None
-        if key is not None:
-            for made in self.unread.pop(key, ()):
-                self._record(key, made)
+        under that key unless the lemma does not cover them."""
+        if conf.turn >= 2:
+            key = (unframed(conf), tag)
             for start, steps, frame in self.recorded.get(key, ()):
                 if _guards_hold(start, frame, conf):
                     return MovedLine(steps, start, conf, frame)
         made = play()
-        if isinstance(made, Iterator):
-            if key is not None:
-                self.unread.setdefault(key, []).append(made)
-            return ()
-        return self._record(key, made)
-
-    def _record(self, key: Optional[tuple[Configuration, Hashable]],
-                made: Iterable[tuple[Configuration, Move, Configuration]]
-                ) -> tuple[tuple[Move, Configuration], ...]:
-        """Read the played steps and record them under the key unless the
-        lemma does not cover them (none from before turn 2, which has no
-        key); their (move, configuration) steps."""
-        made = list(made)
         steps = tuple((mv, nxt) for _c, mv, nxt in made)
-        frame = line_frame(made)
+        frame = line_frame(made)  # None before turn 2, so key is bound
         if frame is not None:
             self.recorded.setdefault(key, []).append((made[0][0], steps, frame))
         return steps
@@ -503,3 +477,19 @@ def repeats(steps: Sequence[tuple[Configuration, Move, Configuration]]) -> bool:
         return False
     frame = line_frame(steps)
     return frame is not None and _guards_hold(start, frame, end)
+
+
+def repeating(steps: Sequence[tuple[Configuration, Move, Configuration]]
+              ) -> Optional[MovedLine]:
+    """The line of (before, move, after) steps moved onto its own end, when
+    it ends at its own start's ``unframed`` key and its guards hold there;
+    else None.  ``MovedLine.onto`` then moves it onto the end of each
+    repeat in turn, which has the key again, while the guards hold (FAST's
+    guarded acceleration: Bardin, Finkel, Leroux and Petrucci, STTT 2008).
+    What the line's maker reads beyond the key, a ``LineTable`` tag's part,
+    is for the caller to compare."""
+    start, end = steps[0][0], steps[-1][2]
+    frame = line_frame(steps) if unframed(end) == unframed(start) else None
+    if frame is None or not _guards_hold(start, frame, end):
+        return None
+    return MovedLine(tuple((mv, nxt) for _c, mv, nxt in steps), start, end, frame)

@@ -31,24 +31,15 @@ that plans it, and each turn is asked for once, the root's included.
 
 Where the opponent has one choice (no channel: the turn that passes
 through), their turn and the drive after it to their next decision point
-are one round, a line of the same table under the tag (ROUND, heard
-state, counters, the opponent's hand size): what the round's maker reads
-beyond the key.  A round the table moves onto a later decision point is
-linked as two run nodes, their turn and ours, with only our turn's
-start, the next node's key, and the round's end built, and with no
-`_p2_turns`, `next_move` or `_drive`; `frame.transport`'s lemma covers
-the moves of the opponent's turn in it, on their FILLER piles counted by
-length.  A moved round that ends at a decision point with its start's
-key, tag and heard state is followed by a batch: the same record moved
-onto each round's end in turn, with no lookup and no node, while its
-guards hold, each round ends within the budget's last turn and no node
-starts inside it, linked as one run node (FAST's guarded acceleration),
-and the next round after it is looked up as any other.  A played round
-is recorded, and read only when its key recurs, when its drive stops at
-their next decision point with the heard state unchanged; a check drops
-the played rounds no lookup read when it ends, as they hold its runs.
-One that would end past the budget's last turn is not looked up, so the
-drive judges it.
+are one round.  Rounds batch only when they repeat, as increment cycles do
+(`scripts.play_cycles`): a played round that ends at its start's
+`unframed` key, with the heard state and the counters as they were,
+becomes a record (`frame.repeating`) that the round's end carries, and
+the record is moved onto each round's end after it (FAST's guarded
+acceleration), while its guards hold and within the budget's last turn,
+linked with no `_p2_turns`, `next_move` or `_drive`;
+`frame.transport`'s lemma covers both players' turns in it.  Any other
+round is played as any opponent turn is.
 
 The winning checker and the strategy trees read one lazily built DAG of
 explored lines, a node per (configuration, heard state) a line starts at:
@@ -93,7 +84,7 @@ from .engine import (
     is_winning_state,
 )
 from .engine.config import EXTRA, HAND, MZONE, SZONE
-from .engine.frame import Joined, LineTable, MovedLine, unframed
+from .engine.frame import Joined, LineTable, MovedLine, repeating
 from .engine.rules import spell_counters
 from .scripts import (
     Line,
@@ -528,164 +519,101 @@ class _Node:
     __slots__ = ("moves", "end", "kind", "turns", "via")
 
 
-# the tag a round is recorded under, before what its maker reads beyond the
-# key: the heard state, the counters and the opponent's hand size
-ROUND = "round"
-
-
 class _Dag:
     """The lines explored below a run, one node per (configuration, heard
     state) a line starts at, the pair that alone fixes its drive and the
     choices after it: lines that meet share a node, so each is driven once.
     No node refers back to the DAG, so its nodes go with it, cycle-free."""
 
-    def __init__(self, s: Strategy, budget: Budget, last_turn: int,
-                 most: Optional[int] = None):
+    def __init__(self, s: Strategy, budget: Budget, last_turn: int, most: int):
         self.s, self.budget, self.last_turn = s, budget, last_turn
-        # the most rounds a batch links: a tree reads no deeper than its depth
-        self.most = last_turn if most is None else most
+        self.most = most  # the most rounds one _round moves: 1 for a tree, a node per round
         self.nodes: dict[tuple[Configuration, Hashable], _Node] = {}
-        self.turns: set[tuple[int, Hashable]] = set()  # (turn, heard state) of the nodes' starts
 
     def node(self, run: Run, state: Hashable,
-             driven: Optional[tuple[Run, Optional[str]]] = None) -> _Node:
+             driven: Optional[tuple[Run, Optional[str], Optional[MovedLine]]] = None) -> _Node:
         """The line from run's end, driven the first time it is reached
-        unless its drive, (end, kind), is given.  A decision point with one
-        choice and room for a round within the last turn keeps its (end,
-        state) as its turns, for ``_round``; any other, an iterator."""
+        unless its drive, (end, kind, the record of the round into it), is
+        given.  A decision point with one choice and room for a round within
+        the last turn keeps its (end, state, record) as its turns, for
+        ``_round``; any other, an iterator."""
         node = self.nodes.get((run.last(), state))
         if node is None:
             node = self.nodes[run.last(), state] = _Node()
-            self.turns.add((run.last().turn, state))
-            end, node.kind = driven or _drive(run, state, self.s, self.last_turn)
+            end, node.kind, record = driven or (*_drive(run, state, self.s, self.last_turn), None)
             node.moves, node.end, node.via = end.moves_after(len(run)), end.last(), None
             choices = () if node.kind is not None else _p2_turn_choices(node.end, self.budget)
             if not choices:
                 node.turns = iter(())
             elif choices == [(0, True)] and node.end.turn + 2 <= self.last_turn:
-                node.turns = (end, state)
+                node.turns = (end, state, record)
             else:
                 node.turns = _p2_turns(end, state, choices, self.s)
         return node
 
-    def _round(self, run: Run, state: Hashable
-               ) -> tuple[Optional[Run], Optional[_Node], list[Configuration]]:
+    def _round(self, run: Run, state: Hashable, record: Optional[MovedLine]
+               ) -> tuple[Optional[Run], Optional[_Node]]:
         """The round from a decision point with one choice: the opponent's
-        turn and the drive after it to their next decision point, as one
-        line of the strategy's table under the tag (ROUND, state, counters,
-        the opponent's hand size).  Gives the run into our turn, the node
-        there, both None when their turn cannot be played, and the decision
-        points passed on the way, which have no node.
+        turn and the drive after it to their next decision point.  Gives
+        the run into our turn and the node there, both None when their turn
+        cannot be played.
 
-        A moved round is linked as two ``Run`` nodes, their turn and ours,
-        and builds only our turn's start, the child's key, and, for a new
-        child, the round's end.  A played round is their turn from
-        ``_p2_turns`` and, for a new child, its ``_drive``, recorded when
-        that stops at their next decision point with the heard state
-        unchanged; so a moved round, whose steps speak the number the
-        recorded ones did, leaves the state as it found it.  Both players'
-        turns in it are covered by ``frame.transport``'s lemma, and its two
-        turns end within the last turn (``node``), so no drive would judge
-        it before its end.  A moved round that ends where it started but
-        for the frame is followed by a batch (``_batch``)."""
-        conf, s = run.last(), self.s
-        played: list[tuple[Optional[Run], Optional[_Node]]] = []
-
-        def play():
-            (_choice, child), = _p2_turns(run, state, [(0, True)], s)
-            if child is None:
-                played.append((None, None))
-                return ()
-            node = self.nodes.get((child[0].last(), child[1]))
-            if node is not None:  # reached before: driven then
-                played.append((child[0], node))
-                return ()
-            end, kind = _drive(*child, s, self.last_turn)
-            played.append((child[0], self.node(*child, (end, kind))))
-            # an iterator: the table reads the round only if its key recurs
-            return end.steps(len(run)) if kind is None and child[1] == state else ()
-
-        line = s.lines.line(conf, _round_tag(conf, state), play)
-        if played:
-            return (*played[0], [])
-        theirs, ours = line.split(_ours)
-        run = run.extend(theirs)
-        node = self.nodes.get((run.last(), state))
-        if node is not None:
-            return run, node, []
-        end = run.extend(ours)
-        rounds, passed = self._batch(line, theirs, end.last(), conf, state)
+        The record of a round that repeats itself is moved onto each
+        round's end in turn (``MovedLine.onto``) while its guards hold and
+        the round ends within the last turn, up to the DAG's most: all but
+        the last round are linked as one ``Run`` node, and the last is split
+        at our turn, whose start is the child, which carries the record on.
+        ``frame.transport``'s lemma covers both players' turns in them, so
+        each is the round played there.  Without a record, or where it no
+        longer moves, the round is played as any opponent turn is, by
+        ``_p2_turns`` and, for a new child, its ``_drive``; it becomes the
+        child's record when it ends at its start's ``unframed`` key
+        (``frame.repeating``), with what the round's planners read beyond
+        the key as it was: the heard state, the counters and the opponent's
+        hand size, compared before its steps are read."""
+        conf, rounds = run.last(), []
+        while record is not None and len(rounds) < self.most \
+                and conf.turn + 2 <= self.last_turn \
+                and (moved := record.onto(conf)) is not None:
+            rounds.append(moved)
+            conf = moved.last()
         if rounds:
-            end = end.extend(Joined(rounds[:-1]))
             theirs, ours = rounds[-1].split(_ours)
-            run = end.extend(theirs)
-            node = self.nodes.get((run.last(), state))
-            if node is not None:
-                return run, node, passed
-            end = run.extend(ours)
-        return run, self.node(run, state, (end, None)), passed
+            run = run.extend(Joined(rounds[:-1])).extend(theirs)
+            return run, self.node(run, state, (run.extend(ours), None, record))
+        (_choice, child), = _p2_turns(run, state, [(0, True)], self.s)
+        if child is None:
+            return None, None
+        node = self.nodes.get((child[0].last(), child[1]))
+        if node is None:  # not reached before: driven now
+            end, kind = _drive(*child, self.s, self.last_turn)
+            back = end.last()
+            repeats = kind is None and child[1] == state \
+                and (spell_counters(back), len(back.players[1].hand)) \
+                == (spell_counters(conf), len(conf.players[1].hand))
+            record = repeating(list(end.steps(len(run)))) if repeats else None
+            node = self.node(*child, (end, kind, record))
+        return child[0], node
 
-    def _batch(self, line: MovedLine, theirs: MovedLine, end: Configuration,
-               start: Configuration, state: Hashable
-               ) -> tuple[list[MovedLine], list[Configuration]]:
-        """The rounds after a moved round, line, from start to end, whose
-        first part is their turn, theirs, when end has start's ``unframed``
-        key and tag: each the same record moved onto the end of the one
-        before (FAST's guarded acceleration: Bardin, Finkel, Leroux and
-        Petrucci, STTT 2008), and the decision points they start at.  They
-        go on while each ends within the last turn and the record's guards
-        hold at its start, up to the DAG's most, and stop after one whose
-        child, our turn's start
-        (as many moves and turns in as theirs), has a node; that child is
-        built only when a node starts at its turn.  By the lemma each end
-        has the key and the tag of the one before, so the table would
-        answer there with a record that moves to these very steps;
-        ``_round`` links all but the last as one line, with no lookup and
-        no node."""
-        if (spell_counters(end), len(end.players[1].hand)) \
-                != (spell_counters(start), len(start.players[1].hand)) \
-                or unframed(end) != unframed(start):
-            return [], []
-        mid, gap = len(theirs) - 1, theirs.last().turn - start.turn
-        rounds, passed = [], []
-        while end.turn + 2 <= self.last_turn and len(rounds) < self.most:
-            nxt = line.onto(end)
-            if nxt is None:
-                break
-            rounds.append(nxt)
-            passed.append(end)
-            if (end.turn + gap, state) in self.turns and (nxt.at(mid), state) in self.nodes:
-                break
-            end = nxt.last()
-        return rounds, passed
-
-    def turn(self, node: _Node
-             ) -> Optional[tuple[int, Optional[Run], Optional[_Node], list[Configuration]]]:
+    def turn(self, node: _Node) -> Optional[tuple[int, Optional[Run], Optional[_Node]]]:
         """node's next opponent turn as (coded choice, run into the child,
-        child, decision points passed on the way), those two None when it
-        cannot be played, or None past the last; the child is made, and
-        driven or moved, as its turn is read.  A batch of rounds passes
-        decision points with no node, each with the one choice."""
+        child), those two None when it cannot be played, or None past the
+        last; the child is made, and driven or moved, as its turn is read."""
         if node.turns.__class__ is tuple:  # a round still to read
-            run, child, passed = self._round(*node.turns)
+            run, child = self._round(*node.turns)
             node.turns = iter(())
-            return pair(0, 1), run, child, passed
+            return pair(0, 1), run, child
         step = next(node.turns, None)
         if step is None:
             return None
         (k, park), child = step
         run, child = (None, None) if child is None else (child[0], self.node(*child))
-        return pair(k, int(park)), run, child, []
+        return pair(k, int(park)), run, child
 
 
 def _ours(conf: Configuration) -> bool:
     """Whether our turn has begun: where a round splits."""
     return conf.active == 0
-
-
-def _round_tag(conf: Configuration, state: Hashable) -> tuple:
-    """The tag of the round from conf under the heard state."""
-    return ROUND, state, spell_counters(conf), len(conf.players[1].hand)
 
 
 def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
@@ -706,15 +634,8 @@ def check_winning(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     batch of rounds is one edge: the decision points it passes have one
     choice each, whose child's kind they would take.
     """
-    try:
-        return _check(run, s, budget)
-    finally:
-        s.lines.unread = {}  # the played rounds no lookup read: they hold this check's runs
-
-
-def _check(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
     root, base_len = run.last(), len(run)
-    dag = _Dag(s, budget, root.turn + budget.max_turns)
+    dag = _Dag(s, budget, root.turn + budget.max_turns, budget.max_turns)
     node = dag.node(run, s.observe(run))
     if node.kind == LOSS and not node.moves and root.active == root.priority == 0 \
             and not _terminal_kind(root):
@@ -749,7 +670,7 @@ def _check(run: Run, s: Strategy, budget: Budget) -> WinVerdict:
         elif step[2] is None:  # a turn that cannot be played: a LOSS leaf
             return WinVerdict(LOSS, reach.moves_after(base_len) + top.moves)
         else:
-            _choice, run, node, _points = step
+            _choice, run, node = step
 
 
 def drive_to_choice(run: Run, s: Strategy) -> Optional[Run]:
@@ -827,17 +748,10 @@ def to_tree(s: Strategy, run: Run, depth: int, budget: Budget) -> StrategyTree:
     number choice; leaves are marked by the win check on their segment,
     and a drive that passes the budget's last turn ends in an open leaf.
     The tree is the unfolding of the explored DAG (``_Dag``) to the depth,
-    so a line that two branches reach is driven once; a decision point
-    that a batch of rounds passes is a tree node too, with its one edge.
+    so a line that two branches reach is driven once; the DAG moves one
+    round of a record at a time, so each decision point is a node of it.
     """
-    try:
-        return _tree(s, run, depth, budget)
-    finally:
-        s.lines.unread = {}  # the played rounds no lookup read: they hold these runs
-
-
-def _tree(s: Strategy, run: Run, depth: int, budget: Budget) -> StrategyTree:
-    dag = _Dag(s, budget, run.last().turn + budget.max_turns, depth)
+    dag = _Dag(s, budget, run.last().turn + budget.max_turns, 1)
     edges: dict[_Node, list[tuple[int, Optional[_Node]]]] = {}  # per node, its turns read
     node = dag.node(run, s.observe(run))
     # open tree nodes (edge label into it, node, levels left below it, code,
@@ -847,9 +761,7 @@ def _tree(s: Strategy, run: Run, depth: int, budget: Budget) -> StrategyTree:
         label, node, d, code, built = stack[-1]
         read = edges.setdefault(node, [])
         if len(read) == len(built) and d > 0 and (step := dag.turn(node)) is not None:
-            choice, _run, child, passed = step
-            for conf in reversed(passed):  # the batch's decision points, one edge each
-                child = _passed(edges, conf, choice, child)
+            choice, _run, child = step
             read.append((choice, child))
         if d == 0 or len(read) == len(built):
             stack.pop()
@@ -863,15 +775,6 @@ def _tree(s: Strategy, run: Run, depth: int, budget: Budget) -> StrategyTree:
             built.append((choice, StrategyTree(code, False)))
         else:
             stack.append((choice, child, d - 1, encode_configuration(child.end), []))
-
-
-def _passed(edges: dict, conf: Configuration, choice: int, child: _Node) -> _Node:
-    """A node for a decision point at conf that a batch of rounds passes,
-    with its one turn read: choice, to child."""
-    node = _Node()
-    node.end, node.kind, node.turns, node.moves, node.via = conf, None, iter(()), (), None
-    edges[node] = [(choice, child)]
-    return node
 
 
 WELL_FOUNDED = "all-branches-terminate-winning"

@@ -10,7 +10,8 @@ from duelhalt.coding import pair, triple
 from duelhalt.engine import (ActivateEffect, Pass, Phase, Run, apply, is_winning_state,
                              replay_witness, validate_run)
 from duelhalt.engine.config import MZONE, update_player
-from duelhalt.engine.frame import LineTable
+from duelhalt.engine import frame
+from duelhalt.engine.frame import LineTable, MovedLine, unframed
 from duelhalt.engine.rules import spell_counters
 from duelhalt.errors import ScriptBroken, StrategyUndefinedAtRoot
 from duelhalt.reductions import (
@@ -615,8 +616,9 @@ def test_a_halting_tree_through_batches_is_pinned():
 def test_a_tree_drives_each_line_once(reduce, depth, budget, drives, size, sha, monkeypatch):
     # lines that two branches reach share one (configuration, heard state)
     # start, and the tree makes each start's line once, by a drive or, after
-    # a decision point with one choice, as a moved round: a line per tree
-    # node would make as many as the tree has nodes
+    # a decision point with one choice, as a moved round (none on these
+    # channel decks): a line per tree node would make as many as the tree
+    # has nodes
     starts, made, drive, node = [], [], strategy._drive, strategy._Dag.node
 
     def counted(run, state, s, last_turn=None):
@@ -633,7 +635,7 @@ def test_a_tree_drives_each_line_once(reduce, depth, budget, drives, size, sha, 
     out = reduce()
     tree = to_tree(out.strategy, out.run, depth, budget)
     assert (len(made), len(set(made))) == (drives, drives)
-    assert len(set(starts)) == len(starts) < drives and set(starts) <= set(made)
+    assert len(set(starts)) == len(starts) and set(starts) <= set(made)
     assert (tree.size(), _digest(_tree_codes(tree))) == (size, sha)
     assert well_founded_to_depth(tree, depth) == WELL_FOUNDED
 
@@ -664,48 +666,46 @@ def test_nothing_keeps_an_explored_dag_alive(monkeypatch):
         gc.enable()
 
 
-def test_a_batch_of_rounds_stops_where_a_line_was_explored(monkeypatch):
-    # slow's batch after its first moved round, linked again in a DAG where
-    # a line starts at our turn's start inside the sixth round: the batch
-    # ends with that round, whose child is the node there, and passes the
-    # decision points before it, each a round's end and the next one's start
+def test_repeating_takes_a_round_back_at_its_key_under_the_lp_guard(monkeypatch):
+    # slow's first round that comes back to its start's key, with the heard
+    # state and the counters as they were, is a record moved onto its own
+    # end: the moves of the round, ending where apply takes them.  The same
+    # round ending with the opponent below the LP guard (Soul Drain's 1000)
+    # is covered by the lemma but moves the LP a read compares, so no
+    # record is made of it
     out = reduce_halting(CURATED["slow"])
-    calls, batch = [], strategy._Dag._batch
-    monkeypatch.setattr(strategy._Dag, "_batch",
-                        lambda self, *args: calls.append((self, args)) or batch(self, *args))
+    rounds, repeating = [], frame.repeating
+    monkeypatch.setattr(strategy, "repeating",
+                        lambda steps: rounds.append(steps) or repeating(steps))
     assert check_winning(out.run, out.strategy, Budget(200, 4)).is_win
     monkeypatch.undo()
-    dag, (line, theirs, end, start, state) = next((d, a) for d, a in calls
-                                                  if len(batch(d, *a)[0]) > 6)
-    rounds, passed = batch(dag, line, theirs, end, start, state)
-    assert passed == [end] + [r.last() for r in rounds[:-1]]
-    fresh = strategy._Dag(out.strategy, dag.budget, dag.last_turn)
-    fresh.node(Run((rounds[5].at(len(theirs) - 1),), ()), state, (Run((end,), ()), None))
-    cut, cut_passed = fresh._batch(line, theirs, end, start, state)
-    assert len(cut) == 6 and cut_passed == passed[:6]
-    assert [r.confs() for r in cut] == [r.confs() for r in rounds[:6]]
+    steps = next(steps for steps in rounds if repeating(steps) is not None)
+    (start, _mv, _n), (before, last, end) = steps[0], steps[-1]
+    record = repeating(steps)
+    assert record.moves() == [mv for _c, mv, _n in steps]
+    assert record.last() == replay_witness(Run((end,), ()), record.moves()).last()
+    assert unframed(record.last()) == unframed(end) == unframed(start)
+    low = update_player(end, 1, lp=999)
+    assert start.players[1].lp != 999 and unframed(low) == unframed(start)
+    lowered = steps[:-1] + [(before, last, low)]
+    assert frame.line_frame(lowered) is not None and repeating(lowered) is None
 
 
-def test_no_unread_round_outlives_its_check(monkeypatch):
-    # a played round is handed to the line table unread, to be read only if
-    # its key recurs, and it holds the runs it walks: a check and a tree let
-    # the ones no lookup read go at their end, so the strategy keeps none of
-    # their runs alive; rounds it did read stay recorded
+def test_a_check_records_only_turns_and_cycles():
+    # the line table holds our turns, under (mode, counters), and the
+    # increment cycles they play, after a check and after a tree; a round
+    # that repeats itself is a record its child carries, not a line of the
+    # table
     out = reduce_halting(CURATED["identity"])
-    s, held, line = out.strategy, [], LineTable.line
+    s = out.strategy
 
-    def spy(self, conf, tag, play):
-        got = line(self, conf, tag, play)
-        held.append(sum(map(len, self.unread.values())))
-        return got
+    def tags():
+        return {tag for _key, tag in s.lines.recorded}
 
-    monkeypatch.setattr(LineTable, "line", spy)
     assert check_winning(out.run, s, Budget(200, 4)).is_win
-    assert max(held) > 0 and s.lines.unread == {}
-    assert any(tag[0] == strategy.ROUND for _key, tag in s.lines.recorded)
-    held.clear()
+    assert CYCLE in tags() and all(tag == CYCLE or tag == (None, tag[1]) for tag in tags())
     assert to_tree(s, out.run, 60, Budget(200, 4)).size() > 1
-    assert max(held) > 0 and s.lines.unread == {}
+    assert all(tag == CYCLE or tag == (None, tag[1]) for tag in tags())
 
 
 def test_steps_walk_no_node_before_the_first_is_read(monkeypatch):
@@ -745,20 +745,29 @@ def test_deep_trees_do_not_need_recursion(shallow_recursion):
     assert tree.size() == 61 and well_founded_to_depth(tree, 60) == OpenBranch((2,) * 60)
 
 
-def test_a_shallow_tree_links_no_batch_past_its_depth(monkeypatch):
-    # loop's rounds repeat up to the last turn, but a tree of depth 5 reads
-    # only five of them: no batch links more, whatever the budget's turns
+def test_a_tree_links_at_most_one_round_per_round_read(monkeypatch):
+    # loop's rounds repeat up to the last turn, but a tree moves a record
+    # one round at a time, so a tree of depth 5 reads five rounds and links
+    # no moved round past them, whatever the budget's turns
     out = reduce_halting(CURATED["loop"])
-    batched, batch = [], strategy._Dag._batch
+    moved, per_round, onto, round_ = [], [], MovedLine.onto, strategy._Dag._round
 
-    def counted(self, *args):
-        got = batch(self, *args)
-        batched.append(len(got[0]))
+    def counted_onto(self, conf):
+        got = onto(self, conf)
+        if got is not None:
+            moved.append(got)
         return got
 
-    monkeypatch.setattr(strategy._Dag, "_batch", counted)
+    def counted_round(self, *args):
+        before = len(moved)
+        got = round_(self, *args)
+        per_round.append(len(moved) - before)
+        return got
+
+    monkeypatch.setattr(MovedLine, "onto", counted_onto)
+    monkeypatch.setattr(strategy._Dag, "_round", counted_round)
     tree = to_tree(out.strategy, out.run, 5, Budget(4000, 4))
-    assert tree.size() == 6 and batched and max(batched) <= 5
+    assert tree.size() == 6 and len(per_round) == 5 and max(per_round) == 1
 
 
 def test_deep_trees_compare_hash_and_print_without_recursion(shallow_recursion):

@@ -1,10 +1,11 @@
 """Moved lines: a strategy's recorded turn, moved by ``frame.transport`` onto
 a start that differs from its own only in the frame, is the turn the
-strategy plans from there, and a moved round is the round played there;
-the recorded lines, turns, rounds and increment cycles, moved onto random
-frames are what ``apply`` gives; each guard of the lemma, as
-``frame.LineTable`` checks it, refuses what it must; and a moved line's
-configurations are built only when something reads them."""
+strategy plans from there, and a repeating round moved onto a later start
+is the round played there; the recorded turns and increment cycles and the
+played rounds, moved onto random frames, are what ``apply`` gives; each
+guard of the lemma, as ``frame.LineTable`` checks it, refuses what it must;
+and a moved line's configurations are built only when something reads
+them."""
 
 import copy
 import random
@@ -30,7 +31,7 @@ from duelhalt.reductions import (
     standard_omega,
 )
 from duelhalt.scripts import CYCLE, Line, increment_cycle_moves
-from duelhalt.strategy import ROUND, Budget, check_winning, play_opponent_number
+from duelhalt.strategy import Budget, check_winning, play_opponent_number
 from duelhalt.tm import CURATED
 
 _EXHAUSTIVE = dict(cap_exhaustive=True)
@@ -40,7 +41,7 @@ _EXHAUSTIVE = dict(cap_exhaustive=True)
 _CHECKS = {f"halting-{name}": (lambda name=name: reduce_halting(CURATED[name]), Budget(200, 4))
            for name in sorted(CURATED)}
 _CHECKS.update({
-    # slow's batch of rounds cut by the last turn, not by a guard
+    # slow's rounds moved up to the last turn, not cut by a guard
     "halting-slow-100": (lambda: reduce_halting(CURATED["slow"]), Budget(100, 4)),
     "nis-successor": (lambda: reduce_nis(CURATED["successor"]), Budget(150, 8, **_EXHAUSTIVE)),
     "nis-identity": (lambda: reduce_nis(CURATED["identity"]), Budget(10, 8, **_EXHAUSTIVE)),
@@ -62,28 +63,31 @@ class Recorded(NamedTuple):
 def _moved_lines(out, budget, monkeypatch):
     """check_winning's verdict, each turn the strategy moved onto a start
     there as (start, mode, steps), the steps (move, configuration), and each
-    round moved as (start, tag, the moved line), the rounds of a batch
-    included, under the tag the table would have looked them up by."""
-    moved, rounds, answer, batch = [], [], LineTable.line, strategy._Dag._batch
+    round a record moved, as (start, heard state, the moved line)."""
+    moved, rounds, answer, round_, onto = [], [], LineTable.line, strategy._Dag._round, \
+        MovedLine.onto
+    reading_state = [None]  # the heard state of the round last read: only _round moves one
 
     def spy(self, conf, tag, play):
         played = []
         steps = answer(self, conf, tag, lambda: played.append(conf) or play())
         if not played and tag != CYCLE:
-            if tag[0] == ROUND:
-                rounds.append((conf, tag, steps))
-            else:
-                moved.append((conf, tag[0], steps))
+            moved.append((conf, tag[0], steps))
         return steps
 
-    def batched(self, line, theirs, end, start, state):
-        got, starts = batch(self, line, theirs, end, start, state)
-        rounds.extend((conf, strategy._round_tag(conf, state), moved)
-                      for conf, moved in zip(starts, got))
-        return got, starts
+    def reading(self, run, state, record):
+        reading_state[0] = state
+        return round_(self, run, state, record)
+
+    def moving(self, conf):
+        got = onto(self, conf)
+        if got is not None:
+            rounds.append((conf, reading_state[0], got))
+        return got
 
     monkeypatch.setattr(LineTable, "line", spy)
-    monkeypatch.setattr(strategy._Dag, "_batch", batched)
+    monkeypatch.setattr(strategy._Dag, "_round", reading)
+    monkeypatch.setattr(MovedLine, "onto", moving)
     verdict = check_winning(out.run, out.strategy, budget)
     monkeypatch.undo()
     return verdict, moved, rounds
@@ -91,10 +95,10 @@ def _moved_lines(out, budget, monkeypatch):
 
 def _moved_turns(out, budget, monkeypatch):
     """check_winning's verdict, and each turn the strategy moved onto a
-    start there as (start, mode, steps), the steps (move, configuration); a
-    moved round, whose mode is ROUND, moves the turn of ours inside it."""
+    start there, a moved round's included: it moves the turn of ours
+    inside it."""
     verdict, moved, rounds = _moved_lines(out, budget, monkeypatch)
-    return verdict, moved + [(conf, tag[0], steps) for conf, tag, steps in rounds]
+    return verdict, moved + rounds
 
 
 @pytest.mark.parametrize("name", sorted(_CHECKS))
@@ -115,31 +119,19 @@ def test_moved_turns_are_the_planned_turns(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_CHECKS))
 def test_moved_rounds_are_the_played_rounds(name, monkeypatch):
-    # every moved round, its moves, every configuration, the number the
-    # opponent speaks in it and the heard state after it, is the round
-    # played from its start by the strategy with a fresh table: the
+    # every round a record moved, its moves, every configuration, the
+    # number the opponent speaks in it and the heard state after it, is the
+    # round played from its start by the strategy with a fresh table: the
     # opponent's one turn, then the drive to their next decision point,
-    # which stops there, before the check's last turn, with nothing judged;
-    # every check but the empty machine's moves some, and every halting
-    # check that moves one links a batch of rounds after it, each round of
-    # which is checked the same way
+    # which stops there, before the check's last turn, with nothing judged.
+    # Every halting check but the empty machine's moves some; no channel
+    # check does, as our turns there move the counters
     reduce, budget = _CHECKS[name]
     out = reduce()
-    batched, batch = [], strategy._Dag._batch
-
-    def counted(self, *args):
-        got = batch(self, *args)
-        batched.extend(got[0])
-        return got
-
-    monkeypatch.setattr(strategy._Dag, "_batch", counted)
     _verdict, _moved, rounds = _moved_lines(out, budget, monkeypatch)
-    assert rounds or name == "halting-empty"
-    assert batched or not name.startswith("halting-") or name == "halting-empty"
-    assert all(any(line is got for _c, _t, line in rounds) for got in batched)
+    assert bool(rounds) == (name.startswith("halting-") and name != "halting-empty")
     last_turn = out.run.last().turn + budget.max_turns
-    for conf, (_tag, state, counters, hand), line in rounds:
-        assert (counters, hand) == (spell_counters(conf), len(conf.players[1].hand))
+    for conf, state, line in rounds:
         fresh = copy.copy(out.strategy)
         fresh.lines = LineTable()
         (_choice, child), = strategy._p2_turns(Run((conf,), ()), state, [(0, True)], fresh)
@@ -159,8 +151,8 @@ def test_moved_rounds_are_the_played_rounds(name, monkeypatch):
 
 def test_most_turns_are_moved_not_planned(monkeypatch):
     # a halting check plans the turns whose starts differ beyond the frame
-    # and moves every other one, a round of a batch, linked with no lookup,
-    # counted as a moved one
+    # and moves every other one, a round a record moved, linked with no
+    # lookup, counted as a moved one
     out = reduce_halting(CURATED["slow"])
     planned = []
     plan_turn = strategy.TMStrategy._plan_turn
@@ -236,21 +228,34 @@ def _triples(line, start):
 def recorded_lines():
     """The turns and the increment cycles strategies recorded in a halting
     check (set-up A's board) and a channel check (set-up B's), and apart
-    the rounds, read or not: moves of both players' turns, the halting
-    check's on counted piles."""
-    lines, rounds = [], []
+    the rounds those checks read, each played again from its start to the
+    opponent's next decision point: moves of both players' turns, the
+    halting check's on counted piles."""
+    lines, rounds, round_ = [], [], strategy._Dag._round
     for reduce, budget in (_CHECKS["halting-identity"], _CHECKS["wo-omega-reverse"]):
-        out = reduce()
-        unread = out.strategy.lines.unread  # the check lets its unread rounds go at its end
-        check_winning(out.run, out.strategy, budget)
+        out, starts = reduce(), []
+
+        def reading(self, run, state, record):
+            starts.append((run.last(), state))
+            return round_(self, run, state, record)
+
+        strategy._Dag._round = reading
+        try:
+            check_winning(out.run, out.strategy, budget)
+        finally:
+            strategy._Dag._round = round_
         tags = [tag for _k, tag in out.strategy.lines.recorded]
-        assert CYCLE in tags and any(tag != CYCLE and tag[0] != ROUND for tag in tags)
-        for (_key, tag), ls in out.strategy.lines.recorded.items():
-            (rounds if tag[0] == ROUND else lines).extend(map(Recorded._make, ls))
-        for made in (list(made) for ls in unread.values() for made in ls):
-            frame = line_frame(made)
+        assert CYCLE in tags and any(tag != CYCLE for tag in tags)
+        for ls in out.strategy.lines.recorded.values():
+            lines.extend(map(Recorded._make, ls))
+        for conf, state in starts:
+            (_choice, child), = strategy._p2_turns(Run((conf,), ()), state, [(0, True)],
+                                                   out.strategy)
+            end, kind = strategy._drive(*child, out.strategy)
+            made = list(end.steps())
+            frame = line_frame(made) if kind is None else None
             if frame is not None:
-                rounds.append(Recorded(made[0][0], tuple((mv, n) for _c, mv, n in made), frame))
+                rounds.append(Recorded(conf, tuple((mv, n) for _c, mv, n in made), frame))
     assert sum(line.frame[3] is not None and not line.frame[1] for line in rounds) >= 5
     return lines, rounds
 
@@ -578,21 +583,25 @@ def test_a_witness_is_read_off_the_moves_alone(monkeypatch):
     # successor's check moves turns and rounds but no cycle: every
     # configuration transport builds is built alone, a moved turn's end or
     # a moved round's start of our turn or end, as the witness reads the
-    # nodes' moves alone, but for the turns of ours inside a played round,
-    # built when a later round first looks its record up, which happens
-    # once per key; applied from the base run the witness wins
+    # nodes' moves alone, but for the turn of ours inside a played round
+    # with the heard state, the counters and the opponent's hand size
+    # unchanged, built when its steps are read for frame.repeating, one per
+    # such round at most; applied from the base run the witness wins
     out = reduce_halting(CURATED["successor"])
-    built, record, reads = _counted_transport(monkeypatch), LineTable._record, []
+    built, steps, reads = _counted_transport(monkeypatch), Run.steps, []
+    repeated, repeating = [], strategy.repeating
 
-    def reading(self, key, made):
+    def reading(self, n=0):
         reads.append(len(built))
-        got = record(self, key, made)
+        got = list(steps(self, n))
         reads[-1] = built[reads[-1]:]
         del built[len(built) - len(reads[-1]):]
-        return got
+        return iter(got)
 
-    monkeypatch.setattr(LineTable, "_record", reading)
+    monkeypatch.setattr(Run, "steps", reading)
+    monkeypatch.setattr(strategy, "repeating",
+                        lambda made: repeated.append(made) or repeating(made))
     verdict = check_winning(out.run, out.strategy, Budget(200, 4))
     assert verdict.is_win and 0 < sum(built) == len(built)
-    assert sum(map(len, reads)) <= len(out.strategy.lines.recorded)
+    assert 0 < sum(map(len, reads)) <= len(repeated)
     assert is_winning_state(replay_witness(out.run, verdict.witness).last(), 0)
